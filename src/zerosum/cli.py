@@ -40,6 +40,7 @@ from .groups import (
 )
 from .lattice import build_lattice
 from .oracle import (
+    check_dp_work,
     davenport_constant,
     dp_min_cost_zero_sum,
     lattice_graph,
@@ -103,14 +104,14 @@ class RunReport:
         return out
 
 
-def parse_raw_sequence(value: str, rank: int) -> list[list[int]]:
-    """Element tuples from an inline string or a file named by `value`.
+def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[list[int]]:
+    """Element tuples from inline text, or from the file named by `value` if from_file.
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
     also work, since each element is a single integer.
     """
-    if os.path.isfile(value):
+    if from_file:
         try:
             with open(value, encoding="utf-8") as fh:
                 parts = [ln.strip() for ln in fh.read().splitlines()]
@@ -137,8 +138,15 @@ def parse_raw_sequence(value: str, rank: int) -> list[list[int]]:
     return out
 
 
-def parse_elements(value: str, dec: PrimaryDecomposition) -> tuple[list[list[int]], list[GroupElement]]:
-    raw = parse_raw_sequence(value, dec.spec.rank)
+def sequence_argument(args, rank: int) -> list[list[int]]:
+    """The raw sequence given by --seq (inline) or --seq-file (a path)."""
+    if args.seq_file is not None:
+        return parse_raw_sequence(args.seq_file, rank, from_file=True)
+    return parse_raw_sequence(args.seq, rank)
+
+
+def parse_elements(args, dec: PrimaryDecomposition) -> tuple[list[list[int]], list[GroupElement]]:
+    raw = sequence_argument(args, dec.spec.rank)
     return raw, [to_primary_coordinates(tuple(r), dec) for r in raw]
 
 
@@ -172,7 +180,7 @@ def _solve_sequence(dec: PrimaryDecomposition, elements, lattice=None):
 def cmd_solve(args) -> RunReport:
     spec = parse_group_spec(args.group)
     dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args.seq, dec)
+    raw, elements = parse_elements(args, dec)
     conf, cert = _solve_sequence(dec, elements)
     results = {
         "group_order": dec.group_order,
@@ -226,7 +234,7 @@ def cmd_solve_cyclic(args) -> RunReport:
         raise InputError(f"modulus must be positive, got {args.n}")
     spec = parse_group_spec(str(args.n))
     dec = primary_decomposition(spec)
-    raw = parse_raw_sequence(args.seq, rank=1)
+    raw = sequence_argument(args, rank=1)
     for r in raw:
         if len(r) != 1:
             raise InputError(f"cyclic sequence elements are single integers, got {r}")
@@ -272,7 +280,7 @@ def cmd_solve_cyclic(args) -> RunReport:
 def cmd_verify(args) -> RunReport:
     spec = parse_group_spec(args.group)
     dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args.seq, dec)
+    raw, elements = parse_elements(args, dec)
     indices = parse_indices(args.indices)
     verdict = verify_certificate(dec, elements, indices)
     results = {
@@ -294,7 +302,7 @@ def cmd_verify(args) -> RunReport:
 def cmd_oracle(args) -> RunReport:
     spec = parse_group_spec(args.group)
     dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args.seq, dec)
+    raw, elements = parse_elements(args, dec)
     result = dp_min_cost_zero_sum(dec, elements)
     results = {
         "feasible": result.feasible,
@@ -376,6 +384,8 @@ def cmd_stress(args) -> RunReport:
         raise InputError(f"trial count must be nonnegative, got {args.trials}")
     spec = parse_group_spec(args.group)
     dec = primary_decomposition(spec)
+    if args.trials > 0 and args.oracle_limit > 0:
+        check_dp_work(dec, dec.group_order)
     lattice = build_lattice(dec)
     rng = SplitMix64(args.seed)
     failures: list[str] = []
@@ -463,30 +473,35 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def sequence(p, what="elements"):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--seq", help=f"{what}, inline")
+        src.add_argument("--seq-file", help=f"{what}, one per line in a file")
+
     p = sub.add_parser("solve", help="find and verify a bounded zero-sum subsequence")
     p.add_argument("--group", required=True, help="cyclic factor orders, e.g. 9,3")
-    p.add_argument("--seq", required=True, help="inline elements or a file path")
+    sequence(p)
     p.add_argument("--trace", action="store_true", help="include the move log")
     common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-cyclic", help="integer form over Z_n with gcd costs")
     p.add_argument("--n", required=True, type=int, help="modulus")
-    p.add_argument("--seq", required=True, help="n integers, inline or a file path")
+    sequence(p, "n integers")
     p.add_argument("--trace", action="store_true", help="include the move log")
     common(p)
     p.set_defaults(func=cmd_solve_cyclic)
 
     p = sub.add_parser("verify", help="check a claimed index set independently")
     p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True)
+    sequence(p)
     p.add_argument("--indices", required=True, help="1-based, comma separated")
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exact minimum order cost by dynamic programming")
     p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True, help="any length, inline or a file path")
+    sequence(p, "elements, any number")
     common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -535,12 +550,18 @@ def main(argv=None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.json:
-        print(json.dumps(report.json_dict(), indent=2))
-    else:
-        for line in report.lines:
-            print(line)
-        print(f"elapsed {report.elapsed_ms:.1f} ms")
+    try:
+        if args.json:
+            print(json.dumps(report.json_dict(), indent=2))
+        else:
+            for line in report.lines:
+                print(line)
+            print(f"elapsed {report.elapsed_ms:.1f} ms")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`); drop the rest of the output
+        # and keep the interpreter's final flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -81,15 +81,6 @@ class Certificate:
     length_bound_ok: bool
     moves: tuple[MoveRecord, ...] = ()
 
-    def json_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "sum_is_zero": self.sum_is_zero,
-            "ord_cost": self.ord_cost,
-            "bound": self.bound,
-            "length_bound_ok": self.length_bound_ok,
-        }
-
 
 def well_placed(val: GroupElement, cost: int, u: Sequence[int], dec: PrimaryDecomposition) -> bool:
     """Congruence against the residual moduli at u plus the integer cost budget."""

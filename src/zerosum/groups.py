@@ -92,9 +92,8 @@ class PrimaryDecomposition:
 
     Component (i, j) is cyclic of order primes[i] ** exponents[i][j]; each row of
     `exponents` is sorted non-increasing. `slot_sources[i][j]` names the user
-    factor that component came from, and `factor_map[f]` lists the
-    (prime, exponent) parts of user factor f. `exponent` is the group exponent,
-    the product over primes of the largest component order.
+    factor that component came from. `exponent` is the group exponent, the
+    product over primes of the largest component order.
     """
 
     spec: GroupSpec
@@ -102,7 +101,6 @@ class PrimaryDecomposition:
     exponents: tuple[tuple[int, ...], ...]
     moduli: tuple[tuple[int, ...], ...]
     slot_sources: tuple[tuple[int, ...], ...]
-    factor_map: tuple[tuple[tuple[int, int], ...], ...]
     exponent: int
     heights: tuple[int, ...]
     group_order: int
@@ -111,27 +109,12 @@ class PrimaryDecomposition:
     def num_primes(self) -> int:
         return len(self.primes)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.exponents)
-
-    @property
-    def num_components(self) -> int:
-        return sum(len(row) for row in self.exponents)
-
-    @property
-    def total_height(self) -> int:
-        return sum(self.heights)
-
 
 def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
     """Split every cyclic factor into prime-power components and regroup by prime."""
     per_prime: dict[int, list[tuple[int, int]]] = {}
-    factor_map = []
     for f, order in enumerate(spec.cyclic_orders):
-        parts = _factorize(order)
-        factor_map.append(tuple(parts))
-        for p, e in parts:
+        for p, e in _factorize(order):
             per_prime.setdefault(p, []).append((e, f))
     primes = tuple(sorted(per_prime))
     exponents, moduli, sources = [], [], []
@@ -153,7 +136,6 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         exponents=tuple(exponents),
         moduli=tuple(moduli),
         slot_sources=tuple(sources),
-        factor_map=tuple(factor_map),
         exponent=big_n,
         heights=heights,
         group_order=order,

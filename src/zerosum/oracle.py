@@ -4,6 +4,11 @@ Three families: a subset DP computing the exact minimum order cost over all
 nonempty zero-sum subsequences, exhaustive generalized pebbling numbers for
 small weighted graphs, and Davenport-type constants by multiset search. All
 arithmetic is exact; every bound breach raises instead of approximating.
+
+The DP keeps one best cost per group element, so n items cost O(n * |G|)
+work. That product is checked against MAX_DP_WORK before the DP starts and
+refused with InputError (exit 2). Its witness is the chain of first items at
+which each cost on the chain became optimal; see dp_min_cost_zero_sum.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ from .errors import InputError, InternalInvariantError
 from .groups import (
     GroupElement,
     PrimaryDecomposition,
-    add_elements,
     element_from_index,
     element_index,
     order_cost,
 )
 from .lattice import build_lattice
 
-MAX_DP_STATES = 5_000_000
+# Items x group order; admits |G| items over groups of order up to 2828.
+MAX_DP_WORK = 8_000_000
 MAX_SOLVABLE_STATES = 2_000_000
 MAX_PEBBLING_TOTAL = 64
 DAVENPORT_PLAIN_MAX = 16
@@ -217,59 +222,86 @@ class OracleResult:
     qualifies: bool
 
 
-def _index_add_table(dec: PrimaryDecomposition, g: GroupElement) -> list[int]:
-    return [
-        element_index(add_elements(element_from_index(dec, s), g))
-        for s in range(dec.group_order)
-    ]
+def check_dp_work(dec: PrimaryDecomposition, length: int) -> None:
+    """Refuse a DP over `length` items whose predicted work exceeds MAX_DP_WORK."""
+    work = length * dec.group_order
+    if work > MAX_DP_WORK:
+        raise InputError(
+            f"zero-sum DP work {length} items x |G| = {dec.group_order} is {work}, "
+            f"above the bound {MAX_DP_WORK}"
+        )
+
+
+def _shift_table(g: GroupElement) -> list[int]:
+    """table[s] is the index of s + g, for every element index s.
+
+    A mixed-radix product of per-component rotations, in the component order
+    of `element_index`, so no GroupElement is built.
+    """
+    table = [0]
+    for row, mods in zip(g.coords, g.dec.moduli):
+        for x, m in zip(row, mods):
+            rot = [*range(x, m), *range(x)]
+            table = [hi + r for hi in (a * m for a in table) for r in rot]
+    return table
 
 
 def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     """Exact minimum of the order cost over nonempty zero-sum subsequences.
 
-    Forward 0/1 DP over (group element, exact cost) states; the parent pointer
-    recorded at a state's first creation makes the witness reproducible. Items
-    are considered in index order, so parent chains carry strictly decreasing
-    indices and each item is used at most once.
+    Exact 0/1 DP over element indices: item k with order cost c turns
+    best[s + g] into min(best[s + g], best[s] + c), reading best as it stood
+    before item k, and seeds the singleton best[g] = c. That is O(n * |G|)
+    work for n items, and refused above MAX_DP_WORK before it starts.
+
+    best[t] changes only on a strict improvement, and the change records the
+    parent (t, new cost) -> (t - g, k). The witness walks back from
+    (0, best[0]), so each cost on its chain is reached at the first item that
+    made it optimal; parents are keyed by (element, cost) so a later, cheaper
+    path to the same element leaves the chain's links alone. Chains carry
+    strictly decreasing item indices, so each item is used at most once.
     """
     elements = list(elements)
     for g in elements:
         if g.dec != dec:
             raise InputError("sequence element belongs to a different decomposition")
-    zero = 0
-    states: dict[tuple[int, int], tuple[int | None, int | None, int]] = {}
-    tables: dict[int, list[int]] = {}
-    for k, g in enumerate(elements, start=1):
+    check_dp_work(dec, len(elements))
+    costs = [order_cost(g) for g in elements]
+    unreached = sum(costs) + 1
+    best = [unreached] * dec.group_order
+    reached: list[int] = []
+    parent: dict[tuple[int, int], tuple[int | None, int]] = {}
+    table_of = table = None
+    for k, (g, c) in enumerate(zip(elements, costs), start=1):
         gi = element_index(g)
-        if gi not in tables:
-            tables[gi] = _index_add_table(dec, g)
-        table = tables[gi]
-        c = order_cost(g)
-        additions: dict[tuple[int, int], tuple[int | None, int | None, int]] = {}
-        key = (gi, c)
-        if key not in states:
-            additions[key] = (None, None, k)
-        for (s, cost) in list(states.keys()):
-            nkey = (table[s], cost + c)
-            if nkey not in states and nkey not in additions:
-                additions[nkey] = (s, cost, k)
-        states.update(additions)
-        if len(states) > MAX_DP_STATES:
-            raise InternalInvariantError("zero-sum DP exceeded its state budget")
-    costs = [cost for (s, cost) in states if s == zero]
-    if not costs:
+        if gi != table_of:
+            table_of, table = gi, _shift_table(g)
+        before = best[:]
+        fresh = []
+        if c < best[gi]:
+            if best[gi] == unreached:
+                fresh.append(gi)
+            best[gi] = c
+            parent[(gi, c)] = (None, k)
+        for s in reached:
+            t = table[s]
+            cost = before[s] + c
+            if cost < best[t]:
+                if best[t] == unreached:
+                    fresh.append(t)
+                best[t] = cost
+                parent[(t, cost)] = (s, k)
+        reached += fresh
+    if best[0] == unreached:
         return OracleResult(False, None, (), False)
-    best = min(costs)
     out = []
-    s, cost = zero, best
-    while True:
-        ps, pc, k = states[(s, cost)]
+    s, cost = 0, best[0]
+    while s is not None:
+        s, k = parent[(s, cost)]
         out.append(k)
-        if ps is None:
-            break
-        s, cost = ps, pc
+        cost -= costs[k - 1]
     out.sort()
-    return OracleResult(True, best, tuple(out), best <= dec.exponent)
+    return OracleResult(True, best[0], tuple(out), best[0] <= dec.exponent)
 
 
 def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int:
@@ -286,7 +318,7 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
         raise InputError(f"group order {order} above the enumeration bound {cap}")
     bound = dec.exponent
     costs = [order_cost(element_from_index(dec, i)) for i in range(order)]
-    tables = [_index_add_table(dec, element_from_index(dec, i)) for i in range(order)]
+    tables = [_shift_table(element_from_index(dec, i)) for i in range(order)]
     best = 0
 
     def extend_plain(lo: int, reach: frozenset[int], depth: int) -> None:

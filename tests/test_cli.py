@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import zerosum
 from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
+# Child interpreters import the same package as the tests, installed or not.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(zerosum.__file__)))
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
 
 
 def run_json(capsys, *args):
@@ -57,9 +66,21 @@ def test_parse_raw_sequence_rank2():
 
 
 def test_parse_raw_sequence_from_file(tmp_path):
+    from zerosum import InputError
+
     path = tmp_path / "seq.txt"
     path.write_text("1,0\n\n0,1\n1,1\n1,0\n")
-    assert parse_raw_sequence(str(path), rank=2) == [[1, 0], [0, 1], [1, 1], [1, 0]]
+    assert parse_raw_sequence(str(path), rank=2, from_file=True) == [
+        [1, 0],
+        [0, 1],
+        [1, 1],
+        [1, 0],
+    ]
+    # Inline text is never taken for a path, even when a file of that name exists.
+    with pytest.raises(InputError):
+        parse_raw_sequence(str(path), rank=2)
+    with pytest.raises(InputError):
+        parse_raw_sequence(str(tmp_path / "missing.txt"), rank=1, from_file=True)
 
 
 def test_parse_raw_sequence_rejects_junk():
@@ -112,9 +133,38 @@ def test_solve_zero_element(capsys):
 def test_solve_from_file(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     path.write_text("1\n1\n1\n1\n")
-    code, doc = run_json(capsys, "solve", "--group", "4", "--seq", str(path))
+    code, doc = run_json(capsys, "solve", "--group", "4", "--seq-file", str(path))
     assert code == 0
     assert doc["results"]["indices"] == [1, 2, 3, 4]
+    assert doc["inputs"]["sequence"] == [[1], [1], [1], [1]]
+
+
+def test_seq_file_on_every_sequence_command(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{a}\n" for a in (1, 5, 3, 7, 2, 4, 6, 9, 10, 11, 8, 0)))
+    code, doc = run_json(
+        capsys, "verify", "--group", "12", "--seq-file", str(path), "--indices", "12"
+    )
+    assert code == 0
+    assert doc["inputs"]["sequence"][11] == [0]
+    code, doc = run_json(capsys, "solve-cyclic", "--n", "12", "--seq-file", str(path))
+    assert code == 0
+    assert doc["results"]["indices"] == [12]
+    code, doc = run_json(capsys, "oracle", "--group", "12", "--seq-file", str(path))
+    assert code == 0
+    assert doc["results"]["min_cost"] == 2
+    assert doc["results"]["witness"] == [2, 4]
+
+
+def test_seq_and_seq_file_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    path.write_text("1\n1\n1\n1\n")
+    assert main(["solve", "--group", "4", "--seq", "1,1,1,1", "--seq-file", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["oracle", "--group", "4"]) == 2
+    capsys.readouterr()
+    assert main(["solve", "--group", "4", "--seq-file", str(tmp_path / "missing.txt")]) == 2
+    assert "cannot read sequence file" in capsys.readouterr().err
 
 
 def test_solve_cyclic_examples(capsys):
@@ -236,6 +286,18 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
 
 
+def test_oracle_work_bound_exits_2_at_once(capsys):
+    started = time.perf_counter()
+    assert main(["oracle", "--group", "100000007", "--seq", "1,2"]) == 2
+    assert "above the bound" in capsys.readouterr().err
+    assert main(["stress", "--group", "3000", "--trials", "1"]) == 2
+    assert "above the bound" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
+    # Without oracle checks the stress battery has no DP to bound.
+    assert main(["stress", "--group", "3000", "--trials", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_argparse_failures_map_to_input_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -260,6 +322,24 @@ def test_subprocess_entry_points():
     done = run_cli("solve", "--group", "4", "--seq", "nope")
     assert done.returncode == 2
     assert "input error" in done.stderr
+
+
+def test_closed_pipe_exits_cleanly():
+    # The trace runs to over 200 kB, more than a pipe buffer holds after the reader leaves.
+    seq = ",".join(["1"] * 2000)
+    for extra in (["--json"], []):
+        proc = subprocess.Popen(
+            CLI + ["solve-cyclic", "--n", "2000", "--seq", seq, "--trace"] + extra,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=CLI_ENV,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_console_script_installed():

@@ -14,6 +14,7 @@ from zerosum import (
     davenport_constant,
     dp_min_cost_zero_sum,
     element_from_index,
+    element_index,
     identity,
     lattice_graph,
     order_cost,
@@ -26,6 +27,7 @@ from zerosum import (
     weighted_boolean_cube,
 )
 from zerosum.cli import SplitMix64
+from zerosum.oracle import MAX_DP_WORK, _shift_table
 
 
 def _dec(text: str):
@@ -125,11 +127,127 @@ def test_dp_matches_naive_enumeration_battery():
                 assert total == identity(dec)
 
 
+FROZEN_GROUPS = ("60", "6,6", "2,2,2,2,2", "9,3", "120")
+FROZEN_FAMILIES = ("uniform", "zero-free", "few-values")
+
+# (feasible, min_cost, witness) for each instance of _frozen_battery(), in
+# order, as the (element, exact cost)-state DP computed them before the DP was
+# keyed by element alone.
+FROZEN_WITNESSES = [
+    (False, None, ()),
+    (True, 2, (2, 5)),
+    (True, 4, (15, 22, 29)),
+    (True, 2, (5, 27)),
+    (True, 2, (2, 12)),
+    (True, 2, (1, 14)),
+    (True, 2, (21, 27)),
+    (True, 2, (6, 24)),
+    (True, 36, (1, 2, 6, 10, 11, 16)),
+    (True, 24, (2, 3, 4, 5, 7, 8, 10)),
+    (True, 10, (2, 5, 6, 7, 8, 9, 12, 14, 16, 17)),
+    (True, 16, (1, 2, 3, 5, 6, 10)),
+    (True, 2, (2, 15)),
+    (True, 2, (7, 15)),
+    (True, 2, (6, 8)),
+    (True, 2, (1, 7)),
+    (True, 6, (3, 4, 7)),
+    (True, 4, (4, 6, 9)),
+    (True, 2, (2, 4)),
+    (True, 2, (16, 21)),
+    (True, 6, (2, 4, 5, 6, 7, 12)),
+    (True, 6, (1, 2, 3, 4)),
+    (True, 4, (1, 2, 5, 7)),
+    (True, 6, (2, 3)),
+    (False, None, ()),
+    (True, 2, (2, 6)),
+    (True, 2, (1, 3)),
+    (True, 2, (3, 10)),
+    (False, None, ()),
+    (True, 2, (2, 5)),
+    (True, 2, (2, 7)),
+    (True, 2, (1, 4)),
+    (True, 2, (2, 3)),
+    (True, 2, (2,)),
+    (True, 2, (2, 3)),
+    (True, 2, (2, 3)),
+    (True, 2, (6, 8)),
+    (True, 2, (5, 9)),
+    (True, 2, (2, 12)),
+    (True, 2, (8, 10)),
+    (True, 2, (2, 11)),
+    (True, 2, (1, 7)),
+    (True, 2, (5, 10)),
+    (True, 2, (13, 15)),
+    (False, None, ()),
+    (True, 9, (2, 4, 5)),
+    (True, 9, (3, 4, 5)),
+    (True, 5, (2, 3, 4, 9, 11)),
+    (True, 2, (4, 9)),
+    (True, 2, (8, 12)),
+    (True, 2, (11, 26)),
+    (True, 2, (32, 37)),
+    (True, 24, (1, 4, 7)),
+    (True, 4, (2, 10, 12)),
+    (True, 2, (10, 19)),
+    (True, 2, (20, 23)),
+    (True, 20, (1, 2, 4, 5, 6, 9, 10, 12, 13)),
+    (True, 24, (2, 4, 5, 6, 7, 10, 17, 20, 23)),
+    (True, 18, (1, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 21, 25, 29, 37)),
+    (True, 30, (1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13)),
+]
+
+
+def _frozen_battery():
+    """Seeded instances, four per group and family; lengths up to |G| + 2."""
+    rng = SplitMix64(3020)
+    for text in FROZEN_GROUPS:
+        dec = _dec(text)
+        n = dec.group_order
+        for family in FROZEN_FAMILIES:
+            for length in (1 + rng.below(n + 2), 1 + rng.below(n + 2), n, n + 2):
+                if family == "uniform":
+                    idx = [rng.below(n) for _ in range(length)]
+                elif family == "zero-free":
+                    idx = [1 + rng.below(n - 1) for _ in range(length)]
+                else:
+                    pool = [rng.below(n) for _ in range(3)]
+                    idx = [pool[rng.below(3)] for _ in range(length)]
+                yield dec, [element_from_index(dec, i) for i in idx]
+
+
+def test_dp_reproduces_frozen_witnesses():
+    got = [
+        (r.feasible, r.min_cost, r.indices)
+        for r in (dp_min_cost_zero_sum(dec, els) for dec, els in _frozen_battery())
+    ]
+    assert got == FROZEN_WITNESSES
+
+
+def test_shift_table_matches_group_addition():
+    for text in ("1", "12", "9,3", "2,4,2", "6,6"):
+        dec = _dec(text)
+        for gi in range(dec.group_order):
+            g = element_from_index(dec, gi)
+            assert _shift_table(g) == [
+                element_index(add_elements(element_from_index(dec, s), g))
+                for s in range(dec.group_order)
+            ]
+
+
+def test_dp_work_bound():
+    big = _dec("100003")
+    with pytest.raises(InputError, match="above the bound"):
+        dp_min_cost_zero_sum(big, _els(big, [1]) * (MAX_DP_WORK // big.group_order + 1))
+    # A full-length stress trial over Z_2310 stays within the bound.
+    dec = _dec("2310")
+    assert dp_min_cost_zero_sum(dec, _els(dec, [1] * 2310)).feasible
+
+
 def test_tightness_for_cyclic_groups():
-    # n-1 ones over Z_n admit no zero-sum subsequence at all.
-    for n in range(2, 11):
+    # n-1 copies of a unit of Z_n admit no zero-sum subsequence at all.
+    for n, unit in [(n, 1) for n in range(2, 11)] + [(210, 11), (2310, 13)]:
         dec = _dec(str(n))
-        result = dp_min_cost_zero_sum(dec, _els(dec, [1] * (n - 1)))
+        result = dp_min_cost_zero_sum(dec, _els(dec, [unit] * (n - 1)))
         assert not result.feasible
 
 
