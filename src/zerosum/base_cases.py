@@ -36,9 +36,8 @@ def cyclic_prime_zero_sum(p: int, items: Sequence[int]) -> list[int]:
     items = [x % p for x in items]
     if len(items) != p:
         raise InputError(f"need exactly {p} residues, got {len(items)}")
-    for k, x in enumerate(items, start=1):
-        if x == 0:
-            return [k]
+    if 0 in items:
+        return [items.index(0) + 1]
     first_seen = {0: 0}
     s = 0
     for k, x in enumerate(items, start=1):
@@ -58,7 +57,11 @@ def projective_line_of(vec: Sequence[int], p: int) -> tuple[tuple[int, ...], int
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    vec = tuple(x % p for x in vec)
+    return _line_of(tuple(x % p for x in vec), p)
+
+
+def _line_of(vec: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
+    """projective_line_of for a vector already reduced mod a prime p."""
     lead = next((x for x in vec if x != 0), 0)
     if lead == 0:
         raise InputError("zero vector lies on every line through the origin")
@@ -93,7 +96,7 @@ def elementary_zero_sum(p: int, dim: int, items: Sequence[Sequence[int]]) -> lis
 
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, v in enumerate(vecs, start=1):
-        label, coeff = projective_line_of(v, p)
+        label, coeff = _line_of(v, p)
         lines.setdefault(label, []).append((k, coeff))
     best_label = min(lines, key=lambda lab: (-len(lines[lab]), lab))
     members = lines[best_label]

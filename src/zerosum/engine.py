@@ -12,8 +12,9 @@ root is a certificate.
 from __future__ import annotations
 
 import os
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .groups import (
@@ -24,44 +25,47 @@ from .groups import (
     identity,
     order_cost,
 )
-from .lattice import LatticeVertex, WeightedLattice, build_lattice, vertex_of_order
-from .base_cases import elementary_zero_sum
-from .partitions import residual_exponents
+from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
+from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum
 
 # Cap on distinct count profiles the fallback search may visit.
 MAX_SEARCH_NODES = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Pebble:
-    """A merge-tree leaf set with cached value, order cost, and position."""
+    """A merge-tree node: cached value, order cost, position, and the pebbles
+    its move selected (none for input pebble k, whose id is its sequence index)."""
 
     pid: int
-    members: frozenset[int]
     val: GroupElement
     ord_cost: int
     vertex: LatticeVertex
+    parts: tuple[Pebble, ...] = ()
+
+    @property
+    def members(self) -> frozenset[int]:
+        """Input indices at the leaves of this pebble's merge tree."""
+        leaves, stack = [], [self]
+        while stack:
+            peb = stack.pop()
+            if peb.parts:
+                stack.extend(peb.parts)
+            else:
+                leaves.append(peb.pid)
+        return frozenset(leaves)
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     vertex_divisor: int
     prime: int
-    coordinate: int
     weight: int
     consumed: tuple[int, ...]
     selected: tuple[int, ...]
     new_id: int
 
     def json_dict(self) -> dict:
-        return {
-            "vertex_divisor": self.vertex_divisor,
-            "prime": self.prime,
-            "weight": self.weight,
-            "consumed": list(self.consumed),
-            "selected": list(self.selected),
-            "new_id": self.new_id,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,26 @@ class Certificate:
     moves: tuple[MoveRecord, ...] = ()
 
 
-def well_placed(val: GroupElement, cost: int, u: Sequence[int], dec: PrimaryDecomposition) -> bool:
-    """Congruence against the residual moduli at u plus the integer cost budget."""
-    residual = residual_exponents(dec.exponents, u)
-    for p, row_val, row_res in zip(dec.primes, val.coords, residual):
-        for x, e in zip(row_val, row_res):
-            if x % p**e:
-                return False
-    divisor = 1
-    for p, ui in zip(dec.primes, u):
-        divisor *= p**ui
-    return cost <= dec.exponent // divisor
+def well_placed(
+    val: GroupElement,
+    cost: int,
+    u: Sequence[int],
+    dec: PrimaryDecomposition,
+    rule: PlacementRule | None = None,
+) -> bool:
+    """Congruence against the residual moduli at u plus the integer cost budget.
+
+    `rule` is the lattice's precomputed `placement` entry for u; it is derived
+    from u when not given.
+    """
+    budget, congruences = rule if rule is not None else placement_rule(dec, tuple(u))
+    if cost > budget:
+        return False
+    coords = val.coords
+    for i, j, m in congruences:
+        if coords[i][j] % m:
+            return False
+    return True
 
 
 class Configuration:
@@ -114,14 +127,10 @@ class Configuration:
         self.lattice = lattice
         self.elements = list(elements)
         self.debug = debug if debug is not None else os.environ.get("ZEROSUM_DEBUG") == "1"
-        self.pebbles_at: dict[int, list[Pebble]] = {}
+        self.pebbles_at: defaultdict[int, deque[Pebble]] = defaultdict(deque)
         self.move_log: list[MoveRecord] = []
         self.fallback_fired = False
         self._next_id = 1
-
-    def place(self, pebble: Pebble) -> None:
-        idx = self.lattice.vertex_index(pebble.vertex.u)
-        self.pebbles_at.setdefault(idx, []).append(pebble)
 
     def live_pebbles(self) -> list[Pebble]:
         out = []
@@ -138,9 +147,7 @@ class Configuration:
 
     def root_pebble(self) -> Pebble | None:
         pool = self.pebbles_at.get(self.lattice.root_index)
-        if not pool:
-            return None
-        return min(pool, key=lambda a: a.pid)
+        return pool[0] if pool else None  # pools hold pebbles in id order
 
 
 def initial_configuration(
@@ -149,34 +156,32 @@ def initial_configuration(
     lattice: WeightedLattice | None = None,
     debug: bool | None = None,
 ) -> Configuration:
-    """One singleton pebble per element, each on the vertex of its order."""
+    """One singleton pebble per element on the vertex of its order, computed once."""
     if len(elements) != dec.group_order:
         raise InputError(
             f"need exactly {dec.group_order} elements for this group, got {len(elements)}"
         )
     for g in elements:
-        if g.dec != dec:
+        if g.dec is not dec and g.dec != dec:
             raise InputError("sequence element belongs to a different decomposition")
     if lattice is None:
         lattice = build_lattice(dec)
     conf = Configuration(dec, lattice, elements, debug=debug)
+    index_of = {v.divisor: idx for idx, v in enumerate(lattice.vertices)}
     for k, g in enumerate(elements, start=1):
-        vertex = vertex_of_order(element_order(g), dec)
-        pebble = Pebble(k, frozenset([k]), g, order_cost(g), vertex)
-        if not _well_placed_fast(conf, pebble.val, pebble.ord_cost, lattice.vertex_index(vertex.u)):
+        order = element_order(g)
+        idx = index_of.get(order)
+        if idx is None:
+            raise InternalInvariantError(
+                f"element order {order} does not divide the exponent {dec.exponent}"
+            )
+        vertex = lattice.vertices[idx]
+        pebble = Pebble(k, g, dec.exponent // order, vertex)
+        if not well_placed(g, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
             raise InternalInvariantError(f"initial pebble {k} is not well placed")
-        conf.place(pebble)
+        conf.pebbles_at[idx].append(pebble)
     conf._next_id = len(elements) + 1
     return conf
-
-
-def _well_placed_fast(conf: Configuration, val: GroupElement, cost: int, vertex_idx: int) -> bool:
-    moduli = conf.lattice.residual_moduli[vertex_idx]
-    for row_val, row_mod in zip(val.coords, moduli):
-        for x, m in zip(row_val, row_mod):
-            if x % m:
-                return False
-    return cost <= conf.dec.exponent // conf.lattice.vertices[vertex_idx].divisor
 
 
 def merge_step(conf: Configuration, vertex: LatticeVertex, coordinate: int) -> Configuration:
@@ -188,67 +193,61 @@ def merge_step(conf: Configuration, vertex: LatticeVertex, coordinate: int) -> C
     the base-case selection is kept, the rest are discarded.
     """
     lattice = conf.lattice
-    dec = conf.dec
     u = vertex.u
     i = coordinate
-    if not 0 <= i < dec.num_primes or u[i] < 1:
+    if not 0 <= i < len(u) or u[i] < 1:
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
     vidx = lattice.vertex_index(u)
-    pool = conf.pebbles_at.get(vidx, [])
-    p = dec.primes[i]
+    pool = conf.pebbles_at.get(vidx, ())
+    p = conf.dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
-    weight = p**dims
+    weight = lattice.level_weights[i][u[i] - 1]
     if len(pool) < weight:
         raise InputError(
             f"vertex {vertex.divisor} holds {len(pool)} pebbles, the move needs {weight}"
         )
 
-    consumed = pool[:weight]
-    res_moduli = lattice.residual_moduli[vidx][i]
+    consumed = [pool.popleft() for _ in range(weight)]
+    if not pool:
+        del conf.pebbles_at[vidx]
+    res_moduli = lattice.residual_moduli[vidx][i][:dims]
     reduced = []
     for peb in consumed:
-        row = peb.val.coords[i]
         vec = []
-        for j in range(dims):
-            m = res_moduli[j]
-            if row[j] % m:
+        for x, m in zip(peb.val.coords[i], res_moduli):
+            if x % m:
                 raise InternalInvariantError(
                     f"pebble {peb.pid} is not well placed at vertex {vertex.divisor}"
                 )
-            vec.append((row[j] // m) % p)
-        reduced.append(tuple(vec))
+            vec.append(x // m)
+        reduced.append(vec)
+    if dims == 1:
+        selected_pos = cyclic_prime_zero_sum(p, [vec[0] for vec in reduced])
+    else:
+        selected_pos = elementary_zero_sum(p, dims, reduced)
+    selected = tuple([consumed[pos - 1] for pos in selected_pos])
 
-    selected_pos = elementary_zero_sum(p, dims, reduced)
-    selected = [consumed[pos - 1] for pos in selected_pos]
-
-    members = frozenset().union(*(peb.members for peb in selected))
-    val = selected[0].val
+    val, cost = selected[0].val, selected[0].ord_cost
     for peb in selected[1:]:
         val = add_elements(val, peb.val)
-    cost = sum(peb.ord_cost for peb in selected)
-    child = lattice.child(vertex, i)
-    child_idx = lattice.vertex_index(child.u)
-    new_pebble = Pebble(conf._next_id, members, val, cost, child)
-    conf._next_id += 1
-
-    if not _well_placed_fast(conf, val, cost, child_idx):
+        cost += peb.ord_cost
+    child_idx = vidx - lattice.strides[i]
+    child = lattice.vertices[child_idx]
+    new_pebble = Pebble(conf._next_id, val, cost, child, selected)
+    if not well_placed(val, cost, child.u, conf.dec, lattice.placement[child_idx]):
         raise InternalInvariantError(
             f"merged pebble {new_pebble.pid} is not well placed at vertex {child.divisor}"
         )
-
-    del pool[:weight]
-    if not pool:
-        del conf.pebbles_at[vidx]
-    conf.pebbles_at.setdefault(child_idx, []).append(new_pebble)
+    conf._next_id += 1
+    conf.pebbles_at[child_idx].append(new_pebble)
     conf.move_log.append(
         MoveRecord(
-            vertex_divisor=vertex.divisor,
-            prime=p,
-            coordinate=i,
-            weight=weight,
-            consumed=tuple(peb.pid for peb in consumed),
-            selected=tuple(peb.pid for peb in selected),
-            new_id=new_pebble.pid,
+            vertex.divisor,
+            p,
+            weight,
+            tuple([peb.pid for peb in consumed]),
+            tuple([peb.pid for peb in selected]),
+            new_pebble.pid,
         )
     )
     if conf.debug:
@@ -258,50 +257,41 @@ def merge_step(conf: Configuration, vertex: LatticeVertex, coordinate: int) -> C
 
 def _debug_check(conf: Configuration, pebble: Pebble) -> None:
     """Recompute the new pebble from scratch and rescan pairwise disjointness."""
-    val = identity(conf.dec)
-    cost = 0
-    for k in sorted(pebble.members):
-        val = add_elements(val, conf.elements[k - 1])
-        cost += order_cost(conf.elements[k - 1])
+    val, cost = _recompute(conf.dec, conf.elements, sorted(pebble.members))
     if val != pebble.val or cost != pebble.ord_cost:
         raise InternalInvariantError(f"cached value of pebble {pebble.pid} disagrees with its members")
     seen: set[int] = set()
     for other in conf.live_pebbles():
-        if other.members & seen:
+        members = other.members
+        if members & seen:
             raise InternalInvariantError("live pebbles share member indices")
-        seen |= other.members
+        seen |= members
 
 
 def _greedy_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple[int, int]] | None:
     """Move (vertex index, coordinate) list reaching the root, or None on a stall.
 
     Preference order: highest occupied vertex first (ties by ascending exponent
-    vector), then the cheapest down edge (ties by coordinate).
+    vector), then the cheapest down edge (ties by coordinate). A move only adds
+    to a vertex later in that order, so one pass spending each pile on its
+    cheapest edge makes the same moves as rescanning after every move.
     """
     root = lattice.root_index
     if start[root] >= 1:
         return []
     prof = list(start)
     plan: list[tuple[int, int]] = []
-    while True:
-        step = None
-        for vidx in lattice.scan_order:
-            if vidx == root or prof[vidx] == 0:
-                continue
-            for (ci, w, child) in lattice.moves[vidx]:
-                if prof[vidx] >= w:
-                    step = (vidx, ci, w, child)
-                    break
-            if step is not None:
-                break
-        if step is None:
-            return None
-        vidx, ci, w, child = step
-        prof[vidx] -= w
-        prof[child] += 1
-        plan.append((vidx, ci))
-        if prof[root] >= 1:
-            return plan
+    for vidx in lattice.scan_order:
+        if not lattice.moves[vidx]:
+            continue
+        ci, w, child = lattice.moves[vidx][0]
+        while prof[vidx] >= w:
+            prof[vidx] -= w
+            prof[child] += 1
+            plan.append((vidx, ci))
+            if prof[root] >= 1:
+                return plan
+    return None
 
 
 def _moves_iter(lattice: WeightedLattice, prof: tuple[int, ...]):

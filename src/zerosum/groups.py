@@ -78,14 +78,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class PrimaryDecomposition:
     """The group rewritten as a direct sum of cyclic components of prime-power order.
@@ -167,39 +159,36 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
     for x in raw:
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"element coordinates must be integers, got {x!r}")
-    coords = tuple(
-        tuple(raw[src] % mod for src, mod in zip(src_row, mod_row))
+    # Single-component rows (every prime whose exponent row has length 1)
+    # skip the inner comprehension: this runs once per input element.
+    coords = tuple([
+        (raw[src_row[0]] % mod_row[0],) if len(mod_row) == 1
+        else tuple([raw[src] % mod for src, mod in zip(src_row, mod_row)])
         for src_row, mod_row in zip(dec.slot_sources, dec.moduli)
-    )
+    ])
     return GroupElement(dec, coords)
 
 
 def add_elements(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.dec != b.dec:
+    if a.dec is not b.dec and a.dec != b.dec:
         raise InputError("elements come from different decompositions")
-    coords = tuple(
-        tuple((x + y) % m for x, y, m in zip(row_a, row_b, row_m))
+    coords = tuple([
+        ((row_a[0] + row_b[0]) % row_m[0],) if len(row_m) == 1
+        else tuple([(x + y) % m for x, y, m in zip(row_a, row_b, row_m)])
         for row_a, row_b, row_m in zip(a.coords, b.coords, a.dec.moduli)
-    )
+    ])
     return GroupElement(a.dec, coords)
 
 
 def element_order(g: GroupElement) -> int:
     """Least k >= 1 with k*g = 0.
 
-    Per prime p the needed power is max over components of
-    exponent - valuation(coordinate), with the valuation of 0 capped at the
-    component exponent so the identity gets order 1.
+    A coordinate x of a component of order m has order m / gcd(x, m) (1 for
+    x = 0), and the element's order is the lcm of its coordinates' orders.
     """
-    order = 1
-    for p, exp_row, row in zip(g.dec.primes, g.dec.exponents, g.coords):
-        need = 0
-        for e, x in zip(exp_row, row):
-            if x == 0:
-                continue
-            need = max(need, e - _valuation(x, p))
-        order *= p**need
-    return order
+    return math.lcm(*[
+        m // math.gcd(x, m) for row, mods in zip(g.coords, g.dec.moduli) for x, m in zip(row, mods)
+    ])
 
 
 def order_cost(g: GroupElement) -> int:

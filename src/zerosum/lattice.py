@@ -18,6 +18,9 @@ from .partitions import dual_partition, residual_exponents
 
 MAX_LATTICE_VERTICES = 1_000_000
 
+# (order-cost budget, ((row, column, modulus), ...)): see placement_rule.
+PlacementRule = tuple[int, tuple[tuple[int, int, int], ...]]
+
 
 @dataclass(frozen=True)
 class LatticeVertex:
@@ -37,8 +40,9 @@ class WeightedLattice:
     (coordinate, weight, child index) sorted by (weight, coordinate), the order
     the scheduler prefers. `scan_order` lists vertex indices by descending
     height, ties by ascending exponent vector. `residual_moduli[v][i][j]` is
-    primes[i] raised to the residual exponent at v, precomputed because the
-    engine checks pebble congruences against it after every move.
+    primes[i] raised to the residual exponent at v, which the engine divides
+    pebble coordinates by in every move; `placement[v]` is the well-placedness
+    rule at v (see `placement_rule`), checked after every move.
     """
 
     dec: PrimaryDecomposition
@@ -50,13 +54,17 @@ class WeightedLattice:
     moves: tuple[tuple[tuple[int, int, int], ...], ...]
     scan_order: tuple[int, ...]
     residual_moduli: tuple[tuple[tuple[int, ...], ...], ...]
+    placement: tuple[PlacementRule, ...]
 
     @property
     def root_index(self) -> int:
         return 0
 
     def vertex_index(self, u: tuple[int, ...]) -> int:
-        return sum(ui * s for ui, s in zip(u, self.strides))
+        idx = 0
+        for ui, stride in zip(u, self.strides):
+            idx += ui * stride
+        return idx
 
     def vertex_at(self, index: int) -> LatticeVertex:
         return self.vertices[index]
@@ -69,13 +77,6 @@ class WeightedLattice:
         if level < 1:
             raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {coordinate}")
         return self.level_weights[coordinate][level - 1]
-
-    def child(self, vertex: LatticeVertex, coordinate: int) -> LatticeVertex:
-        """Endpoint of the down edge: same vertex with coordinate lowered by one."""
-        if vertex.u[coordinate] < 1:
-            raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {coordinate}")
-        u = tuple(x - 1 if i == coordinate else x for i, x in enumerate(vertex.u))
-        return self.vertices[self.vertex_index(u)]
 
 
 def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VERTICES) -> WeightedLattice:
@@ -104,6 +105,7 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
 
     moves = []
     residual_moduli = []
+    placement = []
     for idx, v in enumerate(vertices):
         out = []
         for i, ui in enumerate(v.u):
@@ -115,6 +117,7 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
         residual_moduli.append(
             tuple(tuple(p**e for e in row) for p, row in zip(dec.primes, residual))
         )
+        placement.append(placement_rule(dec, v.u))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))
 
     return WeightedLattice(
@@ -127,7 +130,19 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
         moves=tuple(moves),
         scan_order=scan_order,
         residual_moduli=tuple(residual_moduli),
+        placement=tuple(placement),
     )
+
+
+def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRule:
+    """What well-placedness at u asks of a pebble: an order cost within
+    N / divisor(u), and coordinate (i, j) divisible by its residual modulus
+    wherever that modulus exceeds 1."""
+    residual = residual_exponents(dec.exponents, u)
+    divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
+    rows = enumerate(zip(dec.primes, residual))
+    congruences = tuple((i, j, p**e) for i, (p, row) in rows for j, e in enumerate(row) if e)
+    return dec.exponent // divisor, congruences
 
 
 def vertex_of_order(order: int, dec: PrimaryDecomposition) -> LatticeVertex:

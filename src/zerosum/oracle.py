@@ -263,7 +263,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     """
     elements = list(elements)
     for g in elements:
-        if g.dec != dec:
+        if g.dec is not dec and g.dec != dec:
             raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
     costs = [order_cost(g) for g in elements]

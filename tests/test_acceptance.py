@@ -14,6 +14,8 @@ from zerosum import (
     build_lattice,
     dp_min_cost_zero_sum,
     dual_partition,
+    element_from_index,
+    element_order,
     extract_certificate,
     group_spec,
     initial_configuration,
@@ -86,10 +88,36 @@ def test_criterion_01_main_theorem_exhaustive(capsys):
 
 
 STRESS_GROUPS = ("12", "8", "2,2,2", "9,3", "4,2", "6,2")
+ENGINE_TRIALS = 1000
+
+
+def _engine_trials(group_text, kind, seed):
+    """Seeded sequences that cannot solve without a move, each solved and verified.
+
+    "zero-free" draws every element from the non-identity ones, so no pebble
+    starts at the root; "max-order" draws only elements of order N, so every
+    pebble starts at the top vertex.
+    """
+    dec = _dec(group_text)
+    lattice = build_lattice(dec)
+    pool = [element_from_index(dec, i) for i in range(1, dec.group_order)]
+    if kind == "max-order":
+        pool = [g for g in pool if element_order(g) == dec.exponent]
+    rng = SplitMix64(seed)
+    for _ in range(ENGINE_TRIALS):
+        els = [pool[rng.below(len(pool))] for _ in range(dec.group_order)]
+        conf = initial_configuration(dec, els, lattice=lattice)
+        cert = extract_certificate(solve_to_root(conf), dec, els, moves=conf.move_log)
+        assert verify_certificate(dec, els, cert.indices).passed
+        assert len(conf.move_log) >= 1, (group_text, kind)
 
 
 def test_criterion_02_main_theorem_randomized(capsys):
-    with criterion(capsys, 2, "1000 seeded trials on each of six groups, all verified (< 60 s)"):
+    label = (
+        f"1000 uniform, {ENGINE_TRIALS} zero-free and {ENGINE_TRIALS} max-order seeded trials "
+        "on each of six groups, all verified (< 60 s)"
+    )
+    with criterion(capsys, 2, label):
         started = time.perf_counter()
         for group_text in STRESS_GROUPS:
             report = run_command(
@@ -106,6 +134,8 @@ def test_criterion_02_main_theorem_randomized(capsys):
             assert report.exit_code == 0
             assert report.results["passed"] == 1000
             assert report.results["failed"] == 0
+            _engine_trials(group_text, "zero-free", 7)
+            _engine_trials(group_text, "max-order", 7)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"randomized battery took {elapsed:.1f} s"
 

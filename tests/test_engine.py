@@ -294,3 +294,44 @@ def test_extract_requires_root_pebble():
     stray = conf.pebbles_at[conf.lattice.vertex_index((2,))][0]
     with pytest.raises(InputError):
         extract_certificate(stray, dec, els)
+
+
+def test_debug_mode_catches_tampered_cached_value():
+    # Pebble 1 claims the value 3 instead of 1: still of order 4, so it stays
+    # well placed and the merge goes through; only the debug recomputation
+    # from the merge tree's leaves sees that pebble 5 is wrong.
+    dec = _dec("4")
+    els = _elements(dec, [1, 1, 1, 1])
+    three = to_primary_coordinates((3,), dec)
+    for debug in (False, True):
+        conf = initial_configuration(dec, els, debug=debug)
+        top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
+        conf.pebbles_at[conf.lattice.vertex_index((2,))][0].val = three
+        if not debug:
+            merge_step(conf, top, 0)
+            continue
+        with pytest.raises(InternalInvariantError, match="cached value of pebble 5"):
+            merge_step(conf, top, 0)
+
+
+def test_merge_refuses_consumed_pebble_not_well_placed():
+    # Pebbles 1 and 2 (value 2) sit on divisor 2, where coordinates must be
+    # even; pebble 1 is made to claim the odd value 1.
+    dec = _dec("4")
+    els = _elements(dec, [2, 2, 1, 1])
+    conf = initial_configuration(dec, els)
+    lat = conf.lattice
+    conf.pebbles_at[lat.vertex_index((1,))][0].val = to_primary_coordinates((1,), dec)
+    with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
+        merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
+
+
+def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
+    dec, els, conf, cert = _solve("4", [1, 1, 1, 1])
+    root = conf.root_pebble()
+    assert root.members == frozenset(cert.indices) == frozenset([1, 2, 3, 4])
+    # Cut the merge tree to one branch: members 1 and 2 sum to 2, not 0.
+    root.parts = root.parts[:1]
+    assert root.members == frozenset([1, 2])
+    with pytest.raises(InternalInvariantError, match="fails recheck"):
+        extract_certificate(root, dec, els)
