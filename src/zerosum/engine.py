@@ -28,9 +28,6 @@ from .groups import (
 from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
 from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum
 
-# Cap on distinct count profiles the fallback search may visit.
-MAX_SEARCH_NODES = 2_000_000
-
 
 @dataclass(slots=True, eq=False)
 class Pebble:
@@ -294,61 +291,62 @@ def _greedy_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple
     return None
 
 
-def _moves_iter(lattice: WeightedLattice, prof: tuple[int, ...]):
-    root = lattice.root_index
-    for vidx in lattice.scan_order:
-        if vidx == root or prof[vidx] == 0:
-            continue
-        for (ci, w, child) in lattice.moves[vidx]:
-            if prof[vidx] >= w:
-                yield vidx, ci, w, child
+def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple[int, int]] | None:
+    """Move (vertex index, coordinate) list reaching the root, dropping one top level at a time.
 
+    The box under one top level per coordinate (first the heights) has pebbling
+    number T, the product of its edge weights. Dropping top level h of
+    coordinate i, edge weight v, makes floor(c / v) moves on each pile c of that
+    level in the box, in scan order; pebbles then in the smaller box are "kept".
+    Each step drops the coordinate of largest kept * v, ties to the lowest;
+    work is O(d * V) per step over sum(heights) steps, plus one entry per move.
 
-def _search_plan(
-    lattice: WeightedLattice, start: tuple[int, ...], node_limit: int = MAX_SEARCH_NODES
-) -> list[tuple[int, int]] | None:
-    """Exhaustive depth-first search over count profiles, memoizing dead ends.
-
-    Every move strictly lowers the total pebble count, so the search space is
-    finite and acyclic; `None` means no move sequence reaches the root at all.
+    Why it does not stall: i "qualifies" when kept * v >= T, the smaller
+    box's need times v; qualifying steps reach the root, and the largest
+    kept * v qualifies if any does. Count T pebbles (more only raise kept): M
+    off the top vertex, b_i below the top level of i, r_i the remainders left
+    on it. If none qualifies, v_i | T gives r_i >= v_i + (v_i - 1) * b_i, and
+    r_i <= v_i - 1 + M - b_i, so v_i * b_i < M; a pebble off the top vertex is
+    below it in some coordinate, so M <= sum(b_i) and sum(1 / v_i) > 1. Edge
+    weights never shrink toward the root, so that sum only falls; it is <= 1
+    for every group of at most two primes and every odd group below
+    MAX_GROUP_ORDER. On Z_30 and Z_60 a profile with none qualifying has at
+    most sum(|N_i| - 2) pebbles off the top vertex (N_i the top level of i),
+    6 and 10, and all of those qualify. Elsewhere one can occur (the tests
+    plan one on Z_907200); the ranking planned every one tried, unproven.
     """
-    root = lattice.root_index
-    if start[root] >= 1:
-        return []
-    failed: set[tuple[int, ...]] = set()
-    stack: list[tuple[tuple[int, ...], object, tuple[int, int] | None]] = [
-        (start, _moves_iter(lattice, start), None)
-    ]
-    nodes = 0
-    while stack:
-        prof, it, _lead = stack[-1]
-        step = next(it, None)  # type: ignore[arg-type]
-        if step is None:
-            failed.add(prof)
-            stack.pop()
-            continue
-        vidx, ci, w, child = step
-        nxt = list(prof)
-        nxt[vidx] -= w
-        nxt[child] += 1
-        nxt = tuple(nxt)
-        if nxt in failed:
-            continue
-        nodes += 1
-        if nodes > node_limit:
-            raise InternalInvariantError("fallback search exceeded its node budget")
-        if nxt[root] >= 1:
-            return [frame[2] for frame in stack[1:] if frame[2] is not None] + [(vidx, ci)]
-        stack.append((nxt, _moves_iter(lattice, nxt), (vidx, ci)))
-    return None
+    root, vertices, weights = lattice.root_index, lattice.vertices, lattice.level_weights
+    prof, tops = list(start), list(lattice.dec.heights)
+    plan: list[tuple[int, int]] = []
+    while not prof[root]:
+        box = [x for x in lattice.scan_order if prof[x] and all(map(int.__le__, vertices[x].u, tops))]
+        scores = {}  # coordinate -> kept * v
+        for i, h in enumerate(tops):
+            if h:
+                v = weights[i][h - 1]
+                scores[i] = v * sum(prof[x] if vertices[x].u[i] < h else prof[x] // v for x in box)
+        if not scores:
+            return None
+        i = max(scores, key=scores.get)  # the first best: ties go to the lowest coordinate
+        h, v, stride = tops[i], weights[i][tops[i] - 1], lattice.strides[i]
+        for x in box:
+            if vertices[x].u[i] == h and prof[x] >= v:
+                if x - stride == root:
+                    return plan + [(x, i)]
+                k = prof[x] // v
+                prof[x] -= k * v
+                prof[x - stride] += k
+                plan.extend([(x, i)] * k)
+        tops[i] -= 1
+    return plan
 
 
 def solve_to_root(conf: Configuration) -> Pebble:
     """Drive merges until a pebble reaches the root and return it.
 
-    Tries the greedy schedule first; on a stall it falls back to the exhaustive
-    search from the initial profile, which is complete, so failure to find any
-    plan is a bug by the lattice's pebbling number and raises accordingly.
+    Tries the greedy schedule first and, on a stall (`fallback_fired`), level
+    elimination. No plan at all is a bug; the error names the group and the
+    count profile as divisor:count pairs, which reproduce it.
     """
     existing = conf.root_pebble()
     if existing is not None:
@@ -357,9 +355,11 @@ def solve_to_root(conf: Configuration) -> Pebble:
     plan = _greedy_plan(conf.lattice, profile)
     if plan is None:
         conf.fallback_fired = True
-        plan = _search_plan(conf.lattice, profile)
+        plan = _eliminate_plan(conf.lattice, profile)
     if plan is None:
-        raise InternalInvariantError("no move sequence reaches the root from a full configuration")
+        counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(conf.lattice.vertices, profile) if c)
+        orders = ",".join(map(str, conf.dec.spec.cyclic_orders))
+        raise InternalInvariantError(f"no plan reaches the root: group {orders}, count profile {counts}")
     for vidx, ci in plan:
         merge_step(conf, conf.lattice.vertex_at(vidx), ci)
     result = conf.root_pebble()

@@ -183,6 +183,19 @@ def test_solve_cyclic_examples(capsys):
     assert doc["results"]["residue_sum_mod_n"] == 0
 
 
+def test_solve_cyclic_plans_where_greedy_stalls(capsys):
+    # One stray pebble at divisor 2 and the rest at the top vertex of Z_210: the
+    # greedy pass stalls and level elimination plans, where the old budgeted
+    # search gave up with exit 3.
+    seq = ",".join(["105"] + ["1"] * 209)
+    code, doc = run_json(capsys, "solve-cyclic", "--n", "210", "--seq", seq)
+    assert code == 0
+    assert doc["results"]["fallback_fired"] is True
+    indices = ",".join(map(str, doc["results"]["indices"]))
+    code, doc = run_json(capsys, "verify", "--group", "210", "--seq", seq, "--indices", indices)
+    assert code == 0 and doc["results"]["passed"]
+
+
 def test_solve_cyclic_accepts_any_integers(capsys):
     # '=' keeps argparse from reading the leading minus as an option.
     code, doc = run_json(capsys, "solve-cyclic", "--n", "5", "--seq=-7,23,104,-1,0")

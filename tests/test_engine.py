@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,9 @@ from zerosum import (
     verify_certificate,
     well_placed,
 )
-from zerosum.engine import _greedy_plan, _search_plan
+import zerosum.engine
+from zerosum.cli import main
+from zerosum.engine import _eliminate_plan, _greedy_plan
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
 
@@ -146,32 +151,152 @@ def test_greedy_plan_on_profiles():
     assert _greedy_plan(lat, (0, 1, 1)) is None
 
 
-def test_search_plan_completes_where_greedy_stalls():
-    dec = _dec("12")
-    lat = build_lattice(dec)
-    # Greedy spends the divisor-6 pile on the cheap edge and strands the rest;
-    # the exhaustive planner must still find a route.
+def _replay(lat, start, plan):
+    """Apply a plan under the count rules (each move needs a pile of at least
+    its edge weight) and return the final profile; runs of one move are batched."""
+    counts = list(start)
+    for (vidx, ci), run in itertools.groupby(plan):
+        k = sum(1 for _ in run)
+        _, w, child = next(mv for mv in lat.moves[vidx] if mv[0] == ci)
+        assert counts[vidx] >= k * w, f"move at vertex {vidx} needs {w} pebbles per move"
+        counts[vidx] -= k * w
+        counts[child] += k
+    return counts
+
+
+def _assert_plans(lat, profile, plan):
+    assert plan is not None, profile
+    assert _replay(lat, profile, plan)[lat.root_index] >= 1, profile
+
+
+def _z12_stall_profile(lat):
+    # Greedy spends the divisor-6 pile on the cheap edge and strands the rest.
     profile = [0] * lat.num_vertices
     profile[lat.vertex_index((2, 1))] = 7
     profile[lat.vertex_index((1, 1))] = 2
     profile[lat.vertex_index((2, 0))] = 3
-    profile = tuple(profile)
+    return tuple(profile)
+
+
+def test_eliminate_plan_completes_where_greedy_stalls():
+    lat = build_lattice(_dec("12"))
+    profile = _z12_stall_profile(lat)
     assert _greedy_plan(lat, profile) is None
-    plan = _search_plan(lat, profile)
-    assert plan is not None
-    counts = list(profile)
-    for vidx, ci in plan:
-        _, w, child = next(mv for mv in lat.moves[vidx] if mv[0] == ci)
-        assert counts[vidx] >= w
-        counts[vidx] -= w
-        counts[child] += 1
-    assert counts[lat.root_index] >= 1
+    _assert_plans(lat, profile, _eliminate_plan(lat, profile))
+    # One element of order 6 and 35 of order 36: collapsing one coordinate at
+    # a time, in either order, misses this profile.
+    lat = build_lattice(_dec("36"))
+    profile = (0, 0, 0, 0, 1, 0, 0, 0, 35)
+    assert lat.vertices[4].divisor == 6 and _greedy_plan(lat, profile) is None
+    _assert_plans(lat, profile, _eliminate_plan(lat, profile))
 
 
-def test_search_plan_reports_dead_profiles():
+def test_eliminate_plan_reports_dead_profiles():
     dec = _dec("4")
     lat = build_lattice(dec)
-    assert _search_plan(lat, (0, 1, 1)) is None
+    assert _eliminate_plan(lat, (0, 1, 1)) is None
+
+
+def test_eliminate_plan_exact_moves():
+    # Z_6, six pebbles on top: both coordinates keep kept * v = 6, and the tie
+    # goes to coordinate 0 (p = 2).
+    lat = build_lattice(_dec("6"))
+    assert _eliminate_plan(lat, (0, 0, 0, 6)) == [(3, 0)] * 3 + [(1, 1)]
+    # Planning stops at the first root pebble, with pebbles left for more moves.
+    lat = build_lattice(_dec("4"))
+    assert _eliminate_plan(lat, (0, 4, 0)) == [(1, 0)]
+
+
+def _profiles(total, parts):
+    """Every count profile of `total` pebbles on `parts` vertices."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _profiles(total - first, parts - 1):
+            yield (first,) + rest
+
+
+# Every lattice with at most about 2 * 10^5 count profiles of |G| pebbles.
+EXHAUSTIVE_GROUPS = [str(n) for n in range(6, 36) if n not in (24, 30, 32)] + [
+    "2,6", "3,6", "6,6", "2,10", "4,6", "2,2,6", "2,14", "2,2,10",
+]
+
+
+def test_every_count_profile_of_small_lattices_plans():
+    stalls = {}
+    for text in EXHAUSTIVE_GROUPS:
+        lat = build_lattice(_dec(text))
+        stalls[text] = 0
+        for profile in _profiles(lat.dec.group_order, lat.num_vertices):
+            _assert_plans(lat, profile, _eliminate_plan(lat, profile))
+            greedy = _greedy_plan(lat, profile)  # solve_to_root's order: greedy, then elimination
+            if greedy is None:
+                stalls[text] += 1
+            else:
+                _assert_plans(lat, profile, greedy)
+    # The greedy pass is unchanged: its stalls on the cyclic groups measured before.
+    assert [stalls[t] for t in ("6", "12", "18", "20")] == [1, 9, 4, 9]
+
+
+@pytest.mark.parametrize("text, bound, count", [("30", 6, 1716), ("60", 10, 352716)])
+def test_profiles_near_the_top_always_qualify(text, bound, count):
+    # For Z_30 and Z_60 sum(1 / v_i) = 31/30 > 1, so the planner's proof needs
+    # this finite check: a profile where no coordinate qualifies has at most
+    # sum(|N_i| - 2) pebbles off the top vertex, and every such profile has a
+    # coordinate with kept * v >= T. Partial sums of kept are carried down the
+    # enumeration, so each profile costs O(d).
+    lat = build_lattice(_dec(text))
+    tops, total = lat.dec.heights, lat.dec.group_order
+    level_sizes = [sum(1 for vx in lat.vertices if vx.u[i] == h) for i, h in enumerate(tops)]
+    assert sum(n - 2 for n in level_sizes) == bound
+    weights = [lat.level_weights[i][h - 1] for i, h in enumerate(tops)]
+    others = [vx.u for vx in lat.vertices if vx.u != tops]
+    seen = 0
+
+    def walk(k, left, kept):
+        nonlocal seen
+        if k == len(others):
+            seen += 1
+            top_pile = total - (bound - left)
+            assert any((b + top_pile // v) * v >= total for b, v in zip(kept, weights))
+            return
+        u = others[k]
+        for c in range(left + 1):
+            walk(k + 1, left - c, [b + (c if a < h else c // v) for b, a, h, v in zip(kept, u, tops, weights)])
+
+    walk(0, bound, [0] * len(tops))
+    assert seen == count
+
+
+@pytest.mark.parametrize("n", [60, 210, 2310, 30030])
+def test_top_pile_plus_strays_plans(n):
+    lat = build_lattice(_dec(str(n)))
+    top = lat.vertex_index(lat.dec.heights)
+    rng = random.Random(n)
+    for _ in range(40):
+        profile = [0] * lat.num_vertices
+        for _ in range(rng.randint(1, 3)):
+            profile[rng.randrange(lat.num_vertices)] += 1
+        profile[top] += n - sum(profile)
+        _assert_plans(lat, profile, _eliminate_plan(lat, tuple(profile)))
+
+
+def test_profile_with_no_qualifying_coordinate_plans():
+    lat = build_lattice(_dec("907200"))
+    top = (6, 4, 2, 1)
+    assert lat.dec.heights == top
+    strays = [(k, 4, 2, 1) for k in range(5)] + [(6, k, 2, 1) for k in range(3)]
+    strays += [(6, 4, k, 1) for k in range(2)] + [(6, 4, 2, 0)]
+    profile = [0] * lat.num_vertices
+    profile[lat.vertex_index(top)] = 907200 - len(strays)
+    for u in strays:
+        profile[lat.vertex_index(u)] += 1
+    for i, h in enumerate(top):
+        v = lat.level_weights[i][h - 1]
+        kept = sum(c if vx.u[i] < h else c // v for vx, c in zip(lat.vertices, profile))
+        assert kept * v < 907200, f"coordinate {i} qualifies"
+    _assert_plans(lat, profile, _eliminate_plan(lat, tuple(profile)))
 
 
 def test_fallback_regression_z12():
@@ -181,6 +306,19 @@ def test_fallback_regression_z12():
     dec, els, conf, cert = _solve("12", raws)
     assert conf.fallback_fired
     assert verify_certificate(dec, els, cert.indices).passed
+
+
+def test_planner_failure_names_group_and_profile(monkeypatch, capsys):
+    monkeypatch.setattr(zerosum.engine, "_eliminate_plan", lambda lattice, start: None)
+    argv = ["solve-cyclic", "--n", "12", "--seq", "7,7,10,3,5,7,5,3,5,2,1,9"]
+    assert main(argv) == 3
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("internal invariant violation: no plan reaches the root: group 12,")
+    # The report alone rebuilds the stalling profile.
+    pairs = dict(tok.split(":") for tok in line.split("count profile ")[1].split())
+    lat = build_lattice(_dec("12"))
+    profile = tuple(int(pairs.get(str(v.divisor), 0)) for v in lat.vertices)
+    assert profile == _z12_stall_profile(lat)
 
 
 def test_well_placed_examples():
