@@ -25,18 +25,16 @@ from .groups import (
     element_order,
     group_spec,
     identity,
-    order_cost,
     parse_group_spec,
     primary_decomposition,
     to_primary_coordinates,
 )
 from .partitions import (
     dual_partition,
-    edge_weight_exponent,
     residual_exponents,
     residual_exponents_by_recursion,
 )
-from .lattice import LatticeVertex, WeightedLattice, build_lattice, vertex_of_order
+from .lattice import LatticeVertex, WeightedLattice, build_lattice
 from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum, projective_line_of
 from .engine import (
     Certificate,
@@ -82,18 +80,15 @@ __all__ = [
     "element_order",
     "group_spec",
     "identity",
-    "order_cost",
     "parse_group_spec",
     "primary_decomposition",
     "to_primary_coordinates",
     "dual_partition",
-    "edge_weight_exponent",
     "residual_exponents",
     "residual_exponents_by_recursion",
     "LatticeVertex",
     "WeightedLattice",
     "build_lattice",
-    "vertex_of_order",
     "cyclic_prime_zero_sum",
     "elementary_zero_sum",
     "projective_line_of",

@@ -36,6 +36,11 @@ def cyclic_prime_zero_sum(p: int, items: Sequence[int]) -> list[int]:
     items = [x % p for x in items]
     if len(items) != p:
         raise InputError(f"need exactly {p} residues, got {len(items)}")
+    return _zero_sum_block(p, items)
+
+
+def _zero_sum_block(p: int, items: list[int]) -> list[int]:
+    """cyclic_prime_zero_sum for p residues already reduced mod a prime p."""
     if 0 in items:
         return [items.index(0) + 1]
     first_seen = {0: 0}
@@ -103,5 +108,5 @@ def elementary_zero_sum(p: int, dim: int, items: Sequence[Sequence[int]]) -> lis
     if len(members) < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
     chosen = members[:p]
-    block = cyclic_prime_zero_sum(p, [c for _, c in chosen])
+    block = _zero_sum_block(p, [c for _, c in chosen])
     return [chosen[pos - 1][0] for pos in block]

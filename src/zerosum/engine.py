@@ -11,9 +11,11 @@ root is a certificate.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import floordiv, mod
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -23,19 +25,19 @@ from .groups import (
     add_elements,
     element_order,
     identity,
-    order_cost,
 )
 from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
-from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum
+from .base_cases import _zero_sum_block, elementary_zero_sum
 
 
 @dataclass(slots=True, eq=False)
 class Pebble:
-    """A merge-tree node: cached value, order cost, position, and the pebbles
-    its move selected (none for input pebble k, whose id is its sequence index)."""
+    """A merge-tree node: cached value (one integer per invariant factor),
+    order cost, position, and the pebbles its move selected (none for input
+    pebble k, whose id is its sequence index)."""
 
     pid: int
-    val: GroupElement
+    val: tuple[int, ...]
     ord_cost: int
     vertex: LatticeVertex
     parts: tuple[Pebble, ...] = ()
@@ -61,9 +63,6 @@ class MoveRecord(NamedTuple):
     selected: tuple[int, ...]
     new_id: int
 
-    def json_dict(self) -> dict:
-        return self._asdict()
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -76,31 +75,27 @@ class Certificate:
     """Verified solution: indices whose elements sum to the identity within budget."""
 
     indices: tuple[int, ...]
-    sum_is_zero: bool
     ord_cost: int
     bound: int
-    length_bound_ok: bool
     moves: tuple[MoveRecord, ...] = ()
 
 
 def well_placed(
-    val: GroupElement,
+    val: tuple[int, ...],
     cost: int,
     u: Sequence[int],
     dec: PrimaryDecomposition,
     rule: PlacementRule | None = None,
 ) -> bool:
-    """Congruence against the residual moduli at u plus the integer cost budget.
-
-    `rule` is the lattice's precomputed `placement` entry for u; it is derived
-    from u when not given.
+    """Congruence of the value `val` (one integer per invariant factor) against
+    the residual moduli at u, plus the integer cost budget. `rule` is the
+    lattice's precomputed `placement` entry for u, derived from u if not given.
     """
     budget, congruences = rule if rule is not None else placement_rule(dec, tuple(u))
     if cost > budget:
         return False
-    coords = val.coords
-    for i, j, m in congruences:
-        if coords[i][j] % m:
+    for j, m in congruences:
+        if val[j] % m:
             return False
     return True
 
@@ -173,89 +168,95 @@ def initial_configuration(
                 f"element order {order} does not divide the exponent {dec.exponent}"
             )
         vertex = lattice.vertices[idx]
-        pebble = Pebble(k, g, dec.exponent // order, vertex)
-        if not well_placed(g, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
+        pebble = Pebble(k, g.coords, dec.exponent // order, vertex)
+        if not well_placed(g.coords, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
             raise InternalInvariantError(f"initial pebble {k} is not well placed")
         conf.pebbles_at[idx].append(pebble)
     conf._next_id = len(elements) + 1
     return conf
 
 
-def merge_step(conf: Configuration, vertex: LatticeVertex, coordinate: int) -> Configuration:
-    """Consume one edge weight of pebbles at `vertex` and place the zero-sum merge one level down.
+def merge_step(
+    conf: Configuration, vertex: LatticeVertex, coordinate: int, count: int = 1
+) -> Configuration:
+    """Make `count` moves at `vertex` in `coordinate`, each consuming one edge
+    weight of pebbles and placing their zero-sum merge one level down.
 
-    The consumed pebbles are the lowest ids present. Each is reduced to a vector
-    over F_p by dividing the coordinate-i components by the residual moduli at
-    `vertex` (exact by well-placedness) and truncating to the edge's dual length;
-    the base-case selection is kept, the rest are discarded.
+    Each move consumes the lowest ids present. Each pebble is reduced to a
+    vector over F_p: coordinate j, for j below the edge's dual length, divided
+    by the residual modulus of component (i, j) at `vertex` (exact by
+    well-placedness), mod p. The base-case selection is kept, the rest are
+    discarded. The edge, the pool size and the child's placement rule are read
+    once per call; a move that fails a check stops the run before it is logged.
     """
     lattice = conf.lattice
     u = vertex.u
     i = coordinate
     if not 0 <= i < len(u) or u[i] < 1:
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
+    if count < 1:
+        raise InputError(f"move count must be positive, got {count}")
     vidx = lattice.vertex_index(u)
     pool = conf.pebbles_at.get(vidx, ())
-    p = conf.dec.primes[i]
+    dec = conf.dec
+    p = dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
     weight = lattice.level_weights[i][u[i] - 1]
-    if len(pool) < weight:
+    if len(pool) < count * weight:
         raise InputError(
-            f"vertex {vertex.divisor} holds {len(pool)} pebbles, the move needs {weight}"
+            f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
+            f"{count} move(s) of weight {weight} need {count * weight}"
         )
 
-    consumed = [pool.popleft() for _ in range(weight)]
-    if not pool:
-        del conf.pebbles_at[vidx]
     res_moduli = lattice.residual_moduli[vidx][i][:dims]
-    reduced = []
-    for peb in consumed:
-        vec = []
-        for x, m in zip(peb.val.coords[i], res_moduli):
-            if x % m:
+    child_idx = vidx - lattice.strides[i]
+    child = lattice.vertices[child_idx]
+    rule = lattice.placement[child_idx]
+    child_pool = conf.pebbles_at[child_idx]
+    factors = dec.invariant_factors
+    m = res_moduli[0]
+    popleft = pool.popleft
+    for _ in range(count):
+        consumed = [popleft() for _ in range(weight)]
+        for peb in consumed:
+            if any(map(mod, peb.val, res_moduli)):
                 raise InternalInvariantError(
                     f"pebble {peb.pid} is not well placed at vertex {vertex.divisor}"
                 )
-            vec.append(x // m)
-        reduced.append(vec)
-    if dims == 1:
-        selected_pos = cyclic_prime_zero_sum(p, [vec[0] for vec in reduced])
-    else:
-        selected_pos = elementary_zero_sum(p, dims, reduced)
-    selected = tuple([consumed[pos - 1] for pos in selected_pos])
+        if dims == 1:
+            selected_pos = _zero_sum_block(p, [peb.val[0] // m % p for peb in consumed])
+        else:
+            reduced = [list(map(floordiv, peb.val, res_moduli)) for peb in consumed]
+            selected_pos = elementary_zero_sum(p, dims, reduced)
+        selected = tuple([consumed[pos - 1] for pos in selected_pos])
 
-    val, cost = selected[0].val, selected[0].ord_cost
-    for peb in selected[1:]:
-        val = add_elements(val, peb.val)
-        cost += peb.ord_cost
-    child_idx = vidx - lattice.strides[i]
-    child = lattice.vertices[child_idx]
-    new_pebble = Pebble(conf._next_id, val, cost, child, selected)
-    if not well_placed(val, cost, child.u, conf.dec, lattice.placement[child_idx]):
-        raise InternalInvariantError(
-            f"merged pebble {new_pebble.pid} is not well placed at vertex {child.divisor}"
-        )
-    conf._next_id += 1
-    conf.pebbles_at[child_idx].append(new_pebble)
-    conf.move_log.append(
-        MoveRecord(
-            vertex.divisor,
-            p,
-            weight,
-            tuple([peb.pid for peb in consumed]),
-            tuple([peb.pid for peb in selected]),
-            new_pebble.pid,
-        )
-    )
-    if conf.debug:
-        _debug_check(conf, new_pebble)
+        if len(selected) == 1:
+            val, cost = selected[0].val, selected[0].ord_cost
+        else:
+            sums = map(sum, zip(*[peb.val for peb in selected]))
+            val = tuple(map(mod, sums, factors))
+            cost = sum([peb.ord_cost for peb in selected])
+        new_pebble = Pebble(conf._next_id, val, cost, child, selected)
+        if not well_placed(val, cost, child.u, dec, rule):
+            raise InternalInvariantError(
+                f"merged pebble {new_pebble.pid} is not well placed at vertex {child.divisor}"
+            )
+        conf._next_id += 1
+        child_pool.append(new_pebble)
+        consumed_ids = tuple([peb.pid for peb in consumed])
+        selected_ids = tuple([peb.pid for peb in selected])
+        conf.move_log.append(MoveRecord(vertex.divisor, p, weight, consumed_ids, selected_ids, new_pebble.pid))
+        if conf.debug:
+            _debug_check(conf, new_pebble)
+    if not pool:
+        del conf.pebbles_at[vidx]
     return conf
 
 
 def _debug_check(conf: Configuration, pebble: Pebble) -> None:
     """Recompute the new pebble from scratch and rescan pairwise disjointness."""
     val, cost = _recompute(conf.dec, conf.elements, sorted(pebble.members))
-    if val != pebble.val or cost != pebble.ord_cost:
+    if val.coords != pebble.val or cost != pebble.ord_cost:
         raise InternalInvariantError(f"cached value of pebble {pebble.pid} disagrees with its members")
     seen: set[int] = set()
     for other in conf.live_pebbles():
@@ -360,8 +361,8 @@ def solve_to_root(conf: Configuration) -> Pebble:
         counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(conf.lattice.vertices, profile) if c)
         orders = ",".join(map(str, conf.dec.spec.cyclic_orders))
         raise InternalInvariantError(f"no plan reaches the root: group {orders}, count profile {counts}")
-    for vidx, ci in plan:
-        merge_step(conf, conf.lattice.vertex_at(vidx), ci)
+    for (vidx, ci), run in itertools.groupby(plan):
+        merge_step(conf, conf.lattice.vertex_at(vidx), ci, len(list(run)))
     result = conf.root_pebble()
     if result is None:
         raise InternalInvariantError("planned moves did not produce a root pebble")
@@ -376,7 +377,7 @@ def _recompute(
     for k in indices:
         g = elements[k - 1]
         total = add_elements(total, g)
-        cost += order_cost(g)
+        cost += dec.exponent // element_order(g)
     return total, cost
 
 
@@ -393,18 +394,9 @@ def extract_certificate(
     if not indices:
         raise InternalInvariantError("root pebble has no members")
     total, cost = _recompute(dec, elements, indices)
-    sum_is_zero = total == identity(dec)
-    length_ok = len(indices) <= dec.exponent
-    if not sum_is_zero or cost > dec.exponent or not length_ok:
+    if total != identity(dec) or cost > dec.exponent or len(indices) > dec.exponent:
         raise InternalInvariantError("root pebble fails recheck; solver state is corrupt")
-    return Certificate(
-        indices=indices,
-        sum_is_zero=True,
-        ord_cost=cost,
-        bound=dec.exponent,
-        length_bound_ok=True,
-        moves=tuple(moves),
-    )
+    return Certificate(indices=indices, ord_cost=cost, bound=dec.exponent, moves=tuple(moves))
 
 
 def verify_certificate(

@@ -1,17 +1,20 @@
 """Finite abelian groups: parsing, prime-power decomposition, exact element arithmetic.
 
 A group is given as a direct sum of cyclic factors Z_n1 + ... + Z_nr, in any
-order. Internally each factor is split into cyclic components of prime-power
-order; elements become coordinate vectors over those components with
-componentwise addition. Everything is exact integer work; there is no float
-anywhere in the package.
+order. Each factor is split into cyclic components of prime-power order, and
+the components are regrouped into invariant factors n_1, ..., n_r (n_j the
+product of every prime's j-th largest component, so n_1 is the exponent). An
+element is one integer per invariant factor, converted from the user's
+coordinates once, at parse time; addition is componentwise mod n_j.
+Everything is exact integer work; there is no float anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import floordiv
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 
@@ -86,6 +89,12 @@ class PrimaryDecomposition:
     `exponents` is sorted non-increasing. `slot_sources[i][j]` names the user
     factor that component came from. `exponent` is the group exponent, the
     product over primes of the largest component order.
+
+    Invariant factor n_j is the product of moduli[i][j] over the rows that
+    have a j-th component (the trivial group has n_1 = 1); component (i, j)
+    of element x is x[j] mod moduli[i][j]. crt[i][j] is 1 mod moduli[i][j]
+    and 0 mod n_j / moduli[i][j]. x[j] is the sum, mod n_j, of crt[i][j] times
+    component (i, j), and of c times coordinate f over `encoding`'s (j, f, c).
     """
 
     spec: GroupSpec
@@ -96,6 +105,9 @@ class PrimaryDecomposition:
     exponent: int
     heights: tuple[int, ...]
     group_order: int
+    invariant_factors: tuple[int, ...]
+    crt: tuple[tuple[int, ...], ...]
+    encoding: tuple[tuple[int, int, int], ...]
 
     @property
     def num_primes(self) -> int:
@@ -122,6 +134,18 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
     order = math.prod(p ** sum(row) for p, row in zip(primes, exponents))
     if order != spec.group_order:
         raise InternalInvariantError("decomposition does not multiply back to the group order")
+    factors = [1] * max([1] + [len(row) for row in moduli])
+    for row in moduli:
+        for j, q in enumerate(row):
+            factors[j] *= q
+    crt = tuple(
+        tuple(factors[j] // q * pow(factors[j] // q, -1, q) for j, q in enumerate(row))
+        for row in moduli
+    )
+    coefficients: dict[tuple[int, int], int] = {}  # same-source components merged
+    for crt_row, src_row in zip(crt, sources):
+        for j, (c, f) in enumerate(zip(crt_row, src_row)):
+            coefficients[j, f] = (coefficients.get((j, f), 0) + c) % factors[j]
     return PrimaryDecomposition(
         spec=spec,
         primes=primes,
@@ -131,26 +155,28 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         exponent=big_n,
         heights=heights,
         group_order=order,
+        invariant_factors=tuple(factors),
+        crt=crt,
+        encoding=tuple((j, f, c) for (j, f), c in sorted(coefficients.items())),
     )
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element as a coordinate vector over the prime-power components."""
+class GroupElement(NamedTuple):
+    """Element as one integer per invariant factor, coords[j] in 0..n_j - 1."""
 
     dec: PrimaryDecomposition
-    coords: tuple[tuple[int, ...], ...]
+    coords: tuple[int, ...]
 
 
 def identity(dec: PrimaryDecomposition) -> GroupElement:
-    return GroupElement(dec, tuple(tuple(0 for _ in row) for row in dec.moduli))
+    return GroupElement(dec, (0,) * len(dec.invariant_factors))
 
 
 def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> GroupElement:
-    """Map a residue tuple over the user factors to component coordinates.
+    """Map a residue tuple over the user factors to the group's element.
 
-    Negative residues are allowed and reduced. Component (i, j) receives the
-    residue of its source factor modulo primes[i] ** exponents[i][j].
+    Negative residues are allowed and reduced. Component (i, j) of the result
+    is the residue of its source factor modulo primes[i] ** exponents[i][j].
     """
     if len(raw) != dec.spec.rank:
         raise InputError(
@@ -159,65 +185,45 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
     for x in raw:
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"element coordinates must be integers, got {x!r}")
-    # Single-component rows (every prime whose exponent row has length 1)
-    # skip the inner comprehension: this runs once per input element.
-    coords = tuple([
-        (raw[src_row[0]] % mod_row[0],) if len(mod_row) == 1
-        else tuple([raw[src] % mod for src, mod in zip(src_row, mod_row)])
-        for src_row, mod_row in zip(dec.slot_sources, dec.moduli)
-    ])
-    return GroupElement(dec, coords)
+    acc = [0] * len(dec.invariant_factors)
+    for j, f, c in dec.encoding:
+        acc[j] += c * raw[f]
+    return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
 
 
 def add_elements(a: GroupElement, b: GroupElement) -> GroupElement:
     if a.dec is not b.dec and a.dec != b.dec:
         raise InputError("elements come from different decompositions")
-    coords = tuple([
-        ((row_a[0] + row_b[0]) % row_m[0],) if len(row_m) == 1
-        else tuple([(x + y) % m for x, y, m in zip(row_a, row_b, row_m)])
-        for row_a, row_b, row_m in zip(a.coords, b.coords, a.dec.moduli)
-    ])
-    return GroupElement(a.dec, coords)
+    factors = a.dec.invariant_factors
+    return GroupElement(a.dec, tuple([(x + y) % n for x, y, n in zip(a.coords, b.coords, factors)]))
 
 
 def element_order(g: GroupElement) -> int:
     """Least k >= 1 with k*g = 0.
 
-    A coordinate x of a component of order m has order m / gcd(x, m) (1 for
+    A coordinate x of an invariant factor n has order n / gcd(x, n) (1 for
     x = 0), and the element's order is the lcm of its coordinates' orders.
     """
-    return math.lcm(*[
-        m // math.gcd(x, m) for row, mods in zip(g.coords, g.dec.moduli) for x, m in zip(row, mods)
-    ])
-
-
-def order_cost(g: GroupElement) -> int:
-    """Exact integer N / |g| for group exponent N; sums of these stay below N
-    exactly when the corresponding order reciprocals sum to at most 1."""
-    o = element_order(g)
-    n = g.dec.exponent
-    if n % o:
-        raise InternalInvariantError(f"element order {o} does not divide the exponent {n}")
-    return n // o
+    factors = g.dec.invariant_factors
+    return math.lcm(*map(floordiv, factors, map(math.gcd, g.coords, factors)))
 
 
 def element_index(g: GroupElement) -> int:
-    """Mixed-radix encoding of the coordinates; a bijection onto 0..|G|-1."""
+    """Mixed-radix encoding of the primary components, in `moduli` order; a
+    bijection onto 0..|G|-1."""
     idx = 0
-    for row, mods in zip(g.coords, g.dec.moduli):
-        for x, m in zip(row, mods):
-            idx = idx * m + x
+    for mods in g.dec.moduli:
+        for x, q in zip(g.coords, mods):
+            idx = idx * q + x % q
     return idx
 
 
 def element_from_index(dec: PrimaryDecomposition, index: int) -> GroupElement:
     if not 0 <= index < dec.group_order:
         raise InputError(f"element index {index} outside 0..{dec.group_order - 1}")
-    rows_rev = []
-    for mod_row in reversed(dec.moduli):
-        row = []
-        for m in reversed(mod_row):
-            index, x = divmod(index, m)
-            row.append(x)
-        rows_rev.append(tuple(reversed(row)))
-    return GroupElement(dec, tuple(reversed(rows_rev)))
+    acc = [0] * len(dec.invariant_factors)
+    for mods, crt_row in zip(reversed(dec.moduli), reversed(dec.crt)):
+        for j in reversed(range(len(mods))):
+            index, x = divmod(index, mods[j])
+            acc[j] += crt_row[j] * x
+    return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))

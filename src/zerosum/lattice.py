@@ -12,14 +12,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .groups import PrimaryDecomposition
 from .partitions import dual_partition, residual_exponents
 
 MAX_LATTICE_VERTICES = 1_000_000
 
-# (order-cost budget, ((row, column, modulus), ...)): see placement_rule.
-PlacementRule = tuple[int, tuple[tuple[int, int, int], ...]]
+# (order-cost budget, ((invariant factor, modulus), ...)): see placement_rule.
+PlacementRule = tuple[int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ class WeightedLattice:
 
     def vertex_at(self, index: int) -> LatticeVertex:
         return self.vertices[index]
-
-    def down_edge_weight(self, vertex: LatticeVertex, coordinate: int) -> int:
-        """Weight of the down edge leaving `vertex` in `coordinate` (0-based)."""
-        if not 0 <= coordinate < len(vertex.u):
-            raise InputError(f"coordinate {coordinate} outside the lattice dimensions")
-        level = vertex.u[coordinate]
-        if level < 1:
-            raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {coordinate}")
-        return self.level_weights[coordinate][level - 1]
 
 
 def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VERTICES) -> WeightedLattice:
@@ -136,27 +127,13 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
 
 def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRule:
     """What well-placedness at u asks of a pebble: an order cost within
-    N / divisor(u), and coordinate (i, j) divisible by its residual modulus
-    wherever that modulus exceeds 1."""
+    N / divisor(u), and coordinate j divisible by the product of its
+    components' residual moduli, wherever that exceeds 1 (exact: each divides
+    its component's order, and those orders are coprime)."""
     residual = residual_exponents(dec.exponents, u)
     divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
-    rows = enumerate(zip(dec.primes, residual))
-    congruences = tuple((i, j, p**e) for i, (p, row) in rows for j, e in enumerate(row) if e)
-    return dec.exponent // divisor, congruences
-
-
-def vertex_of_order(order: int, dec: PrimaryDecomposition) -> LatticeVertex:
-    """Vertex carrying the divisor `order`; element orders always divide the exponent."""
-    if order < 1 or dec.exponent % order != 0:
-        raise InternalInvariantError(f"{order} does not divide the group exponent {dec.exponent}")
-    u = []
-    rest = order
-    for p in dec.primes:
-        v = 0
-        while rest % p == 0:
-            rest //= p
-            v += 1
-        u.append(v)
-    if rest != 1:
-        raise InternalInvariantError(f"{order} has a prime factor outside the group's primes")
-    return LatticeVertex(tuple(u), order)
+    moduli = [1] * len(dec.invariant_factors)
+    for p, row in zip(dec.primes, residual):
+        for j, e in enumerate(row):
+            moduli[j] *= p**e
+    return dec.exponent // divisor, tuple((j, m) for j, m in enumerate(moduli) if m > 1)

@@ -22,7 +22,7 @@ from .groups import (
     PrimaryDecomposition,
     element_from_index,
     element_index,
-    order_cost,
+    element_order,
 )
 from .lattice import build_lattice
 
@@ -188,13 +188,44 @@ class PebblingResult:
     witness_target: int
 
 
+def pebbling_lower_bound(graph: WeightedGraph) -> int:
+    """Largest, over targets t and sources s, of d(s), the least product of
+    edge weights on an s-t path; the pebbling number is at least that.
+
+    Give each pebble on v the potential 1 / d(v). A move over an edge of weight
+    w takes w pebbles from a and adds one to b, and d(a) <= w * d(b), so the
+    total never rises; a pebble on t needs 1, which d(s) - 1 pebbles on s lack.
+    """
+    import heapq  # only this command needs it
+
+    adj = _adjacency(graph)
+    bound = 1
+    for t in range(graph.num_vertices):
+        dist, heap = {t: 1}, [(1, t)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for u, w in adj[v]:
+                if u not in dist or d * w < dist[u]:
+                    dist[u] = d * w
+                    heapq.heappush(heap, (d * w, u))
+        bound = max(bound, *dist.values())
+    return bound
+
+
 def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -> PebblingResult:
     """Least k such that every k-pebble distribution reaches every target.
 
     Solvability is monotone in pebbles, so the first k with no failing pair is
     the answer; the witness is an unsolvable (k-1)-pebble distribution. Scans
-    every distribution by stars and bars, stopping at the first failure.
+    every distribution by stars and bars, stopping at the first failure. A
+    graph whose pebbling number exceeds max_total is refused with InputError,
+    before the scan when pebbling_lower_bound already shows it.
     """
+    lower = pebbling_lower_bound(graph)
+    if lower > max_total:
+        raise InputError(f"pebbling number is at least {lower}, above the scan bound {max_total}")
     memos = {t: _SolvableMemo() for t in range(graph.num_vertices)}
     witness: tuple[PebbleDistribution, int] = ((0,) * graph.num_vertices, 0)
     for k in range(1, max_total + 1):
@@ -211,7 +242,7 @@ def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -
         if bad is None:
             return PebblingResult(k, witness[0], witness[1])
         witness = bad
-    raise InternalInvariantError(f"pebbling number exceeds the scan bound {max_total}")
+    raise InputError(f"pebbling number exceeds the scan bound {max_total}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +270,9 @@ def _shift_table(g: GroupElement) -> list[int]:
     of `element_index`, so no GroupElement is built.
     """
     table = [0]
-    for row, mods in zip(g.coords, g.dec.moduli):
-        for x, m in zip(row, mods):
+    for mods in g.dec.moduli:
+        for x, m in zip(g.coords, mods):
+            x %= m
             rot = [*range(x, m), *range(x)]
             table = [hi + r for hi in (a * m for a in table) for r in rot]
     return table
@@ -266,7 +298,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
         if g.dec is not dec and g.dec != dec:
             raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
-    costs = [order_cost(g) for g in elements]
+    costs = [dec.exponent // element_order(g) for g in elements]
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -317,7 +349,7 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     if order > cap:
         raise InputError(f"group order {order} above the enumeration bound {cap}")
     bound = dec.exponent
-    costs = [order_cost(element_from_index(dec, i)) for i in range(order)]
+    costs = [bound // element_order(element_from_index(dec, i)) for i in range(order)]
     tables = [_shift_table(element_from_index(dec, i)) for i in range(order)]
     best = 0
 

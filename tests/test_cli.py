@@ -239,6 +239,15 @@ def test_pebbling_number_cli(capsys):
         assert doc["results"]["witness_unsolvable"] is True
 
 
+def test_pebbling_number_past_the_scan_bound_exits_2_at_once(capsys):
+    # Pebbling number 128: the path's weight product already exceeds the bound 64.
+    started = time.perf_counter()
+    assert main(["pebbling-number", "--graph", "path:2,2,2,2,2,2,2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: pebbling number is at least 128, above the scan bound 64\n"
+    assert time.perf_counter() - started < 1.0
+
+
 def test_davenport_cli(capsys):
     for group, expect in (("6", 6), ("2,2", 3), ("1", 1)):
         code, doc = run_json(capsys, "davenport", "--group", group)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from zerosum import (
     identity,
     initial_configuration,
     merge_step,
-    order_cost,
     parse_group_spec,
     primary_decomposition,
     solve_to_root,
@@ -41,6 +41,10 @@ def _dec(text: str):
 
 def _elements(dec, raws):
     return [to_primary_coordinates(tuple(r) if isinstance(r, (list, tuple)) else (r,), dec) for r in raws]
+
+
+def _cost(g):
+    return g.dec.exponent // element_order(g)
 
 
 def _solve(text, raws, debug=None):
@@ -326,13 +330,13 @@ def test_well_placed_examples():
     one = to_primary_coordinates((1,), dec)
     two = to_primary_coordinates((2,), dec)
     zero = identity(dec)
-    assert well_placed(zero, order_cost(zero), (0,), dec)
-    assert not well_placed(one, order_cost(one), (0,), dec)
-    assert well_placed(one, order_cost(one), (2,), dec)
-    assert well_placed(two, order_cost(two), (1,), dec)
-    assert not well_placed(two, order_cost(two), (0,), dec)
+    assert well_placed(zero.coords, _cost(zero), (0,), dec)
+    assert not well_placed(one.coords, _cost(one), (0,), dec)
+    assert well_placed(one.coords, _cost(one), (2,), dec)
+    assert well_placed(two.coords, _cost(two), (1,), dec)
+    assert not well_placed(two.coords, _cost(two), (0,), dec)
     # Cost budget alone can disqualify: a divisible value with bloated cost.
-    assert not well_placed(zero, 5, (0,), dec)
+    assert not well_placed(zero.coords, 5, (0,), dec)
 
 
 def test_debug_mode_env(monkeypatch):
@@ -350,7 +354,7 @@ def test_solve_is_deterministic():
     a = _solve("4,2", raws)
     b = _solve("4,2", raws)
     assert a[3].indices == b[3].indices
-    assert [m.json_dict() for m in a[2].move_log] == [m.json_dict() for m in b[2].move_log]
+    assert [m._asdict() for m in a[2].move_log] == [m._asdict() for m in b[2].move_log]
 
 
 def test_trivial_group_solves():
@@ -396,7 +400,7 @@ def test_certificate_cost_meets_declared_bound(text, data):
     ]
     conf = initial_configuration(dec, els)
     cert = extract_certificate(solve_to_root(conf), dec, els, moves=conf.move_log)
-    recomputed = sum(order_cost(els[k - 1]) for k in cert.indices)
+    recomputed = sum(_cost(els[k - 1]) for k in cert.indices)
     total = identity(dec)
     for k in cert.indices:
         total = add_elements(total, els[k - 1])
@@ -444,7 +448,7 @@ def test_debug_mode_catches_tampered_cached_value():
     for debug in (False, True):
         conf = initial_configuration(dec, els, debug=debug)
         top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
-        conf.pebbles_at[conf.lattice.vertex_index((2,))][0].val = three
+        conf.pebbles_at[conf.lattice.vertex_index((2,))][0].val = three.coords
         if not debug:
             merge_step(conf, top, 0)
             continue
@@ -459,7 +463,7 @@ def test_merge_refuses_consumed_pebble_not_well_placed():
     els = _elements(dec, [2, 2, 1, 1])
     conf = initial_configuration(dec, els)
     lat = conf.lattice
-    conf.pebbles_at[lat.vertex_index((1,))][0].val = to_primary_coordinates((1,), dec)
+    conf.pebbles_at[lat.vertex_index((1,))][0].val = to_primary_coordinates((1,), dec).coords
     with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
         merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
 
@@ -473,3 +477,94 @@ def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
     assert root.members == frozenset([1, 2])
     with pytest.raises(InternalInvariantError, match="fails recheck"):
         extract_certificate(root, dec, els)
+
+
+def _seeded_nonzero(text, seed):
+    """|G| seeded elements of the group, none the identity (so some move is made)."""
+    dec = _dec(text)
+    rng = random.Random(seed)
+    return dec, [element_from_index(dec, 1 + rng.randrange(dec.group_order - 1)) for _ in range(dec.group_order)]
+
+
+@pytest.mark.parametrize(
+    "text, make",
+    [
+        ("2310", lambda dec: [element_from_index(dec, x) for x in range(1, 2311) if math.gcd(x, 2310) == 1] * 5),
+        ("16", None),
+        ("4,2,2", None),
+        ("9,3", None),
+        ("6,6", None),
+        ("8,4,2", None),
+        ("12,6", None),
+        ("12", lambda dec: _elements(dec, [7, 7, 10, 3, 5, 7, 5, 3, 5, 2, 1, 9])),
+        ("210", lambda dec: _elements(dec, [105] + [1] * 209)),
+    ],
+)
+def test_batched_runs_match_single_moves(text, make):
+    # solve_to_root makes each run of equal plan entries in one merge_step
+    # call; replaying the same plan one move per call gives the same pebbles.
+    if make is None:
+        dec, els = _seeded_nonzero(text, 3)
+    else:
+        dec = _dec(text)
+        els = make(dec)[: dec.group_order]
+    batched = initial_configuration(dec, els, debug=dec.group_order <= 72)
+    root = solve_to_root(batched)
+    single = initial_configuration(dec, els)
+    profile = single.count_profile()
+    plan = _greedy_plan(single.lattice, profile)
+    assert (plan is None) == batched.fallback_fired == (text in ("12", "210"))
+    plan = plan if plan is not None else _eliminate_plan(single.lattice, profile)
+    assert any(a == b for a, b in zip(plan, plan[1:])), "no run of two or more moves"
+    for vidx, ci in plan:
+        merge_step(single, single.lattice.vertex_at(vidx), ci)
+    assert batched.move_log == single.move_log
+    assert [p.pid for p in batched.live_pebbles()] == [p.pid for p in single.live_pebbles()]
+    assert [p.val for p in batched.live_pebbles()] == [p.val for p in single.live_pebbles()]
+    assert root.pid == single.root_pebble().pid
+    a = extract_certificate(root, dec, els, moves=batched.move_log)
+    b = extract_certificate(single.root_pebble(), dec, els, moves=single.move_log)
+    assert a == b
+
+
+def _z8_order_two_run(tamper_pid, value, debug):
+    # Eight pebbles of value 4 sit on divisor 2, where coordinates must be
+    # 0 mod 4; one run makes all four weight-2 moves there.
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, [4] * 8), debug=debug)
+    vidx = conf.lattice.vertex_index((1,))
+    pool = conf.pebbles_at[vidx]
+    next(p for p in pool if p.pid == tamper_pid).val = (value,)
+    return conf, conf.lattice.vertex_at(vidx)
+
+
+def test_batched_run_refuses_misplaced_pebble_at_its_move():
+    conf, vertex = _z8_order_two_run(3, 2, debug=False)
+    with pytest.raises(InternalInvariantError, match="pebble 3 is not well placed at vertex 2"):
+        merge_step(conf, vertex, 0, 4)
+    # The first move went through; the second, which consumes pebble 3, stops the run.
+    assert [m.consumed for m in conf.move_log] == [(1, 2)]
+
+
+def test_batched_run_debug_catches_tampered_value_at_its_move():
+    # Pebble 3 claims 0 instead of 4: still well placed, so only the debug
+    # recomputation sees that pebble 10, made from it alone, is wrong.
+    conf, vertex = _z8_order_two_run(3, 0, debug=False)
+    merge_step(conf, vertex, 0, 4)
+    assert len(conf.move_log) == 4
+    conf, vertex = _z8_order_two_run(3, 0, debug=True)
+    with pytest.raises(InternalInvariantError, match="cached value of pebble 10"):
+        merge_step(conf, vertex, 0, 4)
+    assert [m.new_id for m in conf.move_log] == [9, 10]
+
+
+def test_merge_step_count_checks_the_pool_once():
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, [4] * 8))
+    vertex = conf.lattice.vertex_at(conf.lattice.vertex_index((1,)))
+    with pytest.raises(InputError, match="holds 8 pebbles, 5 move"):
+        merge_step(conf, vertex, 0, 5)
+    with pytest.raises(InputError, match="move count"):
+        merge_step(conf, vertex, 0, 0)
+    assert conf.move_log == []
+    assert len(conf.pebbles_at[conf.lattice.vertex_index((1,))]) == 8

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,6 @@ from zerosum import (
     element_order,
     group_spec,
     identity,
-    order_cost,
     parse_group_spec,
     primary_decomposition,
     to_primary_coordinates,
@@ -80,9 +80,8 @@ def test_trivial_group():
     assert dec.group_order == 1
     assert dec.exponent == 1
     assert dec.num_primes == 0
-    assert identity(dec).coords == ()
     assert element_order(identity(dec)) == 1
-    assert order_cost(identity(dec)) == 1
+    assert dec.exponent // element_order(identity(dec)) == 1
 
 
 def test_component_moduli_product_is_group_order():
@@ -98,8 +97,8 @@ def test_component_moduli_product_is_group_order():
 def test_crt_splitting_z6():
     dec = _dec("6")
     g = to_primary_coordinates((5,), dec)
-    # 5 mod 2 = 1, 5 mod 3 = 2.
-    assert g.coords == ((1,), (2,))
+    # Components: 5 mod 2 = 1, 5 mod 3 = 2.
+    assert [g.coords[j] % q for mods in dec.moduli for j, q in enumerate(mods)] == [1, 2]
     assert element_order(g) == 6
 
 
@@ -129,7 +128,7 @@ def test_order_cost_is_gcd_for_cyclic():
         dec = _dec(str(n))
         for a in range(n):
             g = to_primary_coordinates((a,), dec)
-            assert order_cost(g) == math.gcd(a, n)
+            assert dec.exponent // element_order(g) == math.gcd(a, n)
 
 
 def test_add_elements_rejects_mixed_groups():
@@ -191,3 +190,21 @@ def test_user_coordinates_are_homomorphic(orders, data):
     zs = tuple(x + y for x, y in zip(xs, ys))
     lhs = add_elements(to_primary_coordinates(xs, dec), to_primary_coordinates(ys, dec))
     assert lhs == to_primary_coordinates(zs, dec)
+
+
+@pytest.mark.parametrize("text", ["8,12,30", "4,6", "9,3", "6,6"])
+def test_parse_time_conversion_keeps_primary_residues(text):
+    # Every element: component (p, j), read from invariant factor j, is the
+    # user coordinate of its source factor reduced mod p^e; and the index
+    # bijection over the components round-trips, with 0 the identity.
+    spec = parse_group_spec(text)
+    dec = primary_decomposition(spec)
+    for raw in itertools.product(*(range(n) for n in spec.cyclic_orders)):
+        g = to_primary_coordinates(raw, dec)
+        assert all(0 <= x < n for x, n in zip(g.coords, dec.invariant_factors))
+        for mods, srcs in zip(dec.moduli, dec.slot_sources):
+            for j, (q, src) in enumerate(zip(mods, srcs)):
+                assert g.coords[j] % q == raw[src] % q
+    assert element_from_index(dec, 0) == identity(dec)
+    for i in range(dec.group_order):
+        assert element_index(element_from_index(dec, i)) == i

@@ -16,8 +16,8 @@ from zerosum import (
     element_from_index,
     element_index,
     identity,
+    element_order,
     lattice_graph,
-    order_cost,
     parse_group_spec,
     path_graph,
     pebbling_number,
@@ -27,7 +27,7 @@ from zerosum import (
     weighted_boolean_cube,
 )
 from zerosum.cli import SplitMix64
-from zerosum.oracle import MAX_DP_WORK, _shift_table
+from zerosum.oracle import MAX_DP_WORK, _shift_table, pebbling_lower_bound
 
 
 def _dec(text: str):
@@ -38,6 +38,10 @@ def _els(dec, raws):
     return [to_primary_coordinates((r,) if isinstance(r, int) else tuple(r), dec) for r in raws]
 
 
+def _cost(g):
+    return g.dec.exponent // element_order(g)
+
+
 def _naive_min_cost(dec, elements):
     best = None
     for size in range(1, len(elements) + 1):
@@ -46,7 +50,7 @@ def _naive_min_cost(dec, elements):
             cost = 0
             for i in combo:
                 total = add_elements(total, elements[i])
-                cost += order_cost(elements[i])
+                cost += _cost(elements[i])
             if total == identity(dec) and (best is None or cost < best):
                 best = cost
     return best
@@ -119,7 +123,7 @@ def test_dp_matches_naive_enumeration_battery():
             else:
                 assert got.feasible
                 assert got.min_cost == want
-                cost = sum(order_cost(els[k - 1]) for k in got.indices)
+                cost = sum(_cost(els[k - 1]) for k in got.indices)
                 assert cost == want
                 total = identity(dec)
                 for k in got.indices:
@@ -353,6 +357,26 @@ def test_pebbling_lattice_equals_group_order_small():
     for text in ("2", "4", "2,2", "6"):
         dec = _dec(text)
         assert pebbling_number(lattice_graph(dec)).number == dec.group_order
+
+
+def test_pebbling_lower_bound_never_exceeds_the_number():
+    star = WeightedGraph(4, ((0, 1, 2), (0, 2, 2), (0, 3, 2)))
+    graphs = [weighted_boolean_cube(w) for w in ((2,), (3,), (2, 2), (2, 3))]
+    graphs += [path_graph(w) for w in ((2, 2), (3,))]
+    graphs += [lattice_graph(_dec(text)) for text in ("2", "4", "2,2", "6")]
+    for graph in graphs + [star]:
+        assert pebbling_lower_bound(graph) <= pebbling_number(graph).number, graph.name
+    # Leaf to leaf of the star costs 4, but its pebbling number is 5.
+    assert (pebbling_lower_bound(star), pebbling_number(star).number) == (4, 5)
+    assert pebbling_lower_bound(path_graph((2,) * 7)) == 128
+
+
+def test_pebbling_number_past_the_scan_bound_is_input_error():
+    star = WeightedGraph(4, ((0, 1, 2), (0, 2, 2), (0, 3, 2)))
+    with pytest.raises(InputError, match="exceeds the scan bound 4"):
+        pebbling_number(star, max_total=4)
+    with pytest.raises(InputError, match="at least 8, above the scan bound 7"):
+        pebbling_number(path_graph((2, 2, 2)), max_total=7)
 
 
 def test_davenport_cyclic():
