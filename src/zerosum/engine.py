@@ -81,21 +81,23 @@ class Certificate:
 
 
 def well_placed(
-    val: tuple[int, ...],
+    val: GroupElement | tuple[int, ...],
     cost: int,
     u: Sequence[int],
     dec: PrimaryDecomposition,
     rule: PlacementRule | None = None,
 ) -> bool:
-    """Congruence of the value `val` (one integer per invariant factor) against
-    the residual moduli at u, plus the integer cost budget. `rule` is the
-    lattice's precomputed `placement` entry for u, derived from u if not given.
+    """Congruence of `val` (an element, or its coordinates as a pebble's `val`
+    holds them) against the residual moduli at u, plus the integer cost
+    budget. `rule` is the lattice's precomputed `placement` entry for u,
+    derived from u if not given.
     """
+    coords = val.coords if isinstance(val, GroupElement) else val
     budget, congruences = rule if rule is not None else placement_rule(dec, tuple(u))
     if cost > budget:
         return False
     for j, m in congruences:
-        if val[j] % m:
+        if coords[j] % m:
             return False
     return True
 
@@ -169,7 +171,7 @@ def initial_configuration(
             )
         vertex = lattice.vertices[idx]
         pebble = Pebble(k, g.coords, dec.exponent // order, vertex)
-        if not well_placed(g.coords, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
+        if not well_placed(g, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
             raise InternalInvariantError(f"initial pebble {k} is not well placed")
         conf.pebbles_at[idx].append(pebble)
     conf._next_id = len(elements) + 1
@@ -230,12 +232,8 @@ def merge_step(
             selected_pos = elementary_zero_sum(p, dims, reduced)
         selected = tuple([consumed[pos - 1] for pos in selected_pos])
 
-        if len(selected) == 1:
-            val, cost = selected[0].val, selected[0].ord_cost
-        else:
-            sums = map(sum, zip(*[peb.val for peb in selected]))
-            val = tuple(map(mod, sums, factors))
-            cost = sum([peb.ord_cost for peb in selected])
+        val = tuple(map(mod, map(sum, zip(*[peb.val for peb in selected])), factors))
+        cost = sum([peb.ord_cost for peb in selected])
         new_pebble = Pebble(conf._next_id, val, cost, child, selected)
         if not well_placed(val, cost, child.u, dec, rule):
             raise InternalInvariantError(

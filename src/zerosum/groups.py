@@ -93,8 +93,8 @@ class PrimaryDecomposition:
     Invariant factor n_j is the product of moduli[i][j] over the rows that
     have a j-th component (the trivial group has n_1 = 1); component (i, j)
     of element x is x[j] mod moduli[i][j]. crt[i][j] is 1 mod moduli[i][j]
-    and 0 mod n_j / moduli[i][j]. x[j] is the sum, mod n_j, of crt[i][j] times
-    component (i, j), and of c times coordinate f over `encoding`'s (j, f, c).
+    and 0 mod n_j / moduli[i][j], so x[j] is the sum, mod n_j, of crt[i][j]
+    times component (i, j).
     """
 
     spec: GroupSpec
@@ -107,7 +107,6 @@ class PrimaryDecomposition:
     group_order: int
     invariant_factors: tuple[int, ...]
     crt: tuple[tuple[int, ...], ...]
-    encoding: tuple[tuple[int, int, int], ...]
 
     @property
     def num_primes(self) -> int:
@@ -142,10 +141,6 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         tuple(factors[j] // q * pow(factors[j] // q, -1, q) for j, q in enumerate(row))
         for row in moduli
     )
-    coefficients: dict[tuple[int, int], int] = {}  # same-source components merged
-    for crt_row, src_row in zip(crt, sources):
-        for j, (c, f) in enumerate(zip(crt_row, src_row)):
-            coefficients[j, f] = (coefficients.get((j, f), 0) + c) % factors[j]
     return PrimaryDecomposition(
         spec=spec,
         primes=primes,
@@ -157,7 +152,6 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         group_order=order,
         invariant_factors=tuple(factors),
         crt=crt,
-        encoding=tuple((j, f, c) for (j, f), c in sorted(coefficients.items())),
     )
 
 
@@ -186,8 +180,9 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"element coordinates must be integers, got {x!r}")
     acc = [0] * len(dec.invariant_factors)
-    for j, f, c in dec.encoding:
-        acc[j] += c * raw[f]
+    for crt_row, src_row in zip(dec.crt, dec.slot_sources):
+        for j, (c, f) in enumerate(zip(crt_row, src_row)):
+            acc[j] += c * raw[f]
     return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
 
 

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 from .groups import PrimaryDecomposition
 from .partitions import dual_partition, residual_exponents
 
@@ -68,6 +68,15 @@ class WeightedLattice:
 
     def vertex_at(self, index: int) -> LatticeVertex:
         return self.vertices[index]
+
+    def down_edge_weight(self, vertex: LatticeVertex, coordinate: int) -> int:
+        """Weight of the down edge leaving `vertex` in `coordinate` (0-based)."""
+        if not 0 <= coordinate < len(vertex.u):
+            raise InputError(f"coordinate {coordinate} outside the lattice dimensions")
+        level = vertex.u[coordinate]
+        if level < 1:
+            raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {coordinate}")
+        return self.level_weights[coordinate][level - 1]
 
 
 def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VERTICES) -> WeightedLattice:
@@ -137,3 +146,20 @@ def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRu
         for j, e in enumerate(row):
             moduli[j] *= p**e
     return dec.exponent // divisor, tuple((j, m) for j, m in enumerate(moduli) if m > 1)
+
+
+def vertex_of_order(order: int, dec: PrimaryDecomposition) -> LatticeVertex:
+    """Vertex carrying the divisor `order`; element orders always divide the exponent."""
+    if order < 1 or dec.exponent % order != 0:
+        raise InternalInvariantError(f"{order} does not divide the group exponent {dec.exponent}")
+    u = []
+    rest = order
+    for p in dec.primes:
+        v = 0
+        while rest % p == 0:
+            rest //= p
+            v += 1
+        u.append(v)
+    if rest != 1:
+        raise InternalInvariantError(f"{order} has a prime factor outside the group's primes")
+    return LatticeVertex(tuple(u), order)

@@ -87,3 +87,11 @@ def residual_exponents_by_recursion(
             if work[i][j] < 0:
                 raise InternalInvariantError("descent mask drove an exponent negative")
     return tuple(tuple(row) for row in work)
+
+
+def edge_weight_exponent(dual: Sequence[int], level: int) -> int:
+    """Exponent carried by the lattice edge at `level` (1-based): dual[level-1]."""
+    dual = _check_partition(dual)
+    if not 1 <= level <= len(dual):
+        raise InputError(f"level {level} outside 1..{len(dual)}")
+    return dual[level - 1]

@@ -330,13 +330,17 @@ def test_well_placed_examples():
     one = to_primary_coordinates((1,), dec)
     two = to_primary_coordinates((2,), dec)
     zero = identity(dec)
-    assert well_placed(zero.coords, _cost(zero), (0,), dec)
-    assert not well_placed(one.coords, _cost(one), (0,), dec)
-    assert well_placed(one.coords, _cost(one), (2,), dec)
-    assert well_placed(two.coords, _cost(two), (1,), dec)
-    assert not well_placed(two.coords, _cost(two), (0,), dec)
+    assert well_placed(zero, _cost(zero), (0,), dec)
+    assert not well_placed(one, _cost(one), (0,), dec)
+    assert well_placed(one, _cost(one), (2,), dec)
+    assert well_placed(two, _cost(two), (1,), dec)
+    assert not well_placed(two, _cost(two), (0,), dec)
+    # A pebble's `val` holds the coordinates alone; they read the same.
+    for g in (zero, one, two):
+        for u in ((0,), (1,), (2,)):
+            assert well_placed(g.coords, _cost(g), u, dec) == well_placed(g, _cost(g), u, dec)
     # Cost budget alone can disqualify: a divisible value with bloated cost.
-    assert not well_placed(zero.coords, 5, (0,), dec)
+    assert not well_placed(zero, 5, (0,), dec)
 
 
 def test_debug_mode_env(monkeypatch):

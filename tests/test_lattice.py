@@ -12,6 +12,7 @@ from zerosum import (
     group_spec,
     parse_group_spec,
     primary_decomposition,
+    vertex_of_order,
 )
 from zerosum.partitions import residual_exponents
 
@@ -23,23 +24,20 @@ def _lat(text: str):
     return dec, build_lattice(dec)
 
 
-def _down_weights(lat, u):
-    """Coordinate -> weight of the down edges the move table lists at u."""
-    return {i: w for i, w, _ in lat.moves[lat.vertex_index(u)]}
-
-
 def test_z4_is_a_path_of_three():
     dec, lat = _lat("4")
     assert lat.num_vertices == 3
     assert [v.divisor for v in lat.vertices] == [1, 2, 4]
     # Both levels carry weight 2 since the dual of (2) is (1,1).
-    assert _down_weights(lat, (1,)) == _down_weights(lat, (2,)) == {0: 2}
+    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1,))), 0) == 2
+    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((2,))), 0) == 2
 
 
 def test_z2z2_is_one_heavy_edge():
     dec, lat = _lat("2,2")
     assert lat.num_vertices == 2
-    assert _down_weights(lat, (1,)) == {0: 4}
+    v = lat.vertex_at(lat.vertex_index((1,)))
+    assert lat.down_edge_weight(v, 0) == 4
 
 
 def test_z6_is_a_grid():
@@ -48,15 +46,16 @@ def test_z6_is_a_grid():
     assert sorted(v.divisor for v in lat.vertices) == [1, 2, 3, 6]
     u = lat.vertex_at(lat.vertex_index((1, 1)))
     assert u.divisor == 6
-    assert _down_weights(lat, (1, 1)) == {0: 2, 1: 3}
+    assert lat.down_edge_weight(u, 0) == 2
+    assert lat.down_edge_weight(u, 1) == 3
 
 
 def test_z9z3_weights():
     dec, lat = _lat("9,3")
     # One prime, exponents (2,1), dual (2,1): level weights 9 then 3.
     assert lat.num_vertices == 3
-    assert _down_weights(lat, (1,)) == {0: 9}
-    assert _down_weights(lat, (2,)) == {0: 3}
+    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1,))), 0) == 9
+    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((2,))), 0) == 3
 
 
 def test_trivial_group_lattice():
@@ -126,17 +125,18 @@ def test_residual_moduli_match_partitions():
 
 def test_down_edge_needs_positive_level():
     dec, lat = _lat("6")
-    assert lat.moves[lat.root_index] == ()
-    assert _down_weights(lat, (1, 0)) == {0: 2}
+    root = lat.vertex_at(lat.root_index)
+    with pytest.raises(InputError):
+        lat.down_edge_weight(root, 0)
+    with pytest.raises(InputError):
+        lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1, 0))), 1)
 
 
 def test_vertex_of_order_maps_divisors():
     dec, lat = _lat("12")
-    vertex_of_order = {v.divisor: v for v in lat.vertices}
-    assert sorted(vertex_of_order) == [1, 2, 3, 4, 6, 12]
-    assert vertex_of_order[1].u == (0, 0)
-    assert vertex_of_order[6].u == (1, 1)
-    assert vertex_of_order[12].u == (2, 1)
+    assert vertex_of_order(1, dec).u == (0, 0)
+    assert vertex_of_order(6, dec).u == (1, 1)
+    assert vertex_of_order(12, dec).u == (2, 1)
 
 
 def test_vertex_cap_guard():

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from zerosum import (
     InputError,
-    build_lattice,
     dual_partition,
-    parse_group_spec,
-    primary_decomposition,
+    edge_weight_exponent,
     residual_exponents,
     residual_exponents_by_recursion,
 )
@@ -142,8 +140,9 @@ def test_residual_monotone_in_u(rows, data):
 
 
 def test_edge_weight_exponent_reads_dual():
-    # The lattice edge at level k of a prime's path carries p ** dual[k - 1].
     dual = dual_partition((5, 2, 2, 1))
-    assert dual == (4, 3, 1, 1, 1)
-    lat = build_lattice(primary_decomposition(parse_group_spec("32,4,4,2")))
-    assert lat.level_weights == (tuple(2**d for d in dual),)
+    assert [edge_weight_exponent(dual, k) for k in range(1, 6)] == [4, 3, 1, 1, 1]
+    with pytest.raises(InputError):
+        edge_weight_exponent(dual, 0)
+    with pytest.raises(InputError):
+        edge_weight_exponent(dual, 6)
