@@ -92,9 +92,10 @@ class PrimaryDecomposition:
 
     Invariant factor n_j is the product of moduli[i][j] over the rows that
     have a j-th component (the trivial group has n_1 = 1); component (i, j)
-    of element x is x[j] mod moduli[i][j]. crt[i][j] is 1 mod moduli[i][j]
-    and 0 mod n_j / moduli[i][j], so x[j] is the sum, mod n_j, of crt[i][j]
-    times component (i, j).
+    of element x is x[j] mod moduli[i][j]. `crt` lists every component, in
+    `moduli` order, as (j, slot_sources[i][j], moduli[i][j], c) with c 1 mod
+    moduli[i][j] and 0 mod n_j / moduli[i][j], so x[j] is the sum, mod n_j,
+    of c times component (i, j).
     """
 
     spec: GroupSpec
@@ -106,7 +107,7 @@ class PrimaryDecomposition:
     heights: tuple[int, ...]
     group_order: int
     invariant_factors: tuple[int, ...]
-    crt: tuple[tuple[int, ...], ...]
+    crt: tuple[tuple[int, int, int, int], ...]
 
     @property
     def num_primes(self) -> int:
@@ -138,8 +139,9 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         for j, q in enumerate(row):
             factors[j] *= q
     crt = tuple(
-        tuple(factors[j] // q * pow(factors[j] // q, -1, q) for j, q in enumerate(row))
-        for row in moduli
+        (j, f, q, factors[j] // q * pow(factors[j] // q, -1, q))
+        for row, src_row in zip(moduli, sources)
+        for j, (q, f) in enumerate(zip(row, src_row))
     )
     return PrimaryDecomposition(
         spec=spec,
@@ -180,9 +182,8 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"element coordinates must be integers, got {x!r}")
     acc = [0] * len(dec.invariant_factors)
-    for crt_row, src_row in zip(dec.crt, dec.slot_sources):
-        for j, (c, f) in enumerate(zip(crt_row, src_row)):
-            acc[j] += c * raw[f]
+    for j, f, _, c in dec.crt:
+        acc[j] += c * raw[f]
     return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
 
 
@@ -217,8 +218,7 @@ def element_from_index(dec: PrimaryDecomposition, index: int) -> GroupElement:
     if not 0 <= index < dec.group_order:
         raise InputError(f"element index {index} outside 0..{dec.group_order - 1}")
     acc = [0] * len(dec.invariant_factors)
-    for mods, crt_row in zip(reversed(dec.moduli), reversed(dec.crt)):
-        for j in reversed(range(len(mods))):
-            index, x = divmod(index, mods[j])
-            acc[j] += crt_row[j] * x
+    for j, _, q, c in reversed(dec.crt):
+        index, x = divmod(index, q)
+        acc[j] += c * x
     return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
