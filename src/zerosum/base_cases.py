@@ -62,11 +62,7 @@ def projective_line_of(vec: Sequence[int], p: int) -> tuple[tuple[int, ...], int
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return _line_of(tuple(x % p for x in vec), p)
-
-
-def _line_of(vec: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
-    """projective_line_of for a vector already reduced mod a prime p."""
+    vec = tuple(x % p for x in vec)
     lead = next((x for x in vec if x != 0), 0)
     if lead == 0:
         raise InputError("zero vector lies on every line through the origin")
@@ -94,19 +90,29 @@ def elementary_zero_sum(p: int, dim: int, items: Sequence[Sequence[int]]) -> lis
         vecs.append(v)
     if len(vecs) != p**dim:
         raise InputError(f"need exactly {p**dim} vectors, got {len(vecs)}")
+    return _elementary_block(p, vecs)
 
-    for k, v in enumerate(vecs, start=1):
-        if all(x == 0 for x in v):
-            return [k]
 
-    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
+    """elementary_zero_sum for p**dim vectors already reduced mod a prime p.
+
+    A nonzero vector's label is the vector times the inverse of its leading
+    entry, read from one scale table per lead (lead 1 is the identity).
+    """
+    zero = (0,) * len(vecs[0])
+    if zero in vecs:
+        return [vecs.index(zero) + 1]
+
+    scale = [tuple(x * pow(lead, -1, p) % p for x in range(p)) for lead in range(1, p)]
+    lines: dict[tuple[int, ...], list[int]] = {}
     for k, v in enumerate(vecs, start=1):
-        label, coeff = _line_of(v, p)
-        lines.setdefault(label, []).append((k, coeff))
+        lead = next(filter(None, v))
+        label = v if lead == 1 else tuple(map(scale[lead - 1].__getitem__, v))
+        lines.setdefault(label, []).append(k)
     best_label = min(lines, key=lambda lab: (-len(lines[lab]), lab))
     members = lines[best_label]
     if len(members) < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
     chosen = members[:p]
-    block = _zero_sum_block(p, [c for _, c in chosen])
-    return [chosen[pos - 1][0] for pos in block]
+    block = _zero_sum_block(p, [next(filter(None, vecs[k - 1])) for k in chosen])
+    return [chosen[pos - 1] for pos in block]

@@ -9,12 +9,14 @@ Exit codes: 0 pass, 1 infeasible or verification failure, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .engine import (
@@ -34,9 +36,9 @@ from .errors import (
 from .groups import (
     GroupElement,
     PrimaryDecomposition,
+    encode_sequence,
     parse_group_spec,
     primary_decomposition,
-    to_primary_coordinates,
 )
 from .lattice import build_lattice
 from .oracle import (
@@ -130,9 +132,8 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[l
         raise InputError("sequence has no elements")
     out = []
     for part in parts:
-        toks = [t.strip() for t in part.split(",")]
         try:
-            out.append([int(t) for t in toks])
+            out.append(list(map(int, map(str.strip, part.split(",")))))
         except ValueError:
             raise InputError(f"bad element {part!r} in sequence") from None
     return out
@@ -147,7 +148,7 @@ def sequence_argument(args, rank: int) -> list[list[int]]:
 
 def parse_elements(args, dec: PrimaryDecomposition) -> tuple[list[list[int]], list[GroupElement]]:
     raw = sequence_argument(args, dec.spec.rank)
-    return raw, [to_primary_coordinates(tuple(r), dec) for r in raw]
+    return raw, encode_sequence(raw, dec)
 
 
 def parse_indices(value: str) -> list[int]:
@@ -394,12 +395,10 @@ def cmd_stress(args) -> RunReport:
     oracle_checked = 0
     oracle_budget = max(0, args.oracle_limit)
     for trial in range(args.trials):
-        elements = [
-            to_primary_coordinates(
-                tuple(rng.below(nf) for nf in spec.cyclic_orders), dec
-            )
-            for _ in range(dec.group_order)
-        ]
+        elements = encode_sequence(
+            [tuple(rng.below(nf) for nf in spec.cyclic_orders) for _ in range(dec.group_order)],
+            dec,
+        )
         conf, cert = _solve_sequence(dec, elements, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
@@ -532,37 +531,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            return EXIT_PASS
-        return EXIT_INPUT_ERROR
-    started = time.perf_counter()
-    try:
-        report = args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    try:
-        if args.json:
-            print(json.dumps(report.json_dict(), indent=2))
+def render_json(value: Any, indent: str = "") -> str:
+    """The text of `json.dumps(value, indent=2)` for a report (str keys only).
+
+    Dicts, lists and tuples recurse, a list or tuple of plain ints is joined
+    in one step, a plain int is its repr, a key goes through the string
+    encoder `json.dumps` itself uses, and every other value is left to
+    `json.dumps`; the indented encoder is pure Python, and an input echo can
+    hold 10^5 integers and a move log 10^5 dicts.
+    """
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, value))
         else:
-            for line in report.lines:
-                print(line)
-            print(f"elapsed {report.elapsed_ms:.1f} ms")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (`| head`); drop the rest of the output
-        # and keep the interpreter's final flush from failing again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return report.exit_code
+            body = (",\n" + inner).join([render_json(x, inner) for x in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
+def main(argv=None) -> int:
+    # The merge tree, the elements and the report hold no reference cycles,
+    # so the cyclic collector would only rescan them; reference counting
+    # frees every command's objects. The caller's setting is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code in (0, None):
+                return EXIT_PASS
+            return EXIT_INPUT_ERROR
+        started = time.perf_counter()
+        try:
+            report = args.func(args)
+        except InputError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except InternalInvariantError as exc:
+            print(f"internal invariant violation: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL_ERROR
+        report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        try:
+            if args.json:
+                print(render_json(report.json_dict()))
+            else:
+                for line in report.lines:
+                    print(line)
+                print(f"elapsed {report.elapsed_ms:.1f} ms")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (`| head`); drop the rest of the output
+            # and keep the interpreter's final flush from failing again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return report.exit_code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

@@ -15,7 +15,7 @@ import itertools
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import floordiv, mod
+from operator import mod
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -27,7 +27,7 @@ from .groups import (
     identity,
 )
 from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
-from .base_cases import _zero_sum_block, elementary_zero_sum
+from .base_cases import _elementary_block, _zero_sum_block
 
 
 @dataclass(slots=True, eq=False)
@@ -228,8 +228,8 @@ def merge_step(
         if dims == 1:
             selected_pos = _zero_sum_block(p, [peb.val[0] // m % p for peb in consumed])
         else:
-            reduced = [list(map(floordiv, peb.val, res_moduli)) for peb in consumed]
-            selected_pos = elementary_zero_sum(p, dims, reduced)
+            reduced = [tuple([x // r % p for x, r in zip(peb.val, res_moduli)]) for peb in consumed]
+            selected_pos = _elementary_block(p, reduced)
         selected = tuple([consumed[pos - 1] for pos in selected_pos])
 
         val = tuple(map(mod, map(sum, zip(*[peb.val for peb in selected])), factors))

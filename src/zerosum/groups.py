@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import floordiv
+from itertools import chain, repeat
+from operator import add, floordiv, mod
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -174,17 +175,42 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
     Negative residues are allowed and reduced. Component (i, j) of the result
     is the residue of its source factor modulo primes[i] ** exponents[i][j].
     """
-    if len(raw) != dec.spec.rank:
-        raise InputError(
-            f"element needs {dec.spec.rank} coordinates for this group, got {len(raw)}"
-        )
-    for x in raw:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InputError(f"element coordinates must be integers, got {x!r}")
-    acc = [0] * len(dec.invariant_factors)
+    return encode_sequence([raw], dec)[0]
+
+
+def encode_sequence(
+    raws: Sequence[Sequence[int]], dec: PrimaryDecomposition
+) -> list[GroupElement]:
+    """`to_primary_coordinates` of every residue tuple in `raws`, a column at a time.
+
+    The first malformed tuple, in input order, raises the error
+    `to_primary_coordinates` gives for it. Each `crt` entry is one pass over
+    its source factor's column (none for c = 1), and each invariant factor
+    one `%` pass; the passes are lazy and all run in the final `zip`.
+    """
+    rank = dec.spec.rank
+    if set(map(len, raws)) - {rank} or set(map(type, chain.from_iterable(raws))) - {int}:
+        # Slow path: int subclasses other than bool pass, the rest raise.
+        for raw in raws:
+            if len(raw) != rank:
+                raise InputError(
+                    f"element needs {rank} coordinates for this group, got {len(raw)}"
+                )
+            for x in raw:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(f"element coordinates must be integers, got {x!r}")
+    if not raws:
+        return []
+    columns = list(zip(*raws))
+    acc: list[Iterable[int] | None] = [None] * len(dec.invariant_factors)
     for j, f, _, c in dec.crt:
-        acc[j] += c * raw[f]
-    return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
+        term = columns[f] if c == 1 else map(c.__mul__, columns[f])
+        acc[j] = term if acc[j] is None else map(add, acc[j], term)
+    coords = [
+        map(mod, col, repeat(n)) if col is not None else repeat(0, len(raws))
+        for col, n in zip(acc, dec.invariant_factors)
+    ]
+    return list(map(GroupElement, repeat(dec), zip(*coords)))
 
 
 def add_elements(a: GroupElement, b: GroupElement) -> GroupElement:

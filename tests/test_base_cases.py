@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import InputError, cyclic_prime_zero_sum, elementary_zero_sum, projective_line_of
+from zerosum.base_cases import _elementary_block
 
 primes = st.sampled_from([2, 3, 5, 7, 11])
 
@@ -153,3 +156,86 @@ def test_elementary_matches_exhaustive_existence(data):
             break
     assert found
     assert len(picked) <= p
+
+
+def _seeded_vectors(p: int, dim: int, seed: int) -> list[tuple[int, ...]]:
+    """p**dim unreduced vectors (entries in -2p..3p-1) of one of three kinds.
+
+    seed % 3 == 0: uniform, so zero vectors turn up on small inputs;
+    seed % 3 == 1: no zero vector; seed % 3 == 2 (dim >= 2): two lines tie
+    with p members each and every other line holds fewer, so the selection
+    rests on the smallest-label tie rule.
+    """
+    rng = random.Random(seed)
+    count = p**dim
+    if seed % 3 == 0:
+        vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
+    else:
+        labels = sorted({projective_line_of(v, p)[0] for v in itertools.product(range(p), repeat=dim) if any(v)})
+        if seed % 3 == 1 or dim < 2:
+            on_line = [rng.choice(labels) for _ in range(count)]
+        else:
+            rng.shuffle(labels)
+            on_line = [labels[0]] * p + [labels[1]] * p
+            rest = itertools.cycle(labels[2:])
+            on_line += [next(rest) for _ in range(count - 2 * p)]
+        vecs = []
+        for label in on_line:
+            c = rng.randrange(1, p)
+            vecs.append(tuple(c * x % p for x in label))
+        rng.shuffle(vecs)
+    return [tuple(x + p * rng.randrange(-2, 3) for x in v) for v in vecs]
+
+
+def _line_rule(p: int, items) -> list[int]:
+    """The selection rule spelled out with the public helpers: a zero vector
+    first, else the first p members of the fullest line (smallest label on a
+    tie), reduced to the cyclic case through their scaling coefficients."""
+    vecs = [tuple(x % p for x in v) for v in items]
+    for k, v in enumerate(vecs, start=1):
+        if not any(v):
+            return [k]
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, v in enumerate(vecs, start=1):
+        label, c = projective_line_of(v, p)
+        lines.setdefault(label, []).append((k, c))
+    best = min(lines, key=lambda lab: (-len(lines[lab]), lab))
+    chosen = lines[best][:p]
+    return [chosen[pos - 1][0] for pos in cyclic_prime_zero_sum(p, [c for _, c in chosen])]
+
+
+PRIME_DIMS = [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 4)] + [(5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p,dim", PRIME_DIMS)
+def test_elementary_block_matches_the_validating_entry(p, dim):
+    for seed in range(12):
+        items = _seeded_vectors(p, dim, seed)
+        reduced = [tuple(x % p for x in v) for v in items]
+        picked = _elementary_block(p, reduced)
+        assert picked == elementary_zero_sum(p, dim, items) == _line_rule(p, items)
+        if seed % 3 == 2 and dim >= 2:
+            counts = Counter(projective_line_of(v, p)[0] for v in reduced)
+            full = [label for label, n in counts.items() if n == p]
+            assert len(full) == 2 and max(counts.values()) == p
+            assert projective_line_of(reduced[picked[0] - 1], p)[0] == min(full)
+
+
+# (p, dim, seed): the selection recorded from the line-bucketing code that
+# reduced and validated every vector itself, before the reduced-input split;
+# (2, 3, 9) holds zero vectors, the p >= 3 cases a tie.
+FROZEN_SELECTIONS = {
+    (2, 3, 9): [2],
+    (2, 4, 1): [1, 3],
+    (3, 3, 2): [7, 25],
+    (5, 2, 5): [3, 6, 21, 23],
+    (7, 2, 8): [3, 14, 27, 33],
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_SELECTIONS))
+def test_elementary_selection_is_frozen(key):
+    p, dim, seed = key
+    items = _seeded_vectors(p, dim, seed)
+    assert elementary_zero_sum(p, dim, items) == FROZEN_SELECTIONS[key]
+    assert _elementary_block(p, [tuple(x % p for x in v) for v in items]) == FROZEN_SELECTIONS[key]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -9,9 +10,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerosum
-from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence
+from zerosum import InternalInvariantError, cli
+from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence, render_json
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
 # Child interpreters import the same package as the tests, installed or not.
@@ -373,3 +377,110 @@ def test_console_script_installed():
     assert done.returncode == 0
     doc = json.loads(done.stdout)
     assert doc["results"]["verified"] is True
+
+
+# Report-shaped values: str keys; nested dicts, lists and tuples, empty ones
+# at any depth; ints of any sign and size; all-int, all-bool and mixed lists;
+# None; strings with quotes, backslashes, control and non-ASCII characters.
+_texts = st.text() | st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600 ab')
+_ints = st.integers() | st.integers(-(10**40), 10**40)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | _ints
+    | _texts
+    | st.lists(_ints)
+    | st.lists(st.booleans())
+    | st.lists(_ints | st.booleans())
+    | st.lists(_ints).map(tuple)
+)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@given(_reports)
+@settings(max_examples=200)
+def test_render_json_matches_indented_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2)
+
+
+def test_render_json_edge_shapes():
+    for value in [[], {}, (), [[]], {"a": {}}, [[], {}, ()], {"": [True, 1]}, [0, -1, 2**70], "é\"\\"]:
+        assert render_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "--group", "4", "--seq", "1,1,1,1"], 0),
+        (["solve", "--group", "4", "--seq", "1,1,1"], 2),
+        (["solve", "--group", "4", "--seq", "1,2,3,1"], 3),
+        (["nosuch"], 2),
+    ],
+)
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_main_pauses_gc_and_restores_the_callers_setting(monkeypatch, capsys, argv, code, caller_enabled):
+    seen = []
+    solve = cli.solve_to_root
+
+    def solve_seeing_gc(conf):
+        seen.append(gc.isenabled())
+        if conf.elements[1].coords == (2,):
+            raise InternalInvariantError("forced for the test")
+        return solve(conf)
+
+    monkeypatch.setattr(cli, "solve_to_root", solve_seeing_gc)
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        assert main(argv) == code
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+    assert seen == ([False] if code in (0, 3) else [])
+
+
+def test_main_restores_gc_when_a_command_crashes(monkeypatch):
+    def crash(conf):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "solve_to_root", crash)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        main(["solve", "--group", "4", "--seq", "1,1,1,1"])
+    assert gc.isenabled()
+
+
+def _stress_peak_rss_kb(trials: int) -> int:
+    """ru_maxrss (kB) of a fresh interpreter running one `stress --json`.
+
+    Linux keeps the high-water mark across exec, so the measured interpreter
+    is started from a small one, not from the test process.
+    """
+    body = (
+        "import contextlib, io, resource\n"
+        "from zerosum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['stress', '--group', '60', '--trials', '{trials}', '--oracle-limit', '0', '--json']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    launcher = (
+        "import subprocess, sys\n"
+        "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, body], capture_output=True, text=True, env=CLI_ENV
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def test_stress_memory_does_not_grow_with_trials_while_gc_is_paused():
+    # Reference counting alone frees each trial's merge tree.
+    assert abs(_stress_peak_rss_kb(1000) - _stress_peak_rss_kb(10)) <= 2048

@@ -1,10 +1,14 @@
-"""Golden output: the exact bytes of `--json --trace` for four fixed solves.
+"""Golden output: the exact bytes of `--json --trace` for fixed solves, and of
+`--json` for one command of every kind.
 
 The three greedy-path digests were recorded from the engine before its
 merge-tree rewrite, and the Z_12 one from the level-elimination planner, so
 any change to a pebble id, a consumed or selected set, a move's order or a
-certificate fails here. The inputs are drawn with the CLI's SplitMix64, so
-they are the same on every platform.
+certificate fails here. The Z_3^6 solve and the per-command digests were
+recorded before the elementary path and the JSON renderer were rewritten to
+work a whole sequence at a time, so they pin those rewrites to the old bytes.
+The inputs are drawn with the CLI's SplitMix64, so they are the same on every
+platform.
 """
 
 from __future__ import annotations
@@ -36,6 +40,17 @@ def _zero_free_z2(dim: int, seed: int) -> str:
     return ";".join(",".join(str((c >> b) & 1) for b in range(dim)) for c in codes)
 
 
+def _zero_free_z3(dim: int, seed: int) -> str:
+    """3**dim nonzero vectors of Z_3^dim, with both leading entries 1 and 2."""
+    rng = SplitMix64(seed)
+    vecs = []
+    for _ in range(3**dim):
+        c = 1 + rng.below(3**dim - 1)
+        vecs.append([c // 3**b % 3 for b in range(dim)])
+    assert {next(x for x in v if x) for v in vecs} == {1, 2}
+    return ";".join(",".join(map(str, v)) for v in vecs)
+
+
 def _max_order_4_2_2(seed: int) -> str:
     """16 elements of order 4 in Z_4 + Z_2 + Z_2; the last move merges 8 pebbles in dimension 3."""
     rng = SplitMix64(seed)
@@ -61,6 +76,11 @@ CASES = {
         "bc041c1f25669cd1f667dd11d3a3adda0e9a6819aaccf8407bff8dc05d954cce",
         lambda r: max(m["weight"] for m in r["moves"]) == 8,
     ),
+    "zero-free Z_3^6": (
+        ["solve", "--group", ",".join(["3"] * 6), "--seq", _zero_free_z3(6, 14)],
+        "542d3dd76ea774bc5bee6043d4042b8d6b8738cacbf1e3a7cf9e1961b30e83bf",
+        lambda r: r["moves"][0]["weight"] == 729 and len(r["moves"][0]["selected"]) <= 3,
+    ),
     "Z_12 fallback": (
         ["solve-cyclic", "--n", "12", "--seq", "7,7,10,3,5,7,5,3,5,2,1,9"],
         "321edc4745243e89f4578b5b7ffe7c1f2cbda15bc22fff6b91d24e485f0a2209",
@@ -77,4 +97,49 @@ def test_json_trace_bytes_are_pinned(capsys, name):
     report = json.loads(out)
     assert report["results"]["moves_applied"] == len(report["moves"]) >= 1
     assert exercises_its_path(report)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# name: (argv, SHA-256 of the `--json` output, exit code): one case for each
+# command kind, so the renderer is pinned on every report shape.
+COMMANDS = {
+    "solve-cyclic Z_2310": (
+        ["solve-cyclic", "--n", "2310", "--seq", _max_order_cyclic(2310, 15)],
+        "e8520c184072d68f7782b5db6354e93497d6c0a65a2b0a554f67e4e9c7f9135b",
+        0,
+    ),
+    "stress 6,6": (
+        ["stress", "--group", "6,6", "--trials", "20", "--oracle-limit", "20"],
+        "d9b2fe8aa430677c64f76fe363305a1f053a1364eab0116cd6e5b779edccad4a",
+        0,
+    ),
+    "infeasible oracle Z_210": (
+        ["oracle", "--group", "210", "--seq", ",".join(["11"] * 209)],
+        "33e59f66abdef6686a34856706df8bafba820d789f61c265c59c13f1bb7edeb7",
+        1,
+    ),
+    "failing verify Z_3^6": (
+        ["verify", "--group", ",".join(["3"] * 6), "--seq", _zero_free_z3(6, 16), "--indices", "1,2,3"],
+        "cc29f5609814eb49c4fba8bf8f3e1f30e07ca2e7d6b5ba3b236e0907c0e3c7a8",
+        1,
+    ),
+    "weighted davenport 3,3": (
+        ["davenport", "--group", "3,3", "--weighted"],
+        "40c81805f48a3c8da7a8102d12fb52691226df112861a67212471216ae655958",
+        0,
+    ),
+    "pebbling-number cube:2,3": (
+        ["pebbling-number", "--graph", "cube:2,3"],
+        "da7feea424c47a1ec0d049b537d34c48e9fc823e90b1d24c9feb55819ba32aba",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_bytes_are_pinned_for_every_command(capsys, name):
+    argv, digest, exit_code = COMMANDS[name]
+    assert main(argv + ["--json"]) == exit_code
+    out = capsys.readouterr().out
+    assert json.loads(out)["exit_code"] == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,7 +21,7 @@ from zerosum import (
     primary_decomposition,
     to_primary_coordinates,
 )
-from zerosum.groups import MAX_GROUP_ORDER
+from zerosum.groups import MAX_GROUP_ORDER, encode_sequence
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
 
@@ -208,3 +208,46 @@ def test_parse_time_conversion_keeps_primary_residues(text):
     assert element_from_index(dec, 0) == identity(dec)
     for i in range(dec.group_order):
         assert element_index(element_from_index(dec, i)) == i
+
+
+@pytest.mark.parametrize("text", ["8,12,30", "4,6", "9,3", "6,6", "1"])
+def test_encode_sequence_matches_per_element_conversion(text):
+    # Every element, then the same tuples shifted out of range both ways.
+    spec = parse_group_spec(text)
+    dec = primary_decomposition(spec)
+    raws = list(itertools.product(*(range(n) for n in spec.cyclic_orders)))
+    raws += [tuple(x + k * n for x, n in zip(r, spec.cyclic_orders)) for k, r in zip(itertools.cycle([-3, 2]), raws)]
+    assert encode_sequence(raws, dec) == [to_primary_coordinates(r, dec) for r in raws]
+    assert encode_sequence([list(r) for r in raws[:50]], dec) == encode_sequence(raws[:50], dec)
+    assert encode_sequence([], dec) == []
+
+
+@pytest.mark.parametrize(
+    "raws, message",
+    [
+        ([(1, 0), (1,), (1.5, 0)], "element needs 2 coordinates for this group, got 1"),
+        ([(1, 0), (1.5, 0), (1,)], "element coordinates must be integers, got 1.5"),
+        ([(0, 1), (0, True), (1, 0, 0)], "element coordinates must be integers, got True"),
+        ([(1, 0), (True, 0, 0)], "element needs 2 coordinates for this group, got 3"),
+        ([(1, 0), (0, 1), (1, "1")], "element coordinates must be integers, got '1'"),
+    ],
+)
+def test_encode_sequence_reports_the_first_bad_element(raws, message):
+    # A wrong length is checked before the entries of the same element.
+    dec = _dec("2,2")
+    with pytest.raises(InputError) as whole:
+        encode_sequence(raws, dec)
+    assert str(whole.value) == message
+    bad = next(r for r in raws if len(r) != 2 or any(type(x) is not int for x in r))
+    with pytest.raises(InputError) as single:
+        to_primary_coordinates(bad, dec)
+    assert str(single.value) == message
+
+
+def test_encode_sequence_accepts_int_subclasses():
+    class Residue(int):
+        pass
+
+    dec = _dec("4,6")
+    raws = [(Residue(3), 5), (7, Residue(-1))]
+    assert encode_sequence(raws, dec) == encode_sequence([(3, 5), (7, -1)], dec)
