@@ -97,7 +97,7 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     """elementary_zero_sum for p**dim vectors already reduced mod a prime p.
 
     A nonzero vector's label is the vector times the inverse of its leading
-    entry, read from one scale table per lead (lead 1 is the identity).
+    entry, read from one scale table per lead.
     """
     zero = (0,) * len(vecs[0])
     if zero in vecs:
@@ -107,7 +107,7 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     lines: dict[tuple[int, ...], list[int]] = {}
     for k, v in enumerate(vecs, start=1):
         lead = next(filter(None, v))
-        label = v if lead == 1 else tuple(map(scale[lead - 1].__getitem__, v))
+        label = tuple(map(scale[lead - 1].__getitem__, v))
         lines.setdefault(label, []).append(k)
     best_label = min(lines, key=lambda lab: (-len(lines[lab]), lab))
     members = lines[best_label]

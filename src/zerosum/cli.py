@@ -563,9 +563,12 @@ def render_json(value: Any, indent: str = "") -> str:
 
 
 def main(argv=None) -> int:
-    # The merge tree, the elements and the report hold no reference cycles,
-    # so the cyclic collector would only rescan them; reference counting
-    # frees every command's objects. The caller's setting is restored.
+    # The only reference cycles a command leaves are the argument parser's,
+    # the same for every input: the merge tree, the elements and the report
+    # hold none, and the recursive searches are module-level functions, not
+    # closures that call themselves. So the cyclic collector would only
+    # rescan live objects; reference counting frees the rest. The caller's
+    # setting is restored.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

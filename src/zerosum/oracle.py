@@ -143,32 +143,39 @@ def solvable(
         return True
     adj = _adjacency(graph)
     memo = _memo if _memo is not None else _SolvableMemo()
-    budget = [MAX_SOLVABLE_STATES]
+    return _solvable_search(dist, adj, target, memo, [MAX_SOLVABLE_STATES])
 
-    def search(state: PebbleDistribution) -> bool:
-        if state in memo.solved:
-            return True
-        if state in memo.failed:
-            return False
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise InternalInvariantError("solvability search exceeded its state budget")
-        for v in range(graph.num_vertices):
-            if state[v] == 0:
-                continue
-            for u, w in adj[v]:
-                if state[v] >= w:
-                    nxt = list(state)
-                    nxt[v] -= w
-                    nxt[u] += 1
-                    nxt_t = tuple(nxt)
-                    if nxt_t[target] >= 1 or search(nxt_t):
-                        memo.solved.add(state)
-                        return True
-        memo.failed.add(state)
+
+def _solvable_search(
+    state: PebbleDistribution, adj, target: int, memo: _SolvableMemo, budget: list[int]
+) -> bool:
+    """Depth-first solvability of one state; budget[0] counts the states left.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself is a reference cycle, and `pebbling_number` makes one
+    `solvable` call per (distribution, target) pair.
+    """
+    if state in memo.solved:
+        return True
+    if state in memo.failed:
         return False
-
-    return search(dist)
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise InternalInvariantError("solvability search exceeded its state budget")
+    for v in range(len(state)):
+        if state[v] == 0:
+            continue
+        for u, w in adj[v]:
+            if state[v] >= w:
+                nxt = list(state)
+                nxt[v] -= w
+                nxt[u] += 1
+                nxt_t = tuple(nxt)
+                if nxt_t[target] >= 1 or _solvable_search(nxt_t, adj, target, memo, budget):
+                    memo.solved.add(state)
+                    return True
+    memo.failed.add(state)
+    return False
 
 
 def _compositions(total: int, parts: int):
@@ -351,40 +358,56 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     bound = dec.exponent
     costs = [bound // element_order(element_from_index(dec, i)) for i in range(order)]
     tables = [_shift_table(element_from_index(dec, i)) for i in range(order)]
-    best = 0
-
-    def extend_plain(lo: int, reach: frozenset[int], depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        if depth >= order:
-            raise InternalInvariantError("zero-sum-free sequence reached the group order")
-        for g in range(lo, order):
-            table = tables[g]
-            new = {g} | {table[s] for s in reach}
-            if 0 in new:
-                continue
-            extend_plain(g, reach | new, depth + 1)
-
-    def extend_weighted(lo: int, reach: frozenset[tuple[int, int]], depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        if depth >= order:
-            raise InternalInvariantError("budget-free sequence reached the group order")
-        for g in range(lo, order):
-            table = tables[g]
-            c = costs[g]
-            new = set()
-            if c <= bound:
-                new.add((g, c))
-            for (s, sc) in reach:
-                if sc + c <= bound:
-                    new.add((table[s], sc + c))
-            if any(s == 0 for (s, _) in new):
-                continue
-            extend_weighted(g, reach | new, depth + 1)
-
     if weighted:
-        extend_weighted(1, frozenset(), 0)
-    else:
-        extend_plain(1, frozenset(), 0)
-    return best + 1
+        return _longest_weighted(tables, costs, bound, 1, frozenset(), 0) + 1
+    return _longest_plain(tables, 1, frozenset(), 0) + 1
+
+
+# The two depth-first walks below are module-level functions, not closures: a
+# nested function that calls itself is a reference cycle.
+
+
+def _longest_plain(tables: list[list[int]], lo: int, reach: frozenset[int], depth: int) -> int:
+    """Greatest length of a zero-sum-free sequence that extends one of length
+    depth, whose nonempty subsequence sums are reach, by elements of index lo
+    or above."""
+    order = len(tables)
+    if depth >= order:
+        raise InternalInvariantError("zero-sum-free sequence reached the group order")
+    best = depth
+    for g in range(lo, order):
+        table = tables[g]
+        new = {g} | {table[s] for s in reach}
+        if 0 in new:
+            continue
+        best = max(best, _longest_plain(tables, g, reach | new, depth + 1))
+    return best
+
+
+def _longest_weighted(
+    tables: list[list[int]],
+    costs: list[int],
+    bound: int,
+    lo: int,
+    reach: frozenset[tuple[int, int]],
+    depth: int,
+) -> int:
+    """As _longest_plain, where reach holds (sum, order cost) pairs and only a
+    zero sum of cost within bound counts."""
+    order = len(tables)
+    if depth >= order:
+        raise InternalInvariantError("budget-free sequence reached the group order")
+    best = depth
+    for g in range(lo, order):
+        table = tables[g]
+        c = costs[g]
+        new = set()
+        if c <= bound:
+            new.add((g, c))
+        for (s, sc) in reach:
+            if sc + c <= bound:
+                new.add((table[s], sc + c))
+        if any(s == 0 for (s, _) in new):
+            continue
+        best = max(best, _longest_weighted(tables, costs, bound, g, reach | new, depth + 1))
+    return best

@@ -457,17 +457,20 @@ def test_main_restores_gc_when_a_command_crashes(monkeypatch):
     assert gc.isenabled()
 
 
-def _stress_peak_rss_kb(trials: int) -> int:
-    """ru_maxrss (kB) of a fresh interpreter running one `stress --json`.
+def _peak_rss_kb(argv: list[str], pause_gc: bool = True) -> int:
+    """ru_maxrss (kB) of a fresh interpreter running one `main(argv)`.
 
-    Linux keeps the high-water mark across exec, so the measured interpreter
-    is started from a small one, not from the test process.
+    With pause_gc false, `main`'s call to gc.disable is a no-op, so the
+    collector runs as it would without the pause. Linux keeps the high-water
+    mark across exec, so the measured interpreter is started from a small
+    one, not from the test process.
     """
     body = (
-        "import contextlib, io, resource\n"
+        "import contextlib, gc, io, resource\n"
         "from zerosum.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['stress', '--group', '60', '--trials', '{trials}', '--oracle-limit', '0', '--json']) == 0\n"
+        + ("" if pause_gc else "gc.disable = lambda: None\n")
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     launcher = (
@@ -481,6 +484,69 @@ def _stress_peak_rss_kb(trials: int) -> int:
     return int(done.stdout)
 
 
+def _stress_peak_rss_kb(trials: int) -> int:
+    return _peak_rss_kb(
+        ["stress", "--group", "60", "--trials", str(trials), "--oracle-limit", "0", "--json"]
+    )
+
+
 def test_stress_memory_does_not_grow_with_trials_while_gc_is_paused():
     # Reference counting alone frees each trial's merge tree.
     assert abs(_stress_peak_rss_kb(1000) - _stress_peak_rss_kb(10)) <= 2048
+
+
+def test_pebbling_scan_memory_is_the_same_with_gc_paused():
+    # cube:2,2,2 makes thousands of solvability searches; were the search a
+    # closure that calls itself, each would leave a reference cycle, about
+    # 15 MB in all with the collector paused.
+    argv = ["pebbling-number", "--graph", "cube:2,2,2", "--json"]
+    assert abs(_peak_rss_kb(argv) - _peak_rss_kb(argv, pause_gc=False)) <= 2048
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """Objects in reference cycles that one `main(argv)` call leaves behind."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+_STALL_210 = ",".join(["105"] + ["1"] * 209)
+_ONES_210 = ",".join(["1"] * 210)
+_ALL_210 = ",".join(map(str, range(1, 211)))
+_Z2_4 = ";".join(",".join(str(i >> b & 1) for b in range(4)) for i in range(1, 16)) + ";1,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (
+            ["solve", "--group", "4", "--seq", "1,1,1,1", "--trace"],
+            ["solve", "--group", "210", "--seq", _STALL_210, "--trace"],
+        ),
+        (["solve", "--group", "2", "--seq", "1,1"], ["solve", "--group", "2,2,2,2", "--seq", _Z2_4]),
+        (
+            ["solve-cyclic", "--n", "4", "--seq", "1,1,1,1"],
+            ["solve-cyclic", "--n", "210", "--seq", _STALL_210],
+        ),
+        (
+            ["verify", "--group", "4", "--seq", "1,1,1,1", "--indices", "1,2,3,4"],
+            ["verify", "--group", "210", "--seq", _ONES_210, "--indices", _ALL_210],
+        ),
+        (["oracle", "--group", "4", "--seq", "1,1,1,1"], ["oracle", "--group", "210", "--seq", _ONES_210]),
+        (["stress", "--group", "6", "--trials", "1"], ["stress", "--group", "60", "--trials", "40"]),
+        (["davenport", "--group", "2"], ["davenport", "--group", "3,3"]),
+        (["davenport", "--group", "2", "--weighted"], ["davenport", "--group", "2,4", "--weighted"]),
+        (["pebbling-number", "--graph", "path:2"], ["pebbling-number", "--graph", "cube:2,2,2"]),
+    ],
+)
+def test_commands_leave_no_cycles_that_grow_with_their_input(capsys, small, large):
+    # The argument parser is the only cyclic garbage a command leaves, the
+    # same whatever the input, so pausing the collector costs no memory.
+    assert _cyclic_garbage(large) == _cyclic_garbage(small)
+    capsys.readouterr()
