@@ -9,13 +9,13 @@ Exit codes: 0 pass, 1 infeasible or verification failure, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -82,17 +82,19 @@ class SplitMix64:
         return self.next64() % n
 
 
-@dataclass
 class RunReport:
     """Everything one command run produced; timing stays out of the JSON."""
 
-    command: str
-    inputs: dict[str, Any]
-    results: dict[str, Any]
-    exit_code: int
-    lines: list[str] = field(default_factory=list)
-    moves: list[dict] | None = None
-    elapsed_ms: float = 0.0
+    __slots__ = ("command", "inputs", "results", "exit_code", "lines", "moves", "elapsed_ms")
+
+    def __init__(self, command: str, inputs: dict[str, Any], results: dict[str, Any], exit_code: int):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.exit_code = exit_code
+        self.lines: list[str] = []
+        self.moves: list[dict] | None = None
+        self.elapsed_ms = 0.0
 
     def json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -461,7 +463,10 @@ def cmd_davenport(args) -> RunReport:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing only fills a new
+    Namespace, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="zerosum",
         description="Zero-sum subsequences with bounded order-reciprocal sum, "
@@ -563,12 +568,13 @@ def render_json(value: Any, indent: str = "") -> str:
 
 
 def main(argv=None) -> int:
-    # The only reference cycles a command leaves are the argument parser's,
-    # the same for every input: the merge tree, the elements and the report
-    # hold none, and the recursive searches are module-level functions, not
-    # closures that call themselves. So the cyclic collector would only
-    # rescan live objects; reference counting frees the rest. The caller's
-    # setting is restored.
+    # A command leaves no reference cycles: the argument parser, which holds
+    # some, is built once per process and kept, the merge tree, the elements
+    # and the report hold none, and the recursive searches are module-level
+    # functions, not closures that call themselves (an argument error or
+    # --help leaves argparse's help formatter, a fixed few dozen objects).
+    # So the cyclic collector would only rescan live objects; reference
+    # counting frees the rest. The caller's setting is restored.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from operator import mod
 from typing import NamedTuple, Sequence
 
@@ -30,17 +29,26 @@ from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattic
 from .base_cases import _elementary_block, _zero_sum_block
 
 
-@dataclass(slots=True, eq=False)
 class Pebble:
     """A merge-tree node: cached value (one integer per invariant factor),
     order cost, position, and the pebbles its move selected (none for input
     pebble k, whose id is its sequence index)."""
 
-    pid: int
-    val: tuple[int, ...]
-    ord_cost: int
-    vertex: LatticeVertex
-    parts: tuple[Pebble, ...] = ()
+    __slots__ = ("pid", "val", "ord_cost", "vertex", "parts")
+
+    def __init__(
+        self,
+        pid: int,
+        val: tuple[int, ...],
+        ord_cost: int,
+        vertex: LatticeVertex,
+        parts: tuple[Pebble, ...] = (),
+    ):
+        self.pid = pid
+        self.val = val
+        self.ord_cost = ord_cost
+        self.vertex = vertex
+        self.parts = parts
 
     @property
     def members(self) -> frozenset[int]:
@@ -64,14 +72,12 @@ class MoveRecord(NamedTuple):
     new_id: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verified solution: indices whose elements sum to the identity within budget."""
 
     indices: tuple[int, ...]
@@ -161,17 +167,19 @@ def initial_configuration(
     if lattice is None:
         lattice = build_lattice(dec)
     conf = Configuration(dec, lattice, elements, debug=debug)
-    index_of = {v.divisor: idx for idx, v in enumerate(lattice.vertices)}
+    # Record fields are read once: a NamedTuple field costs more than a local.
+    vertices, placement, exponent = lattice.vertices, lattice.placement, dec.exponent
+    index_of = {v.divisor: idx for idx, v in enumerate(vertices)}
     for k, g in enumerate(elements, start=1):
         order = element_order(g)
         idx = index_of.get(order)
         if idx is None:
             raise InternalInvariantError(
-                f"element order {order} does not divide the exponent {dec.exponent}"
+                f"element order {order} does not divide the exponent {exponent}"
             )
-        vertex = lattice.vertices[idx]
-        pebble = Pebble(k, g.coords, dec.exponent // order, vertex)
-        if not well_placed(g, pebble.ord_cost, vertex.u, dec, lattice.placement[idx]):
+        vertex = vertices[idx]
+        pebble = Pebble(k, g.coords, exponent // order, vertex)
+        if not well_placed(g, pebble.ord_cost, vertex.u, dec, placement[idx]):
             raise InternalInvariantError(f"initial pebble {k} is not well placed")
         conf.pebbles_at[idx].append(pebble)
     conf._next_id = len(elements) + 1
@@ -188,8 +196,9 @@ def merge_step(
     vector over F_p: coordinate j, for j below the edge's dual length, divided
     by the residual modulus of component (i, j) at `vertex` (exact by
     well-placedness), mod p. The base-case selection is kept, the rest are
-    discarded. The edge, the pool size and the child's placement rule are read
-    once per call; a move that fails a check stops the run before it is logged.
+    discarded. The edge, the pool size, the vertex fields and the child's
+    placement rule are read once per call; a move that fails a check stops the
+    run before it is logged.
     """
     lattice = conf.lattice
     u = vertex.u
@@ -213,7 +222,7 @@ def merge_step(
     res_moduli = lattice.residual_moduli[vidx][i][:dims]
     child_idx = vidx - lattice.strides[i]
     child = lattice.vertices[child_idx]
-    rule = lattice.placement[child_idx]
+    child_u, divisor, rule = child.u, vertex.divisor, lattice.placement[child_idx]
     child_pool = conf.pebbles_at[child_idx]
     factors = dec.invariant_factors
     m = res_moduli[0]
@@ -235,7 +244,7 @@ def merge_step(
         val = tuple(map(mod, map(sum, zip(*[peb.val for peb in selected])), factors))
         cost = sum([peb.ord_cost for peb in selected])
         new_pebble = Pebble(conf._next_id, val, cost, child, selected)
-        if not well_placed(val, cost, child.u, dec, rule):
+        if not well_placed(val, cost, child_u, dec, rule):
             raise InternalInvariantError(
                 f"merged pebble {new_pebble.pid} is not well placed at vertex {child.divisor}"
             )
@@ -243,7 +252,7 @@ def merge_step(
         child_pool.append(new_pebble)
         consumed_ids = tuple([peb.pid for peb in consumed])
         selected_ids = tuple([peb.pid for peb in selected])
-        conf.move_log.append(MoveRecord(vertex.divisor, p, weight, consumed_ids, selected_ids, new_pebble.pid))
+        conf.move_log.append(MoveRecord(divisor, p, weight, consumed_ids, selected_ids, new_pebble.pid))
         if conf.debug:
             _debug_check(conf, new_pebble)
     if not pool:

@@ -12,7 +12,6 @@ Everything is exact integer work; there is no float anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, floordiv, mod
 from typing import Iterable, NamedTuple, Sequence
@@ -24,8 +23,7 @@ from .errors import InputError, InternalInvariantError
 MAX_GROUP_ORDER = 2**31
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """User-facing group description: cyclic factor orders in the given sequence."""
 
     cyclic_orders: tuple[int, ...]
@@ -82,8 +80,7 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
+class PrimaryDecomposition(NamedTuple):
     """The group rewritten as a direct sum of cyclic components of prime-power order.
 
     Component (i, j) is cyclic of order primes[i] ** exponents[i][j]; each row of

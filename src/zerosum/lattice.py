@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .groups import PrimaryDecomposition
@@ -22,8 +22,7 @@ MAX_LATTICE_VERTICES = 1_000_000
 PlacementRule = tuple[int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class LatticeVertex:
+class LatticeVertex(NamedTuple):
     u: tuple[int, ...]
     divisor: int
 
@@ -32,8 +31,7 @@ class LatticeVertex:
         return sum(self.u)
 
 
-@dataclass(frozen=True)
-class WeightedLattice:
+class WeightedLattice(NamedTuple):
     """Complete vertex, weight, and move tables for one group.
 
     `moves[v]` lists the down edges leaving vertex index v as
@@ -113,11 +111,9 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        residual = residual_exponents(dec.exponents, v.u)
-        residual_moduli.append(
-            tuple(tuple(p**e for e in row) for p, row in zip(dec.primes, residual))
-        )
-        placement.append(placement_rule(dec, v.u))
+        res_moduli = _residual_moduli(dec, v.u)
+        residual_moduli.append(res_moduli)
+        placement.append(_placement(dec, v.divisor, res_moduli))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))
 
     return WeightedLattice(
@@ -134,17 +130,29 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
     )
 
 
+def _residual_moduli(dec: PrimaryDecomposition, u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is primes[i] raised to the residual exponent of component (i, j) at u."""
+    residual = residual_exponents(dec.exponents, u)
+    return tuple(tuple(p**e for e in row) for p, row in zip(dec.primes, residual))
+
+
 def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRule:
     """What well-placedness at u asks of a pebble: an order cost within
     N / divisor(u), and coordinate j divisible by the product of its
     components' residual moduli, wherever that exceeds 1 (exact: each divides
     its component's order, and those orders are coprime)."""
-    residual = residual_exponents(dec.exponents, u)
     divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
+    return _placement(dec, divisor, _residual_moduli(dec, u))
+
+
+def _placement(
+    dec: PrimaryDecomposition, divisor: int, res_moduli: tuple[tuple[int, ...], ...]
+) -> PlacementRule:
+    """`placement_rule` at the vertex of `divisor`, from its residual moduli."""
     moduli = [1] * len(dec.invariant_factors)
-    for p, row in zip(dec.primes, residual):
-        for j, e in enumerate(row):
-            moduli[j] *= p**e
+    for row in res_moduli:
+        for j, m in enumerate(row):
+            moduli[j] *= m
     return dec.exponent // divisor, tuple((j, m) for j, m in enumerate(moduli) if m > 1)
 
 

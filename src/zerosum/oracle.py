@@ -14,7 +14,8 @@ which each cost on the chain became optimal; see dp_min_cost_zero_sum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .groups import (
@@ -30,6 +31,8 @@ from .lattice import build_lattice
 MAX_DP_WORK = 8_000_000
 MAX_SOLVABLE_STATES = 2_000_000
 MAX_PEBBLING_TOTAL = 64
+# Distributions in the pebbling scan's final round, which also bounds its memo.
+MAX_PEBBLING_DISTRIBUTIONS = 100_000
 DAVENPORT_PLAIN_MAX = 16
 DAVENPORT_WEIGHTED_MAX = 12
 
@@ -37,15 +40,21 @@ DAVENPORT_WEIGHTED_MAX = 12
 PebbleDistribution = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Connected undirected graph; moving across an edge burns its weight in pebbles."""
+class _GraphFields(NamedTuple):
+    """WeightedGraph's fields; its constructor validates them."""
 
     num_vertices: int
     edges: tuple[tuple[int, int, int], ...]
     name: str = "graph"
 
-    def __post_init__(self):
+
+class WeightedGraph(_GraphFields):
+    """Connected undirected graph; moving across an edge burns its weight in pebbles."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vertices: int, edges: tuple[tuple[int, int, int], ...], name: str = "graph"):
+        self = super().__new__(cls, num_vertices, edges, name)
         if self.num_vertices < 1:
             raise InputError("graph needs at least one vertex")
         seen = set()
@@ -71,6 +80,7 @@ class WeightedGraph:
                         frontier.append(y)
         if len(reached) != self.num_vertices:
             raise InputError("graph is not connected")
+        return self
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,8 +198,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class PebblingResult:
+class PebblingResult(NamedTuple):
     number: int
     witness: PebbleDistribution
     witness_target: int
@@ -228,11 +237,19 @@ def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -
     the answer; the witness is an unsolvable (k-1)-pebble distribution. Scans
     every distribution by stars and bars, stopping at the first failure. A
     graph whose pebbling number exceeds max_total is refused with InputError,
-    before the scan when pebbling_lower_bound already shows it.
+    before the scan when pebbling_lower_bound already shows it. So is a graph
+    whose final round, every distribution of at least that many pebbles, has
+    more than MAX_PEBBLING_DISTRIBUTIONS of them.
     """
     lower = pebbling_lower_bound(graph)
     if lower > max_total:
         raise InputError(f"pebbling number is at least {lower}, above the scan bound {max_total}")
+    final_round = math.comb(lower + graph.num_vertices - 1, graph.num_vertices - 1)
+    if final_round > MAX_PEBBLING_DISTRIBUTIONS:
+        raise InputError(
+            f"pebbling scan would visit at least {final_round} distributions of {lower} pebbles "
+            f"on {graph.num_vertices} vertices, above the bound {MAX_PEBBLING_DISTRIBUTIONS}"
+        )
     memos = {t: _SolvableMemo() for t in range(graph.num_vertices)}
     witness: tuple[PebbleDistribution, int] = ((0,) * graph.num_vertices, 0)
     for k in range(1, max_total + 1):
@@ -252,8 +269,7 @@ def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -
     raise InputError(f"pebbling number exceeds the scan bound {max_total}")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     feasible: bool
     min_cost: int | None
     indices: tuple[int, ...]

@@ -252,6 +252,27 @@ def test_pebbling_number_past_the_scan_bound_exits_2_at_once(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize(
+    "graph, final_round, pebbles, vertices",
+    [
+        ("path:2,2,2,2,2,2", 131115985, 64, 7),
+        ("cube:2,2,2,2", 300540195, 16, 16),
+        ("lattice:30", 10295472, 30, 8),
+        ("lattice:24", 2629575, 24, 8),
+    ],
+)
+def test_pebbling_number_refuses_an_oversized_scan_at_once(capsys, graph, final_round, pebbles, vertices):
+    # Each lies under the scan bound of 64 pebbles, but its final round alone
+    # has C(pebbles + vertices - 1, vertices - 1) distributions.
+    started = time.perf_counter()
+    assert main(["pebbling-number", "--graph", graph]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: pebbling scan would visit at least {final_round} distributions "
+        f"of {pebbles} pebbles on {vertices} vertices, above the bound 100000\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
 def test_davenport_cli(capsys):
     for group, expect in (("6", 6), ("2,2", 3), ("1", 1)):
         code, doc = run_json(capsys, "davenport", "--group", group)
@@ -504,7 +525,9 @@ def test_pebbling_scan_memory_is_the_same_with_gc_paused():
 
 
 def _cyclic_garbage(argv: list[str]) -> int:
-    """Objects in reference cycles that one `main(argv)` call leaves behind."""
+    """Objects in reference cycles that one `main(argv)` call leaves behind,
+    once the process has its argument parser."""
+    cli.build_parser()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -546,7 +569,39 @@ _Z2_4 = ";".join(",".join(str(i >> b & 1) for b in range(4)) for i in range(1, 1
     ],
 )
 def test_commands_leave_no_cycles_that_grow_with_their_input(capsys, small, large):
-    # The argument parser is the only cyclic garbage a command leaves, the
-    # same whatever the input, so pausing the collector costs no memory.
-    assert _cyclic_garbage(large) == _cyclic_garbage(small)
+    # The parser is built once per process, and no command leaves cyclic
+    # garbage after that, so pausing the collector costs no memory.
+    assert _cyclic_garbage(small) == 0
+    assert _cyclic_garbage(large) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # An argparse error, --help and an input error leave nothing in the shared
+    # parser that changes a later call's output.
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        (["solve", "--group"], 2),
+        (["--help"], 0),
+        (["solve", "--group", "4", "--seq", "1,1,1"], 2),
+        (["solve", "--group", "210", "--seq", _STALL_210, "--trace", "--json"], 0),
+    ]
+    seen = []
+    for argv, code in calls + calls:
+        assert main(argv) == code
+        seen.append(capsys.readouterr())
+    assert seen[:4] == seen[4:]
+    assert json.loads(seen[3].out)["results"]["fallback_fired"] is True
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # Both cost about 9 ms at every launch; the records are NamedTuples and
+    # __slots__ classes instead.
+    code = (
+        "import sys, zerosum.cli\n"
+        "zerosum.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

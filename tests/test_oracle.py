@@ -27,6 +27,7 @@ from zerosum import (
     weighted_boolean_cube,
 )
 from zerosum.cli import SplitMix64
+from zerosum import oracle
 from zerosum.oracle import MAX_DP_WORK, _shift_table, pebbling_lower_bound
 
 
@@ -377,6 +378,17 @@ def test_pebbling_number_past_the_scan_bound_is_input_error():
         pebbling_number(star, max_total=4)
     with pytest.raises(InputError, match="at least 8, above the scan bound 7"):
         pebbling_number(path_graph((2, 2, 2)), max_total=7)
+
+
+def test_pebbling_scan_bound_counts_the_final_round(monkeypatch):
+    # cube:2,2,2 has pebbling lower bound 8 on 8 vertices: its final round
+    # visits at least C(8 + 7, 7) = 6435 distributions.
+    cube = weighted_boolean_cube((2, 2, 2))
+    monkeypatch.setattr(oracle, "MAX_PEBBLING_DISTRIBUTIONS", 6434)
+    with pytest.raises(InputError, match="at least 6435 distributions of 8 pebbles on 8 vertices, above the bound 6434"):
+        pebbling_number(cube)
+    monkeypatch.setattr(oracle, "MAX_PEBBLING_DISTRIBUTIONS", 6435)
+    assert pebbling_number(cube).number == 8
 
 
 def test_davenport_cyclic():
