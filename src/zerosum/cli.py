@@ -36,6 +36,7 @@ from .errors import (
 from .groups import (
     GroupElement,
     PrimaryDecomposition,
+    elements_from_coords,
     encode_sequence,
     parse_group_spec,
     primary_decomposition,
@@ -148,6 +149,26 @@ def sequence_argument(args, rank: int) -> list[list[int]]:
     return parse_raw_sequence(args.seq, rank)
 
 
+def cyclic_sequence_argument(args) -> list[int]:
+    """The integers of solve-cyclic's --seq or --seq-file.
+
+    Inline text without ';' is read with one split and one int pass. Blank
+    parts, ';', a file or a bad part go through `parse_raw_sequence`, which
+    skips the blanks and names the bad part; int() allows the same padding
+    that parse_raw_sequence strips, so both ways read the same integers.
+    """
+    if args.seq_file is None and ";" not in args.seq:
+        try:
+            return list(map(int, args.seq.split(",")))
+        except ValueError:
+            pass
+    raw = sequence_argument(args, rank=1)
+    for r in raw:
+        if len(r) != 1:
+            raise InputError(f"cyclic sequence elements are single integers, got {r}")
+    return [r[0] for r in raw]
+
+
 def parse_elements(args, dec: PrimaryDecomposition) -> tuple[list[list[int]], list[GroupElement]]:
     raw = sequence_argument(args, dec.spec.rank)
     return raw, encode_sequence(raw, dec)
@@ -237,12 +258,8 @@ def cmd_solve_cyclic(args) -> RunReport:
         raise InputError(f"modulus must be positive, got {args.n}")
     spec = parse_group_spec(str(args.n))
     dec = primary_decomposition(spec)
-    raw = sequence_argument(args, rank=1)
-    for r in raw:
-        if len(r) != 1:
-            raise InputError(f"cyclic sequence elements are single integers, got {r}")
-    integers = [r[0] for r in raw]
-    elements = [GroupElement(dec, (a % args.n,)) for a in integers]
+    integers = cyclic_sequence_argument(args)
+    elements = elements_from_coords(dec, zip(map(args.n.__rmod__, integers)))
     conf, cert = _solve_sequence(dec, elements)
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:

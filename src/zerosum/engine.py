@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import defaultdict, deque
-from operator import mod
+from operator import itemgetter, mod
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -23,44 +22,11 @@ from .groups import (
     PrimaryDecomposition,
     add_elements,
     element_order,
+    element_orders,
     identity,
 )
 from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
 from .base_cases import _elementary_block, _zero_sum_block
-
-
-class Pebble:
-    """A merge-tree node: cached value (one integer per invariant factor),
-    order cost, position, and the pebbles its move selected (none for input
-    pebble k, whose id is its sequence index)."""
-
-    __slots__ = ("pid", "val", "ord_cost", "vertex", "parts")
-
-    def __init__(
-        self,
-        pid: int,
-        val: tuple[int, ...],
-        ord_cost: int,
-        vertex: LatticeVertex,
-        parts: tuple[Pebble, ...] = (),
-    ):
-        self.pid = pid
-        self.val = val
-        self.ord_cost = ord_cost
-        self.vertex = vertex
-        self.parts = parts
-
-    @property
-    def members(self) -> frozenset[int]:
-        """Input indices at the leaves of this pebble's merge tree."""
-        leaves, stack = [], [self]
-        while stack:
-            peb = stack.pop()
-            if peb.parts:
-                stack.extend(peb.parts)
-            else:
-                leaves.append(peb.pid)
-        return frozenset(leaves)
 
 
 class MoveRecord(NamedTuple):
@@ -70,6 +36,24 @@ class MoveRecord(NamedTuple):
     consumed: tuple[int, ...]
     selected: tuple[int, ...]
     new_id: int
+
+
+class Pebble(NamedTuple):
+    """One live pebble read out of a Configuration's table: its id, value (one
+    integer per invariant factor), order cost, vertex, and the move log that
+    holds its merge tree. Made on request (`root_pebble`, `live_pebbles`),
+    never by a move."""
+
+    pid: int
+    val: tuple[int, ...]
+    ord_cost: int
+    vertex: LatticeVertex
+    log: Sequence[MoveRecord]
+
+    @property
+    def members(self) -> frozenset[int]:
+        """Input indices at the leaves of this pebble's merge tree."""
+        return frozenset(_leaves(self.log, self.pid))
 
 
 class Verdict(NamedTuple):
@@ -109,11 +93,16 @@ def well_placed(
 
 
 class Configuration:
-    """Live pebbles grouped by vertex, plus the move log of one solving session.
+    """The pebbles and the move log of one solving session, as a table.
 
-    Mutated only through merge moves; not meant to be shared across sessions.
-    With debug enabled (flag or ZEROSUM_DEBUG=1) every move recomputes the new
-    pebble's value and cost from its member indices and re-checks disjointness.
+    Pebble k is row k: `vals[k]` (the element's own `coords` tuple for an
+    input pebble 1..|G|) and `costs[k]`; row 0 is unused. `pools` maps a
+    vertex index to the ids on it, ascending. The move log is the merge
+    tree: pebble |G| + 1 + k is made by move k, and its parts are that move's
+    `selected` ids (see `Pebble.members`). Mutated only through merge moves;
+    not meant to be shared across sessions. With debug enabled (flag or
+    ZEROSUM_DEBUG=1) every move recomputes the new pebble's value and cost
+    from its member indices and re-checks disjointness.
     """
 
     def __init__(
@@ -127,27 +116,46 @@ class Configuration:
         self.lattice = lattice
         self.elements = list(elements)
         self.debug = debug if debug is not None else os.environ.get("ZEROSUM_DEBUG") == "1"
-        self.pebbles_at: defaultdict[int, deque[Pebble]] = defaultdict(deque)
+        self.vals: list[tuple[int, ...] | None] = [None]
+        self.costs: list[int] = [0]
+        self.pools: dict[int, list[int]] = {}
         self.move_log: list[MoveRecord] = []
         self.fallback_fired = False
-        self._next_id = 1
+
+    def _pebble(self, pid: int, vidx: int) -> Pebble:
+        vertex = self.lattice.vertices[vidx]
+        return Pebble(pid, self.vals[pid], self.costs[pid], vertex, self.move_log)
 
     def live_pebbles(self) -> list[Pebble]:
-        out = []
-        for pool in self.pebbles_at.values():
-            out.extend(pool)
-        out.sort(key=lambda a: a.pid)
-        return out
+        return sorted(self._pebble(pid, vidx) for vidx, pool in self.pools.items() for pid in pool)
 
     def count_profile(self) -> tuple[int, ...]:
         counts = [0] * self.lattice.num_vertices
-        for idx, pool in self.pebbles_at.items():
+        for idx, pool in self.pools.items():
             counts[idx] = len(pool)
         return tuple(counts)
 
     def root_pebble(self) -> Pebble | None:
-        pool = self.pebbles_at.get(self.lattice.root_index)
-        return pool[0] if pool else None  # pools hold pebbles in id order
+        root = self.lattice.root_index
+        pool = self.pools.get(root)
+        return self._pebble(pool[0], root) if pool else None
+
+
+def _leaves(moves: Sequence[MoveRecord], pid: int) -> list[int]:
+    """Input ids at the leaves of pebble `pid`'s merge tree: merged pebble
+    first + k is made by moves[k], and ids below first are inputs."""
+    first = moves[0].new_id if moves else pid + 1
+    out, stack = [], [pid]
+    while stack:
+        q = stack.pop()
+        k = q - first
+        if k < 0:
+            out.append(q)
+        elif k < len(moves) and moves[k].new_id == q:
+            stack.extend(moves[k].selected)
+        else:
+            raise InternalInvariantError(f"pebble {q} is made by no move in the log")
+    return out
 
 
 def initial_configuration(
@@ -156,33 +164,43 @@ def initial_configuration(
     lattice: WeightedLattice | None = None,
     debug: bool | None = None,
 ) -> Configuration:
-    """One singleton pebble per element on the vertex of its order, computed once."""
+    """One singleton pebble per element on the vertex of its order.
+
+    The orders come from one column pass (`element_orders`), the ids are
+    placed a vertex at a time, and every pebble's placement is checked
+    against its vertex's rule.
+    """
     if len(elements) != dec.group_order:
         raise InputError(
             f"need exactly {dec.group_order} elements for this group, got {len(elements)}"
         )
-    for g in elements:
-        if g.dec is not dec and g.dec != dec:
-            raise InputError("sequence element belongs to a different decomposition")
+    if any(g.dec is not dec and g.dec != dec for g in elements):
+        raise InputError("sequence element belongs to a different decomposition")
     if lattice is None:
         lattice = build_lattice(dec)
     conf = Configuration(dec, lattice, elements, debug=debug)
-    # Record fields are read once: a NamedTuple field costs more than a local.
-    vertices, placement, exponent = lattice.vertices, lattice.placement, dec.exponent
-    index_of = {v.divisor: idx for idx, v in enumerate(vertices)}
-    for k, g in enumerate(elements, start=1):
-        order = element_order(g)
-        idx = index_of.get(order)
-        if idx is None:
-            raise InternalInvariantError(
-                f"element order {order} does not divide the exponent {exponent}"
-            )
-        vertex = vertices[idx]
-        pebble = Pebble(k, g.coords, exponent // order, vertex)
-        if not well_placed(g, pebble.ord_cost, vertex.u, dec, placement[idx]):
-            raise InternalInvariantError(f"initial pebble {k} is not well placed")
-        conf.pebbles_at[idx].append(pebble)
-    conf._next_id = len(elements) + 1
+    vals, costs, exponent = conf.vals, conf.costs, dec.exponent
+    orders = element_orders(dec, conf.elements)
+    index_of = {v.divisor: idx for idx, v in enumerate(lattice.vertices)}
+    where = [0, *map(index_of.get, orders)]  # where[k]: the vertex index of pebble k
+    if None in where:
+        order = orders[where.index(None) - 1]
+        raise InternalInvariantError(
+            f"element order {order} does not divide the exponent {exponent}"
+        )
+    vals.extend([g.coords for g in conf.elements])
+    costs.extend(map(exponent.__floordiv__, orders))
+    misplaced = []
+    by_vertex = sorted(range(1, len(where)), key=where.__getitem__)  # stable: ids stay ascending
+    for vidx, ids in itertools.groupby(by_vertex, where.__getitem__):
+        pool = conf.pools[vidx] = list(ids)
+        budget, congruences = lattice.placement[vidx]
+        rows = list(map(vals.__getitem__, pool))
+        fails = [map(budget.__lt__, map(costs.__getitem__, pool))]
+        fails += [map(m.__rmod__, map(itemgetter(j), rows)) for j, m in congruences]
+        misplaced += itertools.compress(pool, map(any, zip(*fails)))
+    if misplaced:
+        raise InternalInvariantError(f"initial pebble {min(misplaced)} is not well placed")
     return conf
 
 
@@ -192,13 +210,15 @@ def merge_step(
     """Make `count` moves at `vertex` in `coordinate`, each consuming one edge
     weight of pebbles and placing their zero-sum merge one level down.
 
-    Each move consumes the lowest ids present. Each pebble is reduced to a
-    vector over F_p: coordinate j, for j below the edge's dual length, divided
-    by the residual modulus of component (i, j) at `vertex` (exact by
-    well-placedness), mod p. The base-case selection is kept, the rest are
-    discarded. The edge, the pool size, the vertex fields and the child's
-    placement rule are read once per call; a move that fails a check stops the
-    run before it is logged.
+    The run takes the lowest count x weight ids present, and each move the
+    next weight of them. Each pebble is reduced to a vector over F_p:
+    coordinate j, for j below the edge's dual length, divided by the residual
+    modulus of component (i, j) at `vertex` (exact by well-placedness), mod p.
+    Each residual modulus above 1 is checked, and each coordinate reduced,
+    once over the whole run; a misplaced pebble stops the run at its move,
+    after the moves before it. The base-case selection is kept, the rest are
+    discarded, and the merged pebble is checked against the child's placement
+    rule before it is logged.
     """
     lattice = conf.lattice
     u = vertex.u
@@ -208,73 +228,92 @@ def merge_step(
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
     vidx = lattice.vertex_index(u)
-    pool = conf.pebbles_at.get(vidx, ())
+    pool = conf.pools.get(vidx, [])
     dec = conf.dec
     p = dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
     weight = lattice.level_weights[i][u[i] - 1]
-    if len(pool) < count * weight:
+    need = count * weight
+    if len(pool) < need:
         raise InputError(
             f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
-            f"{count} move(s) of weight {weight} need {count * weight}"
+            f"{count} move(s) of weight {weight} need {need}"
         )
-
-    res_moduli = lattice.residual_moduli[vidx][i][:dims]
-    child_idx = vidx - lattice.strides[i]
-    child = lattice.vertices[child_idx]
-    child_u, divisor, rule = child.u, vertex.divisor, lattice.placement[child_idx]
-    child_pool = conf.pebbles_at[child_idx]
-    factors = dec.invariant_factors
-    m = res_moduli[0]
-    popleft = pool.popleft
-    for _ in range(count):
-        consumed = [popleft() for _ in range(weight)]
-        for peb in consumed:
-            if any(map(mod, peb.val, res_moduli)):
-                raise InternalInvariantError(
-                    f"pebble {peb.pid} is not well placed at vertex {vertex.divisor}"
-                )
-        if dims == 1:
-            selected_pos = _zero_sum_block(p, [peb.val[0] // m % p for peb in consumed])
-        else:
-            reduced = [tuple([x // r % p for x, r in zip(peb.val, res_moduli)]) for peb in consumed]
-            selected_pos = _elementary_block(p, reduced)
-        selected = tuple([consumed[pos - 1] for pos in selected_pos])
-
-        val = tuple(map(mod, map(sum, zip(*[peb.val for peb in selected])), factors))
-        cost = sum([peb.ord_cost for peb in selected])
-        new_pebble = Pebble(conf._next_id, val, cost, child, selected)
-        if not well_placed(val, cost, child_u, dec, rule):
-            raise InternalInvariantError(
-                f"merged pebble {new_pebble.pid} is not well placed at vertex {child.divisor}"
-            )
-        conf._next_id += 1
-        child_pool.append(new_pebble)
-        consumed_ids = tuple([peb.pid for peb in consumed])
-        selected_ids = tuple([peb.pid for peb in selected])
-        conf.move_log.append(MoveRecord(divisor, p, weight, consumed_ids, selected_ids, new_pebble.pid))
-        if conf.debug:
-            _debug_check(conf, new_pebble)
+    run = tuple(pool[:need])
+    del pool[:need]
     if not pool:
-        del conf.pebbles_at[vidx]
+        del conf.pools[vidx]
+
+    vals, costs = conf.vals, conf.costs
+    rows = list(map(vals.__getitem__, run))
+    bad = need  # position in the run of the first misplaced pebble
+    columns = []
+    for j, m in enumerate(lattice.residual_moduli[vidx][i][:dims]):
+        col = list(map(itemgetter(j), rows))
+        if m > 1:
+            rems = list(map(m.__rmod__, col))
+            if any(rems):
+                bad = min(bad, next(k for k, r in enumerate(rems) if r))
+            col = map(m.__rfloordiv__, col)
+        columns.append(list(map(p.__rmod__, col)))
+    if dims == 1:
+        reduced, block = columns[0], _zero_sum_block
+    else:
+        reduced, block = list(zip(*columns)), _elementary_block
+
+    child_idx = vidx - lattice.strides[i]
+    child_pool = conf.pools.setdefault(child_idx, [])
+    budget, congruences = lattice.placement[child_idx]
+    factors = dec.invariant_factors
+    child_moduli = [1] * len(factors)  # the child's congruence on each coordinate
+    for j, m in congruences:
+        child_moduli[j] = m
+    divisor, log = vertex.divisor, conf.move_log
+    new_id = len(vals)
+    for s in range(0, bad - bad % weight, weight):
+        consumed = run[s : s + weight]
+        selected = tuple([consumed[k - 1] for k in block(p, reduced[s : s + weight])])
+        val = tuple(map(mod, map(sum, zip(*map(vals.__getitem__, selected))), factors))
+        cost = sum(map(costs.__getitem__, selected))
+        if cost > budget or any(map(mod, val, child_moduli)):
+            child = lattice.vertices[child_idx]
+            raise InternalInvariantError(
+                f"merged pebble {new_id} is not well placed at vertex {child.divisor}"
+            )
+        vals.append(val)
+        costs.append(cost)
+        child_pool.append(new_id)
+        log.append(MoveRecord(divisor, p, weight, consumed, selected, new_id))
+        if conf.debug:
+            _debug_check(conf, new_id)
+        new_id += 1
+    if bad < need:
+        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}")
     return conf
 
 
-def _debug_check(conf: Configuration, pebble: Pebble) -> None:
-    """Recompute the new pebble from scratch and rescan pairwise disjointness."""
-    val, cost = _recompute(conf.dec, conf.elements, sorted(pebble.members))
-    if val.coords != pebble.val or cost != pebble.ord_cost:
-        raise InternalInvariantError(f"cached value of pebble {pebble.pid} disagrees with its members")
+def _debug_check(conf: Configuration, pid: int) -> None:
+    """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
+    log = conf.move_log
+    val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(log, pid))))
+    if val.coords != conf.vals[pid] or cost != conf.costs[pid]:
+        raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
     seen: set[int] = set()
-    for other in conf.live_pebbles():
-        members = other.members
-        if members & seen:
-            raise InternalInvariantError("live pebbles share member indices")
-        seen |= members
+    for pool in conf.pools.values():
+        for other in pool:
+            members = frozenset(_leaves(log, other))
+            if members & seen:
+                raise InternalInvariantError("live pebbles share member indices")
+            seen |= members
 
 
-def _greedy_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple[int, int]] | None:
-    """Move (vertex index, coordinate) list reaching the root, or None on a stall.
+# A plan is a list of runs (vertex index, coordinate, count): count moves at
+# that vertex down that coordinate, made by one merge_step call.
+Plan = list[tuple[int, int, int]]
+
+
+def _greedy_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> Plan | None:
+    """Runs reaching the root, or None on a stall.
 
     Preference order: highest occupied vertex first (ties by ascending exponent
     vector), then the cheapest down edge (ties by coordinate). A move only adds
@@ -285,29 +324,30 @@ def _greedy_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple
     if start[root] >= 1:
         return []
     prof = list(start)
-    plan: list[tuple[int, int]] = []
+    plan: Plan = []
     for vidx in lattice.scan_order:
         if not lattice.moves[vidx]:
             continue
         ci, w, child = lattice.moves[vidx][0]
-        while prof[vidx] >= w:
-            prof[vidx] -= w
-            prof[child] += 1
-            plan.append((vidx, ci))
-            if prof[root] >= 1:
-                return plan
+        k = prof[vidx] // w
+        if k:
+            if child == root:
+                return plan + [(vidx, ci, 1)]
+            prof[vidx] -= k * w
+            prof[child] += k
+            plan.append((vidx, ci, k))
     return None
 
 
-def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tuple[int, int]] | None:
-    """Move (vertex index, coordinate) list reaching the root, dropping one top level at a time.
+def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> Plan | None:
+    """Runs reaching the root, dropping one top level at a time.
 
     The box under one top level per coordinate (first the heights) has pebbling
     number T, the product of its edge weights. Dropping top level h of
     coordinate i, edge weight v, makes floor(c / v) moves on each pile c of that
     level in the box, in scan order; pebbles then in the smaller box are "kept".
     Each step drops the coordinate of largest kept * v, ties to the lowest;
-    work is O(d * V) per step over sum(heights) steps, plus one entry per move.
+    work is O(d * V) per step over sum(heights) steps.
 
     Why it does not stall: i "qualifies" when kept * v >= T, the smaller
     box's need times v; qualifying steps reach the root, and the largest
@@ -325,7 +365,7 @@ def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tu
     """
     root, vertices, weights = lattice.root_index, lattice.vertices, lattice.level_weights
     prof, tops = list(start), list(lattice.dec.heights)
-    plan: list[tuple[int, int]] = []
+    plan: Plan = []
     while not prof[root]:
         box = [x for x in lattice.scan_order if prof[x] and all(map(int.__le__, vertices[x].u, tops))]
         scores = {}  # coordinate -> kept * v
@@ -340,11 +380,11 @@ def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> list[tu
         for x in box:
             if vertices[x].u[i] == h and prof[x] >= v:
                 if x - stride == root:
-                    return plan + [(x, i)]
+                    return plan + [(x, i, 1)]
                 k = prof[x] // v
                 prof[x] -= k * v
                 prof[x - stride] += k
-                plan.extend([(x, i)] * k)
+                plan.append((x, i, k))
         tops[i] -= 1
     return plan
 
@@ -368,8 +408,8 @@ def solve_to_root(conf: Configuration) -> Pebble:
         counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(conf.lattice.vertices, profile) if c)
         orders = ",".join(map(str, conf.dec.spec.cyclic_orders))
         raise InternalInvariantError(f"no plan reaches the root: group {orders}, count profile {counts}")
-    for (vidx, ci), run in itertools.groupby(plan):
-        merge_step(conf, conf.lattice.vertex_at(vidx), ci, len(list(run)))
+    for vidx, ci, k in plan:
+        merge_step(conf, conf.lattice.vertex_at(vidx), ci, k)
     result = conf.root_pebble()
     if result is None:
         raise InternalInvariantError("planned moves did not produce a root pebble")

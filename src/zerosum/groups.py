@@ -162,6 +162,18 @@ class GroupElement(NamedTuple):
     coords: tuple[int, ...]
 
 
+def elements_from_coords(
+    dec: PrimaryDecomposition, coords: Iterable[tuple[int, ...]]
+) -> list[GroupElement]:
+    """GroupElement(dec, c) for every tuple c of reduced coordinates.
+
+    Each is made by tuple.__new__ itself: the __new__ that NamedTuple
+    generates makes the same call behind a Python-level frame, which about
+    doubles the time to build a long sequence.
+    """
+    return list(map(tuple.__new__, repeat(GroupElement), zip(repeat(dec), coords)))
+
+
 def identity(dec: PrimaryDecomposition) -> GroupElement:
     return GroupElement(dec, (0,) * len(dec.invariant_factors))
 
@@ -207,7 +219,7 @@ def encode_sequence(
         map(mod, col, repeat(n)) if col is not None else repeat(0, len(raws))
         for col, n in zip(acc, dec.invariant_factors)
     ]
-    return list(map(GroupElement, repeat(dec), zip(*coords)))
+    return elements_from_coords(dec, zip(*coords))
 
 
 def add_elements(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -225,6 +237,19 @@ def element_order(g: GroupElement) -> int:
     """
     factors = g.dec.invariant_factors
     return math.lcm(*map(floordiv, factors, map(math.gcd, g.coords, factors)))
+
+
+def element_orders(dec: PrimaryDecomposition, elements: Sequence[GroupElement]) -> list[int]:
+    """`element_order` of every element, a column at a time: n // gcd(x, n)
+    over each invariant factor's column, then the lcm across columns."""
+    if not elements:
+        return []
+    columns = zip(*[g.coords for g in elements])
+    per_factor = [
+        map(n.__floordiv__, map(math.gcd, col, repeat(n)))
+        for col, n in zip(columns, dec.invariant_factors)
+    ]
+    return list(per_factor[0] if len(per_factor) == 1 else map(math.lcm, *per_factor))
 
 
 def element_index(g: GroupElement) -> int:

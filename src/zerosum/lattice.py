@@ -90,6 +90,8 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
         acc *= h + 1
     strides = tuple(reversed(strides))
 
+    # dual_partition validates each row, so the exponent matrix is checked
+    # here once and every vertex below reads it unchecked.
     duals = tuple(dual_partition(row) for row in dec.exponents)
     level_weights = tuple(
         tuple(p**d for d in dual) for p, dual in zip(dec.primes, duals)
@@ -111,7 +113,11 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        res_moduli = _residual_moduli(dec, v.u)
+        # The closed form of residual_exponents, on rows validated above.
+        residual = tuple(
+            tuple(max(e - ui, 0) for e in row) for ui, row in zip(v.u, dec.exponents)
+        )
+        res_moduli = _residual_moduli(dec, residual)
         residual_moduli.append(res_moduli)
         placement.append(_placement(dec, v.divisor, res_moduli))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))
@@ -130,9 +136,10 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
     )
 
 
-def _residual_moduli(dec: PrimaryDecomposition, u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Entry (i, j) is primes[i] raised to the residual exponent of component (i, j) at u."""
-    residual = residual_exponents(dec.exponents, u)
+def _residual_moduli(
+    dec: PrimaryDecomposition, residual: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is primes[i] raised to the residual exponent residual[i][j]."""
     return tuple(tuple(p**e for e in row) for p, row in zip(dec.primes, residual))
 
 
@@ -142,7 +149,7 @@ def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRu
     components' residual moduli, wherever that exceeds 1 (exact: each divides
     its component's order, and those orders are coprime)."""
     divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
-    return _placement(dec, divisor, _residual_moduli(dec, u))
+    return _placement(dec, divisor, _residual_moduli(dec, residual_exponents(dec.exponents, u)))
 
 
 def _placement(

@@ -23,7 +23,7 @@ from .groups import (
     PrimaryDecomposition,
     element_from_index,
     element_index,
-    element_order,
+    element_orders,
 )
 from .lattice import build_lattice
 
@@ -321,7 +321,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
         if g.dec is not dec and g.dec != dec:
             raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
-    costs = [dec.exponent // element_order(g) for g in elements]
+    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -372,8 +372,9 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     if order > cap:
         raise InputError(f"group order {order} above the enumeration bound {cap}")
     bound = dec.exponent
-    costs = [bound // element_order(element_from_index(dec, i)) for i in range(order)]
-    tables = [_shift_table(element_from_index(dec, i)) for i in range(order)]
+    elements = [element_from_index(dec, i) for i in range(order)]
+    costs = list(map(bound.__floordiv__, element_orders(dec, elements)))
+    tables = list(map(_shift_table, elements))
     if weighted:
         return _longest_weighted(tables, costs, bound, 1, frozenset(), 0) + 1
     return _longest_plain(tables, 1, frozenset(), 0) + 1

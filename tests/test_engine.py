@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -74,10 +73,10 @@ def test_initial_pebbles_sit_on_order_vertices():
     dec = _dec("12")
     els = _elements(dec, [0, 1, 2, 3, 4, 6, 8, 9, 10, 5, 7, 11])
     conf = initial_configuration(dec, els)
-    for pool in conf.pebbles_at.values():
-        for peb in pool:
-            assert peb.vertex.divisor == element_order(els[peb.pid - 1])
-            assert peb.members == frozenset([peb.pid])
+    assert [peb.pid for peb in conf.live_pebbles()] == list(range(1, 13))
+    for peb in conf.live_pebbles():
+        assert peb.vertex.divisor == element_order(els[peb.pid - 1])
+        assert peb.members == frozenset([peb.pid])
 
 
 def test_z4_all_ones_full_trace():
@@ -147,8 +146,7 @@ def test_greedy_plan_on_profiles():
     dec = _dec("4")
     lat = build_lattice(dec)
     # Four pebbles on the order-4 vertex reach the root in three moves.
-    plan = _greedy_plan(lat, (0, 0, 4))
-    assert plan is not None and len(plan) == 3
+    assert _greedy_plan(lat, (0, 0, 4)) == [(2, 0, 2), (1, 0, 1)]
     # A pebble already at the root needs no plan.
     assert _greedy_plan(lat, (1, 0, 0)) == []
     # Three pebbles split 1/2 across levels cannot move at all.
@@ -156,11 +154,11 @@ def test_greedy_plan_on_profiles():
 
 
 def _replay(lat, start, plan):
-    """Apply a plan under the count rules (each move needs a pile of at least
-    its edge weight) and return the final profile; runs of one move are batched."""
+    """Apply a plan's runs under the count rules (each move needs a pile of at
+    least its edge weight) and return the final profile."""
     counts = list(start)
-    for (vidx, ci), run in itertools.groupby(plan):
-        k = sum(1 for _ in run)
+    for vidx, ci, k in plan:
+        assert k >= 1
         _, w, child = next(mv for mv in lat.moves[vidx] if mv[0] == ci)
         assert counts[vidx] >= k * w, f"move at vertex {vidx} needs {w} pebbles per move"
         counts[vidx] -= k * w
@@ -205,10 +203,10 @@ def test_eliminate_plan_exact_moves():
     # Z_6, six pebbles on top: both coordinates keep kept * v = 6, and the tie
     # goes to coordinate 0 (p = 2).
     lat = build_lattice(_dec("6"))
-    assert _eliminate_plan(lat, (0, 0, 0, 6)) == [(3, 0)] * 3 + [(1, 1)]
+    assert _eliminate_plan(lat, (0, 0, 0, 6)) == [(3, 0, 3), (1, 1, 1)]
     # Planning stops at the first root pebble, with pebbles left for more moves.
     lat = build_lattice(_dec("4"))
-    assert _eliminate_plan(lat, (0, 4, 0)) == [(1, 0)]
+    assert _eliminate_plan(lat, (0, 4, 0)) == [(1, 0, 1)]
 
 
 def _profiles(total, parts):
@@ -437,7 +435,8 @@ def test_extract_requires_root_pebble():
     dec = _dec("4")
     els = _elements(dec, [1, 1, 1, 1])
     conf = initial_configuration(dec, els)
-    stray = conf.pebbles_at[conf.lattice.vertex_index((2,))][0]
+    stray = conf.live_pebbles()[0]
+    assert stray.vertex.u == (2,)
     with pytest.raises(InputError):
         extract_certificate(stray, dec, els)
 
@@ -452,7 +451,8 @@ def test_debug_mode_catches_tampered_cached_value():
     for debug in (False, True):
         conf = initial_configuration(dec, els, debug=debug)
         top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
-        conf.pebbles_at[conf.lattice.vertex_index((2,))][0].val = three.coords
+        assert conf.pools[conf.lattice.vertex_index((2,))][0] == 1
+        conf.vals[1] = three.coords
         if not debug:
             merge_step(conf, top, 0)
             continue
@@ -467,7 +467,8 @@ def test_merge_refuses_consumed_pebble_not_well_placed():
     els = _elements(dec, [2, 2, 1, 1])
     conf = initial_configuration(dec, els)
     lat = conf.lattice
-    conf.pebbles_at[lat.vertex_index((1,))][0].val = to_primary_coordinates((1,), dec).coords
+    assert conf.pools[lat.vertex_index((1,))][0] == 1
+    conf.vals[1] = to_primary_coordinates((1,), dec).coords
     with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
         merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
 
@@ -476,8 +477,11 @@ def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
     dec, els, conf, cert = _solve("4", [1, 1, 1, 1])
     root = conf.root_pebble()
     assert root.members == frozenset(cert.indices) == frozenset([1, 2, 3, 4])
-    # Cut the merge tree to one branch: members 1 and 2 sum to 2, not 0.
-    root.parts = root.parts[:1]
+    # Cut the merge tree to one branch: members 1 and 2 sum to 2, not 0. The
+    # move log is the tree, and the root's last move made it.
+    last = conf.move_log[-1]
+    assert last.new_id == root.pid and last.selected == (5, 6)
+    conf.move_log[-1] = last._replace(selected=last.selected[:1])
     assert root.members == frozenset([1, 2])
     with pytest.raises(InternalInvariantError, match="fails recheck"):
         extract_certificate(root, dec, els)
@@ -505,8 +509,7 @@ def _seeded_nonzero(text, seed):
     ],
 )
 def test_batched_runs_match_single_moves(text, make):
-    # solve_to_root makes each run of equal plan entries in one merge_step
-    # call; replaying the same plan one move per call gives the same pebbles.
+    # solve_to_root makes each planned run in one merge_step call; replaying the same plan one move per call gives the same pebbles.
     if make is None:
         dec, els = _seeded_nonzero(text, 3)
     else:
@@ -519,9 +522,10 @@ def test_batched_runs_match_single_moves(text, make):
     plan = _greedy_plan(single.lattice, profile)
     assert (plan is None) == batched.fallback_fired == (text in ("12", "210"))
     plan = plan if plan is not None else _eliminate_plan(single.lattice, profile)
-    assert any(a == b for a, b in zip(plan, plan[1:])), "no run of two or more moves"
-    for vidx, ci in plan:
-        merge_step(single, single.lattice.vertex_at(vidx), ci)
+    assert any(k >= 2 for _, _, k in plan), "no run of two or more moves"
+    for vidx, ci, k in plan:
+        for _ in range(k):
+            merge_step(single, single.lattice.vertex_at(vidx), ci)
     assert batched.move_log == single.move_log
     assert [p.pid for p in batched.live_pebbles()] == [p.pid for p in single.live_pebbles()]
     assert [p.val for p in batched.live_pebbles()] == [p.val for p in single.live_pebbles()]
@@ -537,8 +541,8 @@ def _z8_order_two_run(tamper_pid, value, debug):
     dec = _dec("8")
     conf = initial_configuration(dec, _elements(dec, [4] * 8), debug=debug)
     vidx = conf.lattice.vertex_index((1,))
-    pool = conf.pebbles_at[vidx]
-    next(p for p in pool if p.pid == tamper_pid).val = (value,)
+    assert tamper_pid in conf.pools[vidx]
+    conf.vals[tamper_pid] = (value,)
     return conf, conf.lattice.vertex_at(vidx)
 
 
@@ -548,6 +552,22 @@ def test_batched_run_refuses_misplaced_pebble_at_its_move():
         merge_step(conf, vertex, 0, 4)
     # The first move went through; the second, which consumes pebble 3, stops the run.
     assert [m.consumed for m in conf.move_log] == [(1, 2)]
+
+
+def test_batched_run_stops_at_the_first_misplaced_pebble_in_any_coordinate():
+    # Z_4 + Z_4: pebbles 1-12 have order 2 and sit on divisor 2, where both
+    # coordinates must be even; a run of two weight-4 moves there consumes
+    # pebbles 1-8. Pebble 5 is odd in coordinate 1, pebble 6 in coordinate 0:
+    # the run stops at pebble 5, after the first move.
+    dec = _dec("4,4")
+    raws = [(2, 0)] * 4 + [(0, 2)] * 4 + [(2, 2)] * 4 + [(1, 0)] * 4
+    conf = initial_configuration(dec, _elements(dec, raws))
+    vidx = conf.lattice.vertex_index((1,))
+    assert conf.pools[vidx] == list(range(1, 13))
+    conf.vals[5], conf.vals[6] = (0, 1), (1, 2)
+    with pytest.raises(InternalInvariantError, match="pebble 5 is not well placed at vertex 2"):
+        merge_step(conf, conf.lattice.vertex_at(vidx), 0, 2)
+    assert [m.consumed for m in conf.move_log] == [(1, 2, 3, 4)]
 
 
 def test_batched_run_debug_catches_tampered_value_at_its_move():
@@ -571,4 +591,4 @@ def test_merge_step_count_checks_the_pool_once():
     with pytest.raises(InputError, match="move count"):
         merge_step(conf, vertex, 0, 0)
     assert conf.move_log == []
-    assert len(conf.pebbles_at[conf.lattice.vertex_index((1,))]) == 8
+    assert len(conf.pools[conf.lattice.vertex_index((1,))]) == 8

@@ -7,8 +7,11 @@ any change to a pebble id, a consumed or selected set, a move's order or a
 certificate fails here. The Z_3^6 solve and the per-command digests were
 recorded before the elementary path and the JSON renderer were rewritten to
 work a whole sequence at a time, so they pin those rewrites to the old bytes.
-The inputs are drawn with the CLI's SplitMix64, so they are the same on every
-platform.
+The Z_2048 and Z_2187 solves were recorded before pebbles became table rows;
+their moves below the top vertex divide by residual moduli above 1, so they pin
+the `x // m % p` reduction and the consumed-pebble check over long runs (every
+move of the squarefree Z_2310 solve divides by 1). The inputs are drawn with
+the CLI's SplitMix64, so they are the same on every platform.
 """
 
 from __future__ import annotations
@@ -65,6 +68,16 @@ CASES = {
         ["solve-cyclic", "--n", "2310", "--seq", _max_order_cyclic(2310, 11)],
         "775d13b08ad7e35bba479359dad70d4866e2432fb835e63b3cfbe660ccb02881",
         lambda r: {m["prime"] for m in r["moves"]} == {2, 3, 5, 7, 11},
+    ),
+    "max-order Z_2048": (
+        ["solve-cyclic", "--n", "2048", "--seq", _max_order_cyclic(2048, 17)],
+        "033af7b8eb0d62ec76864b49174111275167ee16f2fc4fb183189012728062ed",
+        lambda r: len(r["moves"]) == 2047 and {m["weight"] for m in r["moves"]} == {2},
+    ),
+    "max-order Z_2187": (
+        ["solve-cyclic", "--n", "2187", "--seq", _max_order_cyclic(2187, 17)],
+        "ecb2815919ec96abee09a2d6e398fb156ce45034009d26c5054a91def1816481",
+        lambda r: len(r["moves"]) == 1093 and {m["weight"] for m in r["moves"]} == {3},
     ),
     "zero-free Z_2^10": (
         ["solve", "--group", ",".join(["2"] * 10), "--seq", _zero_free_z2(10, 12)],
@@ -143,3 +156,45 @@ def test_json_bytes_are_pinned_for_every_command(capsys, name):
     out = capsys.readouterr().out
     assert json.loads(out)["exit_code"] == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --seq (or the --seq-file lines) given to `solve-cyclic --json`: (modulus,
+# source, exit code, SHA-256 of stdout or "" for none, stderr), recorded
+# before solve-cyclic read its integers with one split.
+PARSE_CASES = {
+    "blank part": ("4", "1,,1,1,1", 0, "2af2c9ec78c1be167853ace3e93540e94374f937c3b10e30bc7826109077107d", ""),
+    "spaces": ("4", " 1 , 1,1 ,1 ", 0, "2af2c9ec78c1be167853ace3e93540e94374f937c3b10e30bc7826109077107d", ""),
+    "semicolons": ("4", "1;1;1;1", 0, "2af2c9ec78c1be167853ace3e93540e94374f937c3b10e30bc7826109077107d", ""),
+    "pair among singles": (
+        "3", "1,2;3", 2, "", "input error: cyclic sequence elements are single integers, got [1, 2]\n"
+    ),
+    "trailing semicolon": (
+        "3", "1,2,3;", 2, "", "input error: cyclic sequence elements are single integers, got [1, 2, 3]\n"
+    ),
+    "bad part": ("2", "1,x", 2, "", "input error: bad element 'x' in sequence\n"),
+    "inner space": ("3", "1,2 3,4", 2, "", "input error: bad element '2 3' in sequence\n"),
+    "empty": ("2", "", 2, "", "input error: empty sequence\n"),
+    "only commas": ("4", ",,", 2, "", "input error: sequence has no elements\n"),
+    "negatives first": ("4", "-1,-3,-5,2", 0, "c21bbec5d219edc62a7602a582c71cc8415f7a964f2c1b2e3b63d6328766f29d", ""),
+    "negatives": ("4", "3,-1,-5,-6", 0, "82b8b058512ea3cce63a5b17f20aca6f9164f0179c768cbfa9cc5cd4da22c310", ""),
+    "underscore": ("3", "1_0,2,3", 0, "63f3494c0be0ae302020fab230c99f8eb037240f116aba3ef87a071581b146fc", ""),
+    "file": ("4", "3\n\n -1 \n5\n 6\n", 0, "5e155f49be73c2d719f8dac3a02aa842a86f545cc375dfb29c94b07e262f5eed", ""),
+    "file pair": (
+        "3", "1\n2,3\n", 2, "", "input error: cyclic sequence elements are single integers, got [2, 3]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_solve_cyclic_parsing_is_pinned(capsys, tmp_path, name):
+    n, text, exit_code, digest, err = PARSE_CASES[name]
+    if name.startswith("file"):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        source = ["--seq-file", str(path)]
+    else:
+        source = ["--seq=" + text]
+    assert main(["solve-cyclic", "--n", n, *source, "--json"]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (hashlib.sha256(captured.out.encode()).hexdigest() if captured.out else "") == digest

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from zerosum import (
     primary_decomposition,
     to_primary_coordinates,
 )
-from zerosum.groups import MAX_GROUP_ORDER, encode_sequence
+from zerosum.groups import MAX_GROUP_ORDER, element_orders, encode_sequence
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
 
@@ -121,6 +122,16 @@ def test_element_orders_z12():
     dec = _dec("12")
     got = [element_order(to_primary_coordinates((a,), dec)) for a in range(12)]
     assert got == [1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12]
+
+
+@pytest.mark.parametrize("text", ["1", "4,2,2", "9,3", "2,2,2,2,2", "12,6", "30030"])
+def test_column_orders_match_element_order(text):
+    dec = _dec(text)
+    rng = random.Random(text)
+    els = [element_from_index(dec, rng.randrange(dec.group_order)) for _ in range(200)]
+    els.append(identity(dec))
+    assert element_orders(dec, els) == list(map(element_order, els))
+    assert element_orders(dec, []) == []
 
 
 def test_order_cost_is_gcd_for_cyclic():
