@@ -90,8 +90,6 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
         acc *= h + 1
     strides = tuple(reversed(strides))
 
-    # dual_partition validates each row, so the exponent matrix is checked
-    # here once and every vertex below reads it unchecked.
     duals = tuple(dual_partition(row) for row in dec.exponents)
     level_weights = tuple(
         tuple(p**d for d in dual) for p, dual in zip(dec.primes, duals)
@@ -113,7 +111,7 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        # The closed form of residual_exponents, on rows validated above.
+        # residual_exponents' closed form, on rows dual_partition validated above.
         residual = tuple(
             tuple(max(e - ui, 0) for e in row) for ui, row in zip(v.u, dec.exponents)
         )
