@@ -31,11 +31,10 @@ from .groups import (
 )
 from .partitions import (
     dual_partition,
-    edge_weight_exponent,
     residual_exponents,
     residual_exponents_by_recursion,
 )
-from .lattice import LatticeVertex, WeightedLattice, build_lattice, vertex_of_order
+from .lattice import LatticeVertex, WeightedLattice, build_lattice
 from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum, projective_line_of
 from .engine import (
     Certificate,
@@ -85,13 +84,11 @@ __all__ = [
     "primary_decomposition",
     "to_primary_coordinates",
     "dual_partition",
-    "edge_weight_exponent",
     "residual_exponents",
     "residual_exponents_by_recursion",
     "LatticeVertex",
     "WeightedLattice",
     "build_lattice",
-    "vertex_of_order",
     "cyclic_prime_zero_sum",
     "elementary_zero_sum",
     "projective_line_of",

@@ -5,8 +5,10 @@ nonempty zero-sum subsequences, exhaustive generalized pebbling numbers for
 small weighted graphs, and Davenport-type constants by multiset search. All
 arithmetic is exact; every bound breach raises instead of approximating.
 
-The DP keeps one best cost per group element, so n items cost O(n * |G|)
-work. That product is checked against MAX_DP_WORK before the DP starts and
+The DP keeps one best cost per group element, so n items cost at most
+O(n * |G|) work. A copy of the item before it relaxes only from the sums that
+copy improved: from any other sum, the copy before relaxed the same value. The
+worst case n * |G| is checked against MAX_DP_WORK before the DP starts and
 refused with InputError (exit 2). Its witness is the chain of first items at
 which each cost on the chain became optimal; see dp_min_cost_zero_sum.
 """
@@ -306,8 +308,14 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
 
     Exact 0/1 DP over element indices: item k with order cost c turns
     best[s + g] into min(best[s + g], best[s] + c), reading best as it stood
-    before item k, and seeds the singleton best[g] = c. That is O(n * |G|)
-    work for n items, and refused above MAX_DP_WORK before it starts.
+    before item k, and seeds the singleton best[g] = c.
+
+    An item equal to the item before it reads only the sums that its previous
+    copy strictly improved. That is exact: if copy k-1 left best[s] unchanged,
+    it already relaxed s + g with the same value, so copy k cannot improve
+    s + g from s. The first copy of an element costs O(sums reached) and each
+    later copy O(sums its previous copy improved); the worst case stays
+    O(n * |G|) for n items, refused above MAX_DP_WORK before it starts.
 
     best[t] changes only on a strict improvement, and the change records the
     parent (t, new cost) -> (t - g, k). The witness walks back from
@@ -327,18 +335,23 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     reached: list[int] = []
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
     table_of = table = None
+    changed: list[int] = []
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
         gi = element_index(g)
         if gi != table_of:
             table_of, table = gi, _shift_table(g)
-        before = best[:]
+            sources, before = reached, best[:]
+        else:
+            sources, before = changed, {s: best[s] for s in changed}
         fresh = []
+        changed = []
         if c < best[gi]:
             if best[gi] == unreached:
                 fresh.append(gi)
             best[gi] = c
             parent[(gi, c)] = (None, k)
-        for s in reached:
+            changed.append(gi)
+        for s in sources:
             t = table[s]
             cost = before[s] + c
             if cost < best[t]:
@@ -346,6 +359,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
                     fresh.append(t)
                 best[t] = cost
                 parent[(t, cost)] = (s, k)
+                changed.append(t)
         reached += fresh
     if best[0] == unreached:
         return OracleResult(False, None, (), False)

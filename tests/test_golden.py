@@ -114,7 +114,11 @@ def test_json_trace_bytes_are_pinned(capsys, name):
 
 
 # name: (argv, SHA-256 of the `--json` output, exit code): one case for each
-# command kind, so the renderer is pinned on every report shape.
+# command kind, so the renderer is pinned on every report shape. The two runs of
+# repeated elements were recorded before a repeated DP item read only the sums
+# its previous copy improved: the Z_60 witness (50, 7 and three of the ten 1s)
+# takes several copies from one run plus a sum reached before it, and 2309
+# copies of a unit of Z_2310 have no zero-sum subsequence.
 COMMANDS = {
     "solve-cyclic Z_2310": (
         ["solve-cyclic", "--n", "2310", "--seq", _max_order_cyclic(2310, 15)],
@@ -129,6 +133,16 @@ COMMANDS = {
     "infeasible oracle Z_210": (
         ["oracle", "--group", "210", "--seq", ",".join(["11"] * 209)],
         "33e59f66abdef6686a34856706df8bafba820d789f61c265c59c13f1bb7edeb7",
+        1,
+    ),
+    "feasible oracle Z_60": (
+        ["oracle", "--group", "60", "--seq", ",".join(["50", "7"] + ["1"] * 10 + ["30", "30"])],
+        "b1766d85be31999d7d215398fe940f0e562034d68d5ef1590fe15b3ff1cedf96",
+        0,
+    ),
+    "infeasible oracle Z_2310": (
+        ["oracle", "--group", "2310", "--seq", ",".join(["13"] * 2309)],
+        "ebb400d125c42314bb4e1f3ab61aee1d18b7e6097a6ac0ccbe015ed875f60bcc",
         1,
     ),
     "failing verify Z_3^6": (

@@ -10,9 +10,11 @@ from zerosum import (
     InputError,
     build_lattice,
     group_spec,
+    initial_configuration,
+    merge_step,
     parse_group_spec,
     primary_decomposition,
-    vertex_of_order,
+    to_primary_coordinates,
 )
 from zerosum.partitions import residual_exponents
 
@@ -24,20 +26,29 @@ def _lat(text: str):
     return dec, build_lattice(dec)
 
 
+def _down_weight(lat, u, i):
+    """Weight of the down edge leaving vertex u in coordinate i, read from the
+    level weights and checked against the vertex's move table."""
+    w = lat.level_weights[i][u[i] - 1]
+    idx = lat.vertex_index(u)
+    assert (i, w, idx - lat.strides[i]) in lat.moves[idx]
+    return w
+
+
 def test_z4_is_a_path_of_three():
     dec, lat = _lat("4")
     assert lat.num_vertices == 3
     assert [v.divisor for v in lat.vertices] == [1, 2, 4]
     # Both levels carry weight 2 since the dual of (2) is (1,1).
-    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1,))), 0) == 2
-    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((2,))), 0) == 2
+    assert _down_weight(lat, (1,), 0) == 2
+    assert _down_weight(lat, (2,), 0) == 2
 
 
 def test_z2z2_is_one_heavy_edge():
     dec, lat = _lat("2,2")
     assert lat.num_vertices == 2
-    v = lat.vertex_at(lat.vertex_index((1,)))
-    assert lat.down_edge_weight(v, 0) == 4
+    assert lat.vertex_at(lat.vertex_index((1,))).divisor == 2
+    assert _down_weight(lat, (1,), 0) == 4
 
 
 def test_z6_is_a_grid():
@@ -46,16 +57,16 @@ def test_z6_is_a_grid():
     assert sorted(v.divisor for v in lat.vertices) == [1, 2, 3, 6]
     u = lat.vertex_at(lat.vertex_index((1, 1)))
     assert u.divisor == 6
-    assert lat.down_edge_weight(u, 0) == 2
-    assert lat.down_edge_weight(u, 1) == 3
+    assert _down_weight(lat, u.u, 0) == 2
+    assert _down_weight(lat, u.u, 1) == 3
 
 
 def test_z9z3_weights():
     dec, lat = _lat("9,3")
     # One prime, exponents (2,1), dual (2,1): level weights 9 then 3.
     assert lat.num_vertices == 3
-    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1,))), 0) == 9
-    assert lat.down_edge_weight(lat.vertex_at(lat.vertex_index((2,))), 0) == 3
+    assert _down_weight(lat, (1,), 0) == 9
+    assert _down_weight(lat, (2,), 0) == 3
 
 
 def test_trivial_group_lattice():
@@ -126,17 +137,19 @@ def test_residual_moduli_match_partitions():
 def test_down_edge_needs_positive_level():
     dec, lat = _lat("6")
     root = lat.vertex_at(lat.root_index)
-    with pytest.raises(InputError):
-        lat.down_edge_weight(root, 0)
-    with pytest.raises(InputError):
-        lat.down_edge_weight(lat.vertex_at(lat.vertex_index((1, 0))), 1)
+    assert lat.moves[lat.root_index] == ()
+    assert [ci for ci, _, _ in lat.moves[lat.vertex_index((1, 0))]] == [0]
+    conf = initial_configuration(dec, [to_primary_coordinates((1,), dec)] * 6, lattice=lat)
+    for vertex, coordinate in ((root, 0), (lat.vertex_at(lat.vertex_index((1, 0))), 1), (root, 2)):
+        with pytest.raises(InputError, match="no down edge"):
+            merge_step(conf, vertex, coordinate)
 
 
-def test_vertex_of_order_maps_divisors():
+def test_vertex_index_maps_divisors():
     dec, lat = _lat("12")
-    assert vertex_of_order(1, dec).u == (0, 0)
-    assert vertex_of_order(6, dec).u == (1, 1)
-    assert vertex_of_order(12, dec).u == (2, 1)
+    assert lat.vertex_at(lat.vertex_index((0, 0))).divisor == 1
+    assert lat.vertex_at(lat.vertex_index((1, 1))).divisor == 6
+    assert lat.vertex_at(lat.vertex_index((2, 1))).divisor == 12
 
 
 def test_vertex_cap_guard():

@@ -28,7 +28,14 @@ from zerosum import (
 )
 from zerosum.cli import SplitMix64
 from zerosum import oracle
-from zerosum.oracle import MAX_DP_WORK, _shift_table, pebbling_lower_bound
+from zerosum.groups import element_orders
+from zerosum.oracle import (
+    MAX_DP_WORK,
+    OracleResult,
+    _shift_table,
+    check_dp_work,
+    pebbling_lower_bound,
+)
 
 
 def _dec(text: str):
@@ -226,6 +233,86 @@ def test_dp_reproduces_frozen_witnesses():
         for r in (dp_min_cost_zero_sum(dec, els) for dec, els in _frozen_battery())
     ]
     assert got == FROZEN_WITNESSES
+
+
+def _per_item_dp(dec, elements):
+    """The DP as it stood before repeated items read only the sums their
+    previous copy improved: every item snapshots `best` and relaxes every
+    reached sum. Kept verbatim as the reference for the equivalence test."""
+    elements = list(elements)
+    for g in elements:
+        if g.dec is not dec and g.dec != dec:
+            raise InputError("sequence element belongs to a different decomposition")
+    check_dp_work(dec, len(elements))
+    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    unreached = sum(costs) + 1
+    best = [unreached] * dec.group_order
+    reached: list[int] = []
+    parent: dict[tuple[int, int], tuple[int | None, int]] = {}
+    table_of = table = None
+    for k, (g, c) in enumerate(zip(elements, costs), start=1):
+        gi = element_index(g)
+        if gi != table_of:
+            table_of, table = gi, _shift_table(g)
+        before = best[:]
+        fresh = []
+        if c < best[gi]:
+            if best[gi] == unreached:
+                fresh.append(gi)
+            best[gi] = c
+            parent[(gi, c)] = (None, k)
+        for s in reached:
+            t = table[s]
+            cost = before[s] + c
+            if cost < best[t]:
+                if best[t] == unreached:
+                    fresh.append(t)
+                best[t] = cost
+                parent[(t, cost)] = (s, k)
+        reached += fresh
+    if best[0] == unreached:
+        return OracleResult(False, None, (), False)
+    out = []
+    s, cost = 0, best[0]
+    while s is not None:
+        s, k = parent[(s, cost)]
+        out.append(k)
+        cost -= costs[k - 1]
+    out.sort()
+    return OracleResult(True, best[0], tuple(out), best[0] <= dec.exponent)
+
+
+RUN_GROUPS = ("12", "60", "6,6", "2,2,2,2,2", "9,3", "8,4", "5,5", "4,2,2", "27", "210")
+
+
+def _run_battery():
+    """Seeded sequences made of runs of 1-10 copies, per group: the empty
+    sequence, then lengths up to |G| + 10 (80 on Z_210), with run elements
+    drawn half the time from a pool of the identity and three fixed elements."""
+    rng = SplitMix64(4096)
+    for text in RUN_GROUPS:
+        dec = _dec(text)
+        n = dec.group_order
+        pool = [0] + [rng.below(n) for _ in range(3)]
+        yield dec, []
+        for _ in range(60):
+            length = 1 + rng.below(min(n + 10, 80))
+            idx: list[int] = []
+            while len(idx) < length:
+                gi = pool[rng.below(len(pool))] if rng.below(2) else rng.below(n)
+                idx += [gi] * (1 + rng.below(10))
+            yield dec, [element_from_index(dec, i) for i in idx]
+
+
+def test_run_aware_dp_matches_per_item_dp():
+    seen = {"runs of the identity": 0, "feasible": 0, "infeasible": 0}
+    for dec, els in _run_battery():
+        got = dp_min_cost_zero_sum(dec, els)
+        assert got == _per_item_dp(dec, els)
+        seen["feasible" if got.feasible else "infeasible"] += 1
+        zero = identity(dec)
+        seen["runs of the identity"] += any(a == b == zero for a, b in zip(els, els[1:]))
+    assert min(seen.values()) >= 30, seen
 
 
 def test_shift_table_matches_group_addition():

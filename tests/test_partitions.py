@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from zerosum import (
     InputError,
+    build_lattice,
     dual_partition,
-    edge_weight_exponent,
+    parse_group_spec,
+    primary_decomposition,
     residual_exponents,
     residual_exponents_by_recursion,
 )
@@ -139,10 +141,11 @@ def test_residual_monotone_in_u(rows, data):
             assert 0 <= r <= e
 
 
-def test_edge_weight_exponent_reads_dual():
+def test_level_weights_read_the_dual():
+    # Z_32 + Z_4 + Z_4 + Z_2: one prime, exponents (5, 2, 2, 1), dual (4, 3, 1, 1, 1).
     dual = dual_partition((5, 2, 2, 1))
-    assert [edge_weight_exponent(dual, k) for k in range(1, 6)] == [4, 3, 1, 1, 1]
-    with pytest.raises(InputError):
-        edge_weight_exponent(dual, 0)
-    with pytest.raises(InputError):
-        edge_weight_exponent(dual, 6)
+    assert dual == (4, 3, 1, 1, 1)
+    lat = build_lattice(primary_decomposition(parse_group_spec("32,4,4,2")))
+    assert lat.duals == (dual,)
+    assert lat.level_weights == (tuple(2**d for d in dual),)
+    assert len(lat.level_weights[0]) == len(dual) == lat.num_vertices - 1
