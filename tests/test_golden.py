@@ -54,6 +54,12 @@ def _zero_free_z3(dim: int, seed: int) -> str:
     return ";".join(",".join(map(str, v)) for v in vecs)
 
 
+def _uniform(orders: tuple[int, ...], length: int, seed: int) -> str:
+    """length elements drawn uniformly from the group with these factor orders."""
+    rng = SplitMix64(seed)
+    return ";".join(",".join(str(rng.below(n)) for n in orders) for _ in range(length))
+
+
 def _max_order_4_2_2(seed: int) -> str:
     """16 elements of order 4 in Z_4 + Z_2 + Z_2; the last move merges 8 pebbles in dimension 3."""
     rng = SplitMix64(seed)
@@ -118,7 +124,11 @@ def test_json_trace_bytes_are_pinned(capsys, name):
 # repeated elements were recorded before a repeated DP item read only the sums
 # its previous copy improved: the Z_60 witness (50, 7 and three of the ten 1s)
 # takes several copies from one run plus a sum reached before it, and 2309
-# copies of a unit of Z_2310 have no zero-sum subsequence.
+# copies of a unit of Z_2310 have no zero-sum subsequence. The two uniform
+# sequences were recorded before the DP stopped at its cost floor and numbered
+# its sums over the invariant factors: on Z_60, items 19 and 43 (29 and 31)
+# reach cost 2 at item 43 and 17 items follow; on Z_12 + Z_6, items 11 and 18
+# ((5, 5) and (7, 1)) reach it at item 18 and 54 items follow.
 COMMANDS = {
     "solve-cyclic Z_2310": (
         ["solve-cyclic", "--n", "2310", "--seq", _max_order_cyclic(2310, 15)],
@@ -138,6 +148,16 @@ COMMANDS = {
     "feasible oracle Z_60": (
         ["oracle", "--group", "60", "--seq", ",".join(["50", "7"] + ["1"] * 10 + ["30", "30"])],
         "b1766d85be31999d7d215398fe940f0e562034d68d5ef1590fe15b3ff1cedf96",
+        0,
+    ),
+    "uniform oracle Z_60": (
+        ["oracle", "--group", "60", "--seq", _uniform((60,), 60, 14)],
+        "3495563ba8ab43900947bcef5d9c70f6358aa8d467f0776e6eb0d537cad00226",
+        0,
+    ),
+    "uniform oracle Z_12+Z_6": (
+        ["oracle", "--group", "12,6", "--seq", _uniform((12, 6), 72, 5)],
+        "4a6a58fcc1830fd058fb7717db5dabdd8a587af862ac5137fea92ce6ec60e7fd",
         0,
     ),
     "infeasible oracle Z_2310": (
