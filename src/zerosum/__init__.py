@@ -35,7 +35,6 @@ from .partitions import (
     residual_exponents_by_recursion,
 )
 from .lattice import LatticeVertex, WeightedLattice, build_lattice
-from .base_cases import cyclic_prime_zero_sum, elementary_zero_sum, projective_line_of
 from .engine import (
     Certificate,
     Configuration,
@@ -89,9 +88,6 @@ __all__ = [
     "LatticeVertex",
     "WeightedLattice",
     "build_lattice",
-    "cyclic_prime_zero_sum",
-    "elementary_zero_sum",
-    "projective_line_of",
     "Certificate",
     "Configuration",
     "MoveRecord",

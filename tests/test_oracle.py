@@ -14,7 +14,6 @@ from zerosum import (
     davenport_constant,
     dp_min_cost_zero_sum,
     element_from_index,
-    element_index,
     identity,
     element_order,
     lattice_graph,
@@ -235,10 +234,33 @@ def test_dp_reproduces_frozen_witnesses():
     assert got == FROZEN_WITNESSES
 
 
+def _component_index(g):
+    """Mixed-radix index of the primary components, in `moduli` order."""
+    idx = 0
+    for mods in g.dec.moduli:
+        for x, q in zip(g.coords, mods):
+            idx = idx * q + x % q
+    return idx
+
+
+def _component_shift_table(g):
+    """table[s] is the _component_index of s + g: a mixed-radix product of
+    per-component rotations, as the DP built it before sums were numbered
+    over the invariant factors."""
+    table = [0]
+    for mods in g.dec.moduli:
+        for x, m in zip(g.coords, mods):
+            x %= m
+            rot = [*range(x, m), *range(x)]
+            table = [hi + r for hi in (a * m for a in table) for r in rot]
+    return table
+
+
 def _per_item_dp(dec, elements):
     """The DP as it stood before repeated items read only the sums their
     previous copy improved: every item snapshots `best` and relaxes every
-    reached sum. Kept verbatim as the reference for the equivalence test."""
+    reached sum. Kept verbatim, with its component-order index and tables, as
+    the reference for the equivalence test."""
     elements = list(elements)
     for g in elements:
         if g.dec is not dec and g.dec != dec:
@@ -251,9 +273,9 @@ def _per_item_dp(dec, elements):
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
     table_of = table = None
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
-        gi = element_index(g)
+        gi = _component_index(g)
         if gi != table_of:
-            table_of, table = gi, _shift_table(g)
+            table_of, table = gi, _component_shift_table(g)
         before = best[:]
         fresh = []
         if c < best[gi]:
@@ -269,6 +291,59 @@ def _per_item_dp(dec, elements):
                     fresh.append(t)
                 best[t] = cost
                 parent[(t, cost)] = (s, k)
+        reached += fresh
+    if best[0] == unreached:
+        return OracleResult(False, None, (), False)
+    out = []
+    s, cost = 0, best[0]
+    while s is not None:
+        s, k = parent[(s, cost)]
+        out.append(k)
+        cost -= costs[k - 1]
+    out.sort()
+    return OracleResult(True, best[0], tuple(out), best[0] <= dec.exponent)
+
+
+def _full_run_dp(dec, elements):
+    """The DP as it stood before it stopped at its cost floor: it reads every
+    item. Kept verbatim, with its component-order index and tables, as the
+    reference for the stop-equivalence test."""
+    elements = list(elements)
+    for g in elements:
+        if g.dec is not dec and g.dec != dec:
+            raise InputError("sequence element belongs to a different decomposition")
+    check_dp_work(dec, len(elements))
+    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    unreached = sum(costs) + 1
+    best = [unreached] * dec.group_order
+    reached: list[int] = []
+    parent: dict[tuple[int, int], tuple[int | None, int]] = {}
+    table_of = table = None
+    changed: list[int] = []
+    for k, (g, c) in enumerate(zip(elements, costs), start=1):
+        gi = _component_index(g)
+        if gi != table_of:
+            table_of, table = gi, _component_shift_table(g)
+            sources, before = reached, best[:]
+        else:
+            sources, before = changed, {s: best[s] for s in changed}
+        fresh = []
+        changed = []
+        if c < best[gi]:
+            if best[gi] == unreached:
+                fresh.append(gi)
+            best[gi] = c
+            parent[(gi, c)] = (None, k)
+            changed.append(gi)
+        for s in sources:
+            t = table[s]
+            cost = before[s] + c
+            if cost < best[t]:
+                if best[t] == unreached:
+                    fresh.append(t)
+                best[t] = cost
+                parent[(t, cost)] = (s, k)
+                changed.append(t)
         reached += fresh
     if best[0] == unreached:
         return OracleResult(False, None, (), False)
@@ -315,15 +390,61 @@ def test_run_aware_dp_matches_per_item_dp():
     assert min(seen.values()) >= 30, seen
 
 
-def test_shift_table_matches_group_addition():
-    for text in ("1", "12", "9,3", "2,4,2", "6,6"):
+STOP_GROUPS = ("1", "2", "3", "12", "60", "6,6", "2,2,2,2,2", "9,3", "8,4", "5,5", "2,4,6", "27", "210")
+
+
+def _stop_battery():
+    """Seeded sequences per group of three kinds: uniform of length |G| to
+    |G| + 2, zero-free (no identity; uniform again on Z_1) of length up to
+    |G| + 2, and runs of 1-10 copies up to the same length, 80 on Z_210."""
+    rng = SplitMix64(5150)
+    for text in STOP_GROUPS:
         dec = _dec(text)
-        for gi in range(dec.group_order):
-            g = element_from_index(dec, gi)
-            assert _shift_table(g) == [
-                element_index(add_elements(element_from_index(dec, s), g))
-                for s in range(dec.group_order)
-            ]
+        n = dec.group_order
+        yield "uniform", dec, []
+        for _ in range(8):
+            for family in ("uniform", "zero-free", "runs"):
+                if family == "uniform":
+                    length = n + rng.below(3)
+                else:
+                    length = 1 + rng.below(min(n + 2, 80) if family == "runs" else n + 2)
+                idx: list[int] = []
+                while len(idx) < length:
+                    gi = rng.below(n) if family != "zero-free" or n == 1 else 1 + rng.below(n - 1)
+                    idx += [gi] * (1 + rng.below(10) if family == "runs" else 1)
+                yield family, dec, [element_from_index(dec, i) for i in idx]
+
+
+def test_stopping_dp_matches_full_run_dp():
+    uniform = stopped = 0
+    for family, dec, els in _stop_battery():
+        got = dp_min_cost_zero_sum(dec, els)
+        assert got == _full_run_dp(dec, els), (dec.spec, family, els)
+        # The stop fires at the item that first brings the zero sum to its
+        # floor, which is the last item of the witness.
+        if family == "uniform":
+            uniform += 1
+            stopped += got.feasible and got.min_cost <= min(2, dec.exponent) and got.indices[-1] < len(els)
+    assert stopped >= 0.7 * uniform, (stopped, uniform)
+
+
+def _row_major_index(g):
+    idx = 0
+    for x, n in zip(g.coords, g.dec.invariant_factors):
+        idx = idx * n + x
+    return idx
+
+
+def test_shift_table_matches_group_addition():
+    # Sums are numbered row-major over the invariant factors; table[0] is the
+    # index of the item itself.
+    for text in ("1", "12", "9,3", "2,4,2", "6,6", "2,4,6"):
+        dec = _dec(text)
+        elements = [element_from_index(dec, i) for i in range(dec.group_order)]
+        assert sorted(map(_row_major_index, elements)) == list(range(dec.group_order))
+        by_index = sorted(elements, key=_row_major_index)
+        for g in elements:
+            assert _shift_table(g) == [_row_major_index(add_elements(s, g)) for s in by_index]
 
 
 def test_dp_work_bound():
