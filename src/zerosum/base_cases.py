@@ -8,27 +8,33 @@ Both selections are deterministic so certificates are reproducible.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InternalInvariantError
 
 
-def _zero_sum_block(p: int, items: list[int]) -> list[int]:
-    """Nonempty 1-based index set summing to 0 mod p, from exactly p residues
-    already reduced mod a prime p.
+def _zero_sum_blocks(p: int, residues: list[int]) -> list[tuple[int, int]]:
+    """One zero-sum block per chunk of p residues already reduced mod a prime
+    p, as (start, stop) positions in `residues`, stop exclusive.
 
-    A zero residue wins as a singleton; otherwise the p+1 prefix sums collide
-    and the first collision found while scanning gives a consecutive block of
-    at most p indices.
+    The first zero residue of a chunk wins as a singleton; otherwise its p+1
+    prefix sums collide, and the first repeat gives a block of at most p
+    consecutive residues. Each distinct chunk is worked out once.
     """
-    if 0 in items:
-        return [items.index(0) + 1]
-    first_seen = {0: 0}
-    s = 0
-    for k, x in enumerate(items, start=1):
-        s = (s + x) % p
-        if s in first_seen:
-            return list(range(first_seen[s] + 1, k + 1))
-        first_seen[s] = k
-    raise InternalInvariantError("prefix sums of p residues failed to collide")
+    rule: dict[tuple[int, ...], tuple[int, int]] = {}  # chunk -> its block, from the chunk's start
+    blocks = []
+    for s, chunk in zip(range(0, len(residues), p), zip(*[iter(residues)] * p)):
+        if chunk not in rule:
+            if 0 in chunk:
+                k = chunk.index(0)
+                rule[chunk] = (k, k + 1)
+            else:
+                sums = [t % p for t in itertools.accumulate(chunk, initial=0)]
+                k = next(k for k in range(1, p + 1) if sums[k] in sums[:k])  # the first repeat
+                rule[chunk] = (sums.index(sums[k]), k)
+        a, b = rule[chunk]
+        blocks.append((s + a, s + b))
+    return blocks
 
 
 def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
@@ -59,5 +65,5 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     if len(members) < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
     chosen = members[:p]
-    block = _zero_sum_block(p, [next(filter(None, vecs[k - 1])) for k in chosen])
-    return [chosen[pos - 1] for pos in block]
+    ((start, stop),) = _zero_sum_blocks(p, [next(filter(None, vecs[k - 1])) for k in chosen])
+    return chosen[start:stop]

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Sequence
 
 from .engine import (
     extract_certificate,
@@ -63,24 +63,31 @@ class SplitMix64:
     state passed through two xor-shift multiplies:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
-    below(n) is next64() mod n; every call advances the state exactly once,
+    below(n) is next64() mod n; every draw advances the state exactly once,
     so stress runs replay identically for a given seed across platforms.
     """
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
+    def draw(self, moduli: Sequence[int]) -> list[int]:
+        """next64() mod n for each n in `moduli`, in order, with the step inlined."""
+        state, out = self.state, []
+        for n in moduli:
+            state = (state + 0x9E3779B97F4A7C15) & MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            out.append((z ^ (z >> 31)) % n)
+        self.state = state
+        return out
+
     def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        return self.draw((1 << 64,))[0]
 
     def below(self, n: int) -> int:
         if n < 1:
             raise InputError(f"cannot draw below {n}")
-        return self.next64() % n
+        return self.draw((n,))[0]
 
 
 class RunReport:
@@ -214,43 +221,33 @@ def cmd_solve(args) -> RunReport:
         "ord_cost": cert.ord_cost,
         "bound": cert.bound,
         "length_bound_ok": True,
-        "moves_applied": len(conf.move_log),
-        "fallback_fired": conf.fallback_fired,
-        "verified": True,
     }
-    report = RunReport(
-        command="solve",
-        inputs={"group": args.group, "sequence": raw},
-        results=results,
-        exit_code=EXIT_PASS,
-    )
-    report.lines = [
+    lines = [
         f"group {_group_label(dec)}: |G|={dec.group_order}, N={dec.exponent}",
         f"K = {list(cert.indices)}",
         "sum over K: identity",
         f"order cost: {cert.ord_cost}/{cert.bound} (reciprocal sum <= 1)",
-        f"moves applied: {len(conf.move_log)}, fallback fired: {_yesno(conf.fallback_fired)}",
+        f"moves applied: {len(conf.move_log)}, fallback fired: {'yes' if conf.fallback_fired else 'no'}",
         "verify: PASS",
     ]
-    if args.trace:
+    return _solve_report("solve", {"group": args.group, "sequence": raw}, results, lines, conf, args.trace)
+
+
+def _solve_report(command: str, inputs, results, lines: list[str], conf, trace: bool) -> RunReport:
+    """A verified solve's report: the move counters end its results, and
+    --trace adds the move log to the JSON and the text."""
+    results.update(moves_applied=len(conf.move_log), fallback_fired=conf.fallback_fired, verified=True)
+    report = RunReport(command, inputs, results, EXIT_PASS)
+    report.lines = lines
+    if trace:
         report.moves = [m._asdict() for m in conf.move_log]
-        report.lines.extend(_trace_lines(conf.move_log))
-    return report
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _trace_lines(move_log) -> list[str]:
-    out = ["trace:"]
-    for m in move_log:
-        out.append(
+        lines += ["trace:"] + [
             f"  at divisor {m.vertex_divisor}: consume {len(m.consumed)} pebbles "
             f"{list(m.consumed)} (weight {m.weight}, prime {m.prime}), "
             f"keep {list(m.selected)} -> pebble {m.new_id}"
-        )
-    return out
+            for m in conf.move_log
+        ]
+    return report
 
 
 def cmd_solve_cyclic(args) -> RunReport:
@@ -274,27 +271,15 @@ def cmd_solve_cyclic(args) -> RunReport:
         "gcd_terms": gcd_terms,
         "gcd_sum": sum(gcd_terms),
         "bound": args.n,
-        "moves_applied": len(conf.move_log),
-        "fallback_fired": conf.fallback_fired,
-        "verified": True,
     }
-    report = RunReport(
-        command="solve-cyclic",
-        inputs={"n": args.n, "sequence": integers},
-        results=results,
-        exit_code=EXIT_PASS,
-    )
-    report.lines = [
+    lines = [
         f"group Z({args.n})",
         f"K = {list(cert.indices)}",
         f"sum over K: 0 (mod {args.n})",
         f"gcd terms: {gcd_terms}, sum {sum(gcd_terms)} <= {args.n}",
         "verify: PASS",
     ]
-    if args.trace:
-        report.moves = [m._asdict() for m in conf.move_log]
-        report.lines.extend(_trace_lines(conf.move_log))
-    return report
+    return _solve_report("solve-cyclic", {"n": args.n, "sequence": integers}, results, lines, conf, args.trace)
 
 
 def cmd_verify(args) -> RunReport:
@@ -341,7 +326,7 @@ def cmd_oracle(args) -> RunReport:
         report.lines = [
             f"min order cost: {result.min_cost}/{dec.exponent}",
             f"witness K = {list(result.indices)}",
-            f"qualifies (cost <= {dec.exponent}): {_yesno(result.qualifies)}",
+            f"qualifies (cost <= {dec.exponent}): {'yes' if result.qualifies else 'no'}",
         ]
     else:
         report.lines = ["infeasible: no nonempty zero-sum subsequence"]
@@ -413,11 +398,10 @@ def cmd_stress(args) -> RunReport:
     total_moves = 0
     oracle_checked = 0
     oracle_budget = max(0, args.oracle_limit)
+    orders = spec.cyclic_orders
     for trial in range(args.trials):
-        elements = encode_sequence(
-            [tuple(rng.below(nf) for nf in spec.cyclic_orders) for _ in range(dec.group_order)],
-            dec,
-        )
+        draws = rng.draw(orders * dec.group_order)  # row-major: |G| elements of rank coordinates
+        elements = encode_sequence(list(zip(*[iter(draws)] * len(orders))), dec)
         conf, cert = _solve_sequence(dec, elements, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from operator import itemgetter, mod
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -26,7 +27,7 @@ from .groups import (
     identity,
 )
 from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
-from .base_cases import _elementary_block, _zero_sum_block
+from .base_cases import _elementary_block, _zero_sum_blocks
 
 
 class MoveRecord(NamedTuple):
@@ -214,11 +215,12 @@ def merge_step(
     next weight of them. Each pebble is reduced to a vector over F_p:
     coordinate j, for j below the edge's dual length, divided by the residual
     modulus of component (i, j) at `vertex` (exact by well-placedness), mod p.
-    Each residual modulus above 1 is checked, and each coordinate reduced,
-    once over the whole run; a misplaced pebble stops the run at its move,
-    after the moves before it. The base-case selection is kept, the rest are
-    discarded, and the merged pebble is checked against the child's placement
-    rule before it is logged.
+    The run is worked a column at a time; a misplaced pebble stops it at its
+    move. In dimension 1 one base-case pass gives each move a block of
+    consecutive pebbles, valued by differences of prefix sums; otherwise each
+    move runs the base case on its vectors. The moves before the first merge
+    that breaks the child's placement rule are logged at once (one at a time,
+    each debug-checked, with debug on).
     """
     lattice = conf.lattice
     u = vertex.u
@@ -244,51 +246,63 @@ def merge_step(
     if not pool:
         del conf.pools[vidx]
 
-    vals, costs = conf.vals, conf.costs
+    vals, costs, factors = conf.vals, conf.costs, dec.invariant_factors
     rows = list(map(vals.__getitem__, run))
+    cols = [list(map(itemgetter(j), rows)) for j in range(len(factors))]
+    cols.append(list(map(costs.__getitem__, run)))  # the last column: order costs
     bad = need  # position in the run of the first misplaced pebble
-    columns = []
-    for j, m in enumerate(lattice.residual_moduli[vidx][i][:dims]):
-        col = list(map(itemgetter(j), rows))
+    reduced = []
+    for col, m in zip(cols, lattice.residual_moduli[vidx][i][:dims]):
         if m > 1:
-            rems = list(map(m.__rmod__, col))
-            if any(rems):
-                bad = min(bad, next(k for k, r in enumerate(rems) if r))
+            bad = min(bad, next(itertools.compress(itertools.count(), map(m.__rmod__, col)), need))
             col = map(m.__rfloordiv__, col)
-        columns.append(list(map(p.__rmod__, col)))
-    if dims == 1:
-        reduced, block = columns[0], _zero_sum_block
+        reduced.append(list(map(p.__rmod__, col)))
+    moves = bad // weight
+    size = moves * weight
+    if dims == 1:  # sums: per column, each move's sum over its selection
+        blocks = _zero_sum_blocks(p, reduced[0][:size])
+        starts, stops = list(map(itemgetter(0), blocks)), list(map(itemgetter(1), blocks))
+        del blocks  # freed before the prefix sums: a run can hold 15,015 moves
+        selected = list(map(run.__getitem__, map(slice, starts, stops)))
+        sums = []
+        for col in cols:
+            prefix = [0, *itertools.accumulate(col)]
+            sums.append(list(map(sub, map(prefix.__getitem__, stops), map(prefix.__getitem__, starts))))
     else:
-        reduced, block = list(zip(*columns)), _elementary_block
+        vecs = list(zip(*reduced))
+        picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
+        selected = [tuple(map(run.__getitem__, q)) for q in picks]
+        sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
+    new_costs = sums.pop()
+    new_cols = [list(map(n.__rmod__, col)) for n, col in zip(factors, sums)]
 
     child_idx = vidx - lattice.strides[i]
     child_pool = conf.pools.setdefault(child_idx, [])
     budget, congruences = lattice.placement[child_idx]
-    factors = dec.invariant_factors
-    child_moduli = [1] * len(factors)  # the child's congruence on each coordinate
+    placed = next(itertools.compress(itertools.count(), map(budget.__lt__, new_costs)), moves)
     for j, m in congruences:
-        child_moduli[j] = m
-    divisor, log = vertex.divisor, conf.move_log
+        placed = min(placed, next(itertools.compress(itertools.count(), map(m.__rmod__, new_cols[j])), moves))
     new_id = len(vals)
-    for s in range(0, bad - bad % weight, weight):
-        consumed = run[s : s + weight]
-        selected = tuple([consumed[k - 1] for k in block(p, reduced[s : s + weight])])
-        val = tuple(map(mod, map(sum, zip(*map(vals.__getitem__, selected))), factors))
-        cost = sum(map(costs.__getitem__, selected))
-        if cost > budget or any(map(mod, val, child_moduli)):
-            child = lattice.vertices[child_idx]
-            raise InternalInvariantError(
-                f"merged pebble {new_id} is not well placed at vertex {child.divisor}"
-            )
-        vals.append(val)
-        costs.append(cost)
-        child_pool.append(new_id)
-        log.append(MoveRecord(divisor, p, weight, consumed, selected, new_id))
+    ids = range(new_id, new_id + placed)
+    consumed = zip(*[iter(run)] * weight)
+    fields = zip(repeat(vertex.divisor), repeat(p), repeat(weight), consumed, selected, ids)
+    records = list(map(tuple.__new__, repeat(MoveRecord), fields))
+    new_vals = list(zip(*new_cols))
+    step = 1 if conf.debug else max(placed, 1)
+    for lo in range(0, placed, step):
+        vals += new_vals[lo : lo + step]
+        costs += new_costs[lo : lo + step]
+        child_pool += ids[lo : lo + step]
+        conf.move_log += records[lo : lo + step]
         if conf.debug:
-            _debug_check(conf, new_id)
-        new_id += 1
+            _debug_check(conf, new_id + lo)
+    if placed < moves:
+        child = lattice.vertices[child_idx]
+        raise InternalInvariantError(
+            f"merged pebble {new_id + placed} is not well placed at vertex {child.divisor}"
+        )
     if bad < need:
-        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}")
+        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}")
     return conf
 
 

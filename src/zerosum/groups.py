@@ -107,10 +107,6 @@ class PrimaryDecomposition(NamedTuple):
     invariant_factors: tuple[int, ...]
     crt: tuple[tuple[int, int, int, int], ...]
 
-    @property
-    def num_primes(self) -> int:
-        return len(self.primes)
-
 
 def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
     """Split every cyclic factor into prime-power components and regroup by prime."""

@@ -1,5 +1,5 @@
 """Pigeonhole selections over Z_p and over F_p^m projective lines, through the
-two blocks the engine calls on residues it has already reduced mod p."""
+two base cases the engine calls on residues it has already reduced mod p."""
 
 from __future__ import annotations
 
@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum.base_cases import _elementary_block, _zero_sum_block
+from zerosum.base_cases import _elementary_block, _zero_sum_blocks
 
 primes = st.sampled_from([2, 3, 5, 7, 11])
+
+
+def _zero_sum_block(p: int, items: list[int]) -> list[int]:
+    """The 1-based indices of the block `_zero_sum_blocks` finds in one chunk."""
+    ((start, stop),) = _zero_sum_blocks(p, items)
+    return list(range(start + 1, stop + 1))
 
 
 def _line_of(vec, p: int) -> tuple[tuple[int, ...], int]:
@@ -54,6 +60,20 @@ def test_cyclic_output_is_zero_sum_block(p, data):
     assert sum(items[k - 1] for k in picked) % p == 0
     # Either a zero singleton or a contiguous run of positions.
     assert len(picked) == 1 or picked == list(range(picked[0], picked[-1] + 1))
+
+
+@given(primes, st.data())
+@settings(max_examples=200)
+def test_cyclic_run_blocks_are_the_chunk_blocks(p, data):
+    # A run's blocks are its chunks' blocks, offset by each chunk's start;
+    # chunks drawn from a few distinct ones repeat, as they do in a run.
+    distinct = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=p, max_size=p), min_size=1, max_size=3))
+    chunks = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    blocks = _zero_sum_blocks(p, [x for chunk in chunks for x in chunk])
+    assert len(blocks) == len(chunks)
+    for k, (chunk, (start, stop)) in enumerate(zip(chunks, blocks)):
+        block = _zero_sum_block(p, chunk)
+        assert (start, stop) == (k * p + block[0] - 1, k * p + block[-1])
 
 
 def test_projective_label_normalizes_leading_entry():

@@ -52,6 +52,16 @@ def test_splitmix64_below_advances_state():
     assert a.below(1) == 0
 
 
+def test_splitmix64_draw_matches_below_calls():
+    # stress draws a trial's |G| x rank coordinates in one call; the values
+    # and the state after them are those of one below() call per coordinate.
+    moduli = (9, 3) * 27 + (1, 2**64, 2310)
+    a, b = SplitMix64(2024), SplitMix64(2024)
+    assert a.draw(moduli) == [b.below(n) for n in moduli]
+    assert a.state == b.state
+    assert a.draw(()) == [] and a.state == b.state
+
+
 def test_parse_raw_sequence_rank1_commas():
     assert parse_raw_sequence("1,1,1,1", rank=1) == [[1], [1], [1], [1]]
     assert parse_raw_sequence("0;1;2", rank=1) == [[0], [1], [2]]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import random
+from operator import itemgetter, mod
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +31,10 @@ from zerosum import (
     well_placed,
 )
 import zerosum.engine
+from zerosum import MoveRecord
+from zerosum.base_cases import _elementary_block
 from zerosum.cli import main
-from zerosum.engine import _eliminate_plan, _greedy_plan
+from zerosum.engine import _debug_check, _eliminate_plan, _greedy_plan
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
 
@@ -592,3 +597,232 @@ def test_merge_step_count_checks_the_pool_once():
         merge_step(conf, vertex, 0, 0)
     assert conf.move_log == []
     assert len(conf.pools[conf.lattice.vertex_index((1,))]) == 8
+
+
+# --- Whole-run merges against the per-move loop they replaced ---------------
+#
+# `_zero_sum_block` and `_merge_step_per_move` are verbatim copies of the base
+# case and of `merge_step` from before a run's moves were made from one
+# base-case pass and prefix sums (only the function name differs). Every
+# comparison runs both on copies of one configuration and asserts the same
+# move log, rows, pools and exception message.
+
+
+def _zero_sum_block(p: int, items: list[int]) -> list[int]:
+    """Nonempty 1-based index set summing to 0 mod p, from exactly p residues
+    already reduced mod a prime p.
+
+    A zero residue wins as a singleton; otherwise the p+1 prefix sums collide
+    and the first collision found while scanning gives a consecutive block of
+    at most p indices.
+    """
+    if 0 in items:
+        return [items.index(0) + 1]
+    first_seen = {0: 0}
+    s = 0
+    for k, x in enumerate(items, start=1):
+        s = (s + x) % p
+        if s in first_seen:
+            return list(range(first_seen[s] + 1, k + 1))
+        first_seen[s] = k
+    raise InternalInvariantError("prefix sums of p residues failed to collide")
+
+
+def _merge_step_per_move(conf, vertex, coordinate, count=1):
+    lattice = conf.lattice
+    u = vertex.u
+    i = coordinate
+    if not 0 <= i < len(u) or u[i] < 1:
+        raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
+    if count < 1:
+        raise InputError(f"move count must be positive, got {count}")
+    vidx = lattice.vertex_index(u)
+    pool = conf.pools.get(vidx, [])
+    dec = conf.dec
+    p = dec.primes[i]
+    dims = lattice.duals[i][u[i] - 1]
+    weight = lattice.level_weights[i][u[i] - 1]
+    need = count * weight
+    if len(pool) < need:
+        raise InputError(
+            f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
+            f"{count} move(s) of weight {weight} need {need}"
+        )
+    run = tuple(pool[:need])
+    del pool[:need]
+    if not pool:
+        del conf.pools[vidx]
+
+    vals, costs = conf.vals, conf.costs
+    rows = list(map(vals.__getitem__, run))
+    bad = need  # position in the run of the first misplaced pebble
+    columns = []
+    for j, m in enumerate(lattice.residual_moduli[vidx][i][:dims]):
+        col = list(map(itemgetter(j), rows))
+        if m > 1:
+            rems = list(map(m.__rmod__, col))
+            if any(rems):
+                bad = min(bad, next(k for k, r in enumerate(rems) if r))
+            col = map(m.__rfloordiv__, col)
+        columns.append(list(map(p.__rmod__, col)))
+    if dims == 1:
+        reduced, block = columns[0], _zero_sum_block
+    else:
+        reduced, block = list(zip(*columns)), _elementary_block
+
+    child_idx = vidx - lattice.strides[i]
+    child_pool = conf.pools.setdefault(child_idx, [])
+    budget, congruences = lattice.placement[child_idx]
+    factors = dec.invariant_factors
+    child_moduli = [1] * len(factors)  # the child's congruence on each coordinate
+    for j, m in congruences:
+        child_moduli[j] = m
+    divisor, log = vertex.divisor, conf.move_log
+    new_id = len(vals)
+    for s in range(0, bad - bad % weight, weight):
+        consumed = run[s : s + weight]
+        selected = tuple([consumed[k - 1] for k in block(p, reduced[s : s + weight])])
+        val = tuple(map(mod, map(sum, zip(*map(vals.__getitem__, selected))), factors))
+        cost = sum(map(costs.__getitem__, selected))
+        if cost > budget or any(map(mod, val, child_moduli)):
+            child = lattice.vertices[child_idx]
+            raise InternalInvariantError(
+                f"merged pebble {new_id} is not well placed at vertex {child.divisor}"
+            )
+        vals.append(val)
+        costs.append(cost)
+        child_pool.append(new_id)
+        log.append(MoveRecord(divisor, p, weight, consumed, selected, new_id))
+        if conf.debug:
+            _debug_check(conf, new_id)
+        new_id += 1
+    if bad < need:
+        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}")
+    return conf
+
+
+def _copy(conf):
+    twin = copy.copy(conf)
+    twin.vals, twin.costs, twin.move_log = list(conf.vals), list(conf.costs), list(conf.move_log)
+    twin.pools = {vidx: list(pool) for vidx, pool in conf.pools.items()}
+    return twin
+
+
+def _run_both(conf, vidx, ci, count, tamper=None):
+    """merge_step and the per-move loop on copies of conf, after `tamper`
+    (applied to each copy); asserts the same state and returns the message
+    of the error both raised, or None."""
+    outcomes = []
+    for step in (merge_step, _merge_step_per_move):
+        twin = _copy(conf)
+        if tamper is not None:
+            tamper(twin)
+        try:
+            step(twin, twin.lattice.vertex_at(vidx), ci, count)
+            message = None
+        except InternalInvariantError as exc:
+            message = str(exc)
+        outcomes.append((twin, message))
+    (new, message), (old, old_message) = outcomes
+    assert message == old_message
+    assert new.move_log == old.move_log
+    assert all(type(m) is MoveRecord for m in new.move_log)
+    assert new.vals == old.vals and new.costs == old.costs and new.pools == old.pools
+    return message
+
+
+def _counts(most):
+    """Every count from 1 to the most a pool allows, sampled above 12."""
+    return range(1, most + 1) if most <= 12 else sorted({1, 2, 3, most // 3, most // 2, most - 1, most})
+
+
+def _plan_steps(text, seed):
+    """Each planned run of a seeded solve over the group, with the configuration
+    it starts from: max-order (units) for seed 0 of a cyclic group, |G| seeded
+    nonzero elements otherwise."""
+    dec = _dec(text)
+    if seed == 0 and "," not in text:
+        rng = random.Random(seed)
+        units = [x for x in range(1, dec.group_order) if math.gcd(x, dec.group_order) == 1]
+        els = [element_from_index(dec, rng.choice(units)) for _ in range(dec.group_order)]
+    else:
+        dec, els = _seeded_nonzero(text, seed)
+    conf = initial_configuration(dec, els, debug=dec.group_order <= 32)
+    profile = conf.count_profile()
+    plan = _greedy_plan(conf.lattice, profile) or _eliminate_plan(conf.lattice, profile)
+    for vidx, ci, k in plan:
+        yield conf, vidx, ci, k
+        merge_step(conf, conf.lattice.vertex_at(vidx), ci, k)
+    assert conf.root_pebble() is not None
+
+
+EQUIVALENCE_GROUPS = ["8", "60", "2310", "2187", "4,2,2", "9,3", "2,2,2,2,2"]
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_GROUPS)
+def test_whole_run_merges_match_the_per_move_loop(text):
+    # At every planned run, every occupied vertex and down edge, for counts up
+    # to the pool's maximum.
+    longest = 0
+    for seed in (0, 1, 2):
+        for conf, _, _, _ in _plan_steps(text, seed):
+            lattice = conf.lattice
+            for vidx, pool in conf.pools.items():
+                u = lattice.vertices[vidx].u
+                for ci in range(len(u)):
+                    if u[ci] >= 1 and len(pool) >= (weight := lattice.level_weights[ci][u[ci] - 1]):
+                        for count in _counts(len(pool) // weight):
+                            assert _run_both(conf, vidx, ci, count) is None
+                            longest = max(longest, count)
+    # Z_2^5's only edge out of the top vertex takes all 32 pebbles.
+    assert longest >= (1 if text == "2,2,2,2,2" else 4)
+
+
+def _tampers(conf, vidx, ci, count):
+    """(kind, tamper) pairs for a run: in its first, a middle and its last
+    move, one consumed pebble off its vertex's congruence ("input"), one
+    shifted by the run's own reduction step so that only the child's
+    congruence can see it ("congruence"), and a whole move's costs raised past
+    the child's budget ("budget")."""
+    lattice = conf.lattice
+    u = lattice.vertices[vidx].u
+    p = conf.dec.primes[ci]
+    weight = lattice.level_weights[ci][u[ci] - 1]
+    m = lattice.residual_moduli[vidx][ci][0]
+    budget = lattice.placement[vidx - lattice.strides[ci]][0]
+    run = conf.pools[vidx][: count * weight]
+    out = []
+    for move in sorted({0, count // 2, count - 1}):
+        chunk = run[move * weight : (move + 1) * weight]
+        pid = chunk[len(chunk) // 2]
+
+        def shift(twin, pid=pid, by=1):
+            twin.vals[pid] = (twin.vals[pid][0] + by, *twin.vals[pid][1:])
+
+        def raise_costs(twin, chunk=chunk):
+            for q in chunk:
+                twin.costs[q] += budget
+
+        out.append(("input", shift))
+        out.append(("congruence", functools.partial(shift, by=m * p)))
+        out.append(("budget", raise_costs))
+    return out
+
+
+def test_whole_run_merges_fail_like_the_per_move_loop():
+    seen = {}  # group -> (tamper kind, first word of the message) pairs
+    for text in EQUIVALENCE_GROUPS:
+        for seed in (0, 1):
+            for conf, vidx, ci, k in _plan_steps(text, seed):
+                for kind, tamper in _tampers(conf, vidx, ci, k):
+                    message = _run_both(conf, vidx, ci, k, tamper)
+                    if message is not None:
+                        seen.setdefault(text, set()).add((kind, message.split(" ")[0]))
+    assert set(seen) == set(EQUIVALENCE_GROUPS)
+    # A misplaced input shows where a residual modulus is above 1 (never in the
+    # squarefree Z_2310), a shift by the reduction step only where a second
+    # prime's congruence sees it, and debug mode (|G| <= 32) sees tampered values.
+    assert ("input", "pebble") in seen["2187"] & seen["60"] & seen["4,2,2"]
+    assert ("congruence", "merged") in seen["60"] & seen["2310"]
+    assert all(("budget", "merged") in kinds for kinds in seen.values())
+    assert ("input", "cached") in seen["8"] & seen["2,2,2,2,2"]

@@ -11,7 +11,9 @@ The Z_2048 and Z_2187 solves were recorded before pebbles became table rows;
 their moves below the top vertex divide by residual moduli above 1, so they pin
 the `x // m % p` reduction and the consumed-pebble check over long runs (every
 move of the squarefree Z_2310 solve divides by 1). The inputs are drawn with
-the CLI's SplitMix64, so they are the same on every platform.
+the CLI's SplitMix64, so they are the same on every platform. The Z_30030
+solve was recorded before a run's moves were made from one base-case pass and
+prefix sums; its first run makes 15,015 moves, the benchmark's largest.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ CASES = {
         ["solve-cyclic", "--n", "2187", "--seq", _max_order_cyclic(2187, 17)],
         "ecb2815919ec96abee09a2d6e398fb156ce45034009d26c5054a91def1816481",
         lambda r: len(r["moves"]) == 1093 and {m["weight"] for m in r["moves"]} == {3},
+    ),
+    "max-order Z_30030": (
+        ["solve-cyclic", "--n", "30030", "--seq", _max_order_cyclic(30030, 19)],
+        "6b59a7a2f843e9f4de1197fd8e621a6e031152ef109b4c7c8d2d853959e6bbd4",
+        lambda r: [m["weight"] for m in r["moves"] if m["vertex_divisor"] == 30030] == [2] * 15015,
     ),
     "zero-free Z_2^10": (
         ["solve", "--group", ",".join(["2"] * 10), "--seq", _zero_free_z2(10, 12)],

@@ -80,7 +80,7 @@ def test_trivial_group():
     dec = _dec("1")
     assert dec.group_order == 1
     assert dec.exponent == 1
-    assert dec.num_primes == 0
+    assert dec.primes == ()
     assert element_order(identity(dec)) == 1
     assert dec.exponent // element_order(identity(dec)) == 1
 
