@@ -8,18 +8,15 @@ Both selections are deterministic so certificates are reproducible.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InternalInvariantError
 
 
-def _zero_sum_blocks(p: int, residues: list[int]) -> list[tuple[int, int]]:
+def _zero_sum_blocks(p: int, residues: list[int]) -> list[slice]:
     """One zero-sum block per chunk of p residues already reduced mod a prime
-    p, as (start, stop) positions in `residues`, stop exclusive.
-
-    The first zero residue of a chunk wins as a singleton; otherwise its p+1
-    prefix sums collide, and the first repeat gives a block of at most p
-    consecutive residues. Each distinct chunk is worked out once.
+    p, as a slice of `residues`. The first zero residue of a chunk wins as a
+    singleton; otherwise its p+1 prefix sums collide, and the first repeat
+    found while scanning gives a block of at most p consecutive residues.
+    Each distinct chunk is scanned once per call (runs of units repeat them).
     """
     rule: dict[tuple[int, ...], tuple[int, int]] = {}  # chunk -> its block, from the chunk's start
     blocks = []
@@ -29,11 +26,17 @@ def _zero_sum_blocks(p: int, residues: list[int]) -> list[tuple[int, int]]:
                 k = chunk.index(0)
                 rule[chunk] = (k, k + 1)
             else:
-                sums = [t % p for t in itertools.accumulate(chunk, initial=0)]
-                k = next(k for k in range(1, p + 1) if sums[k] in sums[:k])  # the first repeat
-                rule[chunk] = (sums.index(sums[k]), k)
+                first_seen, t = {0: 0}, 0  # prefix sum mod p -> where it first occurs
+                for k, x in enumerate(chunk, start=1):
+                    t = (t + x) % p
+                    if t in first_seen:
+                        rule[chunk] = (first_seen[t], k)
+                        break
+                    first_seen[t] = k
+                else:
+                    raise InternalInvariantError("prefix sums of p residues failed to collide")
         a, b = rule[chunk]
-        blocks.append((s + a, s + b))
+        blocks.append(slice(s + a, s + b))
     return blocks
 
 
@@ -65,5 +68,5 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     if len(members) < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
     chosen = members[:p]
-    ((start, stop),) = _zero_sum_blocks(p, [next(filter(None, vecs[k - 1])) for k in chosen])
-    return chosen[start:stop]
+    (block,) = _zero_sum_blocks(p, [next(filter(None, vecs[k - 1])) for k in chosen])
+    return chosen[block]

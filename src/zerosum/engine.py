@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 from itertools import repeat
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -217,7 +217,7 @@ def merge_step(
     modulus of component (i, j) at `vertex` (exact by well-placedness), mod p.
     The run is worked a column at a time; a misplaced pebble stops it at its
     move. In dimension 1 one base-case pass gives each move a block of
-    consecutive pebbles, valued by differences of prefix sums; otherwise each
+    consecutive pebbles, whose column sums value the merge; otherwise each
     move runs the base case on its vectors. The moves before the first merge
     that breaks the child's placement rule are logged at once (one at a time,
     each debug-checked, with debug on).
@@ -250,6 +250,7 @@ def merge_step(
     rows = list(map(vals.__getitem__, run))
     cols = [list(map(itemgetter(j), rows)) for j in range(len(factors))]
     cols.append(list(map(costs.__getitem__, run)))  # the last column: order costs
+    del rows
     bad = need  # position in the run of the first misplaced pebble
     reduced = []
     for col, m in zip(cols, lattice.residual_moduli[vidx][i][:dims]):
@@ -261,18 +262,14 @@ def merge_step(
     size = moves * weight
     if dims == 1:  # sums: per column, each move's sum over its selection
         blocks = _zero_sum_blocks(p, reduced[0][:size])
-        starts, stops = list(map(itemgetter(0), blocks)), list(map(itemgetter(1), blocks))
-        del blocks  # freed before the prefix sums: a run can hold 15,015 moves
-        selected = list(map(run.__getitem__, map(slice, starts, stops)))
-        sums = []
-        for col in cols:
-            prefix = [0, *itertools.accumulate(col)]
-            sums.append(list(map(sub, map(prefix.__getitem__, stops), map(prefix.__getitem__, starts))))
+        selected = list(map(run.__getitem__, blocks))
+        sums = [list(map(sum, map(col.__getitem__, blocks))) for col in cols]
     else:
         vecs = list(zip(*reduced))
-        picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
-        selected = [tuple(map(run.__getitem__, q)) for q in picks]
-        sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
+        blocks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
+        selected = [tuple(map(run.__getitem__, q)) for q in blocks]
+        sums = [[sum(map(col.__getitem__, q)) for q in blocks] for col in cols]
+    del cols, reduced, blocks  # freed before the records: a run can hold 15,015 moves
     new_costs = sums.pop()
     new_cols = [list(map(n.__rmod__, col)) for n, col in zip(factors, sums)]
 
@@ -283,7 +280,7 @@ def merge_step(
     for j, m in congruences:
         placed = min(placed, next(itertools.compress(itertools.count(), map(m.__rmod__, new_cols[j])), moves))
     new_id = len(vals)
-    ids = range(new_id, new_id + placed)
+    ids = list(range(new_id, new_id + placed))  # one int per id, shared by the pool and the log
     consumed = zip(*[iter(run)] * weight)
     fields = zip(repeat(vertex.divisor), repeat(p), repeat(weight), consumed, selected, ids)
     records = list(map(tuple.__new__, repeat(MoveRecord), fields))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,8 +19,8 @@ primes = st.sampled_from([2, 3, 5, 7, 11])
 
 def _zero_sum_block(p: int, items: list[int]) -> list[int]:
     """The 1-based indices of the block `_zero_sum_blocks` finds in one chunk."""
-    ((start, stop),) = _zero_sum_blocks(p, items)
-    return list(range(start + 1, stop + 1))
+    (block,) = _zero_sum_blocks(p, items)
+    return list(range(block.start + 1, block.stop + 1))
 
 
 def _line_of(vec, p: int) -> tuple[tuple[int, ...], int]:
@@ -71,9 +72,18 @@ def test_cyclic_run_blocks_are_the_chunk_blocks(p, data):
     chunks = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
     blocks = _zero_sum_blocks(p, [x for chunk in chunks for x in chunk])
     assert len(blocks) == len(chunks)
-    for k, (chunk, (start, stop)) in enumerate(zip(chunks, blocks)):
-        block = _zero_sum_block(p, chunk)
-        assert (start, stop) == (k * p + block[0] - 1, k * p + block[-1])
+    for k, (chunk, block) in enumerate(zip(chunks, blocks)):
+        picked = _zero_sum_block(p, chunk)
+        assert (block.start, block.stop) == (k * p + picked[0] - 1, k * p + picked[-1])
+
+
+def test_cyclic_scan_is_linear_in_p():
+    # p ones over the prime 100003: the prefix sums first repeat at the last
+    # one, and one pass over them takes milliseconds where rescanning the
+    # sums seen so far at every step would take minutes.
+    t = time.perf_counter()
+    assert _zero_sum_blocks(100003, [1] * 100003) == [slice(0, 100003)]
+    assert time.perf_counter() - t < 2.0
 
 
 def test_projective_label_normalizes_leading_entry():
