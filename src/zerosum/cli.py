@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .engine import (
     extract_certificate,
@@ -34,7 +34,6 @@ from .errors import (
     InternalInvariantError,
 )
 from .groups import (
-    GroupElement,
     PrimaryDecomposition,
     elements_from_coords,
     encode_sequence,
@@ -90,30 +89,15 @@ class SplitMix64:
         return self.draw((n,))[0]
 
 
-class RunReport:
-    """Everything one command run produced; timing stays out of the JSON."""
+class RunReport(NamedTuple):
+    """Everything one command run produced. `main` adds the command name to
+    the JSON and the elapsed time to the text only."""
 
-    __slots__ = ("command", "inputs", "results", "exit_code", "lines", "moves", "elapsed_ms")
-
-    def __init__(self, command: str, inputs: dict[str, Any], results: dict[str, Any], exit_code: int):
-        self.command = command
-        self.inputs = inputs
-        self.results = results
-        self.exit_code = exit_code
-        self.lines: list[str] = []
-        self.moves: list[dict] | None = None
-        self.elapsed_ms = 0.0
-
-    def json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-        }
-        if self.moves is not None:
-            out["moves"] = self.moves
-        out["exit_code"] = self.exit_code
-        return out
+    inputs: dict[str, Any]
+    results: dict[str, Any]
+    lines: list[str]
+    exit_code: int = EXIT_PASS
+    moves: list[dict] | None = None
 
 
 def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[list[int]]:
@@ -134,10 +118,8 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[l
         s = value.strip()
         if not s:
             raise InputError("empty sequence")
-        if ";" in s or rank > 1:
-            parts = [p.strip() for p in s.split(";") if p.strip()]
-        else:
-            parts = [p.strip() for p in s.split(",") if p.strip()]
+        sep = ";" if ";" in s or rank > 1 else ","
+        parts = [p.strip() for p in s.split(sep) if p.strip()]
     if not parts:
         raise InputError("sequence has no elements")
     out = []
@@ -176,11 +158,6 @@ def cyclic_sequence_argument(args) -> list[int]:
     return [r[0] for r in raw]
 
 
-def parse_elements(args, dec: PrimaryDecomposition) -> tuple[list[list[int]], list[GroupElement]]:
-    raw = sequence_argument(args, dec.spec.rank)
-    return raw, encode_sequence(raw, dec)
-
-
 def parse_indices(value: str) -> list[int]:
     toks = [t.strip() for t in value.split(",") if t.strip()]
     out = []
@@ -199,7 +176,7 @@ def _group_label(dec: PrimaryDecomposition) -> str:
 def _solve_sequence(dec: PrimaryDecomposition, elements, lattice=None):
     conf = initial_configuration(dec, elements, lattice=lattice)
     root = solve_to_root(conf)
-    cert = extract_certificate(root, dec, elements, moves=conf.move_log)
+    cert = extract_certificate(root, dec, elements)
     verdict = verify_certificate(dec, elements, cert.indices)
     if not verdict.passed:
         raise InternalInvariantError(
@@ -209,10 +186,9 @@ def _solve_sequence(dec: PrimaryDecomposition, elements, lattice=None):
 
 
 def cmd_solve(args) -> RunReport:
-    spec = parse_group_spec(args.group)
-    dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args, dec)
-    conf, cert = _solve_sequence(dec, elements)
+    dec = primary_decomposition(parse_group_spec(args.group))
+    raw = sequence_argument(args, dec.spec.rank)
+    conf, cert = _solve_sequence(dec, encode_sequence(raw, dec))
     results = {
         "group_order": dec.group_order,
         "exponent": dec.exponent,
@@ -230,31 +206,29 @@ def cmd_solve(args) -> RunReport:
         f"moves applied: {len(conf.move_log)}, fallback fired: {'yes' if conf.fallback_fired else 'no'}",
         "verify: PASS",
     ]
-    return _solve_report("solve", {"group": args.group, "sequence": raw}, results, lines, conf, args.trace)
+    return _solve_report({"group": args.group, "sequence": raw}, results, lines, conf, args.trace)
 
 
-def _solve_report(command: str, inputs, results, lines: list[str], conf, trace: bool) -> RunReport:
+def _solve_report(inputs, results, lines: list[str], conf, trace: bool) -> RunReport:
     """A verified solve's report: the move counters end its results, and
     --trace adds the move log to the JSON and the text."""
     results.update(moves_applied=len(conf.move_log), fallback_fired=conf.fallback_fired, verified=True)
-    report = RunReport(command, inputs, results, EXIT_PASS)
-    report.lines = lines
+    moves = None
     if trace:
-        report.moves = [m._asdict() for m in conf.move_log]
+        moves = [m._asdict() for m in conf.move_log]
         lines += ["trace:"] + [
             f"  at divisor {m.vertex_divisor}: consume {len(m.consumed)} pebbles "
             f"{list(m.consumed)} (weight {m.weight}, prime {m.prime}), "
             f"keep {list(m.selected)} -> pebble {m.new_id}"
             for m in conf.move_log
         ]
-    return report
+    return RunReport(inputs, results, lines, moves=moves)
 
 
 def cmd_solve_cyclic(args) -> RunReport:
     if args.n < 1:
         raise InputError(f"modulus must be positive, got {args.n}")
-    spec = parse_group_spec(str(args.n))
-    dec = primary_decomposition(spec)
+    dec = primary_decomposition(parse_group_spec(str(args.n)))
     integers = cyclic_sequence_argument(args)
     elements = elements_from_coords(dec, zip(map(args.n.__rmod__, integers)))
     conf, cert = _solve_sequence(dec, elements)
@@ -279,58 +253,48 @@ def cmd_solve_cyclic(args) -> RunReport:
         f"gcd terms: {gcd_terms}, sum {sum(gcd_terms)} <= {args.n}",
         "verify: PASS",
     ]
-    return _solve_report("solve-cyclic", {"n": args.n, "sequence": integers}, results, lines, conf, args.trace)
+    return _solve_report({"n": args.n, "sequence": integers}, results, lines, conf, args.trace)
 
 
 def cmd_verify(args) -> RunReport:
-    spec = parse_group_spec(args.group)
-    dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args, dec)
+    dec = primary_decomposition(parse_group_spec(args.group))
+    raw = sequence_argument(args, dec.spec.rank)
+    elements = encode_sequence(raw, dec)
     indices = parse_indices(args.indices)
     verdict = verify_certificate(dec, elements, indices)
-    results = {
-        "indices": indices,
-        "passed": verdict.passed,
-        "failures": list(verdict.failures),
-    }
-    report = RunReport(
-        command="verify",
+    return RunReport(
         inputs={"group": args.group, "sequence": raw, "indices": indices},
-        results=results,
+        results={"indices": indices, "passed": verdict.passed, "failures": list(verdict.failures)},
+        lines=[f"K = {indices}", f"verify: {'PASS' if verdict.passed else 'FAIL'}"]
+        + [f"  {f}" for f in verdict.failures],
         exit_code=EXIT_PASS if verdict.passed else EXIT_FAIL,
     )
-    report.lines = [f"K = {indices}", f"verify: {'PASS' if verdict.passed else 'FAIL'}"]
-    report.lines.extend(f"  {f}" for f in verdict.failures)
-    return report
 
 
 def cmd_oracle(args) -> RunReport:
-    spec = parse_group_spec(args.group)
-    dec = primary_decomposition(spec)
-    raw, elements = parse_elements(args, dec)
-    result = dp_min_cost_zero_sum(dec, elements)
-    results = {
-        "feasible": result.feasible,
-        "min_cost": result.min_cost,
-        "witness": list(result.indices),
-        "qualifies": result.qualifies,
-        "bound": dec.exponent,
-    }
-    report = RunReport(
-        command="oracle",
-        inputs={"group": args.group, "sequence": raw},
-        results=results,
-        exit_code=EXIT_PASS if result.feasible else EXIT_FAIL,
-    )
+    dec = primary_decomposition(parse_group_spec(args.group))
+    raw = sequence_argument(args, dec.spec.rank)
+    result = dp_min_cost_zero_sum(dec, encode_sequence(raw, dec))
     if result.feasible:
-        report.lines = [
+        lines = [
             f"min order cost: {result.min_cost}/{dec.exponent}",
             f"witness K = {list(result.indices)}",
             f"qualifies (cost <= {dec.exponent}): {'yes' if result.qualifies else 'no'}",
         ]
     else:
-        report.lines = ["infeasible: no nonempty zero-sum subsequence"]
-    return report
+        lines = ["infeasible: no nonempty zero-sum subsequence"]
+    return RunReport(
+        inputs={"group": args.group, "sequence": raw},
+        results={
+            "feasible": result.feasible,
+            "min_cost": result.min_cost,
+            "witness": list(result.indices),
+            "qualifies": result.qualifies,
+            "bound": dec.exponent,
+        },
+        lines=lines,
+        exit_code=EXIT_PASS if result.feasible else EXIT_FAIL,
+    )
 
 
 def parse_graph_argument(text: str):
@@ -361,34 +325,29 @@ def cmd_pebbling_number(args) -> RunReport:
     result = pebbling_number(graph)
     if solvable(graph, result.witness, result.witness_target):
         raise InternalInvariantError("pebbling witness is solvable; scan is broken")
-    results = {
-        "graph": graph.name,
-        "vertices": graph.num_vertices,
-        "edges": len(graph.edges),
-        "pebbling_number": result.number,
-        "witness_distribution": list(result.witness),
-        "witness_target": result.witness_target,
-        "witness_unsolvable": True,
-    }
-    report = RunReport(
-        command="pebbling-number",
+    return RunReport(
         inputs={"graph": args.graph},
-        results=results,
-        exit_code=EXIT_PASS,
+        results={
+            "graph": graph.name,
+            "vertices": graph.num_vertices,
+            "edges": len(graph.edges),
+            "pebbling_number": result.number,
+            "witness_distribution": list(result.witness),
+            "witness_target": result.witness_target,
+            "witness_unsolvable": True,
+        },
+        lines=[
+            f"graph {graph.name}: {graph.num_vertices} vertices, {len(graph.edges)} edges",
+            f"pebbling number: {result.number}",
+            f"witness: {list(result.witness)} cannot reach vertex {result.witness_target}",
+        ],
     )
-    report.lines = [
-        f"graph {graph.name}: {graph.num_vertices} vertices, {len(graph.edges)} edges",
-        f"pebbling number: {result.number}",
-        f"witness: {list(result.witness)} cannot reach vertex {result.witness_target}",
-    ]
-    return report
 
 
 def cmd_stress(args) -> RunReport:
     if args.trials < 0:
         raise InputError(f"trial count must be nonnegative, got {args.trials}")
-    spec = parse_group_spec(args.group)
-    dec = primary_decomposition(spec)
+    dec = primary_decomposition(parse_group_spec(args.group))
     if args.trials > 0 and args.oracle_limit > 0:
         check_dp_work(dec, dec.group_order)
     lattice = build_lattice(dec)
@@ -397,15 +356,14 @@ def cmd_stress(args) -> RunReport:
     fallback_count = 0
     total_moves = 0
     oracle_checked = 0
-    oracle_budget = max(0, args.oracle_limit)
-    orders = spec.cyclic_orders
+    orders = dec.spec.cyclic_orders
     for trial in range(args.trials):
         draws = rng.draw(orders * dec.group_order)  # row-major: |G| elements of rank coordinates
         elements = encode_sequence(list(zip(*[iter(draws)] * len(orders))), dec)
         conf, cert = _solve_sequence(dec, elements, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
-        if trial < oracle_budget:
+        if trial < args.oracle_limit:
             oracle = dp_min_cost_zero_sum(dec, elements)
             oracle_checked += 1
             if not oracle.feasible or not oracle.qualifies:
@@ -415,53 +373,42 @@ def cmd_stress(args) -> RunReport:
                     f"trial {trial}: certificate cost {cert.ord_cost} "
                     f"below the oracle minimum {oracle.min_cost}"
                 )
-    results = {
-        "trials": args.trials,
-        "passed": args.trials - len(failures),
-        "failed": len(failures),
-        "failures": failures[:10],
-        "oracle_checked": oracle_checked,
-        "fallback_fired": fallback_count,
-        "total_moves": total_moves,
-    }
-    report = RunReport(
-        command="stress",
+    passed = args.trials - len(failures)
+    return RunReport(
         inputs={
             "group": args.group,
             "trials": args.trials,
             "seed": args.seed,
             "oracle_limit": args.oracle_limit,
         },
-        results=results,
+        results={
+            "trials": args.trials,
+            "passed": passed,
+            "failed": len(failures),
+            "failures": failures[:10],
+            "oracle_checked": oracle_checked,
+            "fallback_fired": fallback_count,
+            "total_moves": total_moves,
+        },
+        lines=[
+            f"group {_group_label(dec)}: {args.trials} trials, seed {args.seed}",
+            f"passed {passed}/{args.trials}, oracle cross-checked {oracle_checked}",
+            f"fallback fired in {fallback_count} trials, {total_moves} moves total",
+        ]
+        + [f"  {f}" for f in failures[:10]],
         exit_code=EXIT_PASS if not failures else EXIT_FAIL,
     )
-    report.lines = [
-        f"group {_group_label(dec)}: {args.trials} trials, seed {args.seed}",
-        f"passed {results['passed']}/{args.trials}, oracle cross-checked {oracle_checked}",
-        f"fallback fired in {fallback_count} trials, {total_moves} moves total",
-    ]
-    report.lines.extend(f"  {f}" for f in failures[:10])
-    return report
 
 
 def cmd_davenport(args) -> RunReport:
-    spec = parse_group_spec(args.group)
-    dec = primary_decomposition(spec)
+    dec = primary_decomposition(parse_group_spec(args.group))
     value = davenport_constant(dec, weighted=args.weighted)
-    results = {
-        "group_order": dec.group_order,
-        "weighted": args.weighted,
-        "davenport": value,
-    }
-    report = RunReport(
-        command="davenport",
-        inputs={"group": args.group, "weighted": args.weighted},
-        results=results,
-        exit_code=EXIT_PASS,
-    )
     kind = "weighted Davenport constant" if args.weighted else "Davenport constant"
-    report.lines = [f"group {_group_label(dec)}: {kind} = {value}"]
-    return report
+    return RunReport(
+        inputs={"group": args.group, "weighted": args.weighted},
+        results={"group_order": dec.group_order, "weighted": args.weighted, "davenport": value},
+        lines=[f"group {_group_label(dec)}: {kind} = {value}"],
+    )
 
 
 @functools.cache
@@ -475,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
 
     def sequence(p, what="elements"):
         src = p.add_mutually_exclusive_group(required=True)
@@ -487,33 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="cyclic factor orders, e.g. 9,3")
     sequence(p)
     p.add_argument("--trace", action="store_true", help="include the move log")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    common(p, cmd_solve)
 
     p = sub.add_parser("solve-cyclic", help="integer form over Z_n with gcd costs")
     p.add_argument("--n", required=True, type=int, help="modulus")
     sequence(p, "n integers")
     p.add_argument("--trace", action="store_true", help="include the move log")
-    common(p)
-    p.set_defaults(func=cmd_solve_cyclic)
+    common(p, cmd_solve_cyclic)
 
     p = sub.add_parser("verify", help="check a claimed index set independently")
     p.add_argument("--group", required=True)
     sequence(p)
     p.add_argument("--indices", required=True, help="1-based, comma separated")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify)
 
     p = sub.add_parser("oracle", help="exact minimum order cost by dynamic programming")
     p.add_argument("--group", required=True)
     sequence(p, "elements, any number")
-    common(p)
-    p.set_defaults(func=cmd_oracle)
+    common(p, cmd_oracle)
 
     p = sub.add_parser("pebbling-number", help="exact pebbling number of a small graph")
     p.add_argument("--graph", required=True, help='"cube:w1,..", "path:w1,..", or "lattice:SPEC"')
-    common(p)
-    p.set_defaults(func=cmd_pebbling_number)
+    common(p, cmd_pebbling_number)
 
     p = sub.add_parser("stress", help="randomized solve/verify/oracle battery")
     p.add_argument("--group", required=True)
@@ -525,14 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         help="cross-check at most this many leading trials against the DP oracle",
     )
-    common(p)
-    p.set_defaults(func=cmd_stress)
+    common(p, cmd_stress)
 
     p = sub.add_parser("davenport", help="Davenport constant by multiset search")
     p.add_argument("--group", required=True)
     p.add_argument("--weighted", action="store_true", help="require cost within the budget")
-    common(p)
-    p.set_defaults(func=cmd_davenport)
+    common(p, cmd_davenport)
 
     return parser
 
@@ -579,13 +520,10 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            if exc.code in (0, None):
-                return EXIT_PASS
-            return EXIT_INPUT_ERROR
+            return EXIT_PASS if exc.code in (0, None) else EXIT_INPUT_ERROR
         started = time.perf_counter()
         try:
             report = args.func(args)
@@ -595,14 +533,18 @@ def main(argv=None) -> int:
         except InternalInvariantError as exc:
             print(f"internal invariant violation: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
-        report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
         try:
             if args.json:
-                print(render_json(report.json_dict()))
+                envelope = {"command": args.cmd, "inputs": report.inputs, "results": report.results}
+                if report.moves is not None:
+                    envelope["moves"] = report.moves
+                envelope["exit_code"] = report.exit_code
+                print(render_json(envelope))
             else:
                 for line in report.lines:
                     print(line)
-                print(f"elapsed {report.elapsed_ms:.1f} ms")
+                print(f"elapsed {elapsed_ms:.1f} ms")
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader stopped early (`| head`); drop the rest of the output

@@ -26,7 +26,7 @@ from .groups import (
     element_orders,
     identity,
 )
-from .lattice import LatticeVertex, PlacementRule, WeightedLattice, build_lattice, placement_rule
+from .lattice import LatticeVertex, WeightedLattice, build_lattice, placement_rule
 from .base_cases import _elementary_block, _zero_sum_blocks
 
 
@@ -68,7 +68,6 @@ class Certificate(NamedTuple):
     indices: tuple[int, ...]
     ord_cost: int
     bound: int
-    moves: tuple[MoveRecord, ...] = ()
 
 
 def well_placed(
@@ -76,15 +75,14 @@ def well_placed(
     cost: int,
     u: Sequence[int],
     dec: PrimaryDecomposition,
-    rule: PlacementRule | None = None,
 ) -> bool:
     """Congruence of `val` (an element, or its coordinates as a pebble's `val`
     holds them) against the residual moduli at u, plus the integer cost
-    budget. `rule` is the lattice's precomputed `placement` entry for u,
-    derived from u if not given.
+    budget. The rule is derived from u, not read from the lattice's table,
+    so the engine's precomputed placement can be checked against it.
     """
     coords = val.coords if isinstance(val, GroupElement) else val
-    budget, congruences = rule if rule is not None else placement_rule(dec, tuple(u))
+    budget, congruences = placement_rule(dec, tuple(u))
     if cost > budget:
         return False
     for j, m in congruences:
@@ -443,7 +441,6 @@ def extract_certificate(
     root: Pebble,
     dec: PrimaryDecomposition,
     elements: Sequence[GroupElement],
-    moves: Sequence[MoveRecord] = (),
 ) -> Certificate:
     """Recompute every condition from the member indices alone; caches are not trusted."""
     if root.vertex.divisor != 1:
@@ -454,7 +451,7 @@ def extract_certificate(
     total, cost = _recompute(dec, elements, indices)
     if total != identity(dec) or cost > dec.exponent or len(indices) > dec.exponent:
         raise InternalInvariantError("root pebble fails recheck; solver state is corrupt")
-    return Certificate(indices=indices, ord_cost=cost, bound=dec.exponent, moves=tuple(moves))
+    return Certificate(indices=indices, ord_cost=cost, bound=dec.exponent)
 
 
 def verify_certificate(

@@ -121,8 +121,6 @@ def lattice_graph(dec: PrimaryDecomposition) -> WeightedGraph:
     for vidx in range(lattice.num_vertices):
         for _, w, child_idx in lattice.moves[vidx]:
             edges.append((vidx, child_idx, w))
-    if not edges:
-        return WeightedGraph(1, (), name=f"lattice:{dec.exponent}")
     return WeightedGraph(lattice.num_vertices, tuple(edges), name=f"lattice:{dec.exponent}")
 
 

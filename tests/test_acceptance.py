@@ -107,7 +107,7 @@ def _engine_trials(group_text, kind, seed):
     for _ in range(ENGINE_TRIALS):
         els = [pool[rng.below(len(pool))] for _ in range(dec.group_order)]
         conf = initial_configuration(dec, els, lattice=lattice)
-        cert = extract_certificate(solve_to_root(conf), dec, els, moves=conf.move_log)
+        cert = extract_certificate(solve_to_root(conf), dec, els)
         assert verify_certificate(dec, els, cert.indices).passed
         assert len(conf.move_log) >= 1, (group_text, kind)
 

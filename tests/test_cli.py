@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -605,8 +607,8 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
-    # Both cost about 9 ms at every launch; the records are NamedTuples and
-    # __slots__ classes instead.
+    # Both cost about 9 ms at every launch; the records are NamedTuples
+    # instead.
     code = (
         "import sys, zerosum.cli\n"
         "zerosum.cli.build_parser()\n"
@@ -615,3 +617,26 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of each line of the README's "Command line" block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_line_block_runs_and_names_every_subcommand(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.txt").write_text("1\n3\n5\n7\n9\n", encoding="utf-8")
+    argvs = _readme_command_lines()
+    for argv in argvs:
+        assert argv[0] == "zerosum"
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr())
+    capsys.readouterr()
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[1] for argv in argvs} == set(sub.choices)

@@ -56,7 +56,7 @@ def _solve(text, raws, debug=None):
     els = _elements(dec, raws)
     conf = initial_configuration(dec, els, debug=debug)
     root = solve_to_root(conf)
-    cert = extract_certificate(root, dec, els, moves=conf.move_log)
+    cert = extract_certificate(root, dec, els)
     return dec, els, conf, cert
 
 
@@ -381,7 +381,7 @@ def test_random_sequences_solve_and_verify(text, data):
     els = [element_from_index(dec, i) for i in raws]
     conf = initial_configuration(dec, els, debug=True)
     root = solve_to_root(conf)
-    cert = extract_certificate(root, dec, els, moves=conf.move_log)
+    cert = extract_certificate(root, dec, els)
     verdict = verify_certificate(dec, els, cert.indices)
     assert verdict.passed, verdict.failures
     assert 1 <= len(cert.indices) <= dec.exponent
@@ -406,7 +406,7 @@ def test_certificate_cost_meets_declared_bound(text, data):
         for _ in range(dec.group_order)
     ]
     conf = initial_configuration(dec, els)
-    cert = extract_certificate(solve_to_root(conf), dec, els, moves=conf.move_log)
+    cert = extract_certificate(solve_to_root(conf), dec, els)
     recomputed = sum(_cost(els[k - 1]) for k in cert.indices)
     total = identity(dec)
     for k in cert.indices:
@@ -535,8 +535,8 @@ def test_batched_runs_match_single_moves(text, make):
     assert [p.pid for p in batched.live_pebbles()] == [p.pid for p in single.live_pebbles()]
     assert [p.val for p in batched.live_pebbles()] == [p.val for p in single.live_pebbles()]
     assert root.pid == single.root_pebble().pid
-    a = extract_certificate(root, dec, els, moves=batched.move_log)
-    b = extract_certificate(single.root_pebble(), dec, els, moves=single.move_log)
+    a = extract_certificate(root, dec, els)
+    b = extract_certificate(single.root_pebble(), dec, els)
     assert a == b
 
 

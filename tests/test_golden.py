@@ -1,5 +1,5 @@
-"""Golden output: the exact bytes of `--json --trace` for fixed solves, and of
-`--json` for one command of every kind.
+"""Golden output: the exact bytes of `--json --trace` for fixed solves, of
+`--json` for one command of every kind, and of the text output of every kind.
 
 The three greedy-path digests were recorded from the engine before its
 merge-tree rewrite, and the Z_12 one from the level-elimination planner, so
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -239,3 +240,99 @@ def test_solve_cyclic_parsing_is_pinned(capsys, tmp_path, name):
     captured = capsys.readouterr()
     assert captured.err == err
     assert (hashlib.sha256(captured.out.encode()).hexdigest() if captured.out else "") == digest
+
+
+# name: (argv, exit code, SHA-256 of the text stdout without its `elapsed` line,
+# stderr), recorded before the commands returned their reports as one record:
+# one command of each kind, both solves again with --trace, a passing and a
+# failing verify (two failure lines), an infeasible oracle and an input error.
+TEXT_CASES = {
+    "solve Z_4+Z_2+Z_2 --trace": (
+        ["solve", "--group", "4,2,2", "--seq", _max_order_4_2_2(13), "--trace"],
+        0,
+        "c80fb85d884683543b70fbec5a45e6c2bcc75a672fe0f72e75e16042c6bbc0d8",
+        "",
+    ),
+    "solve Z_3^3": (
+        ["solve", "--group", "3,3,3", "--seq", _zero_free_z3(3, 14)],
+        0,
+        "4feae8694bb0317977e21a54e1b2b990834db4ae29bcfd7f31c967968e17350d",
+        "",
+    ),
+    "solve-cyclic Z_12 fallback --trace": (
+        ["solve-cyclic", "--n", "12", "--seq", "7,7,10,3,5,7,5,3,5,2,1,9", "--trace"],
+        0,
+        "a141da53b8601d18f8b93f7e0c0156a1e280f62c0e83be7c199b0606d6ecda33",
+        "",
+    ),
+    "solve-cyclic Z_2310": (
+        ["solve-cyclic", "--n", "2310", "--seq", _max_order_cyclic(2310, 15)],
+        0,
+        "b33bc82414e82ac0058d32fe4268a0b417a66a526cd9950fc25ce13ff7f04972",
+        "",
+    ),
+    "passing verify Z_6": (
+        ["verify", "--group", "6", "--seq", "1,2,3,4,5,0", "--indices", "1,5"],
+        0,
+        "fe632edea9b613c55b68f6aedbcea6ebdb12fca90480c94dedb1c86f84613728",
+        "",
+    ),
+    "failing verify Z_6": (
+        ["verify", "--group", "6", "--seq", "3,3,2,4,5,0", "--indices", "1,2,3"],
+        1,
+        "44282937a4ab38ab80385daaf4f1563ac09fbd23da09f4895d7617a49167de95",
+        "",
+    ),
+    "feasible oracle Z_60": (
+        ["oracle", "--group", "60", "--seq", ",".join(["50", "7"] + ["1"] * 10 + ["30", "30"])],
+        0,
+        "58a9172295b02aab56197f8de01983a2f401a9cba5fa07b641ce11195b550d7e",
+        "",
+    ),
+    "infeasible oracle Z_210": (
+        ["oracle", "--group", "210", "--seq", ",".join(["11"] * 209)],
+        1,
+        "754287dda2f21abc812d8fbab0217de9529dffd84a075084a4eddd14b6703ea1",
+        "",
+    ),
+    "pebbling-number lattice:12": (
+        ["pebbling-number", "--graph", "lattice:12"],
+        0,
+        "4cedd4074feb2529f70f276a03a64f7f64bdbde6a7ae68249c1c9b0958c6a830",
+        "",
+    ),
+    "stress 6,6": (
+        ["stress", "--group", "6,6", "--trials", "20", "--oracle-limit", "20"],
+        0,
+        "cf0d27a9dc844eca623ed81e0d76b7ecfcd4c55938882931afed33c53d398137",
+        "",
+    ),
+    "davenport 4,2": (
+        ["davenport", "--group", "4,2"],
+        0,
+        "3e2445839c070e87255b49e0578e17d9c4302c6466510aa0beacd16d8af942a2",
+        "",
+    ),
+    "index out of range": (
+        ["verify", "--group", "6", "--seq", "1,2,3,4,5,0", "--indices", "1,7"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "input error: index 7 outside 1..6\n",
+    ),
+}
+
+ELAPSED_LINE = re.compile(r"elapsed \d+\.\d ms\n")
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_output_is_pinned_for_every_command(capsys, name):
+    argv, exit_code, digest, err = TEXT_CASES[name]
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if not ELAPSED_LINE.fullmatch(line))
+    # A report ends in its one timing line; an input error prints no report.
+    assert len(lines) - kept.count("\n") == (exit_code != 2)
+    assert not lines or ELAPSED_LINE.fullmatch(lines[-1])
+    assert captured.err == err
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
