@@ -16,7 +16,6 @@ from .errors import (
     InternalInvariantError,
 )
 from .groups import (
-    GroupElement,
     GroupSpec,
     PrimaryDecomposition,
     add_elements,
@@ -70,7 +69,6 @@ __all__ = [
     "EXIT_PASS",
     "InputError",
     "InternalInvariantError",
-    "GroupElement",
     "GroupSpec",
     "PrimaryDecomposition",
     "add_elements",

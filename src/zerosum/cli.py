@@ -35,7 +35,6 @@ from .errors import (
 )
 from .groups import (
     PrimaryDecomposition,
-    elements_from_coords,
     encode_sequence,
     parse_group_spec,
     primary_decomposition,
@@ -230,7 +229,7 @@ def cmd_solve_cyclic(args) -> RunReport:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = primary_decomposition(parse_group_spec(str(args.n)))
     integers = cyclic_sequence_argument(args)
-    elements = elements_from_coords(dec, zip(map(args.n.__rmod__, integers)))
+    elements = list(zip(map(args.n.__rmod__, integers)))
     conf, cert = _solve_sequence(dec, elements)
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:

@@ -19,7 +19,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .groups import (
-    GroupElement,
     PrimaryDecomposition,
     add_elements,
     element_order,
@@ -71,22 +70,18 @@ class Certificate(NamedTuple):
 
 
 def well_placed(
-    val: GroupElement | tuple[int, ...],
-    cost: int,
-    u: Sequence[int],
-    dec: PrimaryDecomposition,
+    val: tuple[int, ...], cost: int, u: Sequence[int], dec: PrimaryDecomposition
 ) -> bool:
-    """Congruence of `val` (an element, or its coordinates as a pebble's `val`
-    holds them) against the residual moduli at u, plus the integer cost
-    budget. The rule is derived from u, not read from the lattice's table,
-    so the engine's precomputed placement can be checked against it.
+    """Congruence of `val` (an element, or a pebble's value) against the
+    residual moduli at u, plus the integer cost budget. The rule is derived
+    from u, not read from the lattice's table, so the engine's precomputed
+    placement can be checked against it.
     """
-    coords = val.coords if isinstance(val, GroupElement) else val
     budget, congruences = placement_rule(dec, tuple(u))
     if cost > budget:
         return False
     for j, m in congruences:
-        if coords[j] % m:
+        if val[j] % m:
             return False
     return True
 
@@ -94,12 +89,12 @@ def well_placed(
 class Configuration:
     """The pebbles and the move log of one solving session, as a table.
 
-    Pebble k is row k: `vals[k]` (the element's own `coords` tuple for an
-    input pebble 1..|G|) and `costs[k]`; row 0 is unused. `pools` maps a
-    vertex index to the ids on it, ascending. The move log is the merge
-    tree: pebble |G| + 1 + k is made by move k, and its parts are that move's
-    `selected` ids (see `Pebble.members`). Mutated only through merge moves;
-    not meant to be shared across sessions. With debug enabled (flag or
+    Pebble k is row k: `vals[k]` (for an input pebble 1..|G|, element k
+    itself) and `costs[k]`; row 0 is unused. `pools` maps a vertex index to
+    the ids on it, ascending. The move log is the merge tree: pebble
+    |G| + 1 + k is made by move k, and its parts are that move's `selected`
+    ids (see `Pebble.members`). Mutated only through merge moves; not meant
+    to be shared across sessions. With debug enabled (flag or
     ZEROSUM_DEBUG=1) every move recomputes the new pebble's value and cost
     from its member indices and re-checks disjointness.
     """
@@ -108,7 +103,7 @@ class Configuration:
         self,
         dec: PrimaryDecomposition,
         lattice: WeightedLattice,
-        elements: Sequence[GroupElement],
+        elements: Sequence[tuple[int, ...]],
         debug: bool | None = None,
     ):
         self.dec = dec
@@ -159,22 +154,21 @@ def _leaves(moves: Sequence[MoveRecord], pid: int) -> list[int]:
 
 def initial_configuration(
     dec: PrimaryDecomposition,
-    elements: Sequence[GroupElement],
+    elements: Sequence[tuple[int, ...]],
     lattice: WeightedLattice | None = None,
     debug: bool | None = None,
 ) -> Configuration:
     """One singleton pebble per element on the vertex of its order.
 
-    The orders come from one column pass (`element_orders`), the ids are
-    placed a vertex at a time, and every pebble's placement is checked
-    against its vertex's rule.
+    The orders come from one column pass (`element_orders`, which refuses
+    an element of another rank), the ids are placed a vertex at a time, and
+    every pebble's placement is checked against its vertex's rule. Input
+    pebble k's row is element k itself.
     """
     if len(elements) != dec.group_order:
         raise InputError(
             f"need exactly {dec.group_order} elements for this group, got {len(elements)}"
         )
-    if any(g.dec is not dec and g.dec != dec for g in elements):
-        raise InputError("sequence element belongs to a different decomposition")
     if lattice is None:
         lattice = build_lattice(dec)
     conf = Configuration(dec, lattice, elements, debug=debug)
@@ -187,7 +181,7 @@ def initial_configuration(
         raise InternalInvariantError(
             f"element order {order} does not divide the exponent {exponent}"
         )
-    vals.extend([g.coords for g in conf.elements])
+    vals.extend(conf.elements)
     costs.extend(map(exponent.__floordiv__, orders))
     misplaced = []
     by_vertex = sorted(range(1, len(where)), key=where.__getitem__)  # stable: ids stay ascending
@@ -305,7 +299,7 @@ def _debug_check(conf: Configuration, pid: int) -> None:
     """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
     log = conf.move_log
     val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(log, pid))))
-    if val.coords != conf.vals[pid] or cost != conf.costs[pid]:
+    if val != conf.vals[pid] or cost != conf.costs[pid]:
         raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
     seen: set[int] = set()
     for pool in conf.pools.values():
@@ -426,21 +420,21 @@ def solve_to_root(conf: Configuration) -> Pebble:
 
 
 def _recompute(
-    dec: PrimaryDecomposition, elements: Sequence[GroupElement], indices: Sequence[int]
-) -> tuple[GroupElement, int]:
+    dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]], indices: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
     total = identity(dec)
     cost = 0
     for k in indices:
         g = elements[k - 1]
-        total = add_elements(total, g)
-        cost += dec.exponent // element_order(g)
+        total = add_elements(dec, total, g)
+        cost += dec.exponent // element_order(dec, g)
     return total, cost
 
 
 def extract_certificate(
     root: Pebble,
     dec: PrimaryDecomposition,
-    elements: Sequence[GroupElement],
+    elements: Sequence[tuple[int, ...]],
 ) -> Certificate:
     """Recompute every condition from the member indices alone; caches are not trusted."""
     if root.vertex.divisor != 1:
@@ -455,7 +449,7 @@ def extract_certificate(
 
 
 def verify_certificate(
-    dec: PrimaryDecomposition, elements: Sequence[GroupElement], indices: Sequence[int]
+    dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]], indices: Sequence[int]
 ) -> Verdict:
     """Independent check of a claimed index set; lists every violated condition."""
     indices = list(indices)

@@ -4,8 +4,9 @@ A group is given as a direct sum of cyclic factors Z_n1 + ... + Z_nr, in any
 order. Each factor is split into cyclic components of prime-power order, and
 the components are regrouped into invariant factors n_1, ..., n_r (n_j the
 product of every prime's j-th largest component, so n_1 is the exponent). An
-element is one integer per invariant factor, converted from the user's
-coordinates once, at parse time; addition is componentwise mod n_j.
+element is a plain tuple of one integer per invariant factor, converted from
+the user's coordinates once, at parse time; addition is componentwise mod n_j.
+The group travels beside its elements: every function on them takes `dec`.
 Everything is exact integer work; there is no float anywhere in the package.
 """
 
@@ -151,30 +152,11 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
     )
 
 
-class GroupElement(NamedTuple):
-    """Element as one integer per invariant factor, coords[j] in 0..n_j - 1."""
-
-    dec: PrimaryDecomposition
-    coords: tuple[int, ...]
+def identity(dec: PrimaryDecomposition) -> tuple[int, ...]:
+    return (0,) * len(dec.invariant_factors)
 
 
-def elements_from_coords(
-    dec: PrimaryDecomposition, coords: Iterable[tuple[int, ...]]
-) -> list[GroupElement]:
-    """GroupElement(dec, c) for every tuple c of reduced coordinates.
-
-    Each is made by tuple.__new__ itself: the __new__ that NamedTuple
-    generates makes the same call behind a Python-level frame, which about
-    doubles the time to build a long sequence.
-    """
-    return list(map(tuple.__new__, repeat(GroupElement), zip(repeat(dec), coords)))
-
-
-def identity(dec: PrimaryDecomposition) -> GroupElement:
-    return GroupElement(dec, (0,) * len(dec.invariant_factors))
-
-
-def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> GroupElement:
+def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> tuple[int, ...]:
     """Map a residue tuple over the user factors to the group's element.
 
     Negative residues are allowed and reduced. Component (i, j) of the result
@@ -185,7 +167,7 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> Gro
 
 def encode_sequence(
     raws: Sequence[Sequence[int]], dec: PrimaryDecomposition
-) -> list[GroupElement]:
+) -> list[tuple[int, ...]]:
     """`to_primary_coordinates` of every residue tuple in `raws`, a column at a time.
 
     The first malformed tuple, in input order, raises the error
@@ -215,54 +197,64 @@ def encode_sequence(
         map(mod, col, repeat(n)) if col is not None else repeat(0, len(raws))
         for col, n in zip(acc, dec.invariant_factors)
     ]
-    return elements_from_coords(dec, zip(*coords))
+    return list(zip(*coords))
 
 
-def add_elements(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.dec is not b.dec and a.dec != b.dec:
-        raise InputError("elements come from different decompositions")
-    factors = a.dec.invariant_factors
-    return GroupElement(a.dec, tuple([(x + y) % n for x, y, n in zip(a.coords, b.coords, factors)]))
+def add_elements(
+    dec: PrimaryDecomposition, a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[int, ...]:
+    return tuple([(x + y) % n for x, y, n in zip(a, b, dec.invariant_factors)])
 
 
-def element_order(g: GroupElement) -> int:
-    """Least k >= 1 with k*g = 0.
+def element_order(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:
+    """Least k >= 1 with k*g = 0: `element_orders` of g alone, without the
+    column pass (an element of the wrong rank goes there for its error)."""
+    factors = dec.invariant_factors
+    if len(g) != len(factors):
+        return element_orders(dec, [g])[0]
+    return math.lcm(*map(floordiv, factors, map(math.gcd, g, factors)))
 
-    A coordinate x of an invariant factor n has order n / gcd(x, n) (1 for
-    x = 0), and the element's order is the lcm of its coordinates' orders.
+
+def element_orders(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]]) -> list[int]:
+    """The order of every element, a column at a time.
+
+    A coordinate x of an invariant factor n has order n // gcd(x, n) (1 for
+    x = 0), taken over each invariant factor's column, and an element's
+    order is the lcm of its coordinates' orders, taken across the columns.
+
+    This is the one check that the elements belong to `dec`, made here
+    because every caller takes their orders first: an element without
+    exactly one coordinate per invariant factor raises InputError (so an
+    element of Z_2 + Z_2 is refused in Z_4).
     """
-    factors = g.dec.invariant_factors
-    return math.lcm(*map(floordiv, factors, map(math.gcd, g.coords, factors)))
-
-
-def element_orders(dec: PrimaryDecomposition, elements: Sequence[GroupElement]) -> list[int]:
-    """`element_order` of every element, a column at a time: n // gcd(x, n)
-    over each invariant factor's column, then the lcm across columns."""
+    factors = dec.invariant_factors
+    wrong = set(map(len, elements)) - {len(factors)}
+    if wrong:
+        raise InputError(f"element has {min(wrong)} coordinates, not one per invariant factor")
     if not elements:
         return []
-    columns = zip(*[g.coords for g in elements])
     per_factor = [
         map(n.__floordiv__, map(math.gcd, col, repeat(n)))
-        for col, n in zip(columns, dec.invariant_factors)
+        for col, n in zip(zip(*elements), factors)
     ]
     return list(per_factor[0] if len(per_factor) == 1 else map(math.lcm, *per_factor))
 
 
-def element_index(g: GroupElement) -> int:
+def element_index(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:
     """Mixed-radix encoding of the primary components, in `moduli` order; a
     bijection onto 0..|G|-1."""
     idx = 0
-    for mods in g.dec.moduli:
-        for x, q in zip(g.coords, mods):
+    for mods in dec.moduli:
+        for x, q in zip(g, mods):
             idx = idx * q + x % q
     return idx
 
 
-def element_from_index(dec: PrimaryDecomposition, index: int) -> GroupElement:
+def element_from_index(dec: PrimaryDecomposition, index: int) -> tuple[int, ...]:
     if not 0 <= index < dec.group_order:
         raise InputError(f"element index {index} outside 0..{dec.group_order - 1}")
     acc = [0] * len(dec.invariant_factors)
     for j, _, q, c in reversed(dec.crt):
         index, x = divmod(index, q)
         acc[j] += c * x
-    return GroupElement(dec, tuple([x % n for x, n in zip(acc, dec.invariant_factors)]))
+    return tuple([x % n for x, n in zip(acc, dec.invariant_factors)])

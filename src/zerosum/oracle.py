@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
-from .groups import GroupElement, PrimaryDecomposition, element_orders, elements_from_coords
+from .groups import PrimaryDecomposition, element_orders
 from .lattice import build_lattice
 
 # Items x group order; admits |G| items over groups of order up to 2828.
@@ -37,6 +37,8 @@ DAVENPORT_WEIGHTED_MAX = 12
 
 # A pebble distribution is a count per vertex, indexed like the graph.
 PebbleDistribution = tuple[int, ...]
+# Solvability of the distributions seen for one (graph, target) pair.
+_SolvableMemo = dict[PebbleDistribution, bool]
 
 
 class _GraphFields(NamedTuple):
@@ -124,14 +126,6 @@ def lattice_graph(dec: PrimaryDecomposition) -> WeightedGraph:
     return WeightedGraph(lattice.num_vertices, tuple(edges), name=f"lattice:{dec.exponent}")
 
 
-class _SolvableMemo:
-    """Solvability cache for one (graph, target) pair, shared across queries."""
-
-    def __init__(self):
-        self.solved: set[PebbleDistribution] = set()
-        self.failed: set[PebbleDistribution] = set()
-
-
 def solvable(
     graph: WeightedGraph,
     dist: PebbleDistribution,
@@ -149,7 +143,7 @@ def solvable(
     if dist[target] >= 1:
         return True
     adj = _adjacency(graph)
-    memo = _memo if _memo is not None else _SolvableMemo()
+    memo = _memo if _memo is not None else {}
     return _solvable_search(dist, adj, target, memo, [MAX_SOLVABLE_STATES])
 
 
@@ -162,10 +156,8 @@ def _solvable_search(
     calls itself is a reference cycle, and `pebbling_number` makes one
     `solvable` call per (distribution, target) pair.
     """
-    if state in memo.solved:
-        return True
-    if state in memo.failed:
-        return False
+    if state in memo:
+        return memo[state]
     budget[0] -= 1
     if budget[0] < 0:
         raise InternalInvariantError("solvability search exceeded its state budget")
@@ -179,9 +171,9 @@ def _solvable_search(
                 nxt[u] += 1
                 nxt_t = tuple(nxt)
                 if nxt_t[target] >= 1 or _solvable_search(nxt_t, adj, target, memo, budget):
-                    memo.solved.add(state)
+                    memo[state] = True
                     return True
-    memo.failed.add(state)
+    memo[state] = False
     return False
 
 
@@ -247,7 +239,7 @@ def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -
             f"pebbling scan would visit at least {final_round} distributions of {lower} pebbles "
             f"on {graph.num_vertices} vertices, above the bound {MAX_PEBBLING_DISTRIBUTIONS}"
         )
-    memos = {t: _SolvableMemo() for t in range(graph.num_vertices)}
+    memos: list[_SolvableMemo] = [{} for _ in range(graph.num_vertices)]
     witness: tuple[PebbleDistribution, int] = ((0,) * graph.num_vertices, 0)
     for k in range(1, max_total + 1):
         bad = None
@@ -283,13 +275,13 @@ def check_dp_work(dec: PrimaryDecomposition, length: int) -> None:
         )
 
 
-def _shift_table(g: GroupElement) -> list[int]:
+def _shift_table(dec: PrimaryDecomposition, g: tuple[int, ...]) -> list[int]:
     """table[s] is the index of s + g, for every sum index s.
 
     Sums are numbered row-major over the invariant factors, so the table is
     one rotation per factor and table[0] is the index of g.
     """
-    rots = [[*range(x, n), *range(x)] for x, n in zip(g.coords, g.dec.invariant_factors)]
+    rots = [[*range(x, n), *range(x)] for x, n in zip(g, dec.invariant_factors)]
     table = rots[0]
     for rot in rots[1:]:
         n = len(rot)
@@ -326,11 +318,8 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     rises, no link on the final chain changes after the stop either.
     """
     elements = list(elements)
-    for g in elements:
-        if g.dec is not dec and g.dec != dec:
-            raise InputError("sequence element belongs to a different decomposition")
-    check_dp_work(dec, len(elements))
     costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    check_dp_work(dec, len(elements))
     floor = min(2, dec.exponent)
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
@@ -339,8 +328,8 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     table_of = table = None
     changed: list[int] = []
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
-        if g.coords != table_of:
-            table_of, table = g.coords, _shift_table(g)
+        if g != table_of:
+            table_of, table = g, _shift_table(dec, g)
             gi = table[0]
             sources, before = reached, best[:]
         else:
@@ -390,9 +379,9 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     if order > cap:
         raise InputError(f"group order {order} above the enumeration bound {cap}")
     bound = dec.exponent
-    elements = elements_from_coords(dec, itertools.product(*map(range, dec.invariant_factors)))
+    elements = list(itertools.product(*map(range, dec.invariant_factors)))
     costs = list(map(bound.__floordiv__, element_orders(dec, elements)))
-    tables = list(map(_shift_table, elements))
+    tables = [_shift_table(dec, g) for g in elements]
     if weighted:
         return _longest_weighted(tables, costs, bound, 1, frozenset(), 0) + 1
     return _longest_plain(tables, 1, frozenset(), 0) + 1

@@ -102,7 +102,7 @@ def _engine_trials(group_text, kind, seed):
     lattice = build_lattice(dec)
     pool = [element_from_index(dec, i) for i in range(1, dec.group_order)]
     if kind == "max-order":
-        pool = [g for g in pool if element_order(g) == dec.exponent]
+        pool = [g for g in pool if element_order(dec, g) == dec.exponent]
     rng = SplitMix64(seed)
     for _ in range(ENGINE_TRIALS):
         els = [pool[rng.below(len(pool))] for _ in range(dec.group_order)]

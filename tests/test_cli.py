@@ -463,7 +463,7 @@ def test_main_pauses_gc_and_restores_the_callers_setting(monkeypatch, capsys, ar
 
     def solve_seeing_gc(conf):
         seen.append(gc.isenabled())
-        if conf.elements[1].coords == (2,):
+        if conf.elements[1] == (2,):
             raise InternalInvariantError("forced for the test")
         return solve(conf)
 
@@ -622,21 +622,28 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def _readme_command_lines() -> list[list[str]]:
-    """The argv of each line of the README's "Command line" block."""
+def _readme_block(heading: str, fence: str = "```") -> str:
+    """The first code block under the README's `## heading`, opened by `fence`."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True) for line in block.splitlines()]
+    return text.split(f"## {heading}\n\n{fence}\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_command_line_block_runs_and_names_every_subcommand(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seq.txt").write_text("1\n3\n5\n7\n9\n", encoding="utf-8")
-    argvs = _readme_command_lines()
+    argvs = [shlex.split(line, comments=True) for line in _readme_block("Command line").splitlines()]
     for argv in argvs:
         assert argv[0] == "zerosum"
         assert main(argv[1:]) == 0, (argv, capsys.readouterr())
     capsys.readouterr()
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[1] for argv in argvs} == set(sub.choices)
+
+
+def test_readme_library_block_runs_and_every_exported_name_resolves():
+    # The "Library" block is run as written, so the README cannot describe
+    # a signature the package no longer has.
+    exec(compile(_readme_block("Library", "```python"), "README.md", "exec"), {})
+    missing = [name for name in zerosum.__all__ if not hasattr(zerosum, name)]
+    assert not missing

@@ -35,6 +35,7 @@ from zerosum import MoveRecord
 from zerosum.base_cases import _elementary_block
 from zerosum.cli import main
 from zerosum.engine import _debug_check, _eliminate_plan, _greedy_plan
+from zerosum.groups import encode_sequence
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
 
@@ -47,8 +48,8 @@ def _elements(dec, raws):
     return [to_primary_coordinates(tuple(r) if isinstance(r, (list, tuple)) else (r,), dec) for r in raws]
 
 
-def _cost(g):
-    return g.dec.exponent // element_order(g)
+def _cost(dec, g):
+    return dec.exponent // element_order(dec, g)
 
 
 def _solve(text, raws, debug=None):
@@ -72,6 +73,10 @@ def test_initial_configuration_rejects_foreign_elements():
     els = [identity(other)] * 4
     with pytest.raises(InputError):
         initial_configuration(dec, els)
+    # The certificate check refuses them too, rather than reading one
+    # coordinate of each and passing.
+    with pytest.raises(InputError):
+        verify_certificate(dec, els, [1])
 
 
 def test_initial_pebbles_sit_on_order_vertices():
@@ -80,8 +85,18 @@ def test_initial_pebbles_sit_on_order_vertices():
     conf = initial_configuration(dec, els)
     assert [peb.pid for peb in conf.live_pebbles()] == list(range(1, 13))
     for peb in conf.live_pebbles():
-        assert peb.vertex.divisor == element_order(els[peb.pid - 1])
+        assert peb.vertex.divisor == element_order(dec, els[peb.pid - 1])
         assert peb.members == frozenset([peb.pid])
+
+
+def test_input_rows_are_the_elements_themselves():
+    # An element is a plain tuple, and input pebble k's row is element k
+    # itself, not a copy: the table holds no second object per input.
+    dec = _dec("6,2")
+    els = encode_sequence([(a, a % 5) for a in range(12)], dec)
+    assert {type(g) for g in els} == {tuple}
+    conf = initial_configuration(dec, els)
+    assert all(conf.vals[k] is els[k - 1] for k in range(1, 13))
 
 
 def test_z4_all_ones_full_trace():
@@ -333,15 +348,11 @@ def test_well_placed_examples():
     one = to_primary_coordinates((1,), dec)
     two = to_primary_coordinates((2,), dec)
     zero = identity(dec)
-    assert well_placed(zero, _cost(zero), (0,), dec)
-    assert not well_placed(one, _cost(one), (0,), dec)
-    assert well_placed(one, _cost(one), (2,), dec)
-    assert well_placed(two, _cost(two), (1,), dec)
-    assert not well_placed(two, _cost(two), (0,), dec)
-    # A pebble's `val` holds the coordinates alone; they read the same.
-    for g in (zero, one, two):
-        for u in ((0,), (1,), (2,)):
-            assert well_placed(g.coords, _cost(g), u, dec) == well_placed(g, _cost(g), u, dec)
+    assert well_placed(zero, _cost(dec, zero), (0,), dec)
+    assert not well_placed(one, _cost(dec, one), (0,), dec)
+    assert well_placed(one, _cost(dec, one), (2,), dec)
+    assert well_placed(two, _cost(dec, two), (1,), dec)
+    assert not well_placed(two, _cost(dec, two), (0,), dec)
     # Cost budget alone can disqualify: a divisible value with bloated cost.
     assert not well_placed(zero, 5, (0,), dec)
 
@@ -407,10 +418,10 @@ def test_certificate_cost_meets_declared_bound(text, data):
     ]
     conf = initial_configuration(dec, els)
     cert = extract_certificate(solve_to_root(conf), dec, els)
-    recomputed = sum(_cost(els[k - 1]) for k in cert.indices)
+    recomputed = sum(_cost(dec, els[k - 1]) for k in cert.indices)
     total = identity(dec)
     for k in cert.indices:
-        total = add_elements(total, els[k - 1])
+        total = add_elements(dec, total, els[k - 1])
     assert total == identity(dec)
     assert recomputed == cert.ord_cost <= dec.exponent
 
@@ -457,7 +468,7 @@ def test_debug_mode_catches_tampered_cached_value():
         conf = initial_configuration(dec, els, debug=debug)
         top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
         assert conf.pools[conf.lattice.vertex_index((2,))][0] == 1
-        conf.vals[1] = three.coords
+        conf.vals[1] = three
         if not debug:
             merge_step(conf, top, 0)
             continue
@@ -473,7 +484,7 @@ def test_merge_refuses_consumed_pebble_not_well_placed():
     conf = initial_configuration(dec, els)
     lat = conf.lattice
     assert conf.pools[lat.vertex_index((1,))][0] == 1
-    conf.vals[1] = to_primary_coordinates((1,), dec).coords
+    conf.vals[1] = to_primary_coordinates((1,), dec)
     with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
         merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
 

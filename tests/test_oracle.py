@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -45,8 +46,8 @@ def _els(dec, raws):
     return [to_primary_coordinates((r,) if isinstance(r, int) else tuple(r), dec) for r in raws]
 
 
-def _cost(g):
-    return g.dec.exponent // element_order(g)
+def _cost(dec, g):
+    return dec.exponent // element_order(dec, g)
 
 
 def _naive_min_cost(dec, elements):
@@ -56,8 +57,8 @@ def _naive_min_cost(dec, elements):
             total = identity(dec)
             cost = 0
             for i in combo:
-                total = add_elements(total, elements[i])
-                cost += _cost(elements[i])
+                total = add_elements(dec, total, elements[i])
+                cost += _cost(dec, elements[i])
             if total == identity(dec) and (best is None or cost < best):
                 best = cost
     return best
@@ -71,7 +72,7 @@ def test_dp_feasible_sample():
     assert result.qualifies
     total = identity(dec)
     for k in result.indices:
-        total = add_elements(total, _els(dec, [2, 3, 2, 3, 2, 3])[k - 1])
+        total = add_elements(dec, total, _els(dec, [2, 3, 2, 3, 2, 3])[k - 1])
     assert total == identity(dec)
 
 
@@ -130,11 +131,11 @@ def test_dp_matches_naive_enumeration_battery():
             else:
                 assert got.feasible
                 assert got.min_cost == want
-                cost = sum(_cost(els[k - 1]) for k in got.indices)
+                cost = sum(_cost(dec, els[k - 1]) for k in got.indices)
                 assert cost == want
                 total = identity(dec)
                 for k in got.indices:
-                    total = add_elements(total, els[k - 1])
+                    total = add_elements(dec, total, els[k - 1])
                 assert total == identity(dec)
 
 
@@ -234,22 +235,22 @@ def test_dp_reproduces_frozen_witnesses():
     assert got == FROZEN_WITNESSES
 
 
-def _component_index(g):
+def _component_index(dec, g):
     """Mixed-radix index of the primary components, in `moduli` order."""
     idx = 0
-    for mods in g.dec.moduli:
-        for x, q in zip(g.coords, mods):
+    for mods in dec.moduli:
+        for x, q in zip(g, mods):
             idx = idx * q + x % q
     return idx
 
 
-def _component_shift_table(g):
+def _component_shift_table(dec, g):
     """table[s] is the _component_index of s + g: a mixed-radix product of
     per-component rotations, as the DP built it before sums were numbered
     over the invariant factors."""
     table = [0]
-    for mods in g.dec.moduli:
-        for x, m in zip(g.coords, mods):
+    for mods in dec.moduli:
+        for x, m in zip(g, mods):
             x %= m
             rot = [*range(x, m), *range(x)]
             table = [hi + r for hi in (a * m for a in table) for r in rot]
@@ -262,9 +263,6 @@ def _per_item_dp(dec, elements):
     reached sum. Kept verbatim, with its component-order index and tables, as
     the reference for the equivalence test."""
     elements = list(elements)
-    for g in elements:
-        if g.dec is not dec and g.dec != dec:
-            raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
     costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
     unreached = sum(costs) + 1
@@ -273,9 +271,9 @@ def _per_item_dp(dec, elements):
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
     table_of = table = None
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
-        gi = _component_index(g)
+        gi = _component_index(dec, g)
         if gi != table_of:
-            table_of, table = gi, _component_shift_table(g)
+            table_of, table = gi, _component_shift_table(dec, g)
         before = best[:]
         fresh = []
         if c < best[gi]:
@@ -309,9 +307,6 @@ def _full_run_dp(dec, elements):
     item. Kept verbatim, with its component-order index and tables, as the
     reference for the stop-equivalence test."""
     elements = list(elements)
-    for g in elements:
-        if g.dec is not dec and g.dec != dec:
-            raise InputError("sequence element belongs to a different decomposition")
     check_dp_work(dec, len(elements))
     costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
     unreached = sum(costs) + 1
@@ -321,9 +316,9 @@ def _full_run_dp(dec, elements):
     table_of = table = None
     changed: list[int] = []
     for k, (g, c) in enumerate(zip(elements, costs), start=1):
-        gi = _component_index(g)
+        gi = _component_index(dec, g)
         if gi != table_of:
-            table_of, table = gi, _component_shift_table(g)
+            table_of, table = gi, _component_shift_table(dec, g)
             sources, before = reached, best[:]
         else:
             sources, before = changed, {s: best[s] for s in changed}
@@ -428,9 +423,9 @@ def test_stopping_dp_matches_full_run_dp():
     assert stopped >= 0.7 * uniform, (stopped, uniform)
 
 
-def _row_major_index(g):
+def _row_major_index(dec, g):
     idx = 0
-    for x, n in zip(g.coords, g.dec.invariant_factors):
+    for x, n in zip(g, dec.invariant_factors):
         idx = idx * n + x
     return idx
 
@@ -441,10 +436,11 @@ def test_shift_table_matches_group_addition():
     for text in ("1", "12", "9,3", "2,4,2", "6,6", "2,4,6"):
         dec = _dec(text)
         elements = [element_from_index(dec, i) for i in range(dec.group_order)]
-        assert sorted(map(_row_major_index, elements)) == list(range(dec.group_order))
-        by_index = sorted(elements, key=_row_major_index)
+        index = functools.partial(_row_major_index, dec)
+        assert sorted(map(index, elements)) == list(range(dec.group_order))
+        by_index = sorted(elements, key=index)
         for g in elements:
-            assert _shift_table(g) == [_row_major_index(add_elements(s, g)) for s in by_index]
+            assert _shift_table(dec, g) == [index(add_elements(dec, s, g)) for s in by_index]
 
 
 def test_dp_work_bound():
