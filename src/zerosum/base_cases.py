@@ -8,6 +8,9 @@ Both selections are deterministic so certificates are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress, islice, repeat
+
 from .errors import InternalInvariantError
 
 
@@ -49,24 +52,25 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     smallest label) the first p members in input order reduce, via their scaling
     coefficients, to the cyclic case. Returns ascending 1-based indices.
 
-    A nonzero vector's label is the vector scaled so its first nonzero entry is
-    1, read from one scale table per lead; two nonzero vectors share a label
-    exactly when one is a scalar multiple of the other.
+    A nonzero vector's label is the vector scaled so its first nonzero entry
+    (its lead) is 1, by one scale table per lead, so two share a label exactly
+    when one is a multiple of the other; a lead-1 vector (every one over F_2)
+    is its own label and is not scaled.
     """
     zero = (0,) * len(vecs[0])
     if zero in vecs:
         return [vecs.index(zero) + 1]
 
-    scale = [tuple(x * pow(lead, -1, p) % p for x in range(p)) for lead in range(1, p)]
-    lines: dict[tuple[int, ...], list[int]] = {}
-    for k, v in enumerate(vecs, start=1):
-        lead = next(filter(None, v))
-        label = tuple(map(scale[lead - 1].__getitem__, v))
-        lines.setdefault(label, []).append(k)
-    best_label = min(lines, key=lambda lab: (-len(lines[lab]), lab))
-    members = lines[best_label]
-    if len(members) < p:
+    labels = vecs
+    if p > 2:
+        scale = {lead: tuple(x * pow(lead, -1, p) % p for x in range(p)) for lead in range(2, p)}
+        leads = map(next, map(filter, repeat(None), vecs))
+        labels = [v if a == 1 else tuple(map(scale[a].__getitem__, v)) for v, a in zip(vecs, leads)]
+    counts = Counter(labels)
+    top = max(counts.values())
+    if top < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
-    chosen = members[:p]
+    best = min(compress(counts, map(top.__eq__, counts.values())))
+    chosen = list(islice(compress(range(1, len(vecs) + 1), map(best.__eq__, labels)), p))
     (block,) = _zero_sum_blocks(p, [next(filter(None, vecs[k - 1])) for k in chosen])
     return chosen[block]

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple, Sequence
 
@@ -99,26 +100,35 @@ class RunReport(NamedTuple):
     moves: list[dict] | None = None
 
 
-def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[list[int]]:
-    """Element tuples from inline text, or from the file named by `value` if from_file.
+def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> list:
+    """Element tuples from inline text, or from the file named by `value` if
+    from_file; with flat (rank 1), the integers themselves.
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
-    also work, since each element is a single integer.
+    also work, since each element is a single integer. If every part holds
+    `rank` integers, one split and one int map read them all (int() strips
+    no padding str.strip keeps); else each part is read alone, blanks skipped
+    and the first bad part named.
     """
     if from_file:
         try:
             with open(value, encoding="utf-8") as fh:
-                parts = [ln.strip() for ln in fh.read().splitlines()]
+                parts = fh.read().splitlines()
         except OSError as exc:
             raise InputError(f"cannot read sequence file {value!r}: {exc}") from None
-        parts = [p for p in parts if p]
     else:
         s = value.strip()
         if not s:
             raise InputError("empty sequence")
-        sep = ";" if ";" in s or rank > 1 else ","
-        parts = [p.strip() for p in s.split(sep) if p.strip()]
+        parts = s.split(";" if ";" in s or rank > 1 else ",")
+    if parts and (rank == 1 or set(map(str.count, parts, repeat(","))) == {rank - 1}):
+        try:
+            ints = list(map(int, parts if rank == 1 else ",".join(parts).split(",")))
+            return ints if flat else list(map(list, zip(*[iter(ints)] * rank)))
+        except ValueError:
+            pass
+    parts = [p for p in map(str.strip, parts) if p]
     if not parts:
         raise InputError("sequence has no elements")
     out = []
@@ -127,34 +137,16 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False) -> list[l
             out.append(list(map(int, map(str.strip, part.split(",")))))
         except ValueError:
             raise InputError(f"bad element {part!r} in sequence") from None
-    return out
+    wrong = [r for r in out if len(r) != 1] if flat else []
+    if wrong:
+        raise InputError(f"cyclic sequence elements are single integers, got {wrong[0]}")
+    return [r[0] for r in out] if flat else out
 
 
-def sequence_argument(args, rank: int) -> list[list[int]]:
+def sequence_argument(args, rank: int, flat: bool = False) -> list:
     """The raw sequence given by --seq (inline) or --seq-file (a path)."""
-    if args.seq_file is not None:
-        return parse_raw_sequence(args.seq_file, rank, from_file=True)
-    return parse_raw_sequence(args.seq, rank)
-
-
-def cyclic_sequence_argument(args) -> list[int]:
-    """The integers of solve-cyclic's --seq or --seq-file.
-
-    Inline text without ';' is read with one split and one int pass. Blank
-    parts, ';', a file or a bad part go through `parse_raw_sequence`, which
-    skips the blanks and names the bad part; int() allows the same padding
-    that parse_raw_sequence strips, so both ways read the same integers.
-    """
-    if args.seq_file is None and ";" not in args.seq:
-        try:
-            return list(map(int, args.seq.split(",")))
-        except ValueError:
-            pass
-    raw = sequence_argument(args, rank=1)
-    for r in raw:
-        if len(r) != 1:
-            raise InputError(f"cyclic sequence elements are single integers, got {r}")
-    return [r[0] for r in raw]
+    from_file = args.seq_file is not None
+    return parse_raw_sequence(args.seq_file if from_file else args.seq, rank, from_file, flat)
 
 
 def parse_indices(value: str) -> list[int]:
@@ -228,7 +220,7 @@ def cmd_solve_cyclic(args) -> RunReport:
     if args.n < 1:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = primary_decomposition(parse_group_spec(str(args.n)))
-    integers = cyclic_sequence_argument(args)
+    integers = sequence_argument(args, 1, flat=True)
     elements = list(zip(map(args.n.__rmod__, integers)))
     conf, cert = _solve_sequence(dec, elements)
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
@@ -481,10 +473,11 @@ def render_json(value: Any, indent: str = "") -> str:
     """The text of `json.dumps(value, indent=2)` for a report (str keys only).
 
     Dicts, lists and tuples recurse, a list or tuple of plain ints is joined
-    in one step, a plain int is its repr, a key goes through the string
-    encoder `json.dumps` itself uses, and every other value is left to
-    `json.dumps`; the indented encoder is pure Python, and an input echo can
-    hold 10^5 integers and a move log 10^5 dicts.
+    in one step, and so is each row of a list of nonempty such lists or
+    tuples; a plain int is its repr, a key goes through the string encoder
+    `json.dumps` itself uses, and every other value is left to `json.dumps`.
+    The indented encoder is pure Python, and an input echo can hold 10^5
+    integers (or 16,384 rows of 14) and a move log 10^5 dicts.
     """
     if type(value) is int:
         return int.__repr__(value)
@@ -500,8 +493,13 @@ def render_json(value: Any, indent: str = "") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        if types == {int}:
             body = (",\n" + inner).join(map(int.__repr__, value))
+        elif types <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            row_open, item_sep, row_close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+            rows = map(item_sep.join, map(map, repeat(int.__repr__), value))
+            body = row_open + (row_close + ",\n" + inner + row_open).join(rows) + row_close
         else:
             body = (",\n" + inner).join([render_json(x, inner) for x in value])
         return "[\n" + inner + body + "\n" + indent + "]"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from operator import add, floordiv, mod
+from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -212,15 +212,15 @@ def element_order(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:
     factors = dec.invariant_factors
     if len(g) != len(factors):
         return element_orders(dec, [g])[0]
-    return math.lcm(*map(floordiv, factors, map(math.gcd, g, factors)))
+    big_n = factors[0]
+    return big_n // math.gcd(big_n, *map(mul, map(big_n.__floordiv__, factors), g))
 
 
 def element_orders(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]]) -> list[int]:
-    """The order of every element, a column at a time.
-
-    A coordinate x of an invariant factor n has order n // gcd(x, n) (1 for
-    x = 0), taken over each invariant factor's column, and an element's
-    order is the lcm of its coordinates' orders, taken across the columns.
+    """The order of every element, one gcd per element over the columns: with
+    N = n_1 the exponent, x in Z_n has order n // gcd(n, x) = N // gcd(N, (N/n)*x),
+    and an lcm of the divisors N // d_j of N is N // gcd(d_j), so g has order
+    N // gcd(N, (N/n_1)*g_1, ..., (N/n_r)*g_r); only columns with n < N are scaled.
 
     This is the one check that the elements belong to `dec`, made here
     because every caller takes their orders first: an element without
@@ -233,11 +233,9 @@ def element_orders(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]
         raise InputError(f"element has {min(wrong)} coordinates, not one per invariant factor")
     if not elements:
         return []
-    per_factor = [
-        map(n.__floordiv__, map(math.gcd, col, repeat(n)))
-        for col, n in zip(zip(*elements), factors)
-    ]
-    return list(per_factor[0] if len(per_factor) == 1 else map(math.lcm, *per_factor))
+    big_n = factors[0]
+    cols = [col if n == big_n else map((big_n // n).__mul__, col) for col, n in zip(zip(*elements), factors)]
+    return list(map(big_n.__floordiv__, map(math.gcd, repeat(big_n), *cols)))
 
 
 def element_index(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:

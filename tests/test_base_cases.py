@@ -220,11 +220,14 @@ def _line_rule(p: int, items) -> list[int]:
 
 
 PRIME_DIMS = [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 4)] + [(5, 1), (5, 2), (7, 1), (7, 2)]
+# The elementary benchmark's groups, Z_2^14 and Z_3^9, at full size: seed 1
+# is zero-free and seed 2 ties two full lines (16,383 and 9,841 lines).
+WORKLOAD_SEEDS = {(2, 14): (1, 2), (3, 9): (1, 2)}
 
 
-@pytest.mark.parametrize("p,dim", PRIME_DIMS)
+@pytest.mark.parametrize("p,dim", PRIME_DIMS + list(WORKLOAD_SEEDS))
 def test_elementary_block_follows_the_line_rule(p, dim):
-    for seed in range(12):
+    for seed in WORKLOAD_SEEDS.get((p, dim), range(12)):
         items = _seeded_vectors(p, dim, seed)
         reduced = [tuple(x % p for x in v) for v in items]
         picked = _elementary_block(p, reduced)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerosum
-from zerosum import InternalInvariantError, cli
+from zerosum import InputError, InternalInvariantError, cli
 from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence, render_json
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
@@ -108,6 +108,97 @@ def test_parse_raw_sequence_rejects_junk():
         parse_raw_sequence("1,x,3", rank=1)
     with pytest.raises(InputError):
         parse_indices("1,two")
+
+
+def _per_part_parse(value: str, rank: int, from_file: bool = False) -> list[list[int]]:
+    """The per-part reader that `parse_raw_sequence` was before its one-split
+    path, verbatim."""
+    if from_file:
+        try:
+            with open(value, encoding="utf-8") as fh:
+                parts = [ln.strip() for ln in fh.read().splitlines()]
+        except OSError as exc:
+            raise InputError(f"cannot read sequence file {value!r}: {exc}") from None
+        parts = [p for p in parts if p]
+    else:
+        s = value.strip()
+        if not s:
+            raise InputError("empty sequence")
+        sep = ";" if ";" in s or rank > 1 else ","
+        parts = [p.strip() for p in s.split(sep) if p.strip()]
+    if not parts:
+        raise InputError("sequence has no elements")
+    out = []
+    for part in parts:
+        try:
+            out.append(list(map(int, map(str.strip, part.split(",")))))
+        except ValueError:
+            raise InputError(f"bad element {part!r} in sequence") from None
+    return out
+
+
+def _per_part_cyclic(args) -> list[int]:
+    """solve-cyclic's reader before it folded into `parse_raw_sequence`, verbatim
+    but for `_per_part_parse` in place of `sequence_argument`."""
+    if args.seq_file is None and ";" not in args.seq:
+        try:
+            return list(map(int, args.seq.split(",")))
+        except ValueError:
+            pass
+    if args.seq_file is not None:
+        raw = _per_part_parse(args.seq_file, 1, from_file=True)
+    else:
+        raw = _per_part_parse(args.seq, 1)
+    for r in raw:
+        if len(r) != 1:
+            raise InputError(f"cyclic sequence elements are single integers, got {r}")
+    return [r[0] for r in raw]
+
+
+def _outcome(read, *args):
+    """repr of what `read` returns (so lists and tuples differ), or its InputError text."""
+    try:
+        return repr(read(*args))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# str.strip's padding (none lies above U+3000); int() strips all of it but \x1c-\x1f.
+_PAD = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+PARSE_CORPUS = (
+    ["", " ", "\t", ";", " ; ", ";;", ",", "1", "1,0", "1,0,2", "1,0;0,1", "1;2;3", "1,2,3"]
+    + ["1,0;;0,1", "1,0;0,1;", ";1,0", "1;;2;", "1,,2", "1,2,", ",1", "1,0; ;0,1", "1;\t;2"]
+    + [" 1 , 0 ;\t0,1\t", "1\t,\t2", "\t3\t", "1 ,2 ;3 ,4", "1 2", "1\t2;3,4"]
+    + ["+1", "+1,-1", "1_0", "1_0,2", "1__0", "_1", "1_", "\u0661\u0662", "\uff11,\uff12", "\u00b2", "0x1", "1.0"]
+    + ["1,0;1;0,1", "1,0,1;0,1", "1;1,0;0,1", "1,0;1;x,1", "x;1,0,0", "1,0,0;x", "1,0;y;1", "9" * 5000]
+    + [",".join(map(str, range(-40, 40))), ";".join(map(str, range(40))), ";".join(f"{k},{-k},{k % 7}" for k in range(40))]
+    + [f"{c}1{c},{c}0{c};{c}2,3{c}" for c in _PAD] + [f"1{c}" for c in _PAD] + ["\x1c1,2", "1,2\x1f"]
+)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_parse_raw_sequence_matches_the_per_part_reader(rank, tmp_path):
+    # The one-split reader gives the per-part reader's rows or its error, for
+    # inline text and for the same text as a file with one part per line.
+    path = tmp_path / "seq.txt"
+    for text in PARSE_CORPUS:
+        assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_parse, text, rank), text
+        path.write_text(text.replace(";", "\n"), encoding="utf-8")
+        assert _outcome(parse_raw_sequence, str(path), rank, True) == _outcome(
+            _per_part_parse, str(path), rank, True
+        ), text
+        if rank == 1:
+            for args in (argparse.Namespace(seq=text, seq_file=None), argparse.Namespace(seq=None, seq_file=str(path))):
+                assert _outcome(cli.sequence_argument, args, 1, True) == _outcome(_per_part_cyclic, args), text
+
+
+@given(st.text(alphabet="019,; \t\n+-_x\u0661\x1c", max_size=24), st.sampled_from([1, 2, 3]))
+@settings(max_examples=400)
+def test_parse_raw_sequence_matches_the_per_part_reader_on_any_text(text, rank):
+    assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_parse, text, rank)
+    if rank == 1:
+        args = argparse.Namespace(seq=text, seq_file=None)
+        assert _outcome(cli.sequence_argument, args, 1, True) == _outcome(_per_part_cyclic, args)
 
 
 def test_solve_json_shape(capsys):
@@ -444,6 +535,10 @@ def test_render_json_matches_indented_dumps(value):
 
 def test_render_json_edge_shapes():
     for value in [[], {}, (), [[]], {"a": {}}, [[], {}, ()], {"": [True, 1]}, [0, -1, 2**70], "é\"\\"]:
+        assert render_json(value) == json.dumps(value, indent=2)
+    # Lists of int rows, which render one join per row (lists and tuples
+    # mixed), and the shapes next to them that must not: an empty row, a bool.
+    for value in [[[1], []], [[1, 2], (3,)], [[True], [1]], [[0, 0], [0, 0]], [[2**70]], {"s": [[-1, 0], [5, 7]]}]:
         assert render_json(value) == json.dumps(value, indent=2)
 
 
