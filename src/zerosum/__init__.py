@@ -7,104 +7,27 @@ Brute-force oracles (subset DP, exact pebbling numbers, Davenport constants)
 provide independent ground truth.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
-    EXIT_FAIL,
-    EXIT_INPUT_ERROR,
-    EXIT_INTERNAL_ERROR,
-    EXIT_PASS,
-    InputError,
-    InternalInvariantError,
+    EXIT_FAIL, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PASS, InputError, InternalInvariantError,
 )
 from .groups import (
-    GroupSpec,
-    PrimaryDecomposition,
-    add_elements,
-    element_from_index,
-    element_index,
-    element_order,
-    group_spec,
-    identity,
-    parse_group_spec,
-    primary_decomposition,
-    to_primary_coordinates,
+    GroupSpec, PrimaryDecomposition, add_elements, element_from_index, element_index, element_order,
+    group_spec, identity, parse_group_spec, primary_decomposition, to_primary_coordinates,
 )
-from .partitions import (
-    dual_partition,
-    residual_exponents,
-    residual_exponents_by_recursion,
-)
+from .partitions import dual_partition, residual_exponents, residual_exponents_by_recursion
 from .lattice import LatticeVertex, WeightedLattice, build_lattice
 from .engine import (
-    Certificate,
-    Configuration,
-    MoveRecord,
-    Pebble,
-    Verdict,
-    extract_certificate,
-    initial_configuration,
-    merge_step,
-    solve_to_root,
-    verify_certificate,
-    well_placed,
+    Certificate, Configuration, MoveRecord, Pebble, Verdict, extract_certificate, initial_configuration,
+    merge_step, solve_to_root, verify_certificate, well_placed,
 )
 from .oracle import (
-    OracleResult,
-    PebblingResult,
-    WeightedGraph,
-    davenport_constant,
-    dp_min_cost_zero_sum,
-    lattice_graph,
-    path_graph,
-    pebbling_number,
-    solvable,
-    weighted_boolean_cube,
+    OracleResult, PebblingResult, WeightedGraph, davenport_constant, dp_min_cost_zero_sum, lattice_graph,
+    path_graph, pebbling_number, solvable, weighted_boolean_cube,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EXIT_FAIL",
-    "EXIT_INPUT_ERROR",
-    "EXIT_INTERNAL_ERROR",
-    "EXIT_PASS",
-    "InputError",
-    "InternalInvariantError",
-    "GroupSpec",
-    "PrimaryDecomposition",
-    "add_elements",
-    "element_from_index",
-    "element_index",
-    "element_order",
-    "group_spec",
-    "identity",
-    "parse_group_spec",
-    "primary_decomposition",
-    "to_primary_coordinates",
-    "dual_partition",
-    "residual_exponents",
-    "residual_exponents_by_recursion",
-    "LatticeVertex",
-    "WeightedLattice",
-    "build_lattice",
-    "Certificate",
-    "Configuration",
-    "MoveRecord",
-    "Pebble",
-    "Verdict",
-    "extract_certificate",
-    "initial_configuration",
-    "merge_step",
-    "solve_to_root",
-    "verify_certificate",
-    "well_placed",
-    "OracleResult",
-    "PebblingResult",
-    "WeightedGraph",
-    "davenport_constant",
-    "dp_min_cost_zero_sum",
-    "lattice_graph",
-    "path_graph",
-    "pebbling_number",
-    "solvable",
-    "weighted_boolean_cube",
-]
+# The public API is every name imported above: the lists are written once.
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]

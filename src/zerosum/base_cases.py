@@ -14,33 +14,34 @@ from itertools import compress, islice, repeat
 from .errors import InternalInvariantError
 
 
+class _Blocks(dict):
+    """chunk of p residues (p its length) -> its zero-sum block, a slice of the
+    chunk, found on the first lookup of each distinct chunk (runs of units
+    repeat them)."""
+
+    def __missing__(self, chunk: tuple[int, ...]) -> slice:
+        if 0 in chunk:
+            k = chunk.index(0)
+            block = self[chunk] = slice(k, k + 1)
+            return block
+        first_seen, t, p = {0: 0}, 0, len(chunk)  # prefix sum mod p -> where it first occurs
+        for k, x in enumerate(chunk, start=1):
+            t = (t + x) % p
+            if t in first_seen:
+                block = self[chunk] = slice(first_seen[t], k)
+                return block
+            first_seen[t] = k
+        raise InternalInvariantError("prefix sums of p residues failed to collide")
+
+
 def _zero_sum_blocks(p: int, residues: list[int]) -> list[slice]:
     """One zero-sum block per chunk of p residues already reduced mod a prime
-    p, as a slice of `residues`. The first zero residue of a chunk wins as a
-    singleton; otherwise its p+1 prefix sums collide, and the first repeat
-    found while scanning gives a block of at most p consecutive residues.
-    Each distinct chunk is scanned once per call (runs of units repeat them).
+    p, as a slice of the chunk, one slice object for chunks alike. The first
+    zero residue of a chunk wins as a singleton; otherwise its p+1 prefix sums
+    collide, and the first repeat found while scanning gives a block of at
+    most p consecutive residues. Each distinct chunk is scanned once per call.
     """
-    rule: dict[tuple[int, ...], tuple[int, int]] = {}  # chunk -> its block, from the chunk's start
-    blocks = []
-    for s, chunk in zip(range(0, len(residues), p), zip(*[iter(residues)] * p)):
-        if chunk not in rule:
-            if 0 in chunk:
-                k = chunk.index(0)
-                rule[chunk] = (k, k + 1)
-            else:
-                first_seen, t = {0: 0}, 0  # prefix sum mod p -> where it first occurs
-                for k, x in enumerate(chunk, start=1):
-                    t = (t + x) % p
-                    if t in first_seen:
-                        rule[chunk] = (first_seen[t], k)
-                        break
-                    first_seen[t] = k
-                else:
-                    raise InternalInvariantError("prefix sums of p residues failed to collide")
-        a, b = rule[chunk]
-        blocks.append(slice(s + a, s + b))
-    return blocks
+    return list(map(_Blocks().__getitem__, zip(*[iter(residues)] * p)))
 
 
 def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import os
 from itertools import repeat
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .groups import (
@@ -38,22 +40,78 @@ class MoveRecord(NamedTuple):
     new_id: int
 
 
+class _Run(NamedTuple):
+    """One merge_step run in the move log. Its move k made pebble first + k,
+    consumed run[k * weight : (k + 1) * weight] and kept
+    kept[k * step + a : k * step + b], for blocks[k] the slice a:b. In
+    dimension 1 `kept` is the run, `step` the weight, and blocks[k] the block
+    of the move's chunk, one slice object for chunks alike; otherwise `kept`
+    is the selections laid end to end and `step` is 0."""
+
+    divisor: int
+    prime: int
+    weight: int
+    run: Sequence[int]
+    first: int
+    kept: Sequence[int]
+    step: int
+    blocks: list[slice]
+
+
+class MoveLog(Sequence):
+    """The move log: one `_Run` per merge_step run, read as a sequence of
+    `MoveRecord`s built on request. Move k made pebble base + k, where base is
+    |G| + 1, so a run's moves end where the next run's begin, and `moves`
+    ends the last; `firsts` holds each run's first id, for bisection."""
+
+    def __init__(self, base: int):
+        self.base, self.runs, self.firsts, self.moves = base, [], [], 0
+
+    def __len__(self) -> int:
+        return self.moves
+
+    def __getitem__(self, k: int) -> MoveRecord:
+        q = self.base + range(self.moves)[k]  # range: negative k and IndexError as a list's
+        run = self.runs[bisect_right(self.firsts, q) - 1]
+        s, w = q - run.first, run.weight
+        return MoveRecord(run.divisor, run.prime, w, tuple(run.run[s * w : s * w + w]), self.selected(q), q)
+
+    def __iter__(self):
+        """A run at a time: its moves' chunks, selections and ids in C-level maps."""
+        for run, end in zip(self.runs, [*self.firsts[1:], self.base + self.moves]):
+            n, w = end - run.first, run.weight
+            chunks = list(zip(*[iter(run.run[: n * w])] * w))
+            kept = map(getitem, chunks, run.blocks) if run.step else map(run.kept.__getitem__, run.blocks[:n])
+            fields = zip(repeat(run.divisor), repeat(run.prime), repeat(w), chunks, kept, range(run.first, end))
+            yield from map(tuple.__new__, repeat(MoveRecord), fields)
+
+    def selected(self, q: int) -> tuple[int, ...]:
+        """The ids kept by the move that made merged pebble q."""
+        run = self.runs[bisect_right(self.firsts, q) - 1]
+        block, s = run.blocks[q - run.first], (q - run.first) * run.step
+        return tuple(run.kept[s + block.start : s + block.stop])
+
+
 class Pebble(NamedTuple):
     """One live pebble read out of a Configuration's table: its id, value (one
-    integer per invariant factor), order cost, vertex, and the move log that
-    holds its merge tree. Made on request (`root_pebble`, `live_pebbles`),
-    never by a move."""
+    integer per invariant factor), order cost, vertex, and the configuration
+    whose move log holds its merge tree. Made on request (`root_pebble`,
+    `live_pebbles`), never by a move."""
 
     pid: int
     val: tuple[int, ...]
     ord_cost: int
     vertex: LatticeVertex
-    log: Sequence[MoveRecord]
+    conf: Configuration
+
+    @property
+    def log(self) -> MoveLog:
+        return self.conf.move_log
 
     @property
     def members(self) -> frozenset[int]:
         """Input indices at the leaves of this pebble's merge tree."""
-        return frozenset(_leaves(self.log, self.pid))
+        return frozenset(_leaves(self.conf, self.pid))
 
 
 class Verdict(NamedTuple):
@@ -90,10 +148,11 @@ class Configuration:
     """The pebbles and the move log of one solving session, as a table.
 
     Pebble k is row k: `vals[k]` (for an input pebble 1..|G|, element k
-    itself) and `costs[k]`; row 0 is unused. `pools` maps a vertex index to
-    the ids on it, ascending. The move log is the merge tree: pebble
-    |G| + 1 + k is made by move k, and its parts are that move's `selected`
-    ids (see `Pebble.members`). Mutated only through merge moves; not meant
+    itself) and `costs[k]`; row 0 is unused, and so is the row of a merged
+    pebble once a move consumes it. `pools` maps a vertex index to the ids on
+    it, ascending. The move log is the merge tree: pebble |G| + 1 + k is made
+    by move k, and its parts are that move's selected ids (see
+    `Pebble.members`). Mutated only through merge moves; not meant
     to be shared across sessions. With debug enabled (flag or
     ZEROSUM_DEBUG=1) every move recomputes the new pebble's value and cost
     from its member indices and re-checks disjointness.
@@ -113,12 +172,12 @@ class Configuration:
         self.vals: list[tuple[int, ...] | None] = [None]
         self.costs: list[int] = [0]
         self.pools: dict[int, list[int]] = {}
-        self.move_log: list[MoveRecord] = []
+        self.move_log = MoveLog(len(self.elements) + 1)
         self.fallback_fired = False
 
     def _pebble(self, pid: int, vidx: int) -> Pebble:
         vertex = self.lattice.vertices[vidx]
-        return Pebble(pid, self.vals[pid], self.costs[pid], vertex, self.move_log)
+        return Pebble(pid, self.vals[pid], self.costs[pid], vertex, self)
 
     def live_pebbles(self) -> list[Pebble]:
         return sorted(self._pebble(pid, vidx) for vidx, pool in self.pools.items() for pid in pool)
@@ -134,21 +193,26 @@ class Configuration:
         pool = self.pools.get(root)
         return self._pebble(pool[0], root) if pool else None
 
+    def context(self) -> str:
+        """The group and the count profile as divisor:count pairs, to reproduce an internal error."""
+        counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(self.lattice.vertices, self.count_profile()) if c)
+        return f"group {','.join(map(str, self.dec.spec.cyclic_orders))}, count profile {counts}"
 
-def _leaves(moves: Sequence[MoveRecord], pid: int) -> list[int]:
-    """Input ids at the leaves of pebble `pid`'s merge tree: merged pebble
-    first + k is made by moves[k], and ids below first are inputs."""
-    first = moves[0].new_id if moves else pid + 1
+
+def _leaves(conf: Configuration, pid: int) -> list[int]:
+    """Input ids at the leaves of pebble `pid`'s merge tree: ids below the
+    log's base are inputs, and a merged id is looked up in the run that made
+    it."""
+    log = conf.move_log
     out, stack = [], [pid]
     while stack:
         q = stack.pop()
-        k = q - first
-        if k < 0:
+        if q < log.base:
             out.append(q)
-        elif k < len(moves) and moves[k].new_id == q:
-            stack.extend(moves[k].selected)
+        elif q < log.base + log.moves:
+            stack.extend(log.selected(q))
         else:
-            raise InternalInvariantError(f"pebble {q} is made by no move in the log")
+            raise InternalInvariantError(f"pebble {q} is made by no move in the log: {conf.context()}")
     return out
 
 
@@ -211,8 +275,9 @@ def merge_step(
     move. In dimension 1 one base-case pass gives each move a block of
     consecutive pebbles, whose column sums value the merge; otherwise each
     move runs the base case on its vectors. The moves before the first merge
-    that breaks the child's placement rule are logged at once (one at a time,
-    each debug-checked, with debug on).
+    that breaks the child's placement rule are placed at once (one at a time,
+    each debug-checked, with debug on) and logged as one run record, and the
+    rows of the merged pebbles they consume are freed.
     """
     lattice = conf.lattice
     u = vertex.u
@@ -233,7 +298,10 @@ def merge_step(
             f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
             f"{count} move(s) of weight {weight} need {need}"
         )
-    run = tuple(pool[:need])
+    if pool[need - 1] - pool[0] == need - 1:  # consecutive ids: a range keeps no int per id in the log
+        run = range(pool[0], pool[0] + need)
+    else:
+        run = tuple(pool[:need])
     del pool[:need]
     if not pool:
         del conf.pools[vidx]
@@ -252,18 +320,21 @@ def merge_step(
         reduced.append(list(map(p.__rmod__, col)))
     moves = bad // weight
     size = moves * weight
-    if dims == 1:  # sums: per column, each move's sum over its selection
+    if dims == 1:  # sums: per column, each move's chunk summed over its block
         blocks = _zero_sum_blocks(p, reduced[0][:size])
-        selected = list(map(run.__getitem__, blocks))
-        sums = [list(map(sum, map(col.__getitem__, blocks))) for col in cols]
+        kept, step = run, weight
+        sums = [list(map(sum, map(getitem, zip(*[iter(col)] * p), blocks))) for col in cols]
     else:
         vecs = list(zip(*reduced))
-        blocks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
-        selected = [tuple(map(run.__getitem__, q)) for q in blocks]
-        sums = [[sum(map(col.__getitem__, q)) for q in blocks] for col in cols]
-    del cols, reduced, blocks  # freed before the records: a run can hold 15,015 moves
+        picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
+        kept, step = tuple(run[k] for q in picks for k in q), 0
+        ends = list(itertools.accumulate(map(len, picks)))
+        blocks = list(map(slice, [0, *ends], ends))
+        sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
+    del cols, reduced
     new_costs = sums.pop()
     new_cols = [list(map(n.__rmod__, col)) for n, col in zip(factors, sums)]
+    del sums
 
     child_idx = vidx - lattice.strides[i]
     child_pool = conf.pools.setdefault(child_idx, [])
@@ -271,40 +342,45 @@ def merge_step(
     placed = next(itertools.compress(itertools.count(), map(budget.__lt__, new_costs)), moves)
     for j, m in congruences:
         placed = min(placed, next(itertools.compress(itertools.count(), map(m.__rmod__, new_cols[j])), moves))
+    log = conf.move_log
     new_id = len(vals)
-    ids = list(range(new_id, new_id + placed))  # one int per id, shared by the pool and the log
-    consumed = zip(*[iter(run)] * weight)
-    fields = zip(repeat(vertex.divisor), repeat(p), repeat(weight), consumed, selected, ids)
-    records = list(map(tuple.__new__, repeat(MoveRecord), fields))
+    if placed:  # tuple.__new__ skips the Python-level __new__ NamedTuple generates
+        log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
+        log.firsts.append(new_id)
+    merged = bisect_left(run, log.base)  # run positions from here on hold merged pebbles
     new_vals = list(zip(*new_cols))
-    step = 1 if conf.debug else max(placed, 1)
-    for lo in range(0, placed, step):
-        vals += new_vals[lo : lo + step]
-        costs += new_costs[lo : lo + step]
-        child_pool += ids[lo : lo + step]
-        conf.move_log += records[lo : lo + step]
+    batch = 1 if conf.debug else max(placed, 1)
+    for lo in range(0, placed, batch):
+        hi = lo + batch
+        vals += new_vals[lo:hi]
+        costs += new_costs[lo:hi]
+        child_pool += range(new_id + lo, new_id + hi)
+        log.moves += hi - lo
+        for q in run[max(merged, lo * weight) : hi * weight]:
+            vals[q] = None  # a consumed merged pebble's row is never read again
         if conf.debug:
             _debug_check(conf, new_id + lo)
     if placed < moves:
         child = lattice.vertices[child_idx]
         raise InternalInvariantError(
-            f"merged pebble {new_id + placed} is not well placed at vertex {child.divisor}"
+            f"merged pebble {new_id + placed} is not well placed at vertex {child.divisor}: {conf.context()}"
         )
     if bad < need:
-        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}")
+        raise InternalInvariantError(
+            f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}: {conf.context()}"
+        )
     return conf
 
 
 def _debug_check(conf: Configuration, pid: int) -> None:
     """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
-    log = conf.move_log
-    val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(log, pid))))
+    val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(conf, pid))))
     if val != conf.vals[pid] or cost != conf.costs[pid]:
         raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
     seen: set[int] = set()
     for pool in conf.pools.values():
         for other in pool:
-            members = frozenset(_leaves(log, other))
+            members = frozenset(_leaves(conf, other))
             if members & seen:
                 raise InternalInvariantError("live pebbles share member indices")
             seen |= members
@@ -408,9 +484,7 @@ def solve_to_root(conf: Configuration) -> Pebble:
         conf.fallback_fired = True
         plan = _eliminate_plan(conf.lattice, profile)
     if plan is None:
-        counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(conf.lattice.vertices, profile) if c)
-        orders = ",".join(map(str, conf.dec.spec.cyclic_orders))
-        raise InternalInvariantError(f"no plan reaches the root: group {orders}, count profile {counts}")
+        raise InternalInvariantError(f"no plan reaches the root: {conf.context()}")
     for vidx, ci, k in plan:
         merge_step(conf, conf.lattice.vertex_at(vidx), ci, k)
     result = conf.root_pebble()

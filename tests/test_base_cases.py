@@ -66,15 +66,17 @@ def test_cyclic_output_is_zero_sum_block(p, data):
 @given(primes, st.data())
 @settings(max_examples=200)
 def test_cyclic_run_blocks_are_the_chunk_blocks(p, data):
-    # A run's blocks are its chunks' blocks, offset by each chunk's start;
-    # chunks drawn from a few distinct ones repeat, as they do in a run.
+    # A run's blocks are its chunks' blocks, each a slice of its chunk;
+    # chunks drawn from a few distinct ones repeat, as they do in a run, and
+    # chunks alike share one slice object.
     distinct = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=p, max_size=p), min_size=1, max_size=3))
     chunks = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
     blocks = _zero_sum_blocks(p, [x for chunk in chunks for x in chunk])
     assert len(blocks) == len(chunks)
-    for k, (chunk, block) in enumerate(zip(chunks, blocks)):
+    for chunk, block in zip(chunks, blocks):
         picked = _zero_sum_block(p, chunk)
-        assert (block.start, block.stop) == (k * p + picked[0] - 1, k * p + picked[-1])
+        assert (block.start, block.stop) == (picked[0] - 1, picked[-1])
+        assert block is blocks[chunks.index(chunk)]
 
 
 def test_cyclic_scan_is_linear_in_p():

@@ -34,7 +34,7 @@ import zerosum.engine
 from zerosum import MoveRecord
 from zerosum.base_cases import _elementary_block
 from zerosum.cli import main
-from zerosum.engine import _debug_check, _eliminate_plan, _greedy_plan
+from zerosum.engine import _Run, _debug_check, _eliminate_plan, _greedy_plan, _leaves
 from zerosum.groups import encode_sequence
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
@@ -110,12 +110,15 @@ def test_z4_all_ones_full_trace():
         (4, 2, (3, 4), (3, 4), 6),
         (2, 2, (5, 6), (5, 6), 7),
     ]
+    # Merged pebbles 5 and 6 are consumed, so their rows are freed; the input
+    # rows stay, since they are the elements.
+    assert conf.vals == [None, *els, None, None, (0,)]
 
 
 def test_zero_element_short_circuits():
     dec, els, conf, cert = _solve("5", [0, 1, 2, 3, 4])
     assert cert.indices == (1,)
-    assert conf.move_log == []
+    assert list(conf.move_log) == []
     assert cert.ord_cost == 5
 
 
@@ -494,10 +497,13 @@ def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
     root = conf.root_pebble()
     assert root.members == frozenset(cert.indices) == frozenset([1, 2, 3, 4])
     # Cut the merge tree to one branch: members 1 and 2 sum to 2, not 0. The
-    # move log is the tree, and the root's last move made it.
+    # move log is the tree, and the root's last move made it, as the one move
+    # of the last run, whose block keeps kept[block].
     last = conf.move_log[-1]
     assert last.new_id == root.pid and last.selected == (5, 6)
-    conf.move_log[-1] = last._replace(selected=last.selected[:1])
+    run = conf.move_log.runs[-1]
+    (block,) = run.blocks
+    conf.move_log.runs[-1] = run._replace(blocks=[slice(block.start, block.stop - 1)])
     assert root.members == frozenset([1, 2])
     with pytest.raises(InternalInvariantError, match="fails recheck"):
         extract_certificate(root, dec, els)
@@ -542,7 +548,7 @@ def test_batched_runs_match_single_moves(text, make):
     for vidx, ci, k in plan:
         for _ in range(k):
             merge_step(single, single.lattice.vertex_at(vidx), ci)
-    assert batched.move_log == single.move_log
+    assert list(batched.move_log) == list(single.move_log)
     assert [p.pid for p in batched.live_pebbles()] == [p.pid for p in single.live_pebbles()]
     assert [p.val for p in batched.live_pebbles()] == [p.val for p in single.live_pebbles()]
     assert root.pid == single.root_pebble().pid
@@ -606,7 +612,7 @@ def test_merge_step_count_checks_the_pool_once():
         merge_step(conf, vertex, 0, 5)
     with pytest.raises(InputError, match="move count"):
         merge_step(conf, vertex, 0, 0)
-    assert conf.move_log == []
+    assert list(conf.move_log) == []
     assert len(conf.pools[conf.lattice.vertex_index((1,))]) == 8
 
 
@@ -614,9 +620,12 @@ def test_merge_step_count_checks_the_pool_once():
 #
 # `_zero_sum_block` and `_merge_step_per_move` are verbatim copies of the base
 # case and of `merge_step` from before a run's moves were made from one
-# base-case pass and prefix sums (only the function name differs). Every
-# comparison runs both on copies of one configuration and asserts the same
-# move log, rows, pools and exception message.
+# base-case pass and prefix sums (only the function name differs), except
+# that the per-move loop logs each move as a run of one, frees the rows of the
+# merged pebbles it consumes and adds the group and count profile to its
+# errors, as `merge_step` now does. Every comparison runs both on copies of
+# one configuration and asserts the same move log, rows, pools and exception
+# message.
 
 
 def _zero_sum_block(p: int, items: list[int]) -> list[int]:
@@ -698,23 +707,30 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
         if cost > budget or any(map(mod, val, child_moduli)):
             child = lattice.vertices[child_idx]
             raise InternalInvariantError(
-                f"merged pebble {new_id} is not well placed at vertex {child.divisor}"
+                f"merged pebble {new_id} is not well placed at vertex {child.divisor}: {conf.context()}"
             )
         vals.append(val)
         costs.append(cost)
         child_pool.append(new_id)
-        log.append(MoveRecord(divisor, p, weight, consumed, selected, new_id))
+        # The move as a run of one: it consumed its chunk and kept all of `selected`.
+        log.runs.append(_Run(divisor, p, weight, consumed, new_id, selected, 0, [slice(0, len(selected))]))
+        log.firsts.append(new_id)
+        log.moves += 1
+        for q in consumed:
+            if q >= log.base:
+                vals[q] = None
         if conf.debug:
             _debug_check(conf, new_id)
         new_id += 1
     if bad < need:
-        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}")
+        raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}: {conf.context()}")
     return conf
 
 
 def _copy(conf):
     twin = copy.copy(conf)
-    twin.vals, twin.costs, twin.move_log = list(conf.vals), list(conf.costs), list(conf.move_log)
+    twin.vals, twin.costs, twin.move_log = list(conf.vals), list(conf.costs), copy.copy(conf.move_log)
+    twin.move_log.runs, twin.move_log.firsts = list(conf.move_log.runs), list(conf.move_log.firsts)
     twin.pools = {vidx: list(pool) for vidx, pool in conf.pools.items()}
     return twin
 
@@ -736,8 +752,14 @@ def _run_both(conf, vidx, ci, count, tamper=None):
         outcomes.append((twin, message))
     (new, message), (old, old_message) = outcomes
     assert message == old_message
-    assert new.move_log == old.move_log
-    assert all(type(m) is MoveRecord for m in new.move_log)
+    # Both logs start with conf's own runs; the moves after them are compared
+    # one record at a time.
+    runs, start = conf.move_log.runs, len(conf.move_log)
+    assert new.move_log.runs[: len(runs)] == old.move_log.runs[: len(runs)] == runs
+    assert len(new.move_log) == len(old.move_log)
+    added = [new.move_log[k] for k in range(start, len(new.move_log))]
+    assert added == [old.move_log[k] for k in range(start, len(old.move_log))]
+    assert all(type(m) is MoveRecord for m in added)
     assert new.vals == old.vals and new.costs == old.costs and new.pools == old.pools
     return message
 
@@ -837,3 +859,79 @@ def test_whole_run_merges_fail_like_the_per_move_loop():
     assert ("congruence", "merged") in seen["60"] & seen["2310"]
     assert all(("budget", "merged") in kinds for kinds in seen.values())
     assert ("input", "cached") in seen["8"] & seen["2,2,2,2,2"]
+
+
+# --- The run log: its sequence view, the tree walk and reproducible errors ---
+
+
+def _with_reference(text, seed):
+    """A seeded solve through `_plan_steps`, and the MoveRecords the per-move
+    loop makes for the same plan, read straight off its runs of one move."""
+    ref = None
+    for conf, vidx, ci, k in _plan_steps(text, seed):
+        ref = ref or _copy(conf)
+        _merge_step_per_move(ref, ref.lattice.vertex_at(vidx), ci, k)
+    runs = ref.move_log.runs
+    return conf, [MoveRecord(r.divisor, r.prime, r.weight, r.run, r.kept, r.first) for r in runs]
+
+
+@pytest.mark.parametrize("text, seed", [("2310", 0), ("4,2,2", 1)])
+def test_move_log_view_matches_the_per_move_reference(text, seed):
+    # Max-order units of Z_2310 make runs of up to 1155 moves; Z_4+Z_2+Z_2
+    # ends with a dimension-3 run (selections laid end to end, step 0).
+    conf, expected = _with_reference(text, seed)
+    log = conf.move_log
+    assert len(log.runs) < len(log) == len(expected)
+    assert any(run.step == 0 for run in log.runs) == (text == "4,2,2")
+    assert log[0] == expected[0] and log[-1] == expected[-1] and log[-len(log)] == expected[0]
+    assert list(log) == expected and {type(m) for m in log} == {MoveRecord}
+    with pytest.raises(IndexError):
+        log[len(log)]
+    with pytest.raises(IndexError):
+        log[-len(log) - 1]
+
+
+def test_leaves_at_the_first_and_last_id_of_each_run():
+    conf, expected = _with_reference("2310", 0)
+    parts = {m.new_id: m.selected for m in expected}
+
+    def leaves(q):
+        return [x for s in parts[q] for x in leaves(s)] if q in parts else [q]
+
+    log = conf.move_log
+    ends = log.firsts[1:] + [log.base + len(log)]
+    assert any(end - run.first >= 2 for run, end in zip(log.runs, ends))
+    for run, end in zip(log.runs, ends):
+        for q in (run.first, end - 1):
+            assert sorted(_leaves(conf, q)) == sorted(leaves(q))
+
+
+def _z8_stopped_run(tamper):
+    # Pebbles 1-6 (value 4) sit on divisor 2 and 7-8 (value 2) on divisor 4;
+    # a run of three weight-2 moves at divisor 2 after `tamper`.
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, [4] * 6 + [2] * 2))
+    tamper(conf)
+    with pytest.raises(InternalInvariantError) as exc:
+        merge_step(conf, conf.lattice.vertex_at(conf.lattice.vertex_index((1,))), 0, 3)
+    return conf, str(exc.value)
+
+
+def test_misplaced_pebble_error_names_the_group_and_count_profile():
+    conf, message = _z8_stopped_run(lambda conf: conf.vals.__setitem__(3, (2,)))
+    assert message == "pebble 3 is not well placed at vertex 2: group 8, count profile 1:1 4:2"
+    assert [m.consumed for m in conf.move_log] == [(1, 2)]
+
+
+def test_misplaced_merge_error_names_the_group_and_count_profile():
+    conf, message = _z8_stopped_run(lambda conf: conf.costs.__setitem__(3, 12))
+    assert message == "merged pebble 10 is not well placed at vertex 1: group 8, count profile 1:1 4:2"
+    assert [m.new_id for m in conf.move_log] == [9]
+
+
+def test_leaves_past_a_stopped_run_names_the_group_and_count_profile():
+    conf, _ = _z8_stopped_run(lambda conf: conf.vals.__setitem__(3, (2,)))
+    assert sorted(_leaves(conf, 9)) == [1, 2]
+    with pytest.raises(InternalInvariantError) as exc:
+        _leaves(conf, 10)
+    assert str(exc.value) == "pebble 10 is made by no move in the log: group 8, count profile 1:1 4:2"
