@@ -53,6 +53,8 @@ from .oracle import (
 )
 
 MASK64 = (1 << 64) - 1
+# Elements one stress run draws and solves, trials x |G|: a few seconds at most.
+MAX_STRESS_ELEMENTS = 1_000_000
 
 
 class SplitMix64:
@@ -339,6 +341,11 @@ def cmd_stress(args) -> RunReport:
     if args.trials < 0:
         raise InputError(f"trial count must be nonnegative, got {args.trials}")
     dec = primary_decomposition(parse_group_spec(args.group))
+    if args.trials * dec.group_order > MAX_STRESS_ELEMENTS:
+        raise InputError(
+            f"stress draws trials x |G| = {args.trials} x {dec.group_order} elements, "
+            f"above the bound {MAX_STRESS_ELEMENTS}"
+        )
     if args.trials > 0 and args.oracle_limit > 0:
         check_dp_work(dec, dec.group_order)
     lattice = build_lattice(dec)

@@ -105,10 +105,6 @@ class Pebble(NamedTuple):
     conf: Configuration
 
     @property
-    def log(self) -> MoveLog:
-        return self.conf.move_log
-
-    @property
     def members(self) -> frozenset[int]:
         """Input indices at the leaves of this pebble's merge tree."""
         return frozenset(_leaves(self.conf, self.pid))

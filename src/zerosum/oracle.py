@@ -32,8 +32,8 @@ MAX_SOLVABLE_STATES = 2_000_000
 MAX_PEBBLING_TOTAL = 64
 # Distributions in the pebbling scan's final round, which also bounds its memo.
 MAX_PEBBLING_DISTRIBUTIONS = 100_000
-DAVENPORT_PLAIN_MAX = 16
-DAVENPORT_WEIGHTED_MAX = 12
+# Sums the Davenport walk extends: about half a second, four times any group of order <= 16 needs.
+MAX_DAVENPORT_WORK = 4_000_000
 
 # A pebble distribution is a count per vertex, indexed like the graph.
 PebbleDistribution = tuple[int, ...]
@@ -370,68 +370,61 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
     """Least D such that every length-D sequence has a nonempty zero-sum subsequence.
 
     The weighted variant additionally requires the subsequence's order cost to
-    fit the budget N. Computed as one plus the longest extendable sequence with
-    no such subsequence; candidates are multisets (feasibility is permutation
-    invariant), walked depth-first with reachable-sum sets carried along.
+    fit the budget N; the plain one is the same search with every cost 0 and
+    the budget 0. Computed as one plus the longest extendable sequence with no
+    such subsequence; candidates are multisets (feasibility is permutation
+    invariant), walked depth-first by _longest.
+
+    The walk counts one unit of work per sum it extends, the empty sum
+    included, and raises InputError past MAX_DAVENPORT_WORK. It is refused
+    before it starts when it must pass that: every pair g <= h of nonzero
+    elements with g + h != 0 (all but at most one g per h) is a node whose two
+    or more sums are extended by each k >= h, at least 3 * C(|G|, 3) units.
     """
-    order = dec.group_order
-    cap = DAVENPORT_WEIGHTED_MAX if weighted else DAVENPORT_PLAIN_MAX
-    if order > cap:
-        raise InputError(f"group order {order} above the enumeration bound {cap}")
-    bound = dec.exponent
+    if 3 * math.comb(dec.group_order, 3) > MAX_DAVENPORT_WORK:
+        raise _over_davenport_work()
     elements = list(itertools.product(*map(range, dec.invariant_factors)))
+    bound = dec.exponent if weighted else 0
     costs = list(map(bound.__floordiv__, element_orders(dec, elements)))
     tables = [_shift_table(dec, g) for g in elements]
-    if weighted:
-        return _longest_weighted(tables, costs, bound, 1, frozenset(), 0) + 1
-    return _longest_plain(tables, 1, frozenset(), 0) + 1
+    return _longest(tables, costs, bound, 1, {}, 0, [MAX_DAVENPORT_WORK]) + 1
 
 
-# The two depth-first walks below are module-level functions, not closures: a
-# nested function that calls itself is a reference cycle.
+def _over_davenport_work() -> InputError:
+    return InputError(f"Davenport search passed its work bound of {MAX_DAVENPORT_WORK} sums extended")
 
 
-def _longest_plain(tables: list[list[int]], lo: int, reach: frozenset[int], depth: int) -> int:
-    """Greatest length of a zero-sum-free sequence that extends one of length
-    depth, whose nonempty subsequence sums are reach, by elements of index lo
-    or above."""
-    order = len(tables)
-    if depth >= order:
-        raise InternalInvariantError("zero-sum-free sequence reached the group order")
-    best = depth
-    for g in range(lo, order):
-        table = tables[g]
-        new = {g} | {table[s] for s in reach}
-        if 0 in new:
-            continue
-        best = max(best, _longest_plain(tables, g, reach | new, depth + 1))
-    return best
-
-
-def _longest_weighted(
-    tables: list[list[int]],
-    costs: list[int],
-    bound: int,
-    lo: int,
-    reach: frozenset[tuple[int, int]],
-    depth: int,
+def _longest(
+    tables: list[list[int]], costs: list[int], bound: int, lo: int, reach: dict[int, int], depth: int,
+    budget: list[int],
 ) -> int:
-    """As _longest_plain, where reach holds (sum, order cost) pairs and only a
-    zero sum of cost within bound counts."""
+    """Greatest length of a sequence with no zero-sum subsequence of cost within
+    bound that extends, by elements of index lo or above, one of length depth
+    whose nonempty subsequence sums are reach's keys, each mapped to its least
+    cost; budget[0] counts the units of work left.
+
+    One least cost per sum is exact: a cheaper path to a sum passes every test
+    a dearer one passes. Module-level, since a closure that calls itself is a
+    reference cycle.
+    """
     order = len(tables)
     if depth >= order:
-        raise InternalInvariantError("budget-free sequence reached the group order")
-    best = depth
+        raise InternalInvariantError("sequence with no zero-sum within budget reached the group order")
+    best, over = depth, bound + 1
     for g in range(lo, order):
-        table = tables[g]
-        c = costs[g]
-        new = set()
-        if c <= bound:
-            new.add((g, c))
-        for (s, sc) in reach:
-            if sc + c <= bound:
-                new.add((table[s], sc + c))
-        if any(s == 0 for (s, _) in new):
-            continue
-        best = max(best, _longest_weighted(tables, costs, bound, g, reach | new, depth + 1))
+        budget[0] -= len(reach) + 1
+        if budget[0] < 0:
+            raise _over_davenport_work()
+        table, c = tables[g], costs[g]
+        new = dict(reach)
+        if c < new.get(g, over):
+            new[g] = c
+        for s, sc in reach.items():
+            sc += c
+            if sc < new.get(t := table[s], over):
+                if t == 0:
+                    break
+                new[t] = sc
+        else:
+            best = max(best, _longest(tables, costs, bound, g, new, depth + 1, budget))
     return best

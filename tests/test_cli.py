@@ -386,6 +386,27 @@ def test_davenport_cli(capsys):
     assert doc["results"]["davenport"] == 4
 
 
+def test_davenport_work_bound_exits_2_at_once(capsys):
+    for extra in ([], ["--weighted"]):
+        started = time.perf_counter()
+        assert main(["davenport", "--group", "32", *extra]) == 2
+        assert time.perf_counter() - started < 2.0
+        assert "work bound of 4000000 sums extended" in capsys.readouterr().err
+
+
+def test_stress_draw_bound_exits_2_before_the_first_draw(capsys, monkeypatch):
+    started = time.perf_counter()
+    assert main(["stress", "--group", "100000007", "--trials", "1", "--oracle-limit", "0"]) == 2
+    assert "trials x |G| = 1 x 100000007 elements, above the bound 1000000" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
+    assert main(["stress", "--group", "100000007", "--trials", "0"]) == 0
+    monkeypatch.setattr(cli, "MAX_STRESS_ELEMENTS", 60)
+    assert main(["stress", "--group", "30", "--trials", "3", "--oracle-limit", "0"]) == 2
+    assert "above the bound 60" in capsys.readouterr().err
+    assert main(["stress", "--group", "30", "--trials", "2", "--oracle-limit", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_stress_zero_trials_is_vacuous(capsys):
     code, doc = run_json(capsys, "stress", "--group", "2,2,2", "--trials", "0", "--seed", "7")
     assert code == 0

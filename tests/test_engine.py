@@ -519,7 +519,7 @@ def _seeded_nonzero(text, seed):
 @pytest.mark.parametrize(
     "text, make",
     [
-        ("2310", lambda dec: [element_from_index(dec, x) for x in range(1, 2311) if math.gcd(x, 2310) == 1] * 5),
+        ("2310", lambda dec: [(x,) for x in range(1, 2311) if math.gcd(x, 2310) == 1] * 5),
         ("16", None),
         ("4,2,2", None),
         ("9,3", None),
@@ -777,7 +777,7 @@ def _plan_steps(text, seed):
     if seed == 0 and "," not in text:
         rng = random.Random(seed)
         units = [x for x in range(1, dec.group_order) if math.gcd(x, dec.group_order) == 1]
-        els = [element_from_index(dec, rng.choice(units)) for _ in range(dec.group_order)]
+        els = [(rng.choice(units),) for _ in range(dec.group_order)]
     else:
         dec, els = _seeded_nonzero(text, seed)
     conf = initial_configuration(dec, els, debug=dec.group_order <= 32)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -630,11 +631,28 @@ def test_davenport_weighted_at_least_plain():
         assert plain <= weighted <= dec.group_order
 
 
-def test_davenport_bounds():
-    with pytest.raises(InputError):
-        davenport_constant(_dec("17"))
-    with pytest.raises(InputError):
-        davenport_constant(_dec("13"), weighted=True)
+def test_davenport_bounds(monkeypatch):
+    # Z_32 passes the work bound inside the walk, Z_1000000 before it starts.
+    for text in ("32", "1000000"):
+        for weighted in (False, True):
+            with pytest.raises(InputError, match="work bound of 4000000 sums extended"):
+                davenport_constant(_dec(text), weighted=weighted)
+    # The walk over Z_4 extends 55 sums, the empty sums included.
+    monkeypatch.setattr(oracle, "MAX_DAVENPORT_WORK", 54)
+    with pytest.raises(InputError, match="work bound of 54 "):
+        davenport_constant(_dec("4"))
+    monkeypatch.setattr(oracle, "MAX_DAVENPORT_WORK", 55)
+    assert davenport_constant(_dec("4")) == 4
+
+
+def _some_sequence_lacks(dec, length, budget):
+    """True iff some sequence of the given length has no nonempty zero-sum
+    subsequence of order cost at most budget."""
+    for combo in itertools.combinations_with_replacement(range(dec.group_order), length):
+        best = _naive_min_cost(dec, [element_from_index(dec, i) for i in combo])
+        if best is None or best > budget:
+            return True
+    return False
 
 
 def test_davenport_brute_force_cross_check():
@@ -643,15 +661,14 @@ def test_davenport_brute_force_cross_check():
     for text in ("4", "2,2", "5"):
         dec = _dec(text)
         d = davenport_constant(dec)
+        assert _some_sequence_lacks(dec, d - 1, math.inf) or d == 1
+        assert not _some_sequence_lacks(dec, d, math.inf)
 
-        def has_free_sequence(length):
-            for combo in itertools.combinations_with_replacement(
-                range(dec.group_order), length
-            ):
-                els = [element_from_index(dec, i) for i in combo]
-                if _naive_min_cost(dec, els) is None:
-                    return True
-            return False
 
-        assert has_free_sequence(d - 1) or d == 1
-        assert not has_free_sequence(d)
+def test_davenport_weighted_brute_force_cross_check():
+    # As above for D_w: the zero-sum must also cost at most N.
+    for text in ("4", "2,2", "5"):
+        dec = _dec(text)
+        d = davenport_constant(dec, weighted=True)
+        assert _some_sequence_lacks(dec, d - 1, dec.exponent)
+        assert not _some_sequence_lacks(dec, d, dec.exponent)
