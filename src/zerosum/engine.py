@@ -16,17 +16,11 @@ import os
 from itertools import repeat
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
-from .groups import (
-    PrimaryDecomposition,
-    add_elements,
-    element_order,
-    element_orders,
-    identity,
-)
+from .groups import PrimaryDecomposition, add_elements, element_columns, element_costs, element_order, identity
 from .lattice import LatticeVertex, WeightedLattice, build_lattice, placement_rule
 from .base_cases import _elementary_block, _zero_sum_blocks
 
@@ -141,13 +135,15 @@ def well_placed(
 
 
 class Configuration:
-    """The pebbles and the move log of one solving session, as a table.
+    """The pebbles and the move log of one solving session, as a column table.
 
-    Pebble k is row k: `vals[k]` (for an input pebble 1..|G|, element k
-    itself) and `costs[k]`; row 0 is unused, and so is the row of a merged
-    pebble once a move consumes it. `pools` maps a vertex index to the ids on
-    it, ascending. The move log is the merge tree: pebble |G| + 1 + k is made
-    by move k, and its parts are that move's selected ids (see
+    Pebble k is slot k of every column: `cols[j][k]` is its coordinate in
+    invariant factor j (for an input pebble 1..|G|, coordinate j of element
+    k itself) and `costs[k]` its order cost; slot 0 is unused, and so are
+    the `cols` slots of a merged pebble once a move consumes it. `value(k)`
+    reads pebble k's value as a tuple. `pools` maps a vertex index to the
+    ids on it, ascending. The move log is the merge tree: pebble |G| + 1 + k
+    is made by move k, and its parts are that move's selected ids (see
     `Pebble.members`). Mutated only through merge moves; not meant
     to be shared across sessions. With debug enabled (flag or
     ZEROSUM_DEBUG=1) every move recomputes the new pebble's value and cost
@@ -165,15 +161,19 @@ class Configuration:
         self.lattice = lattice
         self.elements = list(elements)
         self.debug = debug if debug is not None else os.environ.get("ZEROSUM_DEBUG") == "1"
-        self.vals: list[tuple[int, ...] | None] = [None]
-        self.costs: list[int] = [0]
+        cols = element_columns(dec, self.elements)  # refuses an element of another rank
+        self.cols: list[list[int | None]] = [[None, *col] for col in cols]
+        self.costs: list[int] = [0, *element_costs(dec, cols)]
         self.pools: dict[int, list[int]] = {}
         self.move_log = MoveLog(len(self.elements) + 1)
         self.fallback_fired = False
 
+    def value(self, pid: int) -> tuple[int, ...]:
+        return tuple([col[pid] for col in self.cols])
+
     def _pebble(self, pid: int, vidx: int) -> Pebble:
         vertex = self.lattice.vertices[vidx]
-        return Pebble(pid, self.vals[pid], self.costs[pid], vertex, self)
+        return Pebble(pid, self.value(pid), self.costs[pid], vertex, self)
 
     def live_pebbles(self) -> list[Pebble]:
         return sorted(self._pebble(pid, vidx) for vidx, pool in self.pools.items() for pid in pool)
@@ -220,40 +220,33 @@ def initial_configuration(
 ) -> Configuration:
     """One singleton pebble per element on the vertex of its order.
 
-    The orders come from one column pass (`element_orders`, which refuses
-    an element of another rank), the ids are placed a vertex at a time, and
-    every pebble's placement is checked against its vertex's rule. Input
-    pebble k's row is element k itself.
+    The table transposes the elements once into its columns
+    (`element_columns`, which refuses an element of another rank) and takes
+    each order cost as one gcd over them (`element_costs`). The ids are
+    sorted by cost and placed a vertex at a time, the vertex of cost c being
+    the one of divisor N // c, and every pebble's placement is checked
+    against its vertex's rule: the first misplaced id is the least over one
+    `compress` per rule.
     """
     if len(elements) != dec.group_order:
-        raise InputError(
-            f"need exactly {dec.group_order} elements for this group, got {len(elements)}"
-        )
+        raise InputError(f"need exactly {dec.group_order} elements for this group, got {len(elements)}")
     if lattice is None:
         lattice = build_lattice(dec)
     conf = Configuration(dec, lattice, elements, debug=debug)
-    vals, costs, exponent = conf.vals, conf.costs, dec.exponent
-    orders = element_orders(dec, conf.elements)
-    index_of = {v.divisor: idx for idx, v in enumerate(lattice.vertices)}
-    where = [0, *map(index_of.get, orders)]  # where[k]: the vertex index of pebble k
-    if None in where:
-        order = orders[where.index(None) - 1]
-        raise InternalInvariantError(
-            f"element order {order} does not divide the exponent {exponent}"
-        )
-    vals.extend(conf.elements)
-    costs.extend(map(exponent.__floordiv__, orders))
-    misplaced = []
-    by_vertex = sorted(range(1, len(where)), key=where.__getitem__)  # stable: ids stay ascending
-    for vidx, ids in itertools.groupby(by_vertex, where.__getitem__):
-        pool = conf.pools[vidx] = list(ids)
-        budget, congruences = lattice.placement[vidx]
-        rows = list(map(vals.__getitem__, pool))
-        fails = [map(budget.__lt__, map(costs.__getitem__, pool))]
-        fails += [map(m.__rmod__, map(itemgetter(j), rows)) for j, m in congruences]
-        misplaced += itertools.compress(pool, map(any, zip(*fails)))
-    if misplaced:
-        raise InternalInvariantError(f"initial pebble {min(misplaced)} is not well placed")
+    cols, costs, exponent = conf.cols, conf.costs, dec.exponent
+    index_of = {exponent // v.divisor: idx for idx, v in enumerate(lattice.vertices)}
+    misplaced = len(costs)  # past every id: none found yet
+    for cost, ids in itertools.groupby(sorted(range(1, len(costs)), key=costs.__getitem__), costs.__getitem__):
+        if cost not in index_of:  # a cost divides N, so only another group's lattice lacks its vertex
+            raise InternalInvariantError(f"element order {exponent // cost} does not divide the exponent "
+                                         f"{lattice.dec.exponent} of the lattice")
+        pool = conf.pools[index_of[cost]] = list(ids)  # the sort is stable: ids stay ascending
+        budget, congruences = lattice.placement[index_of[cost]]
+        rules = [map(m.__rmod__, map(cols[j].__getitem__, pool)) for j, m in congruences]
+        rules.append(map(budget.__lt__, map(costs.__getitem__, pool)))
+        misplaced = min(misplaced, *[next(itertools.compress(pool, rule), misplaced) for rule in rules])
+    if misplaced < len(costs):
+        raise InternalInvariantError(f"initial pebble {misplaced} is not well placed")
     return conf
 
 
@@ -267,13 +260,14 @@ def merge_step(
     next weight of them. Each pebble is reduced to a vector over F_p:
     coordinate j, for j below the edge's dual length, divided by the residual
     modulus of component (i, j) at `vertex` (exact by well-placedness), mod p.
-    The run is worked a column at a time; a misplaced pebble stops it at its
-    move. In dimension 1 one base-case pass gives each move a block of
-    consecutive pebbles, whose column sums value the merge; otherwise each
-    move runs the base case on its vectors. The moves before the first merge
-    that breaks the child's placement rule are placed at once (one at a time,
-    each debug-checked, with debug on) and logged as one run record, and the
-    rows of the merged pebbles they consume are freed.
+    The run is worked a column at a time, each read as one slice when its ids
+    are consecutive; a misplaced pebble stops it at its move. In dimension 1
+    one base-case pass gives each move a block of consecutive pebbles, whose
+    column sums value the merge; otherwise each move runs the base case on
+    its vectors. The moves before the first merge that breaks the child's
+    placement rule are placed at once (one at a time, each debug-checked,
+    with debug on) with one `+=` per column and logged as one run record,
+    and the column slots of the merged pebbles they consume are freed.
     """
     lattice = conf.lattice
     u = vertex.u
@@ -294,19 +288,17 @@ def merge_step(
             f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
             f"{count} move(s) of weight {weight} need {need}"
         )
+    costs, factors = conf.costs, dec.invariant_factors
     if pool[need - 1] - pool[0] == need - 1:  # consecutive ids: a range keeps no int per id in the log
         run = range(pool[0], pool[0] + need)
+        cols = [col[run.start : run.stop] for col in (*conf.cols, costs)]  # the last: order costs
     else:
         run = tuple(pool[:need])
+        cols = [list(map(col.__getitem__, run)) for col in (*conf.cols, costs)]
     del pool[:need]
     if not pool:
         del conf.pools[vidx]
 
-    vals, costs, factors = conf.vals, conf.costs, dec.invariant_factors
-    rows = list(map(vals.__getitem__, run))
-    cols = [list(map(itemgetter(j), rows)) for j in range(len(factors))]
-    cols.append(list(map(costs.__getitem__, run)))  # the last column: order costs
-    del rows
     bad = need  # position in the run of the first misplaced pebble
     reduced = []
     for col, m in zip(cols, lattice.residual_moduli[vidx][i][:dims]):
@@ -339,21 +331,26 @@ def merge_step(
     for j, m in congruences:
         placed = min(placed, next(itertools.compress(itertools.count(), map(m.__rmod__, new_cols[j])), moves))
     log = conf.move_log
-    new_id = len(vals)
+    new_id = len(costs)
     if placed:  # tuple.__new__ skips the Python-level __new__ NamedTuple generates
         log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
         log.firsts.append(new_id)
     merged = bisect_left(run, log.base)  # run positions from here on hold merged pebbles
-    new_vals = list(zip(*new_cols))
     batch = 1 if conf.debug else max(placed, 1)
     for lo in range(0, placed, batch):
         hi = lo + batch
-        vals += new_vals[lo:hi]
+        for col, new in zip(conf.cols, new_cols):
+            col += new[lo:hi]
         costs += new_costs[lo:hi]
         child_pool += range(new_id + lo, new_id + hi)
         log.moves += hi - lo
-        for q in run[max(merged, lo * weight) : hi * weight]:
-            vals[q] = None  # a consumed merged pebble's row is never read again
+        gone = run[max(merged, lo * weight) : hi * weight]  # consumed merged pebbles: never read again
+        for col in conf.cols:
+            if type(gone) is range:
+                col[gone.start : gone.stop] = [None] * len(gone)
+            else:
+                for q in gone:
+                    col[q] = None
         if conf.debug:
             _debug_check(conf, new_id + lo)
     if placed < moves:
@@ -371,7 +368,7 @@ def merge_step(
 def _debug_check(conf: Configuration, pid: int) -> None:
     """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
     val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(conf, pid))))
-    if val != conf.vals[pid] or cost != conf.costs[pid]:
+    if val != conf.value(pid) or cost != conf.costs[pid]:
         raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
     seen: set[int] = set()
     for pool in conf.pools.values():

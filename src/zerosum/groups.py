@@ -207,35 +207,37 @@ def add_elements(
 
 
 def element_order(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:
-    """Least k >= 1 with k*g = 0: `element_orders` of g alone, without the
-    column pass (an element of the wrong rank goes there for its error)."""
+    """Least k >= 1 with k*g = 0: N // `element_costs` of g alone, without the
+    column pass (an element of the wrong rank goes to `element_columns` for
+    its error)."""
     factors = dec.invariant_factors
     if len(g) != len(factors):
-        return element_orders(dec, [g])[0]
+        element_columns(dec, [g])
     big_n = factors[0]
     return big_n // math.gcd(big_n, *map(mul, map(big_n.__floordiv__, factors), g))
 
 
-def element_orders(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]]) -> list[int]:
-    """The order of every element, one gcd per element over the columns: with
-    N = n_1 the exponent, x in Z_n has order n // gcd(n, x) = N // gcd(N, (N/n)*x),
-    and an lcm of the divisors N // d_j of N is N // gcd(d_j), so g has order
-    N // gcd(N, (N/n_1)*g_1, ..., (N/n_r)*g_r); only columns with n < N are scaled.
-
-    This is the one check that the elements belong to `dec`, made here
-    because every caller takes their orders first: an element without
-    exactly one coordinate per invariant factor raises InputError (so an
-    element of Z_2 + Z_2 is refused in Z_4).
-    """
+def element_columns(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The elements as one tuple per invariant factor. This is the one check
+    that they belong to `dec`, made here because every caller reads them by
+    column: an element without exactly one coordinate per invariant factor
+    raises InputError (so an element of Z_2 + Z_2 is refused in Z_4)."""
     factors = dec.invariant_factors
     wrong = set(map(len, elements)) - {len(factors)}
     if wrong:
         raise InputError(f"element has {min(wrong)} coordinates, not one per invariant factor")
-    if not elements:
-        return []
-    big_n = factors[0]
-    cols = [col if n == big_n else map((big_n // n).__mul__, col) for col, n in zip(zip(*elements), factors)]
-    return list(map(big_n.__floordiv__, map(math.gcd, repeat(big_n), *cols)))
+    return list(zip(*elements)) or [()] * len(factors)
+
+
+def element_costs(dec: PrimaryDecomposition, cols: Sequence[Sequence[int]]) -> list[int]:
+    """N // order of every element, from its columns (`element_columns`), one
+    gcd per element: with N = n_1 the exponent, x in Z_n has order
+    n // gcd(n, x) = N // gcd(N, (N/n)*x), and an lcm of the divisors N // d_j
+    of N is N // gcd(d_j), so N // ord(g) = gcd(N, (N/n_1)*g_1, ..., (N/n_r)*g_r);
+    only columns with n < N are scaled."""
+    big_n = dec.exponent
+    scaled = [col if n == big_n else map((big_n // n).__mul__, col) for col, n in zip(cols, dec.invariant_factors)]
+    return list(map(math.gcd, repeat(big_n), *scaled))
 
 
 def element_index(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:

@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
-from .groups import PrimaryDecomposition, element_orders
+from .groups import PrimaryDecomposition, element_columns, element_costs
 from .lattice import build_lattice
 
 # Items x group order; admits |G| items over groups of order up to 2828.
@@ -318,7 +318,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     rises, no link on the final chain changes after the stop either.
     """
     elements = list(elements)
-    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    costs = element_costs(dec, element_columns(dec, elements))
     check_dp_work(dec, len(elements))
     floor = min(2, dec.exponent)
     unreached = sum(costs) + 1
@@ -385,7 +385,7 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
         raise _over_davenport_work()
     elements = list(itertools.product(*map(range, dec.invariant_factors)))
     bound = dec.exponent if weighted else 0
-    costs = list(map(bound.__floordiv__, element_orders(dec, elements)))
+    costs = element_costs(dec, element_columns(dec, elements)) if weighted else [0] * len(elements)
     tables = [_shift_table(dec, g) for g in elements]
     return _longest(tables, costs, bound, 1, {}, 0, [MAX_DAVENPORT_WORK]) + 1
 

@@ -79,6 +79,41 @@ def test_initial_configuration_rejects_foreign_elements():
         verify_certificate(dec, els, [1])
 
 
+def test_initial_configuration_refuses_a_lattice_without_the_order_vertex():
+    # Z_2's lattice has vertices of divisor 1 and 2 only: an element of Z_4 of
+    # order 4 has no vertex there, which is a bug in the caller, not an input.
+    dec = _dec("4")
+    with pytest.raises(InternalInvariantError, match="element order 4 does not divide the exponent 2"):
+        initial_configuration(dec, _elements(dec, [2, 1, 2, 2]), lattice=build_lattice(_dec("2")))
+
+
+def test_initial_configuration_checks_every_pebble_against_its_vertex_rule():
+    # A pebble's vertex is chosen by its order, so the lattice's own rules
+    # always pass; tightened rules show that every rule is read, and that the
+    # least misplaced id over all rules and vertices is named.
+    dec = _dec("4")
+    els = _elements(dec, [1, 2, 3, 2])  # pebbles 1 and 3 on divisor 4, 2 and 4 on divisor 2
+    lat = build_lattice(dec)
+    top, mid = lat.vertex_index((2,)), lat.vertex_index((1,))
+
+    def tightened(**rules):
+        placement = list(lat.placement)
+        for name, rule in rules.items():
+            placement[{"top": top, "mid": mid}[name]] = rule
+        return lat._replace(placement=tuple(placement))
+
+    for lattice, first in [
+        (tightened(top=(1, ((0, 2),))), 1),  # odd values at divisor 4
+        (tightened(top=(0, ())), 1),  # a budget of 0 at divisor 4
+        (tightened(mid=(1, ((0, 2),))), 2),  # costs of 2 over a budget of 1
+        (tightened(mid=(2, ((0, 4),))), 2),  # 2 is not 0 mod 4
+        (tightened(top=(1, ((0, 2),)), mid=(1, ((0, 2),))), 1),  # both vertices: the least id
+    ]:
+        with pytest.raises(InternalInvariantError, match=f"initial pebble {first} is not well placed"):
+            initial_configuration(dec, els, lattice=lattice)
+    assert initial_configuration(dec, els, lattice=lat).count_profile() == (0, 2, 2)
+
+
 def test_initial_pebbles_sit_on_order_vertices():
     dec = _dec("12")
     els = _elements(dec, [0, 1, 2, 3, 4, 6, 8, 9, 10, 5, 7, 11])
@@ -90,13 +125,16 @@ def test_initial_pebbles_sit_on_order_vertices():
 
 
 def test_input_rows_are_the_elements_themselves():
-    # An element is a plain tuple, and input pebble k's row is element k
-    # itself, not a copy: the table holds no second object per input.
-    dec = _dec("6,2")
-    els = encode_sequence([(a, a % 5) for a in range(12)], dec)
+    # An element is a plain tuple, and input pebble k's slot in column j is
+    # coordinate j of element k itself, not a copy: the table holds no second
+    # object per input coordinate (values above 256, which CPython does not
+    # cache, so `is` tells a copy apart).
+    dec = _dec("600,2")
+    els = encode_sequence([(a, a % 5) for a in range(1200)], dec)
     assert {type(g) for g in els} == {tuple}
     conf = initial_configuration(dec, els)
-    assert all(conf.vals[k] is els[k - 1] for k in range(1, 13))
+    assert all(conf.cols[j][k] is els[k - 1][j] for k in range(1, 1201) for j in range(2))
+    assert all(conf.value(k) == els[k - 1] for k in range(1, 1201))
 
 
 def test_z4_all_ones_full_trace():
@@ -110,9 +148,10 @@ def test_z4_all_ones_full_trace():
         (4, 2, (3, 4), (3, 4), 6),
         (2, 2, (5, 6), (5, 6), 7),
     ]
-    # Merged pebbles 5 and 6 are consumed, so their rows are freed; the input
-    # rows stay, since they are the elements.
-    assert conf.vals == [None, *els, None, None, (0,)]
+    # Merged pebbles 5 and 6 are consumed, so their slots are freed; the input
+    # slots stay, since they are the elements' coordinates.
+    assert conf.cols == [[None, *(g[0] for g in els), None, None, 0]]
+    assert conf.value(7) == (0,)
 
 
 def test_zero_element_short_circuits():
@@ -471,7 +510,7 @@ def test_debug_mode_catches_tampered_cached_value():
         conf = initial_configuration(dec, els, debug=debug)
         top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
         assert conf.pools[conf.lattice.vertex_index((2,))][0] == 1
-        conf.vals[1] = three
+        conf.cols[0][1] = three[0]
         if not debug:
             merge_step(conf, top, 0)
             continue
@@ -487,7 +526,7 @@ def test_merge_refuses_consumed_pebble_not_well_placed():
     conf = initial_configuration(dec, els)
     lat = conf.lattice
     assert conf.pools[lat.vertex_index((1,))][0] == 1
-    conf.vals[1] = to_primary_coordinates((1,), dec)
+    conf.cols[0][1] = 1
     with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
         merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
 
@@ -564,7 +603,7 @@ def _z8_order_two_run(tamper_pid, value, debug):
     conf = initial_configuration(dec, _elements(dec, [4] * 8), debug=debug)
     vidx = conf.lattice.vertex_index((1,))
     assert tamper_pid in conf.pools[vidx]
-    conf.vals[tamper_pid] = (value,)
+    conf.cols[0][tamper_pid] = value
     return conf, conf.lattice.vertex_at(vidx)
 
 
@@ -586,7 +625,7 @@ def test_batched_run_stops_at_the_first_misplaced_pebble_in_any_coordinate():
     conf = initial_configuration(dec, _elements(dec, raws))
     vidx = conf.lattice.vertex_index((1,))
     assert conf.pools[vidx] == list(range(1, 13))
-    conf.vals[5], conf.vals[6] = (0, 1), (1, 2)
+    (conf.cols[0][5], conf.cols[1][5]), (conf.cols[0][6], conf.cols[1][6]) = (0, 1), (1, 2)
     with pytest.raises(InternalInvariantError, match="pebble 5 is not well placed at vertex 2"):
         merge_step(conf, conf.lattice.vertex_at(vidx), 0, 2)
     assert [m.consumed for m in conf.move_log] == [(1, 2, 3, 4)]
@@ -602,6 +641,52 @@ def test_batched_run_debug_catches_tampered_value_at_its_move():
     with pytest.raises(InternalInvariantError, match="cached value of pebble 10"):
         merge_step(conf, vertex, 0, 4)
     assert [m.new_id for m in conf.move_log] == [9, 10]
+
+
+def _z8_two_runs(raws):
+    # Order-8 pebbles (value 1) merge in pairs at divisor 8; three such moves
+    # land value 2 at divisor 4 beside the order-4 inputs, and two moves there
+    # take the lowest four ids of that pool.
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, raws))
+    lat = conf.lattice
+    merge_step(conf, lat.vertex_at(lat.vertex_index((3,))), 0, 3)
+    merge_step(conf, lat.vertex_at(lat.vertex_index((2,))), 0, 2)
+    return conf
+
+
+def test_tuple_and_range_runs_give_the_same_table():
+    # Interleaved inputs leave gaps in both pools, so both runs are tuples of
+    # ids; grouped inputs keep both pools consecutive, so both are ranges.
+    gaps = _z8_two_runs([1, 1, 2, 1, 1, 2, 1, 1])
+    dense = _z8_two_runs([1, 1, 1, 1, 1, 1, 2, 2])
+    assert [r.run for r in gaps.move_log.runs] == [(1, 2, 4, 5, 7, 8), (3, 6, 9, 10)]
+    assert [r.run for r in dense.move_log.runs] == [range(1, 7), range(7, 11)]
+    # Inputs stay in their own slots; the merged slots, freed or live, match.
+    assert gaps.cols[0][:9] == [None, 1, 1, 2, 1, 1, 2, 1, 1]
+    assert dense.cols[0][:9] == [None, 1, 1, 1, 1, 1, 1, 2, 2]
+    assert gaps.cols[0][9:] == dense.cols[0][9:] == [None, None, 2, 4, 4]
+    assert gaps.costs[9:] == dense.costs[9:] == [2, 2, 2, 4, 4]
+    assert gaps.pools == dense.pools
+    assert [m.selected for m in gaps.move_log][3:] == [(3, 6), (9, 10)]
+    assert [m.selected for m in dense.move_log][3:] == [(7, 8), (9, 10)]
+
+
+def test_every_column_frees_consumed_merged_pebbles_and_keeps_inputs():
+    # Seed 0 over Z_4 + Z_2 + Z_2 consumes four merged pebbles, the last run
+    # in dimension 3.
+    dec, els = _seeded_nonzero("4,2,2", 0)
+    conf = initial_configuration(dec, els)
+    root = solve_to_root(conf)
+    log = conf.move_log
+    consumed = {q for m in log for q in m.consumed}
+    merged = range(log.base, log.base + len(log))
+    assert len(conf.cols) == 3 and consumed & set(merged)
+    for j, col in enumerate(conf.cols):
+        assert len(col) == len(conf.costs) == log.base + len(log)
+        assert col[1 : log.base] == [g[j] for g in els]
+        assert all((col[q] is None) == (q in consumed) for q in merged)
+    assert conf.value(root.pid) == root.val == identity(dec)
 
 
 def test_merge_step_count_checks_the_pool_once():
@@ -621,11 +706,12 @@ def test_merge_step_count_checks_the_pool_once():
 # `_zero_sum_block` and `_merge_step_per_move` are verbatim copies of the base
 # case and of `merge_step` from before a run's moves were made from one
 # base-case pass and prefix sums (only the function name differs), except
-# that the per-move loop logs each move as a run of one, frees the rows of the
-# merged pebbles it consumes and adds the group and count profile to its
-# errors, as `merge_step` now does. Every comparison runs both on copies of
-# one configuration and asserts the same move log, rows, pools and exception
-# message.
+# that the per-move loop logs each move as a run of one, frees the slots of the
+# merged pebbles it consumes, reads and writes pebble values through the
+# column table (`conf.value`, one append per column) and adds the group and
+# count profile to its errors, as `merge_step` now does. Every comparison
+# runs both on copies of one configuration and asserts the same move log,
+# columns, costs, pools and exception message.
 
 
 def _zero_sum_block(p: int, items: list[int]) -> list[int]:
@@ -673,8 +759,8 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
     if not pool:
         del conf.pools[vidx]
 
-    vals, costs = conf.vals, conf.costs
-    rows = list(map(vals.__getitem__, run))
+    costs = conf.costs
+    rows = list(map(conf.value, run))
     bad = need  # position in the run of the first misplaced pebble
     columns = []
     for j, m in enumerate(lattice.residual_moduli[vidx][i][:dims]):
@@ -698,18 +784,19 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
     for j, m in congruences:
         child_moduli[j] = m
     divisor, log = vertex.divisor, conf.move_log
-    new_id = len(vals)
+    new_id = len(costs)
     for s in range(0, bad - bad % weight, weight):
         consumed = run[s : s + weight]
         selected = tuple([consumed[k - 1] for k in block(p, reduced[s : s + weight])])
-        val = tuple(map(mod, map(sum, zip(*map(vals.__getitem__, selected))), factors))
+        val = tuple(map(mod, map(sum, zip(*map(conf.value, selected))), factors))
         cost = sum(map(costs.__getitem__, selected))
         if cost > budget or any(map(mod, val, child_moduli)):
             child = lattice.vertices[child_idx]
             raise InternalInvariantError(
                 f"merged pebble {new_id} is not well placed at vertex {child.divisor}: {conf.context()}"
             )
-        vals.append(val)
+        for col, x in zip(conf.cols, val):
+            col.append(x)
         costs.append(cost)
         child_pool.append(new_id)
         # The move as a run of one: it consumed its chunk and kept all of `selected`.
@@ -718,7 +805,8 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
         log.moves += 1
         for q in consumed:
             if q >= log.base:
-                vals[q] = None
+                for col in conf.cols:
+                    col[q] = None
         if conf.debug:
             _debug_check(conf, new_id)
         new_id += 1
@@ -729,7 +817,7 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
 
 def _copy(conf):
     twin = copy.copy(conf)
-    twin.vals, twin.costs, twin.move_log = list(conf.vals), list(conf.costs), copy.copy(conf.move_log)
+    twin.cols, twin.costs, twin.move_log = list(map(list, conf.cols)), list(conf.costs), copy.copy(conf.move_log)
     twin.move_log.runs, twin.move_log.firsts = list(conf.move_log.runs), list(conf.move_log.firsts)
     twin.pools = {vidx: list(pool) for vidx, pool in conf.pools.items()}
     return twin
@@ -760,7 +848,7 @@ def _run_both(conf, vidx, ci, count, tamper=None):
     added = [new.move_log[k] for k in range(start, len(new.move_log))]
     assert added == [old.move_log[k] for k in range(start, len(old.move_log))]
     assert all(type(m) is MoveRecord for m in added)
-    assert new.vals == old.vals and new.costs == old.costs and new.pools == old.pools
+    assert new.cols == old.cols and new.costs == old.costs and new.pools == old.pools
     return message
 
 
@@ -830,7 +918,7 @@ def _tampers(conf, vidx, ci, count):
         pid = chunk[len(chunk) // 2]
 
         def shift(twin, pid=pid, by=1):
-            twin.vals[pid] = (twin.vals[pid][0] + by, *twin.vals[pid][1:])
+            twin.cols[0][pid] += by
 
         def raise_costs(twin, chunk=chunk):
             for q in chunk:
@@ -918,7 +1006,7 @@ def _z8_stopped_run(tamper):
 
 
 def test_misplaced_pebble_error_names_the_group_and_count_profile():
-    conf, message = _z8_stopped_run(lambda conf: conf.vals.__setitem__(3, (2,)))
+    conf, message = _z8_stopped_run(lambda conf: conf.cols[0].__setitem__(3, 2))
     assert message == "pebble 3 is not well placed at vertex 2: group 8, count profile 1:1 4:2"
     assert [m.consumed for m in conf.move_log] == [(1, 2)]
 
@@ -930,7 +1018,7 @@ def test_misplaced_merge_error_names_the_group_and_count_profile():
 
 
 def test_leaves_past_a_stopped_run_names_the_group_and_count_profile():
-    conf, _ = _z8_stopped_run(lambda conf: conf.vals.__setitem__(3, (2,)))
+    conf, _ = _z8_stopped_run(lambda conf: conf.cols[0].__setitem__(3, 2))
     assert sorted(_leaves(conf, 9)) == [1, 2]
     with pytest.raises(InternalInvariantError) as exc:
         _leaves(conf, 10)

@@ -22,7 +22,7 @@ from zerosum import (
     primary_decomposition,
     to_primary_coordinates,
 )
-from zerosum.groups import MAX_GROUP_ORDER, element_orders, encode_sequence
+from zerosum.groups import MAX_GROUP_ORDER, element_columns, element_costs, encode_sequence
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
 
@@ -130,8 +130,11 @@ def test_column_orders_match_element_order(text):
     rng = random.Random(text)
     els = [element_from_index(dec, rng.randrange(dec.group_order)) for _ in range(200)]
     els.append(identity(dec))
-    assert element_orders(dec, els) == [element_order(dec, g) for g in els]
-    assert element_orders(dec, []) == []
+    cols = element_columns(dec, els)
+    assert cols == [tuple(g[j] for g in els) for j in range(len(dec.invariant_factors))]
+    assert element_costs(dec, cols) == [dec.exponent // element_order(dec, g) for g in els]
+    assert element_columns(dec, []) == [()] * len(dec.invariant_factors)
+    assert element_costs(dec, element_columns(dec, [])) == []
 
 
 def test_order_cost_is_gcd_for_cyclic():
@@ -142,13 +145,13 @@ def test_order_cost_is_gcd_for_cyclic():
             assert dec.exponent // element_order(dec, g) == math.gcd(a, n)
 
 
-def test_element_orders_refuses_an_element_of_another_rank():
+def test_element_columns_refuses_an_element_of_another_rank():
     # The one check that elements belong to the group: Z_4 has one invariant
     # factor and Z_2 + Z_2 has two, so neither takes the other's elements.
     z4, v4 = _dec("4"), _dec("2,2")
     for dec, g in ((z4, identity(v4)), (v4, identity(z4)), (v4, (1, 0, 0))):
         with pytest.raises(InputError, match="coordinates, not one per invariant factor"):
-            element_orders(dec, [identity(dec), g])
+            element_columns(dec, [identity(dec), g])
         with pytest.raises(InputError, match="coordinates, not one per invariant factor"):
             element_order(dec, g)
 

@@ -29,7 +29,7 @@ from zerosum import (
 )
 from zerosum.cli import SplitMix64
 from zerosum import oracle
-from zerosum.groups import element_orders
+from zerosum.groups import element_columns, element_costs
 from zerosum.oracle import (
     MAX_DP_WORK,
     OracleResult,
@@ -261,11 +261,12 @@ def _component_shift_table(dec, g):
 def _per_item_dp(dec, elements):
     """The DP as it stood before repeated items read only the sums their
     previous copy improved: every item snapshots `best` and relaxes every
-    reached sum. Kept verbatim, with its component-order index and tables, as
-    the reference for the equivalence test."""
+    reached sum. Kept verbatim but for its cost line (now `element_costs`),
+    with its component-order index and tables, as the reference for the
+    equivalence test."""
     elements = list(elements)
     check_dp_work(dec, len(elements))
-    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    costs = element_costs(dec, element_columns(dec, elements))
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -305,11 +306,12 @@ def _per_item_dp(dec, elements):
 
 def _full_run_dp(dec, elements):
     """The DP as it stood before it stopped at its cost floor: it reads every
-    item. Kept verbatim, with its component-order index and tables, as the
-    reference for the stop-equivalence test."""
+    item. Kept verbatim but for its cost line (now `element_costs`), with its
+    component-order index and tables, as the reference for the
+    stop-equivalence test."""
     elements = list(elements)
     check_dp_work(dec, len(elements))
-    costs = list(map(dec.exponent.__floordiv__, element_orders(dec, elements)))
+    costs = element_costs(dec, element_columns(dec, elements))
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
