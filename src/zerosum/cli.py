@@ -55,6 +55,8 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: a few seconds at most.
 MAX_STRESS_ELEMENTS = 1_000_000
+# Each small int's canonical text, mapped to the cached int that int() returns.
+SMALL_INTS = {str(k): k for k in range(257)}
 
 
 class SplitMix64:
@@ -109,9 +111,9 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
     also work, since each element is a single integer. If every part holds
-    `rank` integers, one split and one int map read them all (int() strips
-    no padding str.strip keeps); else each part is read alone, blanks skipped
-    and the first bad part named.
+    `rank` integers, one split reads them all, by SMALL_INTS lookup or, at a
+    miss, by int() (which strips no padding str.strip keeps); else each part
+    is read alone, blanks skipped and the first bad part named.
     """
     if from_file:
         try:
@@ -125,8 +127,12 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
             raise InputError("empty sequence")
         parts = s.split(";" if ";" in s or rank > 1 else ",")
     if parts and (rank == 1 or set(map(str.count, parts, repeat(","))) == {rank - 1}):
+        tokens = parts if rank == 1 else ",".join(parts).split(",")
         try:
-            ints = list(map(int, parts if rank == 1 else ",".join(parts).split(",")))
+            try:
+                ints = list(map(SMALL_INTS.__getitem__, tokens))
+            except KeyError:
+                ints = list(map(int, tokens))
             return ints if flat else list(map(list, zip(*[iter(ints)] * rank)))
         except ValueError:
             pass
@@ -479,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 def render_json(value: Any, indent: str = "") -> str:
     """The text of `json.dumps(value, indent=2)` for a report (str keys only).
 
-    Dicts, lists and tuples recurse, a list or tuple of plain ints is joined
-    in one step, and so is each row of a list of nonempty such lists or
-    tuples; a plain int is its repr, a key goes through the string encoder
-    `json.dumps` itself uses, and every other value is left to `json.dumps`.
-    The indented encoder is pure Python, and an input echo can hold 10^5
-    integers (or 16,384 rows of 14) and a move log 10^5 dicts.
+    Dicts, lists and tuples recurse; a list or tuple of plain ints, and each
+    row of a list of nonempty such rows, is one %-format of a "%d" template
+    (one per row length); a plain int is its repr, a key goes through the
+    string encoder `json.dumps` uses, and any other value is left to
+    `json.dumps`, whose indented encoder is pure Python: an input echo can
+    hold 10^5 integers (or 16,384 rows of 14) and a move log 10^5 dicts.
     """
     if type(value) is int:
         return int.__repr__(value)
@@ -502,11 +508,11 @@ def render_json(value: Any, indent: str = "") -> str:
         inner = indent + "  "
         types = set(map(type, value))
         if types == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, value))
+            body = (",\n" + inner).join(["%d"] * len(value)) % tuple(value)
         elif types <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            row_open, item_sep, row_close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-            rows = map(item_sep.join, map(map, repeat(int.__repr__), value))
-            body = row_open + (row_close + ",\n" + inner + row_open).join(rows) + row_close
+            item = ",\n" + inner + "  "
+            fmt = {n: "[" + item[1:] + item.join(["%d"] * n) + "\n" + inner + "]" for n in set(map(len, value))}
+            body = (",\n" + inner).join(map(str.__mod__, map(fmt.__getitem__, map(len, value)), map(tuple, value)))
         else:
             body = (",\n" + inner).join([render_json(x, inner) for x in value])
         return "[\n" + inner + body + "\n" + indent + "]"

@@ -74,23 +74,17 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
     if count > max_vertices:
         raise InputError(f"lattice would have {count} vertices, above the bound {max_vertices}")
 
-    strides = []
-    acc = 1
-    for h in reversed(heights):
-        strides.append(acc)
-        acc *= h + 1
-    strides = tuple(reversed(strides))
+    strides = tuple(math.prod(h + 1 for h in heights[i + 1:]) for i in range(len(heights)))
 
     duals = tuple(dual_partition(row) for row in dec.exponents)
     level_weights = tuple(
         tuple(p**d for d in dual) for p, dual in zip(dec.primes, duals)
     )
 
-    vertices = []
-    for u in itertools.product(*(range(h + 1) for h in heights)):
-        divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
-        vertices.append(LatticeVertex(u, divisor))
-    vertices = tuple(vertices)
+    vertices = tuple(
+        LatticeVertex(u, math.prod(map(pow, dec.primes, u)))
+        for u in itertools.product(*(range(h + 1) for h in heights))
+    )
 
     moves = []
     residual_moduli = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import operator
 import os
 import shlex
 import subprocess
@@ -68,6 +69,8 @@ def test_parse_raw_sequence_rank1_commas():
     assert parse_raw_sequence("1,1,1,1", rank=1) == [[1], [1], [1], [1]]
     assert parse_raw_sequence("0;1;2", rank=1) == [[0], [1], [2]]
     assert parse_raw_sequence("-3", rank=1) == [[-3]]
+    # A token in the small-int table reads as the very object int() returns.
+    assert all(map(operator.is_, parse_raw_sequence("0,7,256", 1, flat=True), map(int, ["0", "7", "256"])))
 
 
 def test_parse_raw_sequence_rank2():
@@ -156,11 +159,28 @@ def _per_part_cyclic(args) -> list[int]:
 
 
 def _outcome(read, *args):
-    """repr of what `read` returns (so lists and tuples differ), or its InputError text."""
+    """repr of what `read` returns (so lists and tuples differ), or its
+    InputError text; every value read must be an exact int, not a subclass."""
     try:
-        return repr(read(*args))
+        got = read(*args)
     except InputError as exc:
         return f"InputError: {exc}"
+    assert {type(x) for row in (got if got and type(got[0]) is list else [got]) for x in row} <= {int}
+    return repr(got)
+
+
+# Table hits ("0", "256"), a miss just past the table ("257"), and texts int()
+# reads that are not canonical ("00", "+1", " 1", "-0", "1_0", Arabic-Indic 3).
+SMALL_INT_TOKENS = ["0", "256", "257", "00", "+1", " 1", "-0", "1_0", "\u0663"]
+
+
+def _token_texts(tok: str) -> list[str]:
+    """`tok` as the first token and as the last of a text of each rank, and beside blanks."""
+    out = [f"{tok};;1", f"1;{tok},,1", f"{tok},1;;1,1"]
+    for r in (1, 2, 3):
+        row, pad = ",".join(["1"] * r), ["2"] * (r - 1)
+        out += [",".join([tok] + pad) + f";{row};{row}", f"{row};{row};" + ",".join(pad + [tok])]
+    return out
 
 
 # str.strip's padding (none lies above U+3000); int() strips all of it but \x1c-\x1f.
@@ -173,6 +193,7 @@ PARSE_CORPUS = (
     + ["1,0;1;0,1", "1,0,1;0,1", "1;1,0;0,1", "1,0;1;x,1", "x;1,0,0", "1,0,0;x", "1,0;y;1", "9" * 5000]
     + [",".join(map(str, range(-40, 40))), ";".join(map(str, range(40))), ";".join(f"{k},{-k},{k % 7}" for k in range(40))]
     + [f"{c}1{c},{c}0{c};{c}2,3{c}" for c in _PAD] + [f"1{c}" for c in _PAD] + ["\x1c1,2", "1,2\x1f"]
+    + [text for tok in SMALL_INT_TOKENS for text in _token_texts(tok)]
 )
 
 
@@ -557,9 +578,25 @@ def test_render_json_matches_indented_dumps(value):
 def test_render_json_edge_shapes():
     for value in [[], {}, (), [[]], {"a": {}}, [[], {}, ()], {"": [True, 1]}, [0, -1, 2**70], "é\"\\"]:
         assert render_json(value) == json.dumps(value, indent=2)
-    # Lists of int rows, which render one join per row (lists and tuples
-    # mixed), and the shapes next to them that must not: an empty row, a bool.
-    for value in [[[1], []], [[1, 2], (3,)], [[True], [1]], [[0, 0], [0, 0]], [[2**70]], {"s": [[-1, 0], [5, 7]]}]:
+    # Flat int lists, one %-format of a "%d" template each, and the shapes
+    # next to them that must not take it: a bool prints `true`, not `1`.
+    for value in [[0, -1, -(2**70), 2**70, 10**40, -(10**40)], (0, -7, 10**40), [1, True], [True, 1]]:
+        assert render_json(value) == json.dumps(value, indent=2)
+    # Lists of int rows, one %-format per row with the template for its length
+    # (lengths, lists and tuples mixed), and the shapes next to them that must
+    # not take it: an empty row, a bool.
+    for value in [
+        [[1], []], [[1, 2], (3,)], [[True], [1]], [[1, True], [2, 3]], [[0, 0], [0, 0]], [[2**70]],
+        [[1, 2, 3], [4], (5, 6), [7, 8, 9, 10], (11,)], [[0], [-1], (2**70,), [10**40]], {"s": [[-1, 0], (5,)]},
+    ]:
+        assert render_json(value) == json.dumps(value, indent=2)
+
+
+def test_render_json_templates_at_scale():
+    # The echo of a Z_2^14 solve (16,384 rows of 14) and a 30,030-int list.
+    rows = [[(k >> j) & 1 for j in range(14)] for k in range(16384)]
+    flat = [k * 7919 % 30030 - 15015 for k in range(30030)]
+    for value in (rows, {"inputs": {"sequence": rows}}, flat, {"sequence": flat}):
         assert render_json(value) == json.dumps(value, indent=2)
 
 
