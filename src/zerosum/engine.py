@@ -52,23 +52,17 @@ class _Run(NamedTuple):
     blocks: list[slice]
 
 
-class MoveLog(Sequence):
-    """The move log: one `_Run` per merge_step run, read as a sequence of
-    `MoveRecord`s built on request. Move k made pebble base + k, where base is
-    |G| + 1, so a run's moves end where the next run's begin, and `moves`
-    ends the last; `firsts` holds each run's first id, for bisection."""
+class MoveLog:
+    """The move log: one `_Run` per merge_step run, read by `len` and by
+    iteration as `MoveRecord`s built on request. Move k made pebble base + k
+    (base is |G| + 1), so a run's moves end where the next run's begin, and
+    `moves` ends the last; `firsts` holds each run's first id, for bisection."""
 
     def __init__(self, base: int):
         self.base, self.runs, self.firsts, self.moves = base, [], [], 0
 
     def __len__(self) -> int:
         return self.moves
-
-    def __getitem__(self, k: int) -> MoveRecord:
-        q = self.base + range(self.moves)[k]  # range: negative k and IndexError as a list's
-        run = self.runs[bisect_right(self.firsts, q) - 1]
-        s, w = q - run.first, run.weight
-        return MoveRecord(run.divisor, run.prime, w, tuple(run.run[s * w : s * w + w]), self.selected(q), q)
 
     def __iter__(self):
         """A run at a time: its moves' chunks, selections and ids in C-level maps."""

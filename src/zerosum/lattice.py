@@ -68,11 +68,11 @@ class WeightedLattice(NamedTuple):
         return self.vertices[index]
 
 
-def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VERTICES) -> WeightedLattice:
+def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
     heights = dec.heights
     count = math.prod(h + 1 for h in heights)
-    if count > max_vertices:
-        raise InputError(f"lattice would have {count} vertices, above the bound {max_vertices}")
+    if count > MAX_LATTICE_VERTICES:
+        raise InputError(f"lattice would have {count} vertices, above the bound {MAX_LATTICE_VERTICES}")
 
     strides = tuple(math.prod(h + 1 for h in heights[i + 1:]) for i in range(len(heights)))
 
@@ -96,11 +96,7 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        # residual_exponents' closed form, on rows dual_partition validated above.
-        residual = tuple(
-            tuple(max(e - ui, 0) for e in row) for ui, row in zip(v.u, dec.exponents)
-        )
-        res_moduli = _residual_moduli(dec, residual)
+        res_moduli = _residual_moduli(dec, v.u)
         residual_moduli.append(res_moduli)
         placement.append(_placement(dec, v.divisor, res_moduli))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))
@@ -119,10 +115,9 @@ def build_lattice(dec: PrimaryDecomposition, max_vertices: int = MAX_LATTICE_VER
     )
 
 
-def _residual_moduli(
-    dec: PrimaryDecomposition, residual: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Entry (i, j) is primes[i] raised to the residual exponent residual[i][j]."""
+def _residual_moduli(dec: PrimaryDecomposition, u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is primes[i] raised to the residual exponent of component (i, j) at u."""
+    residual = residual_exponents(dec.exponents, u)
     return tuple(tuple(p**e for e in row) for p, row in zip(dec.primes, residual))
 
 
@@ -132,7 +127,7 @@ def placement_rule(dec: PrimaryDecomposition, u: tuple[int, ...]) -> PlacementRu
     components' residual moduli, wherever that exceeds 1 (exact: each divides
     its component's order, and those orders are coprime)."""
     divisor = math.prod(p**ui for p, ui in zip(dec.primes, u))
-    return _placement(dec, divisor, _residual_moduli(dec, residual_exponents(dec.exponents, u)))
+    return _placement(dec, divisor, _residual_moduli(dec, u))
 
 
 def _placement(

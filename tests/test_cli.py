@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerosum
-from zerosum import InputError, InternalInvariantError, cli
+from zerosum import InputError, InternalInvariantError, cli, engine
 from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence, render_json
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
@@ -461,6 +461,22 @@ def test_solve_json_is_byte_identical(capsys):
     assert first == second
 
 
+def test_a_solve_rechecks_its_certificate_once(monkeypatch, capsys):
+    # extract_certificate recomputes the sum and cost of K from the elements;
+    # _solve_sequence does not recompute them a second time.
+    monkeypatch.delenv("ZEROSUM_DEBUG", raising=False)
+    calls = []
+    recompute = engine._recompute
+    monkeypatch.setattr(engine, "_recompute", lambda *args: calls.append(args[2]) or recompute(*args))
+    assert main(["solve", "--group", "6,2", "--seq", ";".join(["1,1"] * 12), "--json"]) == 0
+    indices = json.loads(capsys.readouterr().out)["results"]["indices"]
+    assert calls == [tuple(indices)]
+    calls.clear()
+    assert main(["stress", "--group", "6,2", "--trials", "3", "--oracle-limit", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
 def test_exit_code_input_errors(capsys):
     assert main(["solve", "--group", "x", "--seq", "1"]) == 2
     capsys.readouterr()
@@ -476,6 +492,8 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
     assert main(["stress", "--group", "4", "--trials", "-1"]) == 2
     capsys.readouterr()
+    assert main(["stress", "--group", "4", "--trials", "2", "--oracle-limit", "-1"]) == 2
+    assert "oracle limit must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_oracle_work_bound_exits_2_at_once(capsys):

@@ -201,7 +201,7 @@ def test_merge_consumes_lowest_ids():
     conf = initial_configuration(dec, els)
     top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
     merge_step(conf, top, 0)
-    assert conf.move_log[0].consumed == (1, 2)
+    assert list(conf.move_log)[0].consumed == (1, 2)
 
 
 def test_greedy_plan_on_profiles():
@@ -538,7 +538,7 @@ def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
     # Cut the merge tree to one branch: members 1 and 2 sum to 2, not 0. The
     # move log is the tree, and the root's last move made it, as the one move
     # of the last run, whose block keeps kept[block].
-    last = conf.move_log[-1]
+    last = list(conf.move_log)[-1]
     assert last.new_id == root.pid and last.selected == (5, 6)
     run = conf.move_log.runs[-1]
     (block,) = run.blocks
@@ -845,8 +845,8 @@ def _run_both(conf, vidx, ci, count, tamper=None):
     runs, start = conf.move_log.runs, len(conf.move_log)
     assert new.move_log.runs[: len(runs)] == old.move_log.runs[: len(runs)] == runs
     assert len(new.move_log) == len(old.move_log)
-    added = [new.move_log[k] for k in range(start, len(new.move_log))]
-    assert added == [old.move_log[k] for k in range(start, len(old.move_log))]
+    added = list(new.move_log)[start:]
+    assert added == list(old.move_log)[start:]
     assert all(type(m) is MoveRecord for m in added)
     assert new.cols == old.cols and new.costs == old.costs and new.pools == old.pools
     return message
@@ -971,12 +971,7 @@ def test_move_log_view_matches_the_per_move_reference(text, seed):
     log = conf.move_log
     assert len(log.runs) < len(log) == len(expected)
     assert any(run.step == 0 for run in log.runs) == (text == "4,2,2")
-    assert log[0] == expected[0] and log[-1] == expected[-1] and log[-len(log)] == expected[0]
     assert list(log) == expected and {type(m) for m in log} == {MoveRecord}
-    with pytest.raises(IndexError):
-        log[len(log)]
-    with pytest.raises(IndexError):
-        log[-len(log) - 1]
 
 
 def test_leaves_at_the_first_and_last_id_of_each_run():

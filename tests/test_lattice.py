@@ -152,7 +152,8 @@ def test_vertex_index_maps_divisors():
     assert lat.vertex_at(lat.vertex_index((2, 1))).divisor == 12
 
 
-def test_vertex_cap_guard():
+def test_vertex_cap_guard(monkeypatch):
     dec = primary_decomposition(parse_group_spec("6"))
+    monkeypatch.setattr("zerosum.lattice.MAX_LATTICE_VERTICES", 3)
     with pytest.raises(InputError):
-        build_lattice(dec, max_vertices=3)
+        build_lattice(dec)
