@@ -14,7 +14,7 @@ from .errors import (
 )
 from .groups import (
     GroupSpec, PrimaryDecomposition, add_elements, element_from_index, element_index, element_order,
-    group_spec, identity, parse_group_spec, primary_decomposition, to_primary_coordinates,
+    encode_sequence, group_spec, identity, parse_group_spec, primary_decomposition, to_primary_coordinates,
 )
 from .partitions import dual_partition, residual_exponents, residual_exponents_by_recursion
 from .lattice import LatticeVertex, WeightedLattice, build_lattice

@@ -104,16 +104,18 @@ class RunReport(NamedTuple):
     moves: list[dict] | None = None
 
 
-def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> list:
-    """Element tuples from inline text, or from the file named by `value` if
-    from_file; with flat (rank 1), the integers themselves.
+def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> list[int]:
+    """The coordinates of every element, laid end to end, from inline text or
+    from the file named by `value` if from_file; flat marks solve-cyclic's
+    integer form (rank 1), whose rank error names the part.
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
     also work, since each element is a single integer. If every part holds
     `rank` integers, one split reads them all, by SMALL_INTS lookup or, at a
     miss, by int() (which strips no padding str.strip keeps); else each part
-    is read alone, blanks skipped and the first bad part named.
+    is read alone, blanks skipped, the first bad part named, and then the
+    first part without `rank` integers.
     """
     if from_file:
         try:
@@ -130,10 +132,9 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
         tokens = parts if rank == 1 else ",".join(parts).split(",")
         try:
             try:
-                ints = list(map(SMALL_INTS.__getitem__, tokens))
+                return list(map(SMALL_INTS.__getitem__, tokens))
             except KeyError:
-                ints = list(map(int, tokens))
-            return ints if flat else list(map(list, zip(*[iter(ints)] * rank)))
+                return list(map(int, tokens))
         except ValueError:
             pass
     parts = [p for p in map(str.strip, parts) if p]
@@ -145,10 +146,11 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
             out.append(list(map(int, map(str.strip, part.split(",")))))
         except ValueError:
             raise InputError(f"bad element {part!r} in sequence") from None
-    wrong = [r for r in out if len(r) != 1] if flat else []
-    if wrong:
-        raise InputError(f"cyclic sequence elements are single integers, got {wrong[0]}")
-    return [r[0] for r in out] if flat else out
+    wrong = next((r for r in out if len(r) != rank), None)
+    if wrong is not None:
+        raise InputError(f"cyclic sequence elements are single integers, got {wrong}" if flat
+                         else f"element needs {rank} coordinates for this group, got {len(wrong)}")
+    return list(chain.from_iterable(out))
 
 
 def sequence_argument(args, rank: int, flat: bool = False) -> list:
@@ -172,16 +174,16 @@ def _group_label(dec: PrimaryDecomposition) -> str:
     return "Z(" + ")+Z(".join(str(n) for n in dec.spec.cyclic_orders) + ")"
 
 
-def _solve_sequence(dec: PrimaryDecomposition, elements, lattice=None):
-    conf = initial_configuration(dec, elements, lattice=lattice)
+def _solve_sequence(dec: PrimaryDecomposition, cols, lattice=None):
+    conf = initial_configuration(dec, cols, lattice=lattice)
     root = solve_to_root(conf)
-    return conf, extract_certificate(root, dec, elements)
+    return conf, extract_certificate(root, dec, cols)
 
 
 def cmd_solve(args) -> RunReport:
     dec = primary_decomposition(parse_group_spec(args.group))
-    raw = sequence_argument(args, dec.spec.rank)
-    conf, cert = _solve_sequence(dec, encode_sequence(raw, dec))
+    ints = sequence_argument(args, rank := dec.spec.rank)
+    conf, cert = _solve_sequence(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec))
     results = {
         "group_order": dec.group_order,
         "exponent": dec.exponent,
@@ -199,22 +201,20 @@ def cmd_solve(args) -> RunReport:
         f"moves applied: {len(conf.move_log)}, fallback fired: {'yes' if conf.fallback_fired else 'no'}",
         "verify: PASS",
     ]
-    return _solve_report({"group": args.group, "sequence": raw}, results, lines, conf, args.trace)
+    return _solve_report({"group": args.group, "sequence": list(zip(*[iter(ints)] * rank))}, results, lines, conf, args)
 
 
-def _solve_report(inputs, results, lines: list[str], conf, trace: bool) -> RunReport:
+def _solve_report(inputs, results, lines: list[str], conf, args) -> RunReport:
     """A verified solve's report: the move counters end its results, and
-    --trace adds the move log to the JSON and the text."""
+    --trace adds the move log to the JSON, or under text output to the text."""
     results.update(moves_applied=len(conf.move_log), fallback_fired=conf.fallback_fired, verified=True)
-    moves = None
-    if trace:
-        records = list(conf.move_log)
-        moves = [m._asdict() for m in records]
+    moves = [m._asdict() for m in conf.move_log] if args.trace and args.json else None
+    if args.trace and not args.json:
         lines += ["trace:"] + [
             f"  at divisor {m.vertex_divisor}: consume {len(m.consumed)} pebbles "
             f"{list(m.consumed)} (weight {m.weight}, prime {m.prime}), "
             f"keep {list(m.selected)} -> pebble {m.new_id}"
-            for m in records
+            for m in conf.move_log
         ]
     return RunReport(inputs, results, lines, moves=moves)
 
@@ -224,8 +224,7 @@ def cmd_solve_cyclic(args) -> RunReport:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = primary_decomposition(parse_group_spec(str(args.n)))
     integers = sequence_argument(args, 1, flat=True)
-    elements = list(zip(map(args.n.__rmod__, integers)))
-    conf, cert = _solve_sequence(dec, elements)
+    conf, cert = _solve_sequence(dec, [list(map(args.n.__rmod__, integers))])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:
         raise InternalInvariantError("gcd form disagrees with the order-cost form")
@@ -247,17 +246,16 @@ def cmd_solve_cyclic(args) -> RunReport:
         f"gcd terms: {gcd_terms}, sum {sum(gcd_terms)} <= {args.n}",
         "verify: PASS",
     ]
-    return _solve_report({"n": args.n, "sequence": integers}, results, lines, conf, args.trace)
+    return _solve_report({"n": args.n, "sequence": integers}, results, lines, conf, args)
 
 
 def cmd_verify(args) -> RunReport:
     dec = primary_decomposition(parse_group_spec(args.group))
-    raw = sequence_argument(args, dec.spec.rank)
-    elements = encode_sequence(raw, dec)
+    ints = sequence_argument(args, rank := dec.spec.rank)
     indices = parse_indices(args.indices)
-    verdict = verify_certificate(dec, elements, indices)
+    verdict = verify_certificate(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec), indices)
     return RunReport(
-        inputs={"group": args.group, "sequence": raw, "indices": indices},
+        inputs={"group": args.group, "sequence": list(zip(*[iter(ints)] * rank)), "indices": indices},
         results={"indices": indices, "passed": verdict.passed, "failures": list(verdict.failures)},
         lines=[f"K = {indices}", f"verify: {'PASS' if verdict.passed else 'FAIL'}"]
         + [f"  {f}" for f in verdict.failures],
@@ -267,8 +265,10 @@ def cmd_verify(args) -> RunReport:
 
 def cmd_oracle(args) -> RunReport:
     dec = primary_decomposition(parse_group_spec(args.group))
-    raw = sequence_argument(args, dec.spec.rank)
-    result = dp_min_cost_zero_sum(dec, encode_sequence(raw, dec))
+    check_dp_work(dec, 1)  # |G| > MAX_DP_WORK puts every input over the bound: refused unread
+    ints = sequence_argument(args, rank := dec.spec.rank)
+    check_dp_work(dec, len(ints) // rank)  # and the length, before any encoding
+    result = dp_min_cost_zero_sum(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec))
     if result.feasible:
         lines = [
             f"min order cost: {result.min_cost}/{dec.exponent}",
@@ -278,7 +278,7 @@ def cmd_oracle(args) -> RunReport:
     else:
         lines = ["infeasible: no nonempty zero-sum subsequence"]
     return RunReport(
-        inputs={"group": args.group, "sequence": raw},
+        inputs={"group": args.group, "sequence": list(zip(*[iter(ints)] * rank))},
         results={
             "feasible": result.feasible,
             "min_cost": result.min_cost,
@@ -357,15 +357,15 @@ def cmd_stress(args) -> RunReport:
     fallback_count = 0
     total_moves = 0
     oracle_checked = 0
-    orders = dec.spec.cyclic_orders
+    orders, rank = dec.spec.cyclic_orders, dec.spec.rank
     for trial in range(args.trials):
         draws = rng.draw(orders * dec.group_order)  # row-major: |G| elements of rank coordinates
-        elements = encode_sequence(list(zip(*[iter(draws)] * len(orders))), dec)
-        conf, cert = _solve_sequence(dec, elements, lattice=lattice)
+        cols = encode_sequence([draws[f::rank] for f in range(rank)], dec)
+        conf, cert = _solve_sequence(dec, cols, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
         if trial < args.oracle_limit:
-            oracle = dp_min_cost_zero_sum(dec, elements)
+            oracle = dp_min_cost_zero_sum(dec, cols)
             oracle_checked += 1
             if not oracle.feasible or not oracle.qualifies:
                 failures.append(f"trial {trial}: oracle found no qualifying subsequence")

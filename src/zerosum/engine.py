@@ -132,34 +132,34 @@ class Configuration:
     """The pebbles and the move log of one solving session, as a column table.
 
     Pebble k is slot k of every column: `cols[j][k]` is its coordinate in
-    invariant factor j (for an input pebble 1..|G|, coordinate j of element
-    k itself) and `costs[k]` its order cost; slot 0 is unused, and so are
-    the `cols` slots of a merged pebble once a move consumes it. `value(k)`
-    reads pebble k's value as a tuple. `pools` maps a vertex index to the
-    ids on it, ascending. The move log is the merge tree: pebble |G| + 1 + k
-    is made by move k, and its parts are that move's selected ids (see
-    `Pebble.members`). Mutated only through merge moves; not meant
-    to be shared across sessions. With debug enabled (flag or
-    ZEROSUM_DEBUG=1) every move recomputes the new pebble's value and cost
-    from its member indices and re-checks disjointness.
+    invariant factor j (for an input pebble 1..|G|, entry k - 1 of column j
+    of `sequence`, the caller's columns, itself) and `costs[k]` its order
+    cost; slot 0 is unused, and so are the `cols` slots of a merged pebble
+    once a move consumes it. `value(k)` reads pebble k's value as a tuple.
+    `pools` maps a vertex index to the ids on it, ascending. The move log is
+    the merge tree: pebble |G| + 1 + k is made by move k, and its parts are
+    that move's selected ids (see `Pebble.members`). Mutated only through
+    merge moves; not meant to be shared across sessions. With debug enabled
+    (flag or ZEROSUM_DEBUG=1) every move recomputes the new pebble's value
+    and cost from `sequence` at its member indices and re-checks
+    disjointness.
     """
 
     def __init__(
         self,
         dec: PrimaryDecomposition,
         lattice: WeightedLattice,
-        elements: Sequence[tuple[int, ...]],
+        cols: Sequence[Sequence[int]],
         debug: bool | None = None,
     ):
         self.dec = dec
         self.lattice = lattice
-        self.elements = list(elements)
+        self.sequence = cols
         self.debug = debug if debug is not None else os.environ.get("ZEROSUM_DEBUG") == "1"
-        cols = element_columns(dec, self.elements)  # refuses an element of another rank
         self.cols: list[list[int | None]] = [[None, *col] for col in cols]
         self.costs: list[int] = [0, *element_costs(dec, cols)]
         self.pools: dict[int, list[int]] = {}
-        self.move_log = MoveLog(len(self.elements) + 1)
+        self.move_log = MoveLog(len(self.costs))
         self.fallback_fired = False
 
     def value(self, pid: int) -> tuple[int, ...]:
@@ -208,25 +208,26 @@ def _leaves(conf: Configuration, pid: int) -> list[int]:
 
 def initial_configuration(
     dec: PrimaryDecomposition,
-    elements: Sequence[tuple[int, ...]],
+    cols: Sequence[Sequence[int]],
     lattice: WeightedLattice | None = None,
     debug: bool | None = None,
 ) -> Configuration:
-    """One singleton pebble per element on the vertex of its order.
+    """One singleton pebble per element of the sequence `cols` (one column
+    per invariant factor) on the vertex of its order.
 
-    The table transposes the elements once into its columns
-    (`element_columns`, which refuses an element of another rank) and takes
-    each order cost as one gcd over them (`element_costs`). The ids are
+    `element_columns` refuses columns of another count or of unequal
+    lengths; the table copies each column once, and takes each order cost
+    as one gcd over them (`element_costs`). The ids are
     sorted by cost and placed a vertex at a time, the vertex of cost c being
     the one of divisor N // c, and every pebble's placement is checked
     against its vertex's rule: the first misplaced id is the least over one
     `compress` per rule.
     """
-    if len(elements) != dec.group_order:
-        raise InputError(f"need exactly {dec.group_order} elements for this group, got {len(elements)}")
+    if len(element_columns(dec, cols)[0]) != dec.group_order:
+        raise InputError(f"need exactly {dec.group_order} elements for this group, got {len(cols[0])}")
     if lattice is None:
         lattice = build_lattice(dec)
-    conf = Configuration(dec, lattice, elements, debug=debug)
+    conf = Configuration(dec, lattice, cols, debug=debug)
     cols, costs, exponent = conf.cols, conf.costs, dec.exponent
     index_of = {exponent // v.divisor: idx for idx, v in enumerate(lattice.vertices)}
     misplaced = len(costs)  # past every id: none found yet
@@ -361,7 +362,7 @@ def merge_step(
 
 def _debug_check(conf: Configuration, pid: int) -> None:
     """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
-    val, cost = _recompute(conf.dec, conf.elements, sorted(set(_leaves(conf, pid))))
+    val, cost = _recompute(conf.dec, conf.sequence, sorted(set(_leaves(conf, pid))))
     if val != conf.value(pid) or cost != conf.costs[pid]:
         raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
     seen: set[int] = set()
@@ -481,12 +482,14 @@ def solve_to_root(conf: Configuration) -> Pebble:
 
 
 def _recompute(
-    dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]], indices: Sequence[int]
+    dec: PrimaryDecomposition, cols: Sequence[Sequence[int]], indices: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
+    """Sum and order cost of the members `indices` (1-based) of `cols`, each read as a row: by
+    `add_elements` and `element_order`, a path apart from the table's `element_costs`."""
     total = identity(dec)
     cost = 0
     for k in indices:
-        g = elements[k - 1]
+        g = tuple([col[k - 1] for col in cols])
         total = add_elements(dec, total, g)
         cost += dec.exponent // element_order(dec, g)
     return total, cost
@@ -495,7 +498,7 @@ def _recompute(
 def extract_certificate(
     root: Pebble,
     dec: PrimaryDecomposition,
-    elements: Sequence[tuple[int, ...]],
+    cols: Sequence[Sequence[int]],
 ) -> Certificate:
     """Recompute every condition from the member indices alone; caches are not trusted."""
     if root.vertex.divisor != 1:
@@ -503,21 +506,22 @@ def extract_certificate(
     indices = tuple(sorted(root.members))
     if not indices:
         raise InternalInvariantError("root pebble has no members")
-    total, cost = _recompute(dec, elements, indices)
+    total, cost = _recompute(dec, cols, indices)
     if total != identity(dec) or cost > dec.exponent or len(indices) > dec.exponent:
         raise InternalInvariantError("root pebble fails recheck; solver state is corrupt")
     return Certificate(indices=indices, ord_cost=cost, bound=dec.exponent)
 
 
 def verify_certificate(
-    dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]], indices: Sequence[int]
+    dec: PrimaryDecomposition, cols: Sequence[Sequence[int]], indices: Sequence[int]
 ) -> Verdict:
-    """Independent check of a claimed index set; lists every violated condition."""
+    """Independent check of a claimed index set into the sequence `cols`; lists every violated condition."""
     indices = list(indices)
+    length = len(element_columns(dec, cols)[0])
     seen = set()
     for k in indices:
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(elements):
-            raise InputError(f"index {k!r} outside 1..{len(elements)}")
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= length:
+            raise InputError(f"index {k!r} outside 1..{length}")
         if k in seen:
             raise InputError(f"index {k} appears twice")
         seen.add(k)
@@ -525,7 +529,7 @@ def verify_certificate(
     if not indices:
         failures.append("index set is empty")
         return Verdict(False, tuple(failures))
-    total, cost = _recompute(dec, elements, indices)
+    total, cost = _recompute(dec, cols, indices)
     if total != identity(dec):
         failures.append("selected elements do not sum to the identity")
     if cost > dec.exponent:

@@ -4,8 +4,9 @@ A group is given as a direct sum of cyclic factors Z_n1 + ... + Z_nr, in any
 order. Each factor is split into cyclic components of prime-power order, and
 the components are regrouped into invariant factors n_1, ..., n_r (n_j the
 product of every prime's j-th largest component, so n_1 is the exponent). An
-element is a plain tuple of one integer per invariant factor, converted from
-the user's coordinates once, at parse time; addition is componentwise mod n_j.
+element is a plain tuple of one integer per invariant factor, and a sequence
+one list per invariant factor, converted from the user's coordinates once, at
+parse time; addition is componentwise mod n_j.
 The group travels beside its elements: every function on them takes `dec`.
 Everything is exact integer work; there is no float anywhere in the package.
 """
@@ -162,42 +163,34 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> tup
     Negative residues are allowed and reduced. Component (i, j) of the result
     is the residue of its source factor modulo primes[i] ** exponents[i][j].
     """
-    return encode_sequence([raw], dec)[0]
+    if len(raw) != dec.spec.rank:
+        raise InputError(f"element needs {dec.spec.rank} coordinates for this group, got {len(raw)}")
+    return tuple([col[0] for col in encode_sequence([[x] for x in raw], dec)])
 
 
-def encode_sequence(
-    raws: Sequence[Sequence[int]], dec: PrimaryDecomposition
-) -> list[tuple[int, ...]]:
-    """`to_primary_coordinates` of every residue tuple in `raws`, a column at a time.
+def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition) -> list[list[int]]:
+    """A sequence given by one column per user factor, as one list per
+    invariant factor: entry k of the result's columns is the
+    `to_primary_coordinates` of entry k of `columns`.
 
-    The first malformed tuple, in input order, raises the error
-    `to_primary_coordinates` gives for it. Each `crt` entry is one pass over
-    its source factor's column (none for c = 1), and each invariant factor
-    one `%` pass; the passes are lazy and all run in the final `zip`.
+    Columns of another count or of unequal lengths raise InputError, and so
+    does the first entry, column by column, that is not an int (subclasses
+    other than bool pass). Each `crt` entry is one pass over its source
+    factor's column (none for c = 1), and each invariant factor one `%` pass.
     """
-    rank = dec.spec.rank
-    if set(map(len, raws)) - {rank} or set(map(type, chain.from_iterable(raws))) - {int}:
-        # Slow path: int subclasses other than bool pass, the rest raise.
-        for raw in raws:
-            if len(raw) != rank:
-                raise InputError(
-                    f"element needs {rank} coordinates for this group, got {len(raw)}"
-                )
-            for x in raw:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"element coordinates must be integers, got {x!r}")
-    if not raws:
-        return []
-    columns = list(zip(*raws))
-    acc: list[Iterable[int] | None] = [None] * len(dec.invariant_factors)
+    lengths = list(map(len, columns))
+    if len(lengths) != dec.spec.rank or len(set(lengths)) > 1:
+        raise InputError(f"sequence has columns of lengths {lengths}, not one equal-length column per group factor")
+    if set(map(type, chain.from_iterable(columns))) - {int}:
+        for x in chain.from_iterable(columns):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InputError(f"element coordinates must be integers, got {x!r}")
+    factors = dec.invariant_factors
+    acc: list[Iterable[int] | None] = [None] * len(factors)
     for j, f, _, c in dec.crt:
         term = columns[f] if c == 1 else map(c.__mul__, columns[f])
         acc[j] = term if acc[j] is None else map(add, acc[j], term)
-    coords = [
-        map(mod, col, repeat(n)) if col is not None else repeat(0, len(raws))
-        for col, n in zip(acc, dec.invariant_factors)
-    ]
-    return list(zip(*coords))
+    return [list(map(mod, col, repeat(n))) if col is not None else [0] * lengths[0] for col, n in zip(acc, factors)]
 
 
 def add_elements(
@@ -208,25 +201,24 @@ def add_elements(
 
 def element_order(dec: PrimaryDecomposition, g: tuple[int, ...]) -> int:
     """Least k >= 1 with k*g = 0: N // `element_costs` of g alone, without the
-    column pass (an element of the wrong rank goes to `element_columns` for
-    its error)."""
+    column pass."""
     factors = dec.invariant_factors
     if len(g) != len(factors):
-        element_columns(dec, [g])
+        raise InputError(f"element has {len(g)} coordinates, not one per invariant factor")
     big_n = factors[0]
     return big_n // math.gcd(big_n, *map(mul, map(big_n.__floordiv__, factors), g))
 
 
-def element_columns(dec: PrimaryDecomposition, elements: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The elements as one tuple per invariant factor. This is the one check
-    that they belong to `dec`, made here because every caller reads them by
-    column: an element without exactly one coordinate per invariant factor
-    raises InputError (so an element of Z_2 + Z_2 is refused in Z_4)."""
-    factors = dec.invariant_factors
-    wrong = set(map(len, elements)) - {len(factors)}
-    if wrong:
-        raise InputError(f"element has {min(wrong)} coordinates, not one per invariant factor")
-    return list(zip(*elements)) or [()] * len(factors)
+def element_columns(dec: PrimaryDecomposition, cols: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """`cols`, a sequence as one column per invariant factor, once checked:
+    this is the one check that a sequence belongs to `dec`, made here
+    because every caller reads it by column. Columns of another count or of
+    unequal lengths raise InputError (so a sequence of Z_2 + Z_2 is refused
+    in Z_4). Rows passed as columns are misread wherever their shape fits."""
+    lengths = list(map(len, cols))
+    if len(lengths) != len(dec.invariant_factors) or len(set(lengths)) > 1:
+        raise InputError(f"sequence has columns of lengths {lengths}, not one equal-length column per invariant factor")
+    return cols
 
 
 def element_costs(dec: PrimaryDecomposition, cols: Sequence[Sequence[int]]) -> list[int]:

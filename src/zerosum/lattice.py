@@ -86,6 +86,8 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
         for u in itertools.product(*(range(h + 1) for h in heights))
     )
 
+    # Row i at level l, for every l up to the tallest height: one validated call per level.
+    levels = [_residual_moduli(dec, [min(l, h) for h in heights]) for l in range(max(heights, default=0) + 1)]
     moves = []
     residual_moduli = []
     placement = []
@@ -96,7 +98,7 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        res_moduli = _residual_moduli(dec, v.u)
+        res_moduli = tuple([levels[ui][i] for i, ui in enumerate(v.u)])
         residual_moduli.append(res_moduli)
         placement.append(_placement(dec, v.divisor, res_moduli))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))

@@ -289,8 +289,9 @@ def _shift_table(dec: PrimaryDecomposition, g: tuple[int, ...]) -> list[int]:
     return table
 
 
-def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
-    """Exact minimum of the order cost over nonempty zero-sum subsequences.
+def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
+    """Exact minimum of the order cost over nonempty zero-sum subsequences of
+    the sequence `cols`, one column per invariant factor (`element_columns`).
 
     Exact 0/1 DP over sums, numbered row-major over the invariant factors:
     item k with order cost c turns best[s + g] into
@@ -317,9 +318,8 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     parent is written only when best[t] strictly drops, and best[t] never
     rises, no link on the final chain changes after the stop either.
     """
-    elements = list(elements)
-    costs = element_costs(dec, element_columns(dec, elements))
-    check_dp_work(dec, len(elements))
+    check_dp_work(dec, len(element_columns(dec, cols)[0]))
+    costs = element_costs(dec, cols)
     floor = min(2, dec.exponent)
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
@@ -327,7 +327,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, elements) -> OracleResult:
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
     table_of = table = None
     changed: list[int] = []
-    for k, (g, c) in enumerate(zip(elements, costs), start=1):
+    for k, (g, c) in enumerate(zip(zip(*cols), costs), start=1):
         if g != table_of:
             table_of, table = g, _shift_table(dec, g)
             gi = table[0]
@@ -385,7 +385,7 @@ def davenport_constant(dec: PrimaryDecomposition, weighted: bool = False) -> int
         raise _over_davenport_work()
     elements = list(itertools.product(*map(range, dec.invariant_factors)))
     bound = dec.exponent if weighted else 0
-    costs = element_costs(dec, element_columns(dec, elements)) if weighted else [0] * len(elements)
+    costs = element_costs(dec, zip(*elements)) if weighted else [0] * len(elements)
     tables = [_shift_table(dec, g) for g in elements]
     return _longest(tables, costs, bound, 1, {}, 0, [MAX_DAVENPORT_WORK]) + 1
 

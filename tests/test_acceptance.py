@@ -27,12 +27,12 @@ from zerosum import (
     residual_exponents_by_recursion,
     solvable,
     solve_to_root,
-    to_primary_coordinates,
     verify_certificate,
     weighted_boolean_cube,
     well_placed,
 )
 from zerosum.cli import SplitMix64, build_parser
+from zerosum.groups import encode_sequence
 from zerosum.oracle import davenport_constant
 
 PARSER = build_parser()
@@ -105,7 +105,7 @@ def _engine_trials(group_text, kind, seed):
         pool = [g for g in pool if element_order(dec, g) == dec.exponent]
     rng = SplitMix64(seed)
     for _ in range(ENGINE_TRIALS):
-        els = [pool[rng.below(len(pool))] for _ in range(dec.group_order)]
+        els = list(zip(*[pool[rng.below(len(pool))] for _ in range(dec.group_order)]))  # as columns
         conf = initial_configuration(dec, els, lattice=lattice)
         cert = extract_certificate(solve_to_root(conf), dec, els)
         assert verify_certificate(dec, els, cert.indices).passed
@@ -146,7 +146,7 @@ def test_criterion_03_oracle_concordance(capsys):
             dec = _dec(group_text)
             lattice = build_lattice(dec)
             for seq in _all_length4_sequences(sizes):
-                els = [to_primary_coordinates(el, dec) for el in seq]
+                els = encode_sequence(list(zip(*seq)), dec)
                 conf = initial_configuration(dec, els, lattice=lattice)
                 cert = extract_certificate(solve_to_root(conf), dec, els)
                 oracle = dp_min_cost_zero_sum(dec, els)
@@ -297,7 +297,7 @@ def test_criterion_09_structural_properties(capsys):
             dec = _dec(group_text)
             lattice = build_lattice(dec)
             for seq in _all_length4_sequences(sizes):
-                els = [to_primary_coordinates(el, dec) for el in seq]
+                els = encode_sequence(list(zip(*seq)), dec)
                 conf = initial_configuration(dec, els, lattice=lattice, debug=True)
                 root = solve_to_root(conf)
                 assert well_placed(root.val, root.ord_cost, root.vertex.u, dec)
@@ -307,12 +307,8 @@ def test_criterion_09_structural_properties(capsys):
             lattice = build_lattice(dec)
             trial_rng = SplitMix64(7)
             for _ in range(25):
-                els = [
-                    to_primary_coordinates(
-                        tuple(trial_rng.below(nf) for nf in spec.cyclic_orders), dec
-                    )
-                    for _ in range(dec.group_order)
-                ]
+                rows = [[trial_rng.below(nf) for nf in spec.cyclic_orders] for _ in range(dec.group_order)]
+                els = encode_sequence(list(zip(*rows)), dec)
                 conf = initial_configuration(dec, els, lattice=lattice, debug=True)
                 root = solve_to_root(conf)
                 assert well_placed(root.val, root.ord_cost, root.vertex.u, dec)

@@ -66,22 +66,18 @@ def test_splitmix64_draw_matches_below_calls():
 
 
 def test_parse_raw_sequence_rank1_commas():
-    assert parse_raw_sequence("1,1,1,1", rank=1) == [[1], [1], [1], [1]]
-    assert parse_raw_sequence("0;1;2", rank=1) == [[0], [1], [2]]
-    assert parse_raw_sequence("-3", rank=1) == [[-3]]
+    assert parse_raw_sequence("1,1,1,1", rank=1) == [1, 1, 1, 1]
+    assert parse_raw_sequence("0;1;2", rank=1) == [0, 1, 2]
+    assert parse_raw_sequence("-3", rank=1) == [-3]
     # A token in the small-int table reads as the very object int() returns.
     assert all(map(operator.is_, parse_raw_sequence("0,7,256", 1, flat=True), map(int, ["0", "7", "256"])))
 
 
 def test_parse_raw_sequence_rank2():
-    assert parse_raw_sequence("1,0;0,1;1,1;1,0", rank=2) == [
-        [1, 0],
-        [0, 1],
-        [1, 1],
-        [1, 0],
-    ]
+    # The coordinates come laid end to end, element after element.
+    assert parse_raw_sequence("1,0;0,1;1,1;1,0", rank=2) == [1, 0, 0, 1, 1, 1, 1, 0]
     # A single inline element for a rank-2 group needs no separator.
-    assert parse_raw_sequence("1,0", rank=2) == [[1, 0]]
+    assert parse_raw_sequence("1,0", rank=2) == [1, 0]
 
 
 def test_parse_raw_sequence_from_file(tmp_path):
@@ -89,12 +85,7 @@ def test_parse_raw_sequence_from_file(tmp_path):
 
     path = tmp_path / "seq.txt"
     path.write_text("1,0\n\n0,1\n1,1\n1,0\n")
-    assert parse_raw_sequence(str(path), rank=2, from_file=True) == [
-        [1, 0],
-        [0, 1],
-        [1, 1],
-        [1, 0],
-    ]
+    assert parse_raw_sequence(str(path), rank=2, from_file=True) == [1, 0, 0, 1, 1, 1, 1, 0]
     # Inline text is never taken for a path, even when a file of that name exists.
     with pytest.raises(InputError):
         parse_raw_sequence(str(path), rank=2)
@@ -138,6 +129,16 @@ def _per_part_parse(value: str, rank: int, from_file: bool = False) -> list[list
         except ValueError:
             raise InputError(f"bad element {part!r} in sequence") from None
     return out
+
+
+def _per_part_flat(value: str, rank: int, from_file: bool = False) -> list[int]:
+    """`_per_part_parse`'s rows laid end to end, after the rank check that
+    `encode_sequence` made on them before it took columns, verbatim."""
+    raws = _per_part_parse(value, rank, from_file)
+    for raw in raws:
+        if len(raw) != rank:
+            raise InputError(f"element needs {rank} coordinates for this group, got {len(raw)}")
+    return [x for raw in raws for x in raw]
 
 
 def _per_part_cyclic(args) -> list[int]:
@@ -199,14 +200,15 @@ PARSE_CORPUS = (
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_parse_raw_sequence_matches_the_per_part_reader(rank, tmp_path):
-    # The one-split reader gives the per-part reader's rows or its error, for
-    # inline text and for the same text as a file with one part per line.
+    # The one-split reader gives the per-part reader's rows laid end to end,
+    # or its error or the rank error, for inline text and for the same text
+    # as a file with one part per line.
     path = tmp_path / "seq.txt"
     for text in PARSE_CORPUS:
-        assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_parse, text, rank), text
+        assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_flat, text, rank), text
         path.write_text(text.replace(";", "\n"), encoding="utf-8")
         assert _outcome(parse_raw_sequence, str(path), rank, True) == _outcome(
-            _per_part_parse, str(path), rank, True
+            _per_part_flat, str(path), rank, True
         ), text
         if rank == 1:
             for args in (argparse.Namespace(seq=text, seq_file=None), argparse.Namespace(seq=None, seq_file=str(path))):
@@ -216,7 +218,7 @@ def test_parse_raw_sequence_matches_the_per_part_reader(rank, tmp_path):
 @given(st.text(alphabet="019,; \t\n+-_x\u0661\x1c", max_size=24), st.sampled_from([1, 2, 3]))
 @settings(max_examples=400)
 def test_parse_raw_sequence_matches_the_per_part_reader_on_any_text(text, rank):
-    assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_parse, text, rank)
+    assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_flat, text, rank)
     if rank == 1:
         args = argparse.Namespace(seq=text, seq_file=None)
         assert _outcome(cli.sequence_argument, args, 1, True) == _outcome(_per_part_cyclic, args)
@@ -508,6 +510,40 @@ def test_oracle_work_bound_exits_2_at_once(capsys):
     capsys.readouterr()
 
 
+def test_oracle_refuses_an_over_bound_input_before_reading_or_encoding_it(monkeypatch, capsys, tmp_path):
+    # With |G| above MAX_DP_WORK every nonempty input is over the bound, so
+    # the file is never opened: a missing one gives the DP-work error.
+    assert main(["oracle", "--group", "9699690", "--seq-file", str(tmp_path / "missing.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "zero-sum DP work" in err and "above the bound 8000000" in err and "cannot read" not in err
+    # Otherwise the parsed length is checked before the sequence is encoded.
+    calls = []
+    encode = cli.encode_sequence
+    monkeypatch.setattr(cli, "encode_sequence", lambda *args: calls.append(args) or encode(*args))
+    monkeypatch.setattr("zerosum.oracle.MAX_DP_WORK", 11)
+    assert main(["oracle", "--group", "4", "--seq", "1,1,1"]) == 2
+    assert "3 items x |G| = 4 is 12, above the bound 11" in capsys.readouterr().err
+    assert calls == []
+    assert main(["oracle", "--group", "4", "--seq", "1,3"]) == 0
+    capsys.readouterr()
+    assert calls == [([[1, 3]], calls[0][1])]
+
+
+@pytest.mark.parametrize("cmd", [["solve", "--group", "4,2"], ["solve-cyclic", "--n", "8"]])
+def test_trace_builds_only_the_form_main_prints(cmd):
+    # --json prints the move dicts and text output the trace lines; the
+    # report holds only the one that is printed.
+    seq = ";".join(["1,1"] * 8) if cmd[0] == "solve" else ",".join(["1"] * 8)
+    for extra in ([], ["--json"]):
+        args = cli.build_parser().parse_args(cmd + ["--seq", seq, "--trace"] + extra)
+        report = args.func(args)
+        assert report.results["moves_applied"] > 0
+        if extra:
+            assert "trace:" not in report.lines and len(report.moves) == report.results["moves_applied"]
+        else:
+            assert report.moves is None and "trace:" in report.lines
+
+
 def test_argparse_failures_map_to_input_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -634,7 +670,7 @@ def test_main_pauses_gc_and_restores_the_callers_setting(monkeypatch, capsys, ar
 
     def solve_seeing_gc(conf):
         seen.append(gc.isenabled())
-        if conf.elements[1] == (2,):
+        if conf.cols[0][2] == 2:
             raise InternalInvariantError("forced for the test")
         return solve(conf)
 

@@ -17,6 +17,7 @@ from zerosum import (
     InternalInvariantError,
     add_elements,
     build_lattice,
+    dp_min_cost_zero_sum,
     element_from_index,
     element_order,
     extract_certificate,
@@ -45,7 +46,19 @@ def _dec(text: str):
 
 
 def _elements(dec, raws):
-    return [to_primary_coordinates(tuple(r) if isinstance(r, (list, tuple)) else (r,), dec) for r in raws]
+    """The sequence of `raws` (ints, or tuples of user coordinates) as one column per invariant factor."""
+    rows = [tuple(r) if isinstance(r, (list, tuple)) else (r,) for r in raws]
+    return encode_sequence([[r[f] for r in rows] for f in range(dec.spec.rank)], dec)
+
+
+def _columns(dec, els):
+    """Element tuples as the sequence's columns."""
+    return [[g[j] for g in els] for j in range(len(dec.invariant_factors))]
+
+
+def _row(cols, k):
+    """Element k (0-based) of the sequence `cols`, as a tuple."""
+    return tuple(col[k] for col in cols)
 
 
 def _cost(dec, g):
@@ -70,13 +83,24 @@ def test_initial_configuration_checks_length():
 def test_initial_configuration_rejects_foreign_elements():
     dec = _dec("4")
     other = _dec("2,2")
-    els = [identity(other)] * 4
-    with pytest.raises(InputError):
+    els = _columns(other, [identity(other)] * 4)  # two columns, Z_2 + Z_2's shape
+    with pytest.raises(InputError, match="not one equal-length column per invariant factor"):
         initial_configuration(dec, els)
     # The certificate check refuses them too, rather than reading one
     # coordinate of each and passing.
     with pytest.raises(InputError):
         verify_certificate(dec, els, [1])
+
+
+@pytest.mark.parametrize("text, cols", [("4", []), ("4", [[1] * 4, [1] * 4]), ("2,2", [[1] * 4, [1] * 3])])
+def test_a_sequence_of_another_shape_is_refused(text, cols):
+    # Too few or too many columns, or columns of unequal length: the solver
+    # and the DP oracle refuse them before reading a coordinate.
+    dec = _dec(text)
+    with pytest.raises(InputError, match="not one equal-length column per invariant factor"):
+        initial_configuration(dec, cols)
+    with pytest.raises(InputError, match="not one equal-length column per invariant factor"):
+        dp_min_cost_zero_sum(dec, cols)
 
 
 def test_initial_configuration_refuses_a_lattice_without_the_order_vertex():
@@ -120,21 +144,21 @@ def test_initial_pebbles_sit_on_order_vertices():
     conf = initial_configuration(dec, els)
     assert [peb.pid for peb in conf.live_pebbles()] == list(range(1, 13))
     for peb in conf.live_pebbles():
-        assert peb.vertex.divisor == element_order(dec, els[peb.pid - 1])
+        assert peb.vertex.divisor == element_order(dec, _row(els, peb.pid - 1))
         assert peb.members == frozenset([peb.pid])
 
 
 def test_input_rows_are_the_elements_themselves():
-    # An element is a plain tuple, and input pebble k's slot in column j is
-    # coordinate j of element k itself, not a copy: the table holds no second
-    # object per input coordinate (values above 256, which CPython does not
-    # cache, so `is` tells a copy apart).
+    # A sequence is one list per invariant factor, and input pebble k's slot
+    # in column j is entry k - 1 of column j itself, not a copy: the table
+    # holds no second object per input coordinate (values above 256, which
+    # CPython does not cache, so `is` tells a copy apart).
     dec = _dec("600,2")
-    els = encode_sequence([(a, a % 5) for a in range(1200)], dec)
-    assert {type(g) for g in els} == {tuple}
-    conf = initial_configuration(dec, els)
-    assert all(conf.cols[j][k] is els[k - 1][j] for k in range(1, 1201) for j in range(2))
-    assert all(conf.value(k) == els[k - 1] for k in range(1, 1201))
+    cols = encode_sequence([list(range(1200)), [a % 5 for a in range(1200)]], dec)
+    assert {type(col) for col in cols} == {list}
+    conf = initial_configuration(dec, cols)
+    assert all(conf.cols[j][k] is cols[j][k - 1] for k in range(1, 1201) for j in range(2))
+    assert all(conf.value(k) == to_primary_coordinates((k - 1, (k - 1) % 5), dec) for k in range(1, 1201))
 
 
 def test_z4_all_ones_full_trace():
@@ -150,7 +174,7 @@ def test_z4_all_ones_full_trace():
     ]
     # Merged pebbles 5 and 6 are consumed, so their slots are freed; the input
     # slots stay, since they are the elements' coordinates.
-    assert conf.cols == [[None, *(g[0] for g in els), None, None, 0]]
+    assert conf.cols == [[None, *els[0], None, None, 0]]
     assert conf.value(7) == (0,)
 
 
@@ -431,7 +455,7 @@ def test_random_sequences_solve_and_verify(text, data):
     raws = [
         data.draw(st.integers(0, dec.group_order - 1)) for _ in range(dec.group_order)
     ]
-    els = [element_from_index(dec, i) for i in raws]
+    els = _columns(dec, [element_from_index(dec, i) for i in raws])
     conf = initial_configuration(dec, els, debug=True)
     root = solve_to_root(conf)
     cert = extract_certificate(root, dec, els)
@@ -454,16 +478,17 @@ def test_random_sequences_solve_and_verify(text, data):
 @settings(max_examples=60, deadline=None)
 def test_certificate_cost_meets_declared_bound(text, data):
     dec = _dec(text)
-    els = [
+    rows = [
         element_from_index(dec, data.draw(st.integers(0, dec.group_order - 1)))
         for _ in range(dec.group_order)
     ]
+    els = _columns(dec, rows)
     conf = initial_configuration(dec, els)
     cert = extract_certificate(solve_to_root(conf), dec, els)
-    recomputed = sum(_cost(dec, els[k - 1]) for k in cert.indices)
+    recomputed = sum(_cost(dec, rows[k - 1]) for k in cert.indices)
     total = identity(dec)
     for k in cert.indices:
-        total = add_elements(dec, total, els[k - 1])
+        total = add_elements(dec, total, rows[k - 1])
     assert total == identity(dec)
     assert recomputed == cert.ord_cost <= dec.exponent
 
@@ -552,13 +577,13 @@ def _seeded_nonzero(text, seed):
     """|G| seeded elements of the group, none the identity (so some move is made)."""
     dec = _dec(text)
     rng = random.Random(seed)
-    return dec, [element_from_index(dec, 1 + rng.randrange(dec.group_order - 1)) for _ in range(dec.group_order)]
+    return dec, _columns(dec, [element_from_index(dec, 1 + rng.randrange(dec.group_order - 1)) for _ in range(dec.group_order)])
 
 
 @pytest.mark.parametrize(
     "text, make",
     [
-        ("2310", lambda dec: [(x,) for x in range(1, 2311) if math.gcd(x, 2310) == 1] * 5),
+        ("2310", lambda dec: [[x for x in range(1, 2311) if math.gcd(x, 2310) == 1] * 5]),
         ("16", None),
         ("4,2,2", None),
         ("9,3", None),
@@ -575,7 +600,7 @@ def test_batched_runs_match_single_moves(text, make):
         dec, els = _seeded_nonzero(text, 3)
     else:
         dec = _dec(text)
-        els = make(dec)[: dec.group_order]
+        els = [col[: dec.group_order] for col in make(dec)]
     batched = initial_configuration(dec, els, debug=dec.group_order <= 72)
     root = solve_to_root(batched)
     single = initial_configuration(dec, els)
@@ -684,7 +709,7 @@ def test_every_column_frees_consumed_merged_pebbles_and_keeps_inputs():
     assert len(conf.cols) == 3 and consumed & set(merged)
     for j, col in enumerate(conf.cols):
         assert len(col) == len(conf.costs) == log.base + len(log)
-        assert col[1 : log.base] == [g[j] for g in els]
+        assert col[1 : log.base] == els[j]
         assert all((col[q] is None) == (q in consumed) for q in merged)
     assert conf.value(root.pid) == root.val == identity(dec)
 
@@ -865,7 +890,7 @@ def _plan_steps(text, seed):
     if seed == 0 and "," not in text:
         rng = random.Random(seed)
         units = [x for x in range(1, dec.group_order) if math.gcd(x, dec.group_order) == 1]
-        els = [(rng.choice(units),) for _ in range(dec.group_order)]
+        els = [[rng.choice(units) for _ in range(dec.group_order)]]
     else:
         dec, els = _seeded_nonzero(text, seed)
     conf = initial_configuration(dec, els, debug=dec.group_order <= 32)

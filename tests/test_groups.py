@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -130,11 +131,11 @@ def test_column_orders_match_element_order(text):
     rng = random.Random(text)
     els = [element_from_index(dec, rng.randrange(dec.group_order)) for _ in range(200)]
     els.append(identity(dec))
-    cols = element_columns(dec, els)
-    assert cols == [tuple(g[j] for g in els) for j in range(len(dec.invariant_factors))]
+    cols = [[g[j] for g in els] for j in range(len(dec.invariant_factors))]
+    assert element_columns(dec, cols) is cols  # checked, not copied
     assert element_costs(dec, cols) == [dec.exponent // element_order(dec, g) for g in els]
-    assert element_columns(dec, []) == [()] * len(dec.invariant_factors)
-    assert element_costs(dec, element_columns(dec, [])) == []
+    empty = [[] for _ in dec.invariant_factors]
+    assert element_costs(dec, element_columns(dec, empty)) == []
 
 
 def test_order_cost_is_gcd_for_cyclic():
@@ -146,14 +147,17 @@ def test_order_cost_is_gcd_for_cyclic():
 
 
 def test_element_columns_refuses_an_element_of_another_rank():
-    # The one check that elements belong to the group: Z_4 has one invariant
-    # factor and Z_2 + Z_2 has two, so neither takes the other's elements.
+    # The one check that a sequence belongs to the group: Z_4 has one
+    # invariant factor and Z_2 + Z_2 has two, so neither takes the other's
+    # sequences (one column per coordinate of g), nor columns of unequal length.
     z4, v4 = _dec("4"), _dec("2,2")
     for dec, g in ((z4, identity(v4)), (v4, identity(z4)), (v4, (1, 0, 0))):
-        with pytest.raises(InputError, match="coordinates, not one per invariant factor"):
-            element_columns(dec, [identity(dec), g])
+        with pytest.raises(InputError, match="not one equal-length column per invariant factor"):
+            element_columns(dec, [[x, x] for x in g])
         with pytest.raises(InputError, match="coordinates, not one per invariant factor"):
             element_order(dec, g)
+    with pytest.raises(InputError, match="columns of lengths \\[2, 1\\], not one equal-length column"):
+        element_columns(v4, [[0, 1], [0]])
 
 
 @given(small_orders, st.integers(min_value=0, max_value=10**6))
@@ -215,8 +219,9 @@ def test_parse_time_conversion_keeps_primary_residues(text):
     # Every element: component (p, j), read from invariant factor j, is the
     # user coordinate of its source factor reduced mod p^e; and the index
     # bijection over the components round-trips, with 0 the identity. The
-    # whole-list encoding is checked the same way, on every element and on
-    # the same tuples shifted out of range both ways, as tuples and as lists.
+    # whole-sequence encoding is checked the same way, on every element and
+    # on the same tuples shifted out of range both ways, with its user
+    # columns as lists and as tuples.
     spec = parse_group_spec(text)
     dec = primary_decomposition(spec)
     raws = list(itertools.product(*(range(n) for n in spec.cyclic_orders)))
@@ -226,14 +231,15 @@ def test_parse_time_conversion_keeps_primary_residues(text):
     ]
     whole = raws + shifted
     pairs = [(raw, to_primary_coordinates(raw, dec)) for raw in raws]
-    pairs += zip(whole, encode_sequence(whole, dec), strict=True)
-    pairs += zip(whole, encode_sequence([list(r) for r in whole], dec), strict=True)
+    cols = [[r[f] for r in whole] for f in range(spec.rank)]
+    pairs += zip(whole, zip(*encode_sequence(cols, dec)), strict=True)
+    pairs += zip(whole, zip(*encode_sequence(list(map(tuple, cols)), dec)), strict=True)
     for raw, g in pairs:
         assert all(0 <= x < n for x, n in zip(g, dec.invariant_factors))
         for mods, srcs in zip(dec.moduli, dec.slot_sources):
             for j, (q, src) in enumerate(zip(mods, srcs)):
                 assert g[j] % q == raw[src] % q
-    assert encode_sequence([], dec) == []
+    assert encode_sequence([[]] * spec.rank, dec) == [[]] * len(dec.invariant_factors)
     assert element_from_index(dec, 0) == identity(dec)
     for i in range(dec.group_order):
         assert element_index(dec, element_from_index(dec, i)) == i
@@ -250,11 +256,21 @@ def test_parse_time_conversion_keeps_primary_residues(text):
     ],
 )
 def test_encode_sequence_reports_the_first_bad_element(raws, message):
-    # A wrong length is checked before the entries of the same element.
+    # Rows go through to_primary_coordinates, one at a time: a wrong length
+    # is checked before the entries of the same element. The rows that have
+    # two coordinates, as two columns, give the same type error, the first
+    # bad entry column by column (no row has two bad entries).
     dec = _dec("2,2")
-    with pytest.raises(InputError) as whole:
-        encode_sequence(raws, dec)
-    assert str(whole.value) == message
+    with pytest.raises(InputError) as first:
+        for raw in raws:
+            to_primary_coordinates(raw, dec)
+    assert str(first.value) == message
+    pairs = [raw for raw in raws if len(raw) == 2]
+    if "integers" in message:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            encode_sequence([[a for a, _ in pairs], [b for _, b in pairs]], dec)
+    with pytest.raises(InputError, match="columns of lengths \\[2, 1\\], not one equal-length column per group factor"):
+        encode_sequence([[1, 0], [0]], dec)
 
 
 def test_encode_sequence_accepts_int_subclasses():
@@ -262,5 +278,4 @@ def test_encode_sequence_accepts_int_subclasses():
         pass
 
     dec = _dec("4,6")
-    raws = [(Residue(3), 5), (7, Residue(-1))]
-    assert encode_sequence(raws, dec) == encode_sequence([(3, 5), (7, -1)], dec)
+    assert encode_sequence([[Residue(3), 7], [5, Residue(-1)]], dec) == encode_sequence([[3, 7], [5, -1]], dec)

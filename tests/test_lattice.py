@@ -14,7 +14,6 @@ from zerosum import (
     merge_step,
     parse_group_spec,
     primary_decomposition,
-    to_primary_coordinates,
 )
 from zerosum.partitions import residual_exponents
 
@@ -139,7 +138,7 @@ def test_down_edge_needs_positive_level():
     root = lat.vertex_at(lat.root_index)
     assert lat.moves[lat.root_index] == ()
     assert [ci for ci, _, _ in lat.moves[lat.vertex_index((1, 0))]] == [0]
-    conf = initial_configuration(dec, [to_primary_coordinates((1,), dec)] * 6, lattice=lat)
+    conf = initial_configuration(dec, [[1] * 6], lattice=lat)
     for vertex, coordinate in ((root, 0), (lat.vertex_at(lat.vertex_index((1, 0))), 1), (root, 2)):
         with pytest.raises(InputError, match="no down edge"):
             merge_step(conf, vertex, coordinate)

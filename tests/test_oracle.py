@@ -29,7 +29,7 @@ from zerosum import (
 )
 from zerosum.cli import SplitMix64
 from zerosum import oracle
-from zerosum.groups import element_columns, element_costs
+from zerosum.groups import element_costs
 from zerosum.oracle import (
     MAX_DP_WORK,
     OracleResult,
@@ -45,6 +45,11 @@ def _dec(text: str):
 
 def _els(dec, raws):
     return [to_primary_coordinates((r,) if isinstance(r, int) else tuple(r), dec) for r in raws]
+
+
+def _columns(dec, els):
+    """A sequence of element tuples as the DP takes it: one column per invariant factor."""
+    return [[g[j] for g in els] for j in range(len(dec.invariant_factors))]
 
 
 def _cost(dec, g):
@@ -67,7 +72,7 @@ def _naive_min_cost(dec, elements):
 
 def test_dp_feasible_sample():
     dec = _dec("6")
-    result = dp_min_cost_zero_sum(dec, _els(dec, [2, 3, 2, 3, 2, 3]))
+    result = dp_min_cost_zero_sum(dec, _columns(dec, _els(dec, [2, 3, 2, 3, 2, 3])))
     assert result.feasible
     assert result.min_cost == 6
     assert result.qualifies
@@ -79,7 +84,7 @@ def test_dp_feasible_sample():
 
 def test_dp_infeasible_sample():
     dec = _dec("4")
-    result = dp_min_cost_zero_sum(dec, _els(dec, [1, 1, 1]))
+    result = dp_min_cost_zero_sum(dec, _columns(dec, _els(dec, [1, 1, 1])))
     assert not result.feasible
     assert result.min_cost is None
     assert result.indices == ()
@@ -88,7 +93,7 @@ def test_dp_infeasible_sample():
 
 def test_dp_zero_element_costs_full_budget():
     dec = _dec("9")
-    result = dp_min_cost_zero_sum(dec, _els(dec, [4, 0, 7]))
+    result = dp_min_cost_zero_sum(dec, _columns(dec, _els(dec, [4, 0, 7])))
     assert result.feasible
     assert result.min_cost == 9
     assert result.indices == (2,)
@@ -97,21 +102,21 @@ def test_dp_zero_element_costs_full_budget():
 
 def test_dp_empty_sequence_is_infeasible():
     dec = _dec("4")
-    assert not dp_min_cost_zero_sum(dec, []).feasible
+    assert not dp_min_cost_zero_sum(dec, [[]]).feasible
 
 
 def test_dp_witness_is_deterministic():
     dec = _dec("8")
     els = _els(dec, [4, 4, 2, 6, 4, 4, 1, 3])
-    a = dp_min_cost_zero_sum(dec, els)
-    b = dp_min_cost_zero_sum(dec, els)
+    a = dp_min_cost_zero_sum(dec, _columns(dec, els))
+    b = dp_min_cost_zero_sum(dec, _columns(dec, els))
     assert a == b
 
 
 def test_dp_rejects_foreign_elements():
     dec = _dec("4")
     with pytest.raises(InputError):
-        dp_min_cost_zero_sum(dec, [identity(_dec("2,2"))])
+        dp_min_cost_zero_sum(dec, [[0], [0]])  # Z_2 + Z_2's identity: two columns
 
 
 def test_dp_matches_naive_enumeration_battery():
@@ -125,7 +130,7 @@ def test_dp_matches_naive_enumeration_battery():
                 element_from_index(dec, rng.below(dec.group_order))
                 for _ in range(length)
             ]
-            got = dp_min_cost_zero_sum(dec, els)
+            got = dp_min_cost_zero_sum(dec, _columns(dec, els))
             want = _naive_min_cost(dec, els)
             if want is None:
                 assert not got.feasible
@@ -231,7 +236,7 @@ def _frozen_battery():
 def test_dp_reproduces_frozen_witnesses():
     got = [
         (r.feasible, r.min_cost, r.indices)
-        for r in (dp_min_cost_zero_sum(dec, els) for dec, els in _frozen_battery())
+        for r in (dp_min_cost_zero_sum(dec, _columns(dec, els)) for dec, els in _frozen_battery())
     ]
     assert got == FROZEN_WITNESSES
 
@@ -266,7 +271,7 @@ def _per_item_dp(dec, elements):
     equivalence test."""
     elements = list(elements)
     check_dp_work(dec, len(elements))
-    costs = element_costs(dec, element_columns(dec, elements))
+    costs = element_costs(dec, _columns(dec, elements))
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -311,7 +316,7 @@ def _full_run_dp(dec, elements):
     stop-equivalence test."""
     elements = list(elements)
     check_dp_work(dec, len(elements))
-    costs = element_costs(dec, element_columns(dec, elements))
+    costs = element_costs(dec, _columns(dec, elements))
     unreached = sum(costs) + 1
     best = [unreached] * dec.group_order
     reached: list[int] = []
@@ -380,7 +385,7 @@ def _run_battery():
 def test_run_aware_dp_matches_per_item_dp():
     seen = {"runs of the identity": 0, "feasible": 0, "infeasible": 0}
     for dec, els in _run_battery():
-        got = dp_min_cost_zero_sum(dec, els)
+        got = dp_min_cost_zero_sum(dec, _columns(dec, els))
         assert got == _per_item_dp(dec, els)
         seen["feasible" if got.feasible else "infeasible"] += 1
         zero = identity(dec)
@@ -416,7 +421,7 @@ def _stop_battery():
 def test_stopping_dp_matches_full_run_dp():
     uniform = stopped = 0
     for family, dec, els in _stop_battery():
-        got = dp_min_cost_zero_sum(dec, els)
+        got = dp_min_cost_zero_sum(dec, _columns(dec, els))
         assert got == _full_run_dp(dec, els), (dec.spec, family, els)
         # The stop fires at the item that first brings the zero sum to its
         # floor, which is the last item of the witness.
@@ -449,17 +454,17 @@ def test_shift_table_matches_group_addition():
 def test_dp_work_bound():
     big = _dec("100003")
     with pytest.raises(InputError, match="above the bound"):
-        dp_min_cost_zero_sum(big, _els(big, [1]) * (MAX_DP_WORK // big.group_order + 1))
+        dp_min_cost_zero_sum(big, [[1] * (MAX_DP_WORK // big.group_order + 1)])
     # A full-length stress trial over Z_2310 stays within the bound.
     dec = _dec("2310")
-    assert dp_min_cost_zero_sum(dec, _els(dec, [1] * 2310)).feasible
+    assert dp_min_cost_zero_sum(dec, [[1] * 2310]).feasible
 
 
 def test_tightness_for_cyclic_groups():
     # n-1 copies of a unit of Z_n admit no zero-sum subsequence at all.
     for n, unit in [(n, 1) for n in range(2, 11)] + [(210, 11), (2310, 13)]:
         dec = _dec(str(n))
-        result = dp_min_cost_zero_sum(dec, _els(dec, [unit] * (n - 1)))
+        result = dp_min_cost_zero_sum(dec, [[unit] * (n - 1)])
         assert not result.feasible
 
 
@@ -472,7 +477,7 @@ def test_theorem_guarantee_on_full_length_sequences():
                 element_from_index(dec, rng.below(dec.group_order))
                 for _ in range(dec.group_order)
             ]
-            result = dp_min_cost_zero_sum(dec, els)
+            result = dp_min_cost_zero_sum(dec, _columns(dec, els))
             assert result.feasible and result.qualifies
 
 
