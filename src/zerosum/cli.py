@@ -55,6 +55,8 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: a few seconds at most.
 MAX_STRESS_ELEMENTS = 1_000_000
+# |G| of a solve, which reads |G| elements at about 200 bytes each: about 2 GB at the bound.
+MAX_SOLVE_ELEMENTS = 10_000_000
 # Each small int's canonical text, mapped to the cached int that int() returns.
 SMALL_INTS = {str(k): k for k in range(257)}
 
@@ -174,6 +176,14 @@ def _group_label(dec: PrimaryDecomposition) -> str:
     return "Z(" + ")+Z(".join(str(n) for n in dec.spec.cyclic_orders) + ")"
 
 
+def _solve_group(text: str) -> PrimaryDecomposition:
+    """The group of a solve, refused before its sequence is read if |G| is above MAX_SOLVE_ELEMENTS."""
+    dec = primary_decomposition(parse_group_spec(text))
+    if dec.group_order > MAX_SOLVE_ELEMENTS:
+        raise InputError(f"a solve reads |G| = {dec.group_order} elements, above the bound {MAX_SOLVE_ELEMENTS}")
+    return dec
+
+
 def _solve_sequence(dec: PrimaryDecomposition, cols, lattice=None):
     conf = initial_configuration(dec, cols, lattice=lattice)
     root = solve_to_root(conf)
@@ -181,7 +191,7 @@ def _solve_sequence(dec: PrimaryDecomposition, cols, lattice=None):
 
 
 def cmd_solve(args) -> RunReport:
-    dec = primary_decomposition(parse_group_spec(args.group))
+    dec = _solve_group(args.group)
     ints = sequence_argument(args, rank := dec.spec.rank)
     conf, cert = _solve_sequence(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec))
     results = {
@@ -222,7 +232,7 @@ def _solve_report(inputs, results, lines: list[str], conf, args) -> RunReport:
 def cmd_solve_cyclic(args) -> RunReport:
     if args.n < 1:
         raise InputError(f"modulus must be positive, got {args.n}")
-    dec = primary_decomposition(parse_group_spec(str(args.n)))
+    dec = _solve_group(str(args.n))
     integers = sequence_argument(args, 1, flat=True)
     conf, cert = _solve_sequence(dec, [list(map(args.n.__rmod__, integers))])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]

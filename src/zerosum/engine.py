@@ -234,27 +234,25 @@ def initial_configuration(
     for cost, ids in itertools.groupby(sorted(range(1, len(costs)), key=costs.__getitem__), costs.__getitem__):
         if cost not in index_of:  # a cost divides N, so only another group's lattice lacks its vertex
             raise InternalInvariantError(f"element order {exponent // cost} does not divide the exponent "
-                                         f"{lattice.dec.exponent} of the lattice")
+                                         f"{lattice.dec.exponent} of the lattice: {conf.context()}")
         pool = conf.pools[index_of[cost]] = list(ids)  # the sort is stable: ids stay ascending
         budget, congruences = lattice.placement[index_of[cost]]
         rules = [map(m.__rmod__, map(cols[j].__getitem__, pool)) for j, m in congruences]
         rules.append(map(budget.__lt__, map(costs.__getitem__, pool)))
         misplaced = min(misplaced, *[next(itertools.compress(pool, rule), misplaced) for rule in rules])
     if misplaced < len(costs):
-        raise InternalInvariantError(f"initial pebble {misplaced} is not well placed")
+        raise InternalInvariantError(f"initial pebble {misplaced} is not well placed: {conf.context()}")
     return conf
 
 
-def merge_step(
-    conf: Configuration, vertex: LatticeVertex, coordinate: int, count: int = 1
-) -> Configuration:
-    """Make `count` moves at `vertex` in `coordinate`, each consuming one edge
-    weight of pebbles and placing their zero-sum merge one level down.
+def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) -> Configuration:
+    """Make `count` moves at vertex index `vidx` down `coordinate`, each consuming
+    one edge weight of pebbles and placing their zero-sum merge one level down.
 
     The run takes the lowest count x weight ids present, and each move the
     next weight of them. Each pebble is reduced to a vector over F_p:
     coordinate j, for j below the edge's dual length, divided by the residual
-    modulus of component (i, j) at `vertex` (exact by well-placedness), mod p.
+    modulus of component (i, j) at the vertex (exact by well-placedness), mod p.
     The run is worked a column at a time, each read as one slice when its ids
     are consecutive; a misplaced pebble stops it at its move. In dimension 1
     one base-case pass gives each move a block of consecutive pebbles, whose
@@ -265,13 +263,15 @@ def merge_step(
     and the column slots of the merged pebbles they consume are freed.
     """
     lattice = conf.lattice
+    if not 0 <= vidx < lattice.num_vertices:
+        raise InputError(f"vertex index {vidx} outside 0..{lattice.num_vertices - 1}")
+    vertex = lattice.vertices[vidx]
     u = vertex.u
     i = coordinate
     if not 0 <= i < len(u) or u[i] < 1:
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
-    vidx = lattice.vertex_index(u)
     pool = conf.pools.get(vidx, [])
     dec = conf.dec
     p = dec.primes[i]
@@ -296,7 +296,7 @@ def merge_step(
 
     bad = need  # position in the run of the first misplaced pebble
     reduced = []
-    for col, m in zip(cols, lattice.residual_moduli[vidx][i][:dims]):
+    for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
         if m > 1:
             bad = min(bad, next(itertools.compress(itertools.count(), map(m.__rmod__, col)), need))
             col = map(m.__rfloordiv__, col)
@@ -364,13 +364,13 @@ def _debug_check(conf: Configuration, pid: int) -> None:
     """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
     val, cost = _recompute(conf.dec, conf.sequence, sorted(set(_leaves(conf, pid))))
     if val != conf.value(pid) or cost != conf.costs[pid]:
-        raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members")
+        raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members: {conf.context()}")
     seen: set[int] = set()
     for pool in conf.pools.values():
         for other in pool:
             members = frozenset(_leaves(conf, other))
             if members & seen:
-                raise InternalInvariantError("live pebbles share member indices")
+                raise InternalInvariantError(f"live pebbles share member indices: {conf.context()}")
             seen |= members
 
 
@@ -459,13 +459,10 @@ def _eliminate_plan(lattice: WeightedLattice, start: tuple[int, ...]) -> Plan | 
 def solve_to_root(conf: Configuration) -> Pebble:
     """Drive merges until a pebble reaches the root and return it.
 
-    Tries the greedy schedule first and, on a stall (`fallback_fired`), level
-    elimination. No plan at all is a bug; the error names the group and the
-    count profile as divisor:count pairs, which reproduce it.
+    Greedy first (its plan is empty when the root is occupied), then on a
+    stall (`fallback_fired`) level elimination. No plan at all is a bug; the
+    error names the group and count profile (divisor:count), which reproduce it.
     """
-    existing = conf.root_pebble()
-    if existing is not None:
-        return existing
     profile = conf.count_profile()
     plan = _greedy_plan(conf.lattice, profile)
     if plan is None:
@@ -474,10 +471,10 @@ def solve_to_root(conf: Configuration) -> Pebble:
     if plan is None:
         raise InternalInvariantError(f"no plan reaches the root: {conf.context()}")
     for vidx, ci, k in plan:
-        merge_step(conf, conf.lattice.vertex_at(vidx), ci, k)
+        merge_step(conf, vidx, ci, k)
     result = conf.root_pebble()
     if result is None:
-        raise InternalInvariantError("planned moves did not produce a root pebble")
+        raise InternalInvariantError(f"planned moves did not produce a root pebble: {conf.context()}")
     return result
 
 
@@ -505,10 +502,10 @@ def extract_certificate(
         raise InputError("certificate extraction needs a pebble at the root")
     indices = tuple(sorted(root.members))
     if not indices:
-        raise InternalInvariantError("root pebble has no members")
+        raise InternalInvariantError(f"root pebble has no members: {root.conf.context()}")
     total, cost = _recompute(dec, cols, indices)
     if total != identity(dec) or cost > dec.exponent or len(indices) > dec.exponent:
-        raise InternalInvariantError("root pebble fails recheck; solver state is corrupt")
+        raise InternalInvariantError(f"root pebble fails recheck; solver state is corrupt: {root.conf.context()}")
     return Certificate(indices=indices, ord_cost=cost, bound=dec.exponent)
 
 

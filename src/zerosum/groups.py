@@ -86,23 +86,21 @@ class PrimaryDecomposition(NamedTuple):
     """The group rewritten as a direct sum of cyclic components of prime-power order.
 
     Component (i, j) is cyclic of order primes[i] ** exponents[i][j]; each row of
-    `exponents` is sorted non-increasing. `slot_sources[i][j]` names the user
-    factor that component came from. `exponent` is the group exponent, the
+    `exponents` is sorted non-increasing. `exponent` is the group exponent, the
     product over primes of the largest component order.
 
     Invariant factor n_j is the product of moduli[i][j] over the rows that
     have a j-th component (the trivial group has n_1 = 1); component (i, j)
     of element x is x[j] mod moduli[i][j]. `crt` lists every component, in
-    `moduli` order, as (j, slot_sources[i][j], moduli[i][j], c) with c 1 mod
-    moduli[i][j] and 0 mod n_j / moduli[i][j], so x[j] is the sum, mod n_j,
-    of c times component (i, j).
+    `moduli` order, as (j, f, moduli[i][j], c) with f the user factor the
+    component came from and c 1 mod moduli[i][j] and 0 mod n_j / moduli[i][j],
+    so x[j] is the sum, mod n_j, of c times component (i, j).
     """
 
     spec: GroupSpec
     primes: tuple[int, ...]
     exponents: tuple[tuple[int, ...], ...]
     moduli: tuple[tuple[int, ...], ...]
-    slot_sources: tuple[tuple[int, ...], ...]
     exponent: int
     heights: tuple[int, ...]
     group_order: int
@@ -144,7 +142,6 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         primes=primes,
         exponents=tuple(exponents),
         moduli=tuple(moduli),
-        slot_sources=tuple(sources),
         exponent=big_n,
         heights=heights,
         group_order=order,

@@ -26,10 +26,6 @@ class LatticeVertex(NamedTuple):
     u: tuple[int, ...]
     divisor: int
 
-    @property
-    def height(self) -> int:
-        return sum(self.u)
-
 
 class WeightedLattice(NamedTuple):
     """Complete vertex, weight, and move tables for one group.
@@ -37,10 +33,11 @@ class WeightedLattice(NamedTuple):
     `moves[v]` lists the down edges leaving vertex index v as
     (coordinate, weight, child index) sorted by (weight, coordinate), the order
     the scheduler prefers. `scan_order` lists vertex indices by descending
-    height, ties by ascending exponent vector. `residual_moduli[v][i][j]` is
-    primes[i] raised to the residual exponent at v, which the engine divides
-    pebble coordinates by in every move; `placement[v]` is the well-placedness
-    rule at v (see `placement_rule`), checked after every move.
+    height, ties by ascending exponent vector. `level_moduli[l][i][j]` is
+    primes[i] raised to the residual exponent of component (i, j) at level
+    min(l, heights[i]) of coordinate i, which a move down coordinate i from
+    level l divides pebble coordinates by; `placement[v]` is the
+    well-placedness rule at v (see `placement_rule`), checked after every move.
     """
 
     dec: PrimaryDecomposition
@@ -51,7 +48,7 @@ class WeightedLattice(NamedTuple):
     vertices: tuple[LatticeVertex, ...]
     moves: tuple[tuple[tuple[int, int, int], ...], ...]
     scan_order: tuple[int, ...]
-    residual_moduli: tuple[tuple[tuple[int, ...], ...], ...]
+    level_moduli: tuple[tuple[tuple[int, ...], ...], ...]
     placement: tuple[PlacementRule, ...]
 
     @property
@@ -63,9 +60,6 @@ class WeightedLattice(NamedTuple):
         for ui, stride in zip(u, self.strides):
             idx += ui * stride
         return idx
-
-    def vertex_at(self, index: int) -> LatticeVertex:
-        return self.vertices[index]
 
 
 def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
@@ -87,9 +81,8 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
     )
 
     # Row i at level l, for every l up to the tallest height: one validated call per level.
-    levels = [_residual_moduli(dec, [min(l, h) for h in heights]) for l in range(max(heights, default=0) + 1)]
+    levels = tuple(_residual_moduli(dec, [min(l, h) for h in heights]) for l in range(max(heights, default=0) + 1))
     moves = []
-    residual_moduli = []
     placement = []
     for idx, v in enumerate(vertices):
         out = []
@@ -98,10 +91,8 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
                 out.append((i, level_weights[i][ui - 1], idx - strides[i]))
         out.sort(key=lambda mv: (mv[1], mv[0]))
         moves.append(tuple(out))
-        res_moduli = tuple([levels[ui][i] for i, ui in enumerate(v.u)])
-        residual_moduli.append(res_moduli)
-        placement.append(_placement(dec, v.divisor, res_moduli))
-    scan_order = tuple(sorted(range(count), key=lambda idx: (-vertices[idx].height, vertices[idx].u)))
+        placement.append(_placement(dec, v.divisor, tuple([levels[ui][i] for i, ui in enumerate(v.u)])))
+    scan_order = tuple(sorted(range(count), key=lambda idx: (-sum(vertices[idx].u), vertices[idx].u)))
 
     return WeightedLattice(
         dec=dec,
@@ -112,7 +103,7 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
         vertices=vertices,
         moves=tuple(moves),
         scan_order=scan_order,
-        residual_moduli=tuple(residual_moduli),
+        level_moduli=levels,
         placement=tuple(placement),
     )
 

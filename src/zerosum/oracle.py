@@ -37,8 +37,6 @@ MAX_DAVENPORT_WORK = 4_000_000
 
 # A pebble distribution is a count per vertex, indexed like the graph.
 PebbleDistribution = tuple[int, ...]
-# Solvability of the distributions seen for one (graph, target) pair.
-_SolvableMemo = dict[PebbleDistribution, bool]
 
 
 class _GraphFields(NamedTuple):
@@ -70,15 +68,12 @@ class WeightedGraph(_GraphFields):
             if key in seen:
                 raise InputError(f"duplicate edge ({a},{b})")
             seen.add(key)
-        reached = {0}
-        frontier = [0]
+        reached, frontier, adj = {0}, [0], _adjacency(self)
         while frontier:
-            v = frontier.pop()
-            for a, b, _ in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == v and y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
+            for y, _ in adj[frontier.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
         if len(reached) != self.num_vertices:
             raise InputError("graph is not connected")
         return self
@@ -126,12 +121,7 @@ def lattice_graph(dec: PrimaryDecomposition) -> WeightedGraph:
     return WeightedGraph(lattice.num_vertices, tuple(edges), name=f"lattice:{dec.exponent}")
 
 
-def solvable(
-    graph: WeightedGraph,
-    dist: PebbleDistribution,
-    target: int,
-    _memo: _SolvableMemo | None = None,
-) -> bool:
+def solvable(graph: WeightedGraph, dist: PebbleDistribution, target: int) -> bool:
     """True iff some move sequence puts a pebble on target."""
     dist = tuple(int(c) for c in dist)
     if len(dist) != graph.num_vertices:
@@ -142,19 +132,17 @@ def solvable(
         raise InputError(f"target {target} out of range")
     if dist[target] >= 1:
         return True
-    adj = _adjacency(graph)
-    memo = _memo if _memo is not None else {}
-    return _solvable_search(dist, adj, target, memo, [MAX_SOLVABLE_STATES])
+    return _solvable_search(dist, _adjacency(graph), target, {}, [MAX_SOLVABLE_STATES])
 
 
 def _solvable_search(
-    state: PebbleDistribution, adj, target: int, memo: _SolvableMemo, budget: list[int]
+    state: PebbleDistribution, adj, target: int, memo: dict[PebbleDistribution, bool], budget: list[int]
 ) -> bool:
     """Depth-first solvability of one state; budget[0] counts the states left.
 
     A module-level function rather than a closure: a nested function that
     calls itself is a reference cycle, and `pebbling_number` makes one
-    `solvable` call per (distribution, target) pair.
+    search per (distribution, target) pair, sharing one memo per target.
     """
     if state in memo:
         return memo[state]
@@ -219,35 +207,35 @@ def pebbling_lower_bound(graph: WeightedGraph) -> int:
     return bound
 
 
-def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -> PebblingResult:
+def pebbling_number(graph: WeightedGraph) -> PebblingResult:
     """Least k such that every k-pebble distribution reaches every target.
 
     Solvability is monotone in pebbles, so the first k with no failing pair is
     the answer; the witness is an unsolvable (k-1)-pebble distribution. Scans
     every distribution by stars and bars, stopping at the first failure. A
-    graph whose pebbling number exceeds max_total is refused with InputError,
-    before the scan when pebbling_lower_bound already shows it. So is a graph
-    whose final round, every distribution of at least that many pebbles, has
-    more than MAX_PEBBLING_DISTRIBUTIONS of them.
+    graph whose pebbling number exceeds MAX_PEBBLING_TOTAL is refused with
+    InputError, before the scan when pebbling_lower_bound already shows it.
+    So is a graph whose final round, every distribution of at least that many
+    pebbles, has more than MAX_PEBBLING_DISTRIBUTIONS of them.
     """
     lower = pebbling_lower_bound(graph)
-    if lower > max_total:
-        raise InputError(f"pebbling number is at least {lower}, above the scan bound {max_total}")
+    if lower > MAX_PEBBLING_TOTAL:
+        raise InputError(f"pebbling number is at least {lower}, above the scan bound {MAX_PEBBLING_TOTAL}")
     final_round = math.comb(lower + graph.num_vertices - 1, graph.num_vertices - 1)
     if final_round > MAX_PEBBLING_DISTRIBUTIONS:
         raise InputError(
             f"pebbling scan would visit at least {final_round} distributions of {lower} pebbles "
             f"on {graph.num_vertices} vertices, above the bound {MAX_PEBBLING_DISTRIBUTIONS}"
         )
-    memos: list[_SolvableMemo] = [{} for _ in range(graph.num_vertices)]
+    adj, memos = _adjacency(graph), [{} for _ in range(graph.num_vertices)]
     witness: tuple[PebbleDistribution, int] = ((0,) * graph.num_vertices, 0)
-    for k in range(1, max_total + 1):
+    for k in range(1, MAX_PEBBLING_TOTAL + 1):
         bad = None
         for dist in _compositions(k, graph.num_vertices):
             for target in range(graph.num_vertices):
                 if dist[target] >= 1:
                     continue
-                if not solvable(graph, dist, target, _memo=memos[target]):
+                if not _solvable_search(dist, adj, target, memos[target], [MAX_SOLVABLE_STATES]):
                     bad = (dist, target)
                     break
             if bad is not None:
@@ -255,7 +243,7 @@ def pebbling_number(graph: WeightedGraph, max_total: int = MAX_PEBBLING_TOTAL) -
         if bad is None:
             return PebblingResult(k, witness[0], witness[1])
         witness = bad
-    raise InputError(f"pebbling number exceeds the scan bound {max_total}")
+    raise InputError(f"pebbling number exceeds the scan bound {MAX_PEBBLING_TOTAL}")
 
 
 class OracleResult(NamedTuple):

@@ -529,6 +529,22 @@ def test_oracle_refuses_an_over_bound_input_before_reading_or_encoding_it(monkey
     assert calls == [([[1, 3]], calls[0][1])]
 
 
+def test_solve_refuses_an_oversized_group_before_reading_the_sequence(capsys, tmp_path):
+    # A solve reads |G| elements, so with |G| above MAX_SOLVE_ELEMENTS the
+    # file is never opened: a missing one gives the bound's error.
+    missing = str(tmp_path / "missing.txt")
+    for argv, order in [
+        (["solve-cyclic", "--n", "2147483647"], 2147483647),
+        (["solve", "--group", "4096,4097"], 4096 * 4097),
+    ]:
+        assert main([*argv, "--seq-file", missing]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: a solve reads |G| = {order} elements, above the bound 10000000\n"
+    # At or below the bound the sequence is read as before.
+    assert main(["solve-cyclic", "--n", "12", "--seq-file", missing]) == 2
+    assert "cannot read sequence file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", [["solve", "--group", "4,2"], ["solve-cyclic", "--n", "8"]])
 def test_trace_builds_only_the_form_main_prints(cmd):
     # --json prints the move dicts and text output the trace lines; the

@@ -107,7 +107,9 @@ def test_initial_configuration_refuses_a_lattice_without_the_order_vertex():
     # Z_2's lattice has vertices of divisor 1 and 2 only: an element of Z_4 of
     # order 4 has no vertex there, which is a bug in the caller, not an input.
     dec = _dec("4")
-    with pytest.raises(InternalInvariantError, match="element order 4 does not divide the exponent 2"):
+    # Nothing is placed yet, so the count profile is empty.
+    message = "element order 4 does not divide the exponent 2 of the lattice: group 4, count profile $"
+    with pytest.raises(InternalInvariantError, match=message):
         initial_configuration(dec, _elements(dec, [2, 1, 2, 2]), lattice=build_lattice(_dec("2")))
 
 
@@ -133,7 +135,8 @@ def test_initial_configuration_checks_every_pebble_against_its_vertex_rule():
         (tightened(mid=(2, ((0, 4),))), 2),  # 2 is not 0 mod 4
         (tightened(top=(1, ((0, 2),)), mid=(1, ((0, 2),))), 1),  # both vertices: the least id
     ]:
-        with pytest.raises(InternalInvariantError, match=f"initial pebble {first} is not well placed"):
+        message = f"initial pebble {first} is not well placed: group 4, count profile 2:2 4:2$"
+        with pytest.raises(InternalInvariantError, match=message):
             initial_configuration(dec, els, lattice=lattice)
     assert initial_configuration(dec, els, lattice=lat).count_profile() == (0, 2, 2)
 
@@ -185,6 +188,22 @@ def test_zero_element_short_circuits():
     assert cert.ord_cost == 5
 
 
+def test_occupied_root_is_solved_by_the_empty_plan():
+    # Z_4 + Z_2 + Z_2 with the identity at ids 6 and 11 only: greedy's empty
+    # plan is the whole solve, and the root's lowest id is the answer.
+    dec, els = _seeded_nonzero("4,2,2", 0)
+    for col in els:
+        col[5] = col[10] = 0
+    conf = initial_configuration(dec, els)
+    profile = conf.count_profile()
+    assert profile[conf.lattice.root_index] == 2
+    root = solve_to_root(conf)
+    assert (root.pid, root.vertex.divisor, root.val) == (6, 1, identity(dec))
+    assert len(conf.move_log) == 0 and conf.fallback_fired is False
+    assert conf.count_profile() == profile
+    assert extract_certificate(root, dec, els).indices == (6,)
+
+
 def test_z2z2_sample_sequence():
     dec, els, conf, cert = _solve("2,2", [(1, 0), (0, 1), (1, 1), (1, 0)])
     assert verify_certificate(dec, els, cert.indices).passed
@@ -203,7 +222,7 @@ def test_merge_step_needs_enough_pebbles():
     els = _elements(dec, [1, 1, 1, 1])
     conf = initial_configuration(dec, els)
     lat = conf.lattice
-    top = lat.vertex_at(lat.vertex_index((2,)))
+    top = lat.vertex_index((2,))
     merge_step(conf, top, 0)
     merge_step(conf, top, 0)
     with pytest.raises(InputError):
@@ -214,16 +233,26 @@ def test_merge_step_rejects_root_move():
     dec = _dec("4")
     els = _elements(dec, [0, 0, 0, 0])
     conf = initial_configuration(dec, els)
-    root = conf.lattice.vertex_at(conf.lattice.root_index)
+    root = conf.lattice.root_index
     with pytest.raises(InputError):
         merge_step(conf, root, 0)
+
+
+def test_merge_step_refuses_a_vertex_index_outside_the_lattice():
+    # Index -1 would otherwise name the top vertex, read from the end.
+    dec = _dec("4")
+    conf = initial_configuration(dec, _elements(dec, [1, 1, 1, 1]))
+    for vidx in (-1, conf.lattice.num_vertices):
+        with pytest.raises(InputError, match=f"^vertex index {vidx} outside 0..2$"):
+            merge_step(conf, vidx, 0)
+    assert list(conf.move_log) == [] and conf.count_profile() == (0, 0, 4)
 
 
 def test_merge_consumes_lowest_ids():
     dec = _dec("4")
     els = _elements(dec, [3, 1, 1, 3])
     conf = initial_configuration(dec, els)
-    top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
+    top = conf.lattice.vertex_index((2,))
     merge_step(conf, top, 0)
     assert list(conf.move_log)[0].consumed == (1, 2)
 
@@ -533,13 +562,14 @@ def test_debug_mode_catches_tampered_cached_value():
     three = to_primary_coordinates((3,), dec)
     for debug in (False, True):
         conf = initial_configuration(dec, els, debug=debug)
-        top = conf.lattice.vertex_at(conf.lattice.vertex_index((2,)))
-        assert conf.pools[conf.lattice.vertex_index((2,))][0] == 1
+        top = conf.lattice.vertex_index((2,))
+        assert conf.pools[top][0] == 1
         conf.cols[0][1] = three[0]
         if not debug:
             merge_step(conf, top, 0)
             continue
-        with pytest.raises(InternalInvariantError, match="cached value of pebble 5"):
+        message = "cached value of pebble 5 disagrees with its members: group 4, count profile 2:1 4:2$"
+        with pytest.raises(InternalInvariantError, match=message):
             merge_step(conf, top, 0)
 
 
@@ -553,7 +583,7 @@ def test_merge_refuses_consumed_pebble_not_well_placed():
     assert conf.pools[lat.vertex_index((1,))][0] == 1
     conf.cols[0][1] = 1
     with pytest.raises(InternalInvariantError, match="pebble 1 is not well placed at vertex 2"):
-        merge_step(conf, lat.vertex_at(lat.vertex_index((1,))), 0)
+        merge_step(conf, lat.vertex_index((1,)), 0)
 
 
 def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
@@ -569,7 +599,8 @@ def test_extract_refuses_root_whose_members_do_not_sum_to_zero():
     (block,) = run.blocks
     conf.move_log.runs[-1] = run._replace(blocks=[slice(block.start, block.stop - 1)])
     assert root.members == frozenset([1, 2])
-    with pytest.raises(InternalInvariantError, match="fails recheck"):
+    message = "fails recheck; solver state is corrupt: group 4, count profile 1:1$"
+    with pytest.raises(InternalInvariantError, match=message):
         extract_certificate(root, dec, els)
 
 
@@ -611,7 +642,7 @@ def test_batched_runs_match_single_moves(text, make):
     assert any(k >= 2 for _, _, k in plan), "no run of two or more moves"
     for vidx, ci, k in plan:
         for _ in range(k):
-            merge_step(single, single.lattice.vertex_at(vidx), ci)
+            merge_step(single, vidx, ci)
     assert list(batched.move_log) == list(single.move_log)
     assert [p.pid for p in batched.live_pebbles()] == [p.pid for p in single.live_pebbles()]
     assert [p.val for p in batched.live_pebbles()] == [p.val for p in single.live_pebbles()]
@@ -629,13 +660,13 @@ def _z8_order_two_run(tamper_pid, value, debug):
     vidx = conf.lattice.vertex_index((1,))
     assert tamper_pid in conf.pools[vidx]
     conf.cols[0][tamper_pid] = value
-    return conf, conf.lattice.vertex_at(vidx)
+    return conf, vidx
 
 
 def test_batched_run_refuses_misplaced_pebble_at_its_move():
-    conf, vertex = _z8_order_two_run(3, 2, debug=False)
+    conf, vidx = _z8_order_two_run(3, 2, debug=False)
     with pytest.raises(InternalInvariantError, match="pebble 3 is not well placed at vertex 2"):
-        merge_step(conf, vertex, 0, 4)
+        merge_step(conf, vidx, 0, 4)
     # The first move went through; the second, which consumes pebble 3, stops the run.
     assert [m.consumed for m in conf.move_log] == [(1, 2)]
 
@@ -652,19 +683,19 @@ def test_batched_run_stops_at_the_first_misplaced_pebble_in_any_coordinate():
     assert conf.pools[vidx] == list(range(1, 13))
     (conf.cols[0][5], conf.cols[1][5]), (conf.cols[0][6], conf.cols[1][6]) = (0, 1), (1, 2)
     with pytest.raises(InternalInvariantError, match="pebble 5 is not well placed at vertex 2"):
-        merge_step(conf, conf.lattice.vertex_at(vidx), 0, 2)
+        merge_step(conf, vidx, 0, 2)
     assert [m.consumed for m in conf.move_log] == [(1, 2, 3, 4)]
 
 
 def test_batched_run_debug_catches_tampered_value_at_its_move():
     # Pebble 3 claims 0 instead of 4: still well placed, so only the debug
     # recomputation sees that pebble 10, made from it alone, is wrong.
-    conf, vertex = _z8_order_two_run(3, 0, debug=False)
-    merge_step(conf, vertex, 0, 4)
+    conf, vidx = _z8_order_two_run(3, 0, debug=False)
+    merge_step(conf, vidx, 0, 4)
     assert len(conf.move_log) == 4
-    conf, vertex = _z8_order_two_run(3, 0, debug=True)
+    conf, vidx = _z8_order_two_run(3, 0, debug=True)
     with pytest.raises(InternalInvariantError, match="cached value of pebble 10"):
-        merge_step(conf, vertex, 0, 4)
+        merge_step(conf, vidx, 0, 4)
     assert [m.new_id for m in conf.move_log] == [9, 10]
 
 
@@ -675,8 +706,8 @@ def _z8_two_runs(raws):
     dec = _dec("8")
     conf = initial_configuration(dec, _elements(dec, raws))
     lat = conf.lattice
-    merge_step(conf, lat.vertex_at(lat.vertex_index((3,))), 0, 3)
-    merge_step(conf, lat.vertex_at(lat.vertex_index((2,))), 0, 2)
+    merge_step(conf, lat.vertex_index((3,)), 0, 3)
+    merge_step(conf, lat.vertex_index((2,)), 0, 2)
     return conf
 
 
@@ -717,11 +748,11 @@ def test_every_column_frees_consumed_merged_pebbles_and_keeps_inputs():
 def test_merge_step_count_checks_the_pool_once():
     dec = _dec("8")
     conf = initial_configuration(dec, _elements(dec, [4] * 8))
-    vertex = conf.lattice.vertex_at(conf.lattice.vertex_index((1,)))
+    vidx = conf.lattice.vertex_index((1,))
     with pytest.raises(InputError, match="holds 8 pebbles, 5 move"):
-        merge_step(conf, vertex, 0, 5)
+        merge_step(conf, vidx, 0, 5)
     with pytest.raises(InputError, match="move count"):
-        merge_step(conf, vertex, 0, 0)
+        merge_step(conf, vidx, 0, 0)
     assert list(conf.move_log) == []
     assert len(conf.pools[conf.lattice.vertex_index((1,))]) == 8
 
@@ -733,8 +764,9 @@ def test_merge_step_count_checks_the_pool_once():
 # base-case pass and prefix sums (only the function name differs), except
 # that the per-move loop logs each move as a run of one, frees the slots of the
 # merged pebbles it consumes, reads and writes pebble values through the
-# column table (`conf.value`, one append per column) and adds the group and
-# count profile to its errors, as `merge_step` now does. Every comparison
+# column table (`conf.value`, one append per column), adds the group and
+# count profile to its errors, and takes the vertex by its index and reads its
+# residual moduli from the lattice's per-level table, as `merge_step` now does. Every comparison
 # runs both on copies of one configuration and asserts the same move log,
 # columns, costs, pools and exception message.
 
@@ -759,15 +791,15 @@ def _zero_sum_block(p: int, items: list[int]) -> list[int]:
     raise InternalInvariantError("prefix sums of p residues failed to collide")
 
 
-def _merge_step_per_move(conf, vertex, coordinate, count=1):
+def _merge_step_per_move(conf, vidx, coordinate, count=1):
     lattice = conf.lattice
+    vertex = lattice.vertices[vidx]
     u = vertex.u
     i = coordinate
     if not 0 <= i < len(u) or u[i] < 1:
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
-    vidx = lattice.vertex_index(u)
     pool = conf.pools.get(vidx, [])
     dec = conf.dec
     p = dec.primes[i]
@@ -788,7 +820,7 @@ def _merge_step_per_move(conf, vertex, coordinate, count=1):
     rows = list(map(conf.value, run))
     bad = need  # position in the run of the first misplaced pebble
     columns = []
-    for j, m in enumerate(lattice.residual_moduli[vidx][i][:dims]):
+    for j, m in enumerate(lattice.level_moduli[u[i]][i][:dims]):
         col = list(map(itemgetter(j), rows))
         if m > 1:
             rems = list(map(m.__rmod__, col))
@@ -858,7 +890,7 @@ def _run_both(conf, vidx, ci, count, tamper=None):
         if tamper is not None:
             tamper(twin)
         try:
-            step(twin, twin.lattice.vertex_at(vidx), ci, count)
+            step(twin, vidx, ci, count)
             message = None
         except InternalInvariantError as exc:
             message = str(exc)
@@ -898,7 +930,7 @@ def _plan_steps(text, seed):
     plan = _greedy_plan(conf.lattice, profile) or _eliminate_plan(conf.lattice, profile)
     for vidx, ci, k in plan:
         yield conf, vidx, ci, k
-        merge_step(conf, conf.lattice.vertex_at(vidx), ci, k)
+        merge_step(conf, vidx, ci, k)
     assert conf.root_pebble() is not None
 
 
@@ -934,7 +966,7 @@ def _tampers(conf, vidx, ci, count):
     u = lattice.vertices[vidx].u
     p = conf.dec.primes[ci]
     weight = lattice.level_weights[ci][u[ci] - 1]
-    m = lattice.residual_moduli[vidx][ci][0]
+    m = lattice.level_moduli[u[ci]][ci][0]
     budget = lattice.placement[vidx - lattice.strides[ci]][0]
     run = conf.pools[vidx][: count * weight]
     out = []
@@ -983,7 +1015,7 @@ def _with_reference(text, seed):
     ref = None
     for conf, vidx, ci, k in _plan_steps(text, seed):
         ref = ref or _copy(conf)
-        _merge_step_per_move(ref, ref.lattice.vertex_at(vidx), ci, k)
+        _merge_step_per_move(ref, vidx, ci, k)
     runs = ref.move_log.runs
     return conf, [MoveRecord(r.divisor, r.prime, r.weight, r.run, r.kept, r.first) for r in runs]
 
@@ -1021,7 +1053,7 @@ def _z8_stopped_run(tamper):
     conf = initial_configuration(dec, _elements(dec, [4] * 6 + [2] * 2))
     tamper(conf)
     with pytest.raises(InternalInvariantError) as exc:
-        merge_step(conf, conf.lattice.vertex_at(conf.lattice.vertex_index((1,))), 0, 3)
+        merge_step(conf, conf.lattice.vertex_index((1,)), 0, 3)
     return conf, str(exc.value)
 
 

@@ -14,14 +14,19 @@ move of the squarefree Z_2310 solve divides by 1). The inputs are drawn with
 the CLI's SplitMix64, so they are the same on every platform. The Z_30030
 solve was recorded before a run's moves were made from one base-case pass and
 prefix sums; its first run makes 15,015 moves, the benchmark's largest.
+Last, every command of the benchmark's four workloads at seed 3, read from
+`perfbench/workloads.py`, is pinned by exit code, stdout and stderr.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +341,66 @@ def test_text_output_is_pinned_for_every_command(capsys, name):
     assert not lines or ELAPSED_LINE.fullmatch(lines[-1])
     assert captured.err == err
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
+def _benchmark_commands() -> dict[str, tuple[str, ...]]:
+    """Every command of the benchmark's workloads at seed 3, named "<workload> <k>".
+    `perfbench/workloads.py` is imported by path, so the test reads the
+    benchmark's own command lists; the module is registered in `sys.modules`
+    because its dataclass needs that."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {
+        f"{name} {k}": command.argv
+        for name in workloads.WORKLOADS
+        for k, command in enumerate(workloads.build(name, 3))
+    }
+
+
+BENCHMARK_COMMANDS = _benchmark_commands()
+
+# "<workload> <k>": SHA-256 of json.dumps([exit code, stdout, stderr]) of the
+# benchmark's command k at seed 3, recorded before the engine named vertices
+# by index alone and kept residual moduli per level.
+BENCHMARK_DIGESTS = {
+    "maxorder-cyclic 0": "4e4b2dce59e079d58998e80be1df32e08cf1b8dab45d0dd5444be3fe99b6c809",
+    "maxorder-cyclic 1": "d0cd933ef23176fb9f3bf91e04d80db04023889f2a89c40b93a6e685d5434d90",
+    "maxorder-cyclic 2": "9ad584d4c822f4db6a3967e6b7f1d351c4052d8c01bc96b3a83fa0828c7fd9d7",
+    "elementary 0": "5655f94cadf80ba3489cc16e6a5809d0521514f61ba47eb4972a648984dd7637",
+    "elementary 1": "7a565303f096786629d08ae22c8d0127529132b31a000eb29f36e81d4e9df68b",
+    "elementary 2": "cab9fd166b63ee203129b932921e4771f3fdcd41f93af259318cfb7ab1d39892",
+    "planner-adversarial 0": "fbef672a336b0eca04b09a18a1f7fc2541cd164b02f85e2343dc173a23d5e9f9",
+    "planner-adversarial 1": "fc3037e0ac1a5acd61fd1d054bed83360534cda764819b5c904b914dda1a7ca2",
+    "planner-adversarial 2": "a86e09d6fd0f119f82b632925e1d679988466c1235c869cdd2cbc45c6b2e602f",
+    "planner-adversarial 3": "42af73c24bae14f348b96c2c62fcc206b98f88fd1453242d12d4a9a455d95ce5",
+    "planner-adversarial 4": "7e71d525ff10001ad1e852d99cb635f47212283019b53c6ab64646a763ab9fef",
+    "planner-adversarial 5": "ef7a5eb3039e3e03424bafd749c07746edac8bbf8bb234046d99b7df799d4351",
+    "planner-adversarial 6": "c7ae0e6511faabc3380320610977a7412369860b9e703949184d61eb48bf2ce4",
+    "planner-adversarial 7": "1f4161fe0c6ae72eb198124c1f3be41bfab68c438a762f9f203f1a7516ab781d",
+    "planner-adversarial 8": "3c235b4ade697e229796cea2e8c1f83402aa7172b65e2a50f88d86f747dda245",
+    "planner-adversarial 9": "89565d32e31ffb57d3612bbbd78dacf38b434696cb33c905ab8a267e4d824875",
+    "planner-adversarial 10": "65c744590baa235226ad921478e0b43f4a3e28b903229cbf2c95ed2d6c8e224b",
+    "planner-adversarial 11": "48b771447a1467317bc183c54ccb8c0a9ad27a4ddfcf9b13e540e6ae1317c9a0",
+    "planner-adversarial 12": "619f0446fad2cd33875b7227c5562c6d9242d2126d42b031829ad56c2f352009",
+    "planner-adversarial 13": "92f44b237e7eb9bc4a3818efdc8a6a145016089def495099a487dac548f8bdbc",
+    "planner-adversarial 14": "fbe587c6069647c6405643bd70cd5dc3827aac20db76c4d1732c07791925d8fb",
+    "oracle-crosscheck 0": "85c0ed7d15fa78d2d8a8c4170ade25f8cfa9ff200d878e0ae29fca7fa77ba092",
+    "oracle-crosscheck 1": "638dc3ddbc66edb69ce186cbad402cdb0da298ebcc4587c647a3551f5bcb81e8",
+    "oracle-crosscheck 2": "058991f63f0af1b7d13cd64637460ee3022175699e82bf8d2dd9c7d17c60f664",
+    "oracle-crosscheck 3": "c33bb463d48bc530de62cdfa71db2cc3698c8e460ddebd52ff61c395d7004eb5",
+    "oracle-crosscheck 4": "5ffd2c8f5aa5dda650c55cfa60ccd55363d0677f3e03a17c2440752c3c44d7dd",
+    "oracle-crosscheck 5": "2462d2f172cfed962f6298d4d15adb64601939b03202f817271b5e3de9601fd2",
+    "oracle-crosscheck 6": "28b562cb448c4641519043149f4a7fcd2ec0b8aac742963055d108510cf7bcaf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_COMMANDS))
+def test_benchmark_outputs_are_pinned(capsys, name):
+    assert BENCHMARK_COMMANDS.keys() == BENCHMARK_DIGESTS.keys()
+    code = main(list(BENCHMARK_COMMANDS[name]))
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == BENCHMARK_DIGESTS[name]

@@ -236,9 +236,8 @@ def test_parse_time_conversion_keeps_primary_residues(text):
     pairs += zip(whole, zip(*encode_sequence(list(map(tuple, cols)), dec)), strict=True)
     for raw, g in pairs:
         assert all(0 <= x < n for x, n in zip(g, dec.invariant_factors))
-        for mods, srcs in zip(dec.moduli, dec.slot_sources):
-            for j, (q, src) in enumerate(zip(mods, srcs)):
-                assert g[j] % q == raw[src] % q
+        for j, src, q, _ in dec.crt:
+            assert g[j] % q == raw[src] % q
     assert encode_sequence([[]] * spec.rank, dec) == [[]] * len(dec.invariant_factors)
     assert element_from_index(dec, 0) == identity(dec)
     for i in range(dec.group_order):

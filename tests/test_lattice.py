@@ -46,7 +46,7 @@ def test_z4_is_a_path_of_three():
 def test_z2z2_is_one_heavy_edge():
     dec, lat = _lat("2,2")
     assert lat.num_vertices == 2
-    assert lat.vertex_at(lat.vertex_index((1,))).divisor == 2
+    assert lat.vertices[lat.vertex_index((1,))].divisor == 2
     assert _down_weight(lat, (1,), 0) == 4
 
 
@@ -54,7 +54,7 @@ def test_z6_is_a_grid():
     dec, lat = _lat("6")
     assert lat.num_vertices == 4
     assert sorted(v.divisor for v in lat.vertices) == [1, 2, 3, 6]
-    u = lat.vertex_at(lat.vertex_index((1, 1)))
+    u = lat.vertices[lat.vertex_index((1, 1))]
     assert u.divisor == 6
     assert _down_weight(lat, u.u, 0) == 2
     assert _down_weight(lat, u.u, 1) == 3
@@ -80,7 +80,7 @@ def test_root_is_index_zero_and_divisor_one():
         dec, lat = _lat(text)
         assert lat.root_index == 0
         assert lat.vertices[0].divisor == 1
-        assert lat.vertices[0].height == 0
+        assert sum(lat.vertices[0].u) == 0
 
 
 @given(small_orders)
@@ -102,7 +102,7 @@ def test_vertex_index_is_a_bijection(orders):
     lat = build_lattice(dec)
     seen = set()
     for idx in range(lat.num_vertices):
-        v = lat.vertex_at(idx)
+        v = lat.vertices[idx]
         assert lat.vertex_index(v.u) == idx
         assert v.divisor not in seen
         seen.add(v.divisor)
@@ -118,37 +118,38 @@ def test_moves_sorted_by_weight_then_coordinate():
 
 def test_scan_order_prefers_height_then_lex():
     dec, lat = _lat("12")
-    ranked = [(lat.vertex_at(i).height, lat.vertex_at(i).u) for i in lat.scan_order]
+    ranked = [(sum(lat.vertices[i].u), lat.vertices[i].u) for i in lat.scan_order]
     assert ranked == sorted(ranked, key=lambda t: (-t[0], t[1]))
 
 
 def test_residual_moduli_match_partitions():
     dec, lat = _lat("8,12,30")
-    for idx in range(lat.num_vertices):
-        v = lat.vertex_at(idx)
+    # The per-level table, read at each vertex's levels: row i at level u[i].
+    assert len(lat.level_moduli) == max(dec.heights) + 1
+    for v in lat.vertices:
         res = residual_exponents(dec.exponents, v.u)
         expect = tuple(
             tuple(p**e for e in row) for p, row in zip(dec.primes, res)
         )
-        assert lat.residual_moduli[idx] == expect
+        assert tuple(lat.level_moduli[ui][i] for i, ui in enumerate(v.u)) == expect
 
 
 def test_down_edge_needs_positive_level():
     dec, lat = _lat("6")
-    root = lat.vertex_at(lat.root_index)
+    root = lat.root_index
     assert lat.moves[lat.root_index] == ()
     assert [ci for ci, _, _ in lat.moves[lat.vertex_index((1, 0))]] == [0]
     conf = initial_configuration(dec, [[1] * 6], lattice=lat)
-    for vertex, coordinate in ((root, 0), (lat.vertex_at(lat.vertex_index((1, 0))), 1), (root, 2)):
+    for vidx, coordinate in ((root, 0), (lat.vertex_index((1, 0)), 1), (root, 2)):
         with pytest.raises(InputError, match="no down edge"):
-            merge_step(conf, vertex, coordinate)
+            merge_step(conf, vidx, coordinate)
 
 
 def test_vertex_index_maps_divisors():
     dec, lat = _lat("12")
-    assert lat.vertex_at(lat.vertex_index((0, 0))).divisor == 1
-    assert lat.vertex_at(lat.vertex_index((1, 1))).divisor == 6
-    assert lat.vertex_at(lat.vertex_index((2, 1))).divisor == 12
+    assert lat.vertices[lat.vertex_index((0, 0))].divisor == 1
+    assert lat.vertices[lat.vertex_index((1, 1))].divisor == 6
+    assert lat.vertices[lat.vertex_index((2, 1))].divisor == 12
 
 
 def test_vertex_cap_guard(monkeypatch):

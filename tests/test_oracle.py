@@ -584,12 +584,14 @@ def test_pebbling_lower_bound_never_exceeds_the_number():
     assert pebbling_lower_bound(path_graph((2,) * 7)) == 128
 
 
-def test_pebbling_number_past_the_scan_bound_is_input_error():
+def test_pebbling_number_past_the_scan_bound_is_input_error(monkeypatch):
     star = WeightedGraph(4, ((0, 1, 2), (0, 2, 2), (0, 3, 2)))
+    monkeypatch.setattr(oracle, "MAX_PEBBLING_TOTAL", 4)
     with pytest.raises(InputError, match="exceeds the scan bound 4"):
-        pebbling_number(star, max_total=4)
+        pebbling_number(star)
+    monkeypatch.setattr(oracle, "MAX_PEBBLING_TOTAL", 7)
     with pytest.raises(InputError, match="at least 8, above the scan bound 7"):
-        pebbling_number(path_graph((2, 2, 2)), max_total=7)
+        pebbling_number(path_graph((2, 2, 2)))
 
 
 def test_pebbling_scan_bound_counts_the_final_round(monkeypatch):
