@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress, islice, repeat
+from operator import eq, getitem
 
 from .errors import InternalInvariantError
 
@@ -66,12 +67,12 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     if p > 2:
         scale = {lead: tuple(x * pow(lead, -1, p) % p for x in range(p)) for lead in range(2, p)}
         leads = map(next, map(filter, repeat(None), vecs))
-        labels = [v if a == 1 else tuple(map(scale[a].__getitem__, v)) for v, a in zip(vecs, leads)]
+        labels = [v if a == 1 else tuple(map(getitem, repeat(scale[a]), v)) for v, a in zip(vecs, leads)]
     counts = Counter(labels)
     top = max(counts.values())
     if top < p:
         raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
-    best = min(compress(counts, map(top.__eq__, counts.values())))
-    chosen = list(islice(compress(range(1, len(vecs) + 1), map(best.__eq__, labels)), p))
+    best = min(compress(counts, map(eq, counts.values(), repeat(top))))
+    chosen = list(islice(compress(range(1, len(vecs) + 1), map(eq, labels, repeat(best))), p))
     (block,) = _zero_sum_blocks(p, [next(filter(None, vecs[k - 1])) for k in chosen])
     return chosen[block]

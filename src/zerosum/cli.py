@@ -39,6 +39,7 @@ from .groups import (
     encode_sequence,
     parse_group_spec,
     primary_decomposition,
+    residues,
 )
 from .lattice import build_lattice
 from .oracle import (
@@ -234,7 +235,7 @@ def cmd_solve_cyclic(args) -> RunReport:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = _solve_group(str(args.n))
     integers = sequence_argument(args, 1, flat=True)
-    conf, cert = _solve_sequence(dec, [list(map(args.n.__rmod__, integers))])
+    conf, cert = _solve_sequence(dec, [residues(integers, args.n)])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:
         raise InternalInvariantError("gcd form disagrees with the order-cost form")
@@ -516,10 +517,10 @@ def render_json(value: Any, indent: str = "") -> str:
         types = set(map(type, value))
         if types == {int}:
             body = (",\n" + inner).join(["%d"] * len(value)) % tuple(value)
-        elif types <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+        elif types <= {list, tuple} and all(value) and set(map(type, flat := (*chain.from_iterable(value),))) == {int}:
             item = ",\n" + inner + "  "
             fmt = {n: "[" + item[1:] + item.join(["%d"] * n) + "\n" + inner + "]" for n in set(map(len, value))}
-            body = (",\n" + inner).join(map(str.__mod__, map(fmt.__getitem__, map(len, value)), map(tuple, value)))
+            body = (",\n" + inner).join(map(fmt.__getitem__, map(len, value))) % flat
         else:
             body = (",\n" + inner).join([render_json(x, inner) for x in value])
         return "[\n" + inner + body + "\n" + indent + "]"

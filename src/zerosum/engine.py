@@ -16,11 +16,12 @@ import os
 from itertools import repeat
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from operator import getitem
+from operator import floordiv, getitem, lt, mod
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
-from .groups import PrimaryDecomposition, add_elements, element_columns, element_costs, element_order, identity
+from .groups import (PrimaryDecomposition, add_elements, element_columns, element_costs, element_order, identity,
+                     residues)
 from .lattice import LatticeVertex, WeightedLattice, build_lattice, placement_rule
 from .base_cases import _elementary_block, _zero_sum_blocks
 
@@ -120,12 +121,7 @@ def well_placed(
     placement can be checked against it.
     """
     budget, congruences = placement_rule(dec, tuple(u))
-    if cost > budget:
-        return False
-    for j, m in congruences:
-        if val[j] % m:
-            return False
-    return True
+    return cost <= budget and not any(val[j] % m for j, m in congruences)
 
 
 class Configuration:
@@ -186,7 +182,7 @@ class Configuration:
     def context(self) -> str:
         """The group and the count profile as divisor:count pairs, to reproduce an internal error."""
         counts = " ".join(f"{v.divisor}:{c}" for v, c in zip(self.lattice.vertices, self.count_profile()) if c)
-        return f"group {','.join(map(str, self.dec.spec.cyclic_orders))}, count profile {counts}"
+        return f"group {','.join(map(str, self.dec.spec.cyclic_orders))}, count profile {counts or '(none)'}"
 
 
 def _leaves(conf: Configuration, pid: int) -> list[int]:
@@ -237,8 +233,8 @@ def initial_configuration(
                                          f"{lattice.dec.exponent} of the lattice: {conf.context()}")
         pool = conf.pools[index_of[cost]] = list(ids)  # the sort is stable: ids stay ascending
         budget, congruences = lattice.placement[index_of[cost]]
-        rules = [map(m.__rmod__, map(cols[j].__getitem__, pool)) for j, m in congruences]
-        rules.append(map(budget.__lt__, map(costs.__getitem__, pool)))
+        rules = [map(mod, map(cols[j].__getitem__, pool), repeat(m)) for j, m in congruences]
+        rules.append(map(lt, repeat(budget), map(costs.__getitem__, pool)))
         misplaced = min(misplaced, *[next(itertools.compress(pool, rule), misplaced) for rule in rules])
     if misplaced < len(costs):
         raise InternalInvariantError(f"initial pebble {misplaced} is not well placed: {conf.context()}")
@@ -298,9 +294,9 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     reduced = []
     for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
         if m > 1:
-            bad = min(bad, next(itertools.compress(itertools.count(), map(m.__rmod__, col)), need))
-            col = map(m.__rfloordiv__, col)
-        reduced.append(list(map(p.__rmod__, col)))
+            bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m))), need))
+            col = map(floordiv, col, repeat(m))
+        reduced.append(residues(col, p))
     moves = bad // weight
     size = moves * weight
     if dims == 1:  # sums: per column, each move's chunk summed over its block
@@ -316,15 +312,15 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
         sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
     del cols, reduced
     new_costs = sums.pop()
-    new_cols = [list(map(n.__rmod__, col)) for n, col in zip(factors, sums)]
+    new_cols = list(map(residues, sums, factors))
     del sums
 
     child_idx = vidx - lattice.strides[i]
     child_pool = conf.pools.setdefault(child_idx, [])
     budget, congruences = lattice.placement[child_idx]
-    placed = next(itertools.compress(itertools.count(), map(budget.__lt__, new_costs)), moves)
+    placed = next(itertools.compress(itertools.count(), map(lt, repeat(budget), new_costs)), moves)
     for j, m in congruences:
-        placed = min(placed, next(itertools.compress(itertools.count(), map(m.__rmod__, new_cols[j])), moves))
+        placed = min(placed, next(itertools.compress(itertools.count(), map(mod, new_cols[j], repeat(m))), moves))
     log = conf.move_log
     new_id = len(costs)
     if placed:  # tuple.__new__ skips the Python-level __new__ NamedTuple generates
@@ -522,10 +518,9 @@ def verify_certificate(
         if k in seen:
             raise InputError(f"index {k} appears twice")
         seen.add(k)
-    failures = []
     if not indices:
-        failures.append("index set is empty")
-        return Verdict(False, tuple(failures))
+        return Verdict(False, ("index set is empty",))
+    failures = []
     total, cost = _recompute(dec, cols, indices)
     if total != identity(dec):
         failures.append("selected elements do not sum to the identity")

@@ -173,7 +173,8 @@ def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition)
     Columns of another count or of unequal lengths raise InputError, and so
     does the first entry, column by column, that is not an int (subclasses
     other than bool pass). Each `crt` entry is one pass over its source
-    factor's column (none for c = 1), and each invariant factor one `%` pass.
+    factor's column (none for c = 1), and each invariant factor one `residues`
+    pass.
     """
     lengths = list(map(len, columns))
     if len(lengths) != dec.spec.rank or len(set(lengths)) > 1:
@@ -185,9 +186,26 @@ def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition)
     factors = dec.invariant_factors
     acc: list[Iterable[int] | None] = [None] * len(factors)
     for j, f, _, c in dec.crt:
-        term = columns[f] if c == 1 else map(c.__mul__, columns[f])
+        term = columns[f] if c == 1 else map(mul, columns[f], repeat(c))
         acc[j] = term if acc[j] is None else map(add, acc[j], term)
-    return [list(map(mod, col, repeat(n))) if col is not None else [0] * lengths[0] for col, n in zip(acc, factors)]
+    return [residues(col, n) if col is not None else [0] * lengths[0] for col, n in zip(acc, factors)]
+
+
+_BYTE_TABLES: dict[int, bytes] = {}  # m -> the residues mod m of 0..255, built on first use
+
+
+def residues(col: Iterable[int], m: int) -> list[int]:
+    """x % m for every x of `col`, as a new list of exact ints. A list or
+    tuple of ints in 0..255, with m <= 256, is reduced as bytes by one
+    `translate`; `bytes()` refuses any other item, and that, or m > 256,
+    falls back to one `mod` map."""
+    if 0 < m <= 256 and isinstance(col, (list, tuple)):
+        table = _BYTE_TABLES.get(m) or _BYTE_TABLES.setdefault(m, bytes([x % m for x in range(256)]))
+        try:
+            return list(bytes(col).translate(table))
+        except (TypeError, ValueError):
+            pass
+    return list(map(mod, col, repeat(m)))
 
 
 def add_elements(
@@ -225,7 +243,7 @@ def element_costs(dec: PrimaryDecomposition, cols: Sequence[Sequence[int]]) -> l
     of N is N // gcd(d_j), so N // ord(g) = gcd(N, (N/n_1)*g_1, ..., (N/n_r)*g_r);
     only columns with n < N are scaled."""
     big_n = dec.exponent
-    scaled = [col if n == big_n else map((big_n // n).__mul__, col) for col, n in zip(cols, dec.invariant_factors)]
+    scaled = [col if n == big_n else map(mul, col, repeat(big_n // n)) for col, n in zip(cols, dec.invariant_factors)]
     return list(map(math.gcd, repeat(big_n), *scaled))
 
 

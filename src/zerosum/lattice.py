@@ -56,10 +56,7 @@ class WeightedLattice(NamedTuple):
         return 0
 
     def vertex_index(self, u: tuple[int, ...]) -> int:
-        idx = 0
-        for ui, stride in zip(u, self.strides):
-            idx += ui * stride
-        return idx
+        return sum(ui * stride for ui, stride in zip(u, self.strides))
 
 
 def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
@@ -82,15 +79,10 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
 
     # Row i at level l, for every l up to the tallest height: one validated call per level.
     levels = tuple(_residual_moduli(dec, [min(l, h) for h in heights]) for l in range(max(heights, default=0) + 1))
-    moves = []
-    placement = []
+    moves, placement = [], []
     for idx, v in enumerate(vertices):
-        out = []
-        for i, ui in enumerate(v.u):
-            if ui >= 1:
-                out.append((i, level_weights[i][ui - 1], idx - strides[i]))
-        out.sort(key=lambda mv: (mv[1], mv[0]))
-        moves.append(tuple(out))
+        out = [(i, level_weights[i][ui - 1], idx - strides[i]) for i, ui in enumerate(v.u) if ui >= 1]
+        moves.append(tuple(sorted(out, key=lambda mv: (mv[1], mv[0]))))
         placement.append(_placement(dec, v.divisor, tuple([levels[ui][i] for i, ui in enumerate(v.u)])))
     scan_order = tuple(sorted(range(count), key=lambda idx: (-sum(vertices[idx].u), vertices[idx].u)))
 

@@ -94,12 +94,9 @@ def weighted_boolean_cube(weights: tuple[int, ...] | list[int]) -> WeightedGraph
     if not weights:
         raise InputError("cube needs at least one weight")
     n = len(weights)
-    edges = []
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask & (1 << i):
-                edges.append((mask, mask | (1 << i), weights[i]))
-    return WeightedGraph(1 << n, tuple(edges), name="cube:" + ",".join(map(str, weights)))
+    edges = tuple((mask, mask | 1 << i, w) for mask in range(1 << n)
+                  for i, w in enumerate(weights) if not mask >> i & 1)
+    return WeightedGraph(1 << n, edges, name="cube:" + ",".join(map(str, weights)))
 
 
 def path_graph(weights: tuple[int, ...] | list[int]) -> WeightedGraph:
@@ -114,11 +111,8 @@ def path_graph(weights: tuple[int, ...] | list[int]) -> WeightedGraph:
 def lattice_graph(dec: PrimaryDecomposition) -> WeightedGraph:
     """The divisor lattice as a plain weighted graph, vertex 0 the root."""
     lattice = build_lattice(dec)
-    edges = []
-    for vidx in range(lattice.num_vertices):
-        for _, w, child_idx in lattice.moves[vidx]:
-            edges.append((vidx, child_idx, w))
-    return WeightedGraph(lattice.num_vertices, tuple(edges), name=f"lattice:{dec.exponent}")
+    edges = tuple((vidx, child_idx, w) for vidx, out in enumerate(lattice.moves) for _, w, child_idx in out)
+    return WeightedGraph(lattice.num_vertices, edges, name=f"lattice:{dec.exponent}")
 
 
 def solvable(graph: WeightedGraph, dist: PebbleDistribution, target: int) -> bool:
@@ -227,19 +221,13 @@ def pebbling_number(graph: WeightedGraph) -> PebblingResult:
             f"pebbling scan would visit at least {final_round} distributions of {lower} pebbles "
             f"on {graph.num_vertices} vertices, above the bound {MAX_PEBBLING_DISTRIBUTIONS}"
         )
-    adj, memos = _adjacency(graph), [{} for _ in range(graph.num_vertices)]
-    witness: tuple[PebbleDistribution, int] = ((0,) * graph.num_vertices, 0)
+    n, adj = graph.num_vertices, _adjacency(graph)
+    memos = [{} for _ in range(n)]
+    witness: tuple[PebbleDistribution, int] = ((0,) * n, 0)
     for k in range(1, MAX_PEBBLING_TOTAL + 1):
-        bad = None
-        for dist in _compositions(k, graph.num_vertices):
-            for target in range(graph.num_vertices):
-                if dist[target] >= 1:
-                    continue
-                if not _solvable_search(dist, adj, target, memos[target], [MAX_SOLVABLE_STATES]):
-                    bad = (dist, target)
-                    break
-            if bad is not None:
-                break
+        # The first (distribution, target) pair, in scan order, that no move sequence solves.
+        bad = next(((dist, t) for dist in _compositions(k, n) for t in range(n)
+                    if not dist[t] and not _solvable_search(dist, adj, t, memos[t], [MAX_SOLVABLE_STATES])), None)
         if bad is None:
             return PebblingResult(k, witness[0], witness[1])
         witness = bad

@@ -23,7 +23,7 @@ from zerosum import (
     primary_decomposition,
     to_primary_coordinates,
 )
-from zerosum.groups import MAX_GROUP_ORDER, element_columns, element_costs, encode_sequence
+from zerosum.groups import MAX_GROUP_ORDER, element_columns, element_costs, encode_sequence, residues
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
 
@@ -278,3 +278,42 @@ def test_encode_sequence_accepts_int_subclasses():
 
     dec = _dec("4,6")
     assert encode_sequence([[Residue(3), 7], [5, Residue(-1)]], dec) == encode_sequence([[3, 7], [5, -1]], dec)
+
+
+RESIDUE_COLUMNS = [
+    [],
+    [0, 255],
+    [0, 255, 256],
+    [-1, 0, 1],
+    [2**70, 3],
+    [1] * 1000 + [300],  # bytes() refuses only the last item
+    (7, 255, 0),
+    [True, 5],
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 257])
+@pytest.mark.parametrize("col", RESIDUE_COLUMNS)
+def test_residues_match_the_mod_of_every_item(col, m):
+    # The byte path (items in 0..255, m <= 256) and the mod fallback give
+    # the same new list of exact ints.
+    got = residues(col, m)
+    assert got == [x % m for x in col]
+    assert type(got) is list and got is not col
+    assert all(type(x) is int for x in got)
+    assert residues(iter(col), m) == got
+
+
+@pytest.mark.parametrize("text, cols", [("2,2,2", [[0, 1, 1], [1, 0, 1], [1, 1, 0]]), ("256", [[0, 255, 7]]),
+                                        ("257", [[0, 255, 256]])])
+def test_encode_sequence_returns_fresh_lists_of_exact_ints(text, cols):
+    # Each invariant factor here is one user factor with c = 1, so its column
+    # is the caller's column reduced in one `residues` pass.
+    dec = _dec(text)
+    out = encode_sequence(cols, dec)
+    assert out == [[x % n for x in col] for col, n in zip(cols, dec.invariant_factors)]
+    for got, col in zip(out, cols):
+        assert type(got) is list and got is not col
+        assert all(type(x) is int for x in got)
+    out[0][0] += 1
+    assert cols[0][0] == 0
