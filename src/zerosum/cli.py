@@ -238,10 +238,10 @@ def cmd_solve_cyclic(args) -> RunReport:
     conf, cert = _solve_sequence(dec, [residues(integers, args.n)])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:
-        raise InternalInvariantError("gcd form disagrees with the order-cost form")
+        raise InternalInvariantError(f"gcd form disagrees with the order-cost form: {conf.context()}")
     residue_sum = sum(integers[k - 1] for k in cert.indices) % args.n
     if residue_sum:
-        raise InternalInvariantError("certificate indices do not sum to 0 mod n")
+        raise InternalInvariantError(f"certificate indices do not sum to 0 mod n: {conf.context()}")
     results = {
         "n": args.n,
         "indices": list(cert.indices),
@@ -329,7 +329,8 @@ def cmd_pebbling_number(args) -> RunReport:
     graph = parse_graph_argument(args.graph)
     result = pebbling_number(graph)
     if solvable(graph, result.witness, result.witness_target):
-        raise InternalInvariantError("pebbling witness is solvable; scan is broken")
+        raise InternalInvariantError(f"pebbling witness is solvable; scan is broken: graph {graph.name}, "
+                                     f"witness {list(result.witness)}, target {result.witness_target}")
     return RunReport(
         inputs={"graph": args.graph},
         results={

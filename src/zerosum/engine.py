@@ -16,7 +16,7 @@ import os
 from itertools import repeat
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from operator import floordiv, getitem, lt, mod
+from operator import attrgetter, floordiv, getitem, lt, mod
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
@@ -56,27 +56,27 @@ class _Run(NamedTuple):
 class MoveLog:
     """The move log: one `_Run` per merge_step run, read by `len` and by
     iteration as `MoveRecord`s built on request. Move k made pebble base + k
-    (base is |G| + 1), so a run's moves end where the next run's begin, and
-    `moves` ends the last; `firsts` holds each run's first id, for bisection."""
+    (base is |G| + 1); a run is logged whole, so it made len(run.blocks)
+    pebbles from run.first on, and `moves` counts them all."""
 
     def __init__(self, base: int):
-        self.base, self.runs, self.firsts, self.moves = base, [], [], 0
+        self.base, self.runs, self.moves = base, [], 0
 
     def __len__(self) -> int:
         return self.moves
 
     def __iter__(self):
         """A run at a time: its moves' chunks, selections and ids in C-level maps."""
-        for run, end in zip(self.runs, [*self.firsts[1:], self.base + self.moves]):
-            n, w = end - run.first, run.weight
-            chunks = list(zip(*[iter(run.run[: n * w])] * w))
-            kept = map(getitem, chunks, run.blocks) if run.step else map(run.kept.__getitem__, run.blocks[:n])
-            fields = zip(repeat(run.divisor), repeat(run.prime), repeat(w), chunks, kept, range(run.first, end))
+        for run in self.runs:
+            chunks = list(zip(*[iter(run.run)] * run.weight))
+            kept = map(getitem, chunks, run.blocks) if run.step else map(run.kept.__getitem__, run.blocks)
+            ids = range(run.first, run.first + len(run.blocks))
+            fields = zip(repeat(run.divisor), repeat(run.prime), repeat(run.weight), chunks, kept, ids)
             yield from map(tuple.__new__, repeat(MoveRecord), fields)
 
     def selected(self, q: int) -> tuple[int, ...]:
         """The ids kept by the move that made merged pebble q."""
-        run = self.runs[bisect_right(self.firsts, q) - 1]
+        run = self.runs[bisect_right(self.runs, q, key=attrgetter("first")) - 1]
         block, s = run.blocks[q - run.first], (q - run.first) * run.step
         return tuple(run.kept[s + block.start : s + block.stop])
 
@@ -132,29 +132,23 @@ class Configuration:
     of `sequence`, the caller's columns, itself) and `costs[k]` its order
     cost; slot 0 is unused, and so are the `cols` slots of a merged pebble
     once a move consumes it. `value(k)` reads pebble k's value as a tuple.
-    `pools` maps a vertex index to the ids on it, ascending. The move log is
+    `pools[vidx]` lists the ids on vertex index vidx, ascending. The move log is
     the merge tree: pebble |G| + 1 + k is made by move k, and its parts are
     that move's selected ids (see `Pebble.members`). Mutated only through
-    merge moves; not meant to be shared across sessions. With debug enabled
-    (flag or ZEROSUM_DEBUG=1) every move recomputes the new pebble's value
-    and cost from `sequence` at its member indices and re-checks
-    disjointness.
+    merge moves; not meant to be shared across sessions. With debug on
+    (ZEROSUM_DEBUG=1, or `debug` set true) every run recomputes each new
+    pebble's value and cost from `sequence` at its member indices and
+    re-checks disjointness.
     """
 
-    def __init__(
-        self,
-        dec: PrimaryDecomposition,
-        lattice: WeightedLattice,
-        cols: Sequence[Sequence[int]],
-        debug: bool | None = None,
-    ):
+    def __init__(self, dec: PrimaryDecomposition, lattice: WeightedLattice, cols: Sequence[Sequence[int]]):
         self.dec = dec
         self.lattice = lattice
         self.sequence = cols
-        self.debug = debug if debug is not None else os.environ.get("ZEROSUM_DEBUG") == "1"
+        self.debug = os.environ.get("ZEROSUM_DEBUG") == "1"
         self.cols: list[list[int | None]] = [[None, *col] for col in cols]
         self.costs: list[int] = [0, *element_costs(dec, cols)]
-        self.pools: dict[int, list[int]] = {}
+        self.pools: list[list[int]] = [[] for _ in lattice.vertices]
         self.move_log = MoveLog(len(self.costs))
         self.fallback_fired = False
 
@@ -166,17 +160,14 @@ class Configuration:
         return Pebble(pid, self.value(pid), self.costs[pid], vertex, self)
 
     def live_pebbles(self) -> list[Pebble]:
-        return sorted(self._pebble(pid, vidx) for vidx, pool in self.pools.items() for pid in pool)
+        return sorted(self._pebble(pid, vidx) for vidx, pool in enumerate(self.pools) for pid in pool)
 
     def count_profile(self) -> tuple[int, ...]:
-        counts = [0] * self.lattice.num_vertices
-        for idx, pool in self.pools.items():
-            counts[idx] = len(pool)
-        return tuple(counts)
+        return tuple(map(len, self.pools))
 
     def root_pebble(self) -> Pebble | None:
         root = self.lattice.root_index
-        pool = self.pools.get(root)
+        pool = self.pools[root]
         return self._pebble(pool[0], root) if pool else None
 
     def context(self) -> str:
@@ -206,7 +197,6 @@ def initial_configuration(
     dec: PrimaryDecomposition,
     cols: Sequence[Sequence[int]],
     lattice: WeightedLattice | None = None,
-    debug: bool | None = None,
 ) -> Configuration:
     """One singleton pebble per element of the sequence `cols` (one column
     per invariant factor) on the vertex of its order.
@@ -223,7 +213,7 @@ def initial_configuration(
         raise InputError(f"need exactly {dec.group_order} elements for this group, got {len(cols[0])}")
     if lattice is None:
         lattice = build_lattice(dec)
-    conf = Configuration(dec, lattice, cols, debug=debug)
+    conf = Configuration(dec, lattice, cols)
     cols, costs, exponent = conf.cols, conf.costs, dec.exponent
     index_of = {exponent // v.divisor: idx for idx, v in enumerate(lattice.vertices)}
     misplaced = len(costs)  # past every id: none found yet
@@ -250,13 +240,14 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     coordinate j, for j below the edge's dual length, divided by the residual
     modulus of component (i, j) at the vertex (exact by well-placedness), mod p.
     The run is worked a column at a time, each read as one slice when its ids
-    are consecutive; a misplaced pebble stops it at its move. In dimension 1
-    one base-case pass gives each move a block of consecutive pebbles, whose
-    column sums value the merge; otherwise each move runs the base case on
-    its vectors. The moves before the first merge that breaks the child's
-    placement rule are placed at once (one at a time, each debug-checked,
-    with debug on) with one `+=` per column and logged as one run record,
-    and the column slots of the merged pebbles they consume are freed.
+    are consecutive. In dimension 1 one base-case pass gives each move a block
+    of consecutive pebbles, whose column sums value the merge; otherwise each
+    move runs the base case on its vectors. A run is whole or nothing: a
+    misplaced pebble, a base-case error or a merge that breaks the child's
+    placement rule raises, with the group and count profile, before anything
+    changes. Otherwise the moves are placed with one `+=` per column and
+    logged as one run record, the column slots of the merged pebbles they
+    consume are freed, and with debug on each new pebble is then rechecked.
     """
     lattice = conf.lattice
     if not 0 <= vidx < lattice.num_vertices:
@@ -268,7 +259,7 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
-    pool = conf.pools.get(vidx, [])
+    pool = conf.pools[vidx]
     dec = conf.dec
     p = dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
@@ -286,83 +277,73 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     else:
         run = tuple(pool[:need])
         cols = [list(map(col.__getitem__, run)) for col in (*conf.cols, costs)]
+
+    try:
+        bad = need  # position in the run of the first misplaced pebble
+        reduced = []
+        for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
+            if m > 1:
+                bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m))), need))
+                col = map(floordiv, col, repeat(m))
+            reduced.append(residues(col, p))
+        if bad < need:
+            raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}")
+        if dims == 1:  # sums: per column, each move's chunk summed over its block
+            blocks = _zero_sum_blocks(p, reduced[0])
+            kept, step = run, weight
+            sums = [list(map(sum, map(getitem, zip(*[iter(col)] * p), blocks))) for col in cols]
+        else:
+            vecs = list(zip(*reduced))
+            picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, need, weight)]
+            kept, step = tuple(run[k] for q in picks for k in q), 0
+            ends = list(itertools.accumulate(map(len, picks)))
+            blocks = list(map(slice, [0, *ends], ends))
+            sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
+        del cols, reduced
+        new_costs = sums.pop()
+        new_cols = list(map(residues, sums, factors))
+        del sums
+
+        child_idx = vidx - lattice.strides[i]
+        budget, congruences = lattice.placement[child_idx]
+        rules = [map(lt, repeat(budget), new_costs), *[map(mod, new_cols[j], repeat(m)) for j, m in congruences]]
+        misplaced = min(next(itertools.compress(itertools.count(), rule), count) for rule in rules)
+        new_id = len(costs)
+        if misplaced < count:
+            child = lattice.vertices[child_idx].divisor
+            raise InternalInvariantError(f"merged pebble {new_id + misplaced} is not well placed at vertex {child}")
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(f"{exc}: {conf.context()}") from None
+
     del pool[:need]
-    if not pool:
-        del conf.pools[vidx]
-
-    bad = need  # position in the run of the first misplaced pebble
-    reduced = []
-    for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
-        if m > 1:
-            bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m))), need))
-            col = map(floordiv, col, repeat(m))
-        reduced.append(residues(col, p))
-    moves = bad // weight
-    size = moves * weight
-    if dims == 1:  # sums: per column, each move's chunk summed over its block
-        blocks = _zero_sum_blocks(p, reduced[0][:size])
-        kept, step = run, weight
-        sums = [list(map(sum, map(getitem, zip(*[iter(col)] * p), blocks))) for col in cols]
-    else:
-        vecs = list(zip(*reduced))
-        picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, size, weight)]
-        kept, step = tuple(run[k] for q in picks for k in q), 0
-        ends = list(itertools.accumulate(map(len, picks)))
-        blocks = list(map(slice, [0, *ends], ends))
-        sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
-    del cols, reduced
-    new_costs = sums.pop()
-    new_cols = list(map(residues, sums, factors))
-    del sums
-
-    child_idx = vidx - lattice.strides[i]
-    child_pool = conf.pools.setdefault(child_idx, [])
-    budget, congruences = lattice.placement[child_idx]
-    placed = next(itertools.compress(itertools.count(), map(lt, repeat(budget), new_costs)), moves)
-    for j, m in congruences:
-        placed = min(placed, next(itertools.compress(itertools.count(), map(mod, new_cols[j], repeat(m))), moves))
-    log = conf.move_log
-    new_id = len(costs)
-    if placed:  # tuple.__new__ skips the Python-level __new__ NamedTuple generates
-        log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
-        log.firsts.append(new_id)
-    merged = bisect_left(run, log.base)  # run positions from here on hold merged pebbles
-    batch = 1 if conf.debug else max(placed, 1)
-    for lo in range(0, placed, batch):
-        hi = lo + batch
-        for col, new in zip(conf.cols, new_cols):
-            col += new[lo:hi]
-        costs += new_costs[lo:hi]
-        child_pool += range(new_id + lo, new_id + hi)
-        log.moves += hi - lo
-        gone = run[max(merged, lo * weight) : hi * weight]  # consumed merged pebbles: never read again
-        for col in conf.cols:
-            if type(gone) is range:
-                col[gone.start : gone.stop] = [None] * len(gone)
-            else:
-                for q in gone:
-                    col[q] = None
-        if conf.debug:
-            _debug_check(conf, new_id + lo)
-    if placed < moves:
-        child = lattice.vertices[child_idx]
-        raise InternalInvariantError(
-            f"merged pebble {new_id + placed} is not well placed at vertex {child.divisor}: {conf.context()}"
-        )
-    if bad < need:
-        raise InternalInvariantError(
-            f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}: {conf.context()}"
-        )
+    log = conf.move_log  # a _Run made by tuple.__new__ skips the Python-level __new__ NamedTuple generates
+    log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
+    log.moves += count
+    for col, new in zip(conf.cols, new_cols):
+        col += new
+    costs += new_costs
+    conf.pools[child_idx] += range(new_id, new_id + count)
+    gone = run[bisect_left(run, log.base) :]  # consumed merged pebbles: never read again
+    for col in conf.cols:
+        if type(gone) is range:
+            col[gone.start : gone.stop] = [None] * len(gone)
+        else:
+            for q in gone:
+                col[q] = None
+    if conf.debug:
+        _debug_check(conf, range(new_id, new_id + count))
     return conf
 
 
-def _debug_check(conf: Configuration, pid: int) -> None:
-    """Recompute pebble `pid` from its members and rescan pairwise disjointness."""
-    val, cost = _recompute(conf.dec, conf.sequence, sorted(set(_leaves(conf, pid))))
-    if val != conf.value(pid) or cost != conf.costs[pid]:
-        raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members: {conf.context()}")
+def _debug_check(conf: Configuration, pids: Sequence[int]) -> None:
+    """Recompute each pebble of `pids` from its members, in order, then scan
+    the pools once for pairwise disjointness."""
+    for pid in pids:
+        val, cost = _recompute(conf.dec, conf.sequence, sorted(set(_leaves(conf, pid))))
+        if val != conf.value(pid) or cost != conf.costs[pid]:
+            raise InternalInvariantError(f"cached value of pebble {pid} disagrees with its members: {conf.context()}")
     seen: set[int] = set()
-    for pool in conf.pools.values():
+    for pool in conf.pools:
         for other in pool:
             members = frozenset(_leaves(conf, other))
             if members & seen:

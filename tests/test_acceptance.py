@@ -298,7 +298,8 @@ def test_criterion_09_structural_properties(capsys):
             lattice = build_lattice(dec)
             for seq in _all_length4_sequences(sizes):
                 els = encode_sequence(list(zip(*seq)), dec)
-                conf = initial_configuration(dec, els, lattice=lattice, debug=True)
+                conf = initial_configuration(dec, els, lattice=lattice)
+                conf.debug = True
                 root = solve_to_root(conf)
                 assert well_placed(root.val, root.ord_cost, root.vertex.u, dec)
         for group_text in STRESS_GROUPS:
@@ -309,7 +310,8 @@ def test_criterion_09_structural_properties(capsys):
             for _ in range(25):
                 rows = [[trial_rng.below(nf) for nf in spec.cyclic_orders] for _ in range(dec.group_order)]
                 els = encode_sequence(list(zip(*rows)), dec)
-                conf = initial_configuration(dec, els, lattice=lattice, debug=True)
+                conf = initial_configuration(dec, els, lattice=lattice)
+                conf.debug = True
                 root = solve_to_root(conf)
                 assert well_placed(root.val, root.ord_cost, root.vertex.u, dec)
                 for peb in conf.live_pebbles():

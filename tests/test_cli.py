@@ -479,6 +479,33 @@ def test_a_solve_rechecks_its_certificate_once(monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_solve_cyclic_cross_check_reports_the_configuration(monkeypatch, capsys):
+    # A certificate whose order cost disagrees with the gcd form is a solver
+    # bug: exit 3, with the group and count profile of the finished solve.
+    extract = cli.extract_certificate
+
+    def off_by_one(*args):
+        cert = extract(*args)
+        return cert._replace(ord_cost=cert.ord_cost + 1)
+
+    monkeypatch.setattr(cli, "extract_certificate", off_by_one)
+    assert main(["solve-cyclic", "--n", "8", "--seq", "4,4,4,4,4,4,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant violation: gcd form disagrees with the order-cost form: group 8, count profile 1:1 2:5\n"
+    )
+
+
+def test_pebbling_witness_check_names_the_graph_witness_and_target(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solvable", lambda *args: True)
+    assert main(["pebbling-number", "--graph", "path:2,3"]) == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violation: pebbling witness is solvable; scan is broken: "
+        "graph path:2,3, witness [5, 0, 0], target 2\n"
+    )
+
+
 def test_exit_code_input_errors(capsys):
     assert main(["solve", "--group", "x", "--seq", "1"]) == 2
     capsys.readouterr()

@@ -65,10 +65,16 @@ def _cost(dec, g):
     return dec.exponent // element_order(dec, g)
 
 
-def _solve(text, raws, debug=None):
+def _debugged(conf, debug=True):
+    """`conf` with the debug recheck set to `debug`."""
+    conf.debug = debug
+    return conf
+
+
+def _solve(text, raws):
     dec = _dec(text)
     els = _elements(dec, raws)
-    conf = initial_configuration(dec, els, debug=debug)
+    conf = initial_configuration(dec, els)
     root = solve_to_root(conf)
     cert = extract_certificate(root, dec, els)
     return dec, els, conf, cert
@@ -486,7 +492,7 @@ def test_random_sequences_solve_and_verify(text, data):
         data.draw(st.integers(0, dec.group_order - 1)) for _ in range(dec.group_order)
     ]
     els = _columns(dec, [element_from_index(dec, i) for i in raws])
-    conf = initial_configuration(dec, els, debug=True)
+    conf = _debugged(initial_configuration(dec, els))
     root = solve_to_root(conf)
     cert = extract_certificate(root, dec, els)
     verdict = verify_certificate(dec, els, cert.indices)
@@ -562,7 +568,7 @@ def test_debug_mode_catches_tampered_cached_value():
     els = _elements(dec, [1, 1, 1, 1])
     three = to_primary_coordinates((3,), dec)
     for debug in (False, True):
-        conf = initial_configuration(dec, els, debug=debug)
+        conf = _debugged(initial_configuration(dec, els), debug)
         top = conf.lattice.vertex_index((2,))
         assert conf.pools[top][0] == 1
         conf.cols[0][1] = three[0]
@@ -633,7 +639,7 @@ def test_batched_runs_match_single_moves(text, make):
     else:
         dec = _dec(text)
         els = [col[: dec.group_order] for col in make(dec)]
-    batched = initial_configuration(dec, els, debug=dec.group_order <= 72)
+    batched = _debugged(initial_configuration(dec, els), dec.group_order <= 72)
     root = solve_to_root(batched)
     single = initial_configuration(dec, els)
     profile = single.count_profile()
@@ -657,7 +663,7 @@ def _z8_order_two_run(tamper_pid, value, debug):
     # Eight pebbles of value 4 sit on divisor 2, where coordinates must be
     # 0 mod 4; one run makes all four weight-2 moves there.
     dec = _dec("8")
-    conf = initial_configuration(dec, _elements(dec, [4] * 8), debug=debug)
+    conf = _debugged(initial_configuration(dec, _elements(dec, [4] * 8)), debug)
     vidx = conf.lattice.vertex_index((1,))
     assert tamper_pid in conf.pools[vidx]
     conf.cols[0][tamper_pid] = value
@@ -666,26 +672,28 @@ def _z8_order_two_run(tamper_pid, value, debug):
 
 def test_batched_run_refuses_misplaced_pebble_at_its_move():
     conf, vidx = _z8_order_two_run(3, 2, debug=False)
+    before = _state(conf)
     with pytest.raises(InternalInvariantError, match="pebble 3 is not well placed at vertex 2"):
         merge_step(conf, vidx, 0, 4)
-    # The first move went through; the second, which consumes pebble 3, stops the run.
-    assert [m.consumed for m in conf.move_log] == [(1, 2)]
+    # The second move consumes pebble 3, so the run makes none of its moves.
+    assert _state(conf) == before and list(conf.move_log) == []
 
 
 def test_batched_run_stops_at_the_first_misplaced_pebble_in_any_coordinate():
     # Z_4 + Z_4: pebbles 1-12 have order 2 and sit on divisor 2, where both
     # coordinates must be even; a run of two weight-4 moves there consumes
     # pebbles 1-8. Pebble 5 is odd in coordinate 1, pebble 6 in coordinate 0:
-    # the run stops at pebble 5, after the first move.
+    # the error names pebble 5, and the run makes no move.
     dec = _dec("4,4")
     raws = [(2, 0)] * 4 + [(0, 2)] * 4 + [(2, 2)] * 4 + [(1, 0)] * 4
     conf = initial_configuration(dec, _elements(dec, raws))
     vidx = conf.lattice.vertex_index((1,))
     assert conf.pools[vidx] == list(range(1, 13))
     (conf.cols[0][5], conf.cols[1][5]), (conf.cols[0][6], conf.cols[1][6]) = (0, 1), (1, 2)
+    before = _state(conf)
     with pytest.raises(InternalInvariantError, match="pebble 5 is not well placed at vertex 2"):
         merge_step(conf, vidx, 0, 2)
-    assert [m.consumed for m in conf.move_log] == [(1, 2, 3, 4)]
+    assert _state(conf) == before and conf.pools[vidx] == list(range(1, 13))
 
 
 def test_batched_run_debug_catches_tampered_value_at_its_move():
@@ -697,7 +705,8 @@ def test_batched_run_debug_catches_tampered_value_at_its_move():
     conf, vidx = _z8_order_two_run(3, 0, debug=True)
     with pytest.raises(InternalInvariantError, match="cached value of pebble 10"):
         merge_step(conf, vidx, 0, 4)
-    assert [m.new_id for m in conf.move_log] == [9, 10]
+    # The recheck follows the whole run's placement and reads its ids in order.
+    assert [m.new_id for m in conf.move_log] == [9, 10, 11, 12]
 
 
 def _z8_two_runs(raws):
@@ -801,7 +810,7 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
         raise InputError(f"vertex {vertex.divisor} has no down edge in coordinate {i}")
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
-    pool = conf.pools.get(vidx, [])
+    pool = conf.pools[vidx]
     dec = conf.dec
     p = dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
@@ -814,8 +823,6 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
         )
     run = tuple(pool[:need])
     del pool[:need]
-    if not pool:
-        del conf.pools[vidx]
 
     costs = conf.costs
     rows = list(map(conf.value, run))
@@ -835,7 +842,7 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
         reduced, block = list(zip(*columns)), _elementary_block
 
     child_idx = vidx - lattice.strides[i]
-    child_pool = conf.pools.setdefault(child_idx, [])
+    child_pool = conf.pools[child_idx]
     budget, congruences = lattice.placement[child_idx]
     factors = dec.invariant_factors
     child_moduli = [1] * len(factors)  # the child's congruence on each coordinate
@@ -859,14 +866,13 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
         child_pool.append(new_id)
         # The move as a run of one: it consumed its chunk and kept all of `selected`.
         log.runs.append(_Run(divisor, p, weight, consumed, new_id, selected, 0, [slice(0, len(selected))]))
-        log.firsts.append(new_id)
         log.moves += 1
         for q in consumed:
             if q >= log.base:
                 for col in conf.cols:
                     col[q] = None
         if conf.debug:
-            _debug_check(conf, new_id)
+            _debug_check(conf, [new_id])
         new_id += 1
     if bad < need:
         raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {divisor}: {conf.context()}")
@@ -876,28 +882,46 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
 def _copy(conf):
     twin = copy.copy(conf)
     twin.cols, twin.costs, twin.move_log = list(map(list, conf.cols)), list(conf.costs), copy.copy(conf.move_log)
-    twin.move_log.runs, twin.move_log.firsts = list(conf.move_log.runs), list(conf.move_log.firsts)
-    twin.pools = {vidx: list(pool) for vidx, pool in conf.pools.items()}
+    twin.move_log.runs = list(conf.move_log.runs)
+    twin.pools = list(map(list, conf.pools))
     return twin
+
+
+def _state(conf):
+    """Columns, costs, pools and move log of conf, as plain lists."""
+    tables = list(map(list, conf.cols)), list(conf.costs), list(map(list, conf.pools))
+    return *tables, conf.move_log.runs[:], len(conf.move_log)
 
 
 def _run_both(conf, vidx, ci, count, tamper=None):
     """merge_step and the per-move loop on copies of conf, after `tamper`
-    (applied to each copy); asserts the same state and returns the message
-    of the error both raised, or None."""
+    (applied to each copy), and the message of merge_step's error, or None.
+    On success both reach the same state. On failure both errors have the
+    same clause (the text before ": group"), and merge_step's message ends
+    with its copy's context. That copy is as it was before the call, but for
+    a debug recheck, which follows the run's placement."""
     outcomes = []
     for step in (merge_step, _merge_step_per_move):
         twin = _copy(conf)
         if tamper is not None:
             tamper(twin)
+        before = _state(twin)
         try:
             step(twin, vidx, ci, count)
             message = None
         except InternalInvariantError as exc:
             message = str(exc)
-        outcomes.append((twin, message))
-    (new, message), (old, old_message) = outcomes
-    assert message == old_message
+        outcomes.append((twin, before, message))
+    (new, before, message), (old, _, old_message) = outcomes
+    if message is not None:
+        assert message.partition(": group")[0] == old_message.partition(": group")[0]
+        assert message.endswith(new.context())
+        if message.startswith(("cached value", "live pebbles")):
+            assert len(new.move_log) == before[4] + count
+        else:
+            assert _state(new) == before
+        return message
+    assert old_message is None
     # Both logs start with conf's own runs; the moves after them are compared
     # one record at a time.
     runs, start = conf.move_log.runs, len(conf.move_log)
@@ -926,7 +950,7 @@ def _plan_steps(text, seed):
         els = [[rng.choice(units) for _ in range(dec.group_order)]]
     else:
         dec, els = _seeded_nonzero(text, seed)
-    conf = initial_configuration(dec, els, debug=dec.group_order <= 32)
+    conf = _debugged(initial_configuration(dec, els), dec.group_order <= 32)
     profile = conf.count_profile()
     plan = _greedy_plan(conf.lattice, profile) or _eliminate_plan(conf.lattice, profile)
     for vidx, ci, k in plan:
@@ -948,7 +972,7 @@ def test_whole_run_merges_match_the_per_move_loop(text):
     for seed in (0, 1, 2):
         for conf, _, _, _ in _plan_steps(text, seed):
             lattice = conf.lattice
-            for vidx, pool in conf.pools.items():
+            for vidx, pool in enumerate(conf.pools):
                 u = lattice.vertices[vidx].u
                 for ci in range(len(u)):
                     if u[ci] >= 1 and len(pool) >= (weight := lattice.level_weights[ci][u[ci] - 1]):
@@ -1035,46 +1059,76 @@ def test_move_log_view_matches_the_per_move_reference(text, seed):
 
 
 def test_leaves_at_the_first_and_last_id_of_each_run():
-    conf, expected = _with_reference("2310", 0)
-    parts = {m.new_id: m.selected for m in expected}
+    # A run is logged whole: it made one pebble per block from run.first on,
+    # consumed weight ids per block, and the next run starts where it ends.
+    for text, seed in (("2310", 0), ("4,2,2", 1)):
+        conf, expected = _with_reference(text, seed)
+        parts = {m.new_id: m.selected for m in expected}
 
-    def leaves(q):
-        return [x for s in parts[q] for x in leaves(s)] if q in parts else [q]
+        def leaves(q):
+            return [x for s in parts[q] for x in leaves(s)] if q in parts else [q]
 
-    log = conf.move_log
-    ends = log.firsts[1:] + [log.base + len(log)]
-    assert any(end - run.first >= 2 for run, end in zip(log.runs, ends))
-    for run, end in zip(log.runs, ends):
-        for q in (run.first, end - 1):
-            assert sorted(_leaves(conf, q)) == sorted(leaves(q))
+        log = conf.move_log
+        ends = [run.first + len(run.blocks) for run in log.runs]
+        assert [run.first for run in log.runs] == [log.base, *ends[:-1]]
+        assert ends[-1] == log.base + len(log) == log.base + sum(len(run.blocks) for run in log.runs)
+        assert all(len(run.run) == len(run.blocks) * run.weight for run in log.runs)
+        assert any(end - run.first >= 2 for run, end in zip(log.runs, ends))
+        for run, end in zip(log.runs, ends):
+            for q in (run.first, end - 1):
+                assert sorted(_leaves(conf, q)) == sorted(leaves(q))
 
 
 def _z8_stopped_run(tamper):
     # Pebbles 1-6 (value 4) sit on divisor 2 and 7-8 (value 2) on divisor 4;
-    # a run of three weight-2 moves at divisor 2 after `tamper`.
+    # a run of three weight-2 moves at divisor 2 after `tamper`, which fails
+    # and leaves the configuration as it found it.
     dec = _dec("8")
     conf = initial_configuration(dec, _elements(dec, [4] * 6 + [2] * 2))
     tamper(conf)
+    before = _state(conf)
     with pytest.raises(InternalInvariantError) as exc:
         merge_step(conf, conf.lattice.vertex_index((1,)), 0, 3)
+    assert _state(conf) == before
     return conf, str(exc.value)
 
 
 def test_misplaced_pebble_error_names_the_group_and_count_profile():
     conf, message = _z8_stopped_run(lambda conf: conf.cols[0].__setitem__(3, 2))
-    assert message == "pebble 3 is not well placed at vertex 2: group 8, count profile 1:1 4:2"
-    assert [m.consumed for m in conf.move_log] == [(1, 2)]
+    assert message == "pebble 3 is not well placed at vertex 2: group 8, count profile 2:6 4:2"
+    assert list(conf.move_log) == []
 
 
 def test_misplaced_merge_error_names_the_group_and_count_profile():
     conf, message = _z8_stopped_run(lambda conf: conf.costs.__setitem__(3, 12))
-    assert message == "merged pebble 10 is not well placed at vertex 1: group 8, count profile 1:1 4:2"
-    assert [m.new_id for m in conf.move_log] == [9]
+    assert message == "merged pebble 10 is not well placed at vertex 1: group 8, count profile 2:6 4:2"
+    assert list(conf.move_log) == []
 
 
 def test_leaves_past_a_stopped_run_names_the_group_and_count_profile():
     conf, _ = _z8_stopped_run(lambda conf: conf.cols[0].__setitem__(3, 2))
-    assert sorted(_leaves(conf, 9)) == [1, 2]
     with pytest.raises(InternalInvariantError) as exc:
-        _leaves(conf, 10)
-    assert str(exc.value) == "pebble 10 is made by no move in the log: group 8, count profile 1:1 4:2"
+        _leaves(conf, 9)
+    assert str(exc.value) == "pebble 9 is made by no move in the log: group 8, count profile 2:6 4:2"
+
+
+def test_base_case_errors_name_the_group_and_leave_the_run_unmade(monkeypatch):
+    # A base case that finds no zero sum is a solver bug: merge_step adds the
+    # context of the configuration, which the failed run left as it was.
+    def no_block(*_):
+        raise InternalInvariantError("prefix sums of p residues failed to collide")
+
+    def no_line(*_):
+        raise InternalInvariantError("no line collected p of the p**dim nonzero vectors")
+
+    monkeypatch.setattr(zerosum.engine, "_zero_sum_blocks", no_block)
+    conf, message = _z8_stopped_run(lambda conf: None)
+    assert message == "prefix sums of p residues failed to collide: group 8, count profile 2:6 4:2"
+    monkeypatch.setattr(zerosum.engine, "_elementary_block", no_line)
+    dec = _dec("2,2")
+    conf = initial_configuration(dec, _elements(dec, [(1, 0), (0, 1), (1, 1), (1, 0)]))
+    before = _state(conf)
+    with pytest.raises(InternalInvariantError) as exc:
+        merge_step(conf, conf.lattice.vertex_index((1,)), 0)
+    assert str(exc.value) == "no line collected p of the p**dim nonzero vectors: group 2,2, count profile 2:4"
+    assert _state(conf) == before

@@ -404,3 +404,43 @@ def test_benchmark_outputs_are_pinned(capsys, name):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err]).encode()
     assert hashlib.sha256(blob).hexdigest() == BENCHMARK_DIGESTS[name]
+
+
+# "<workload> <k>": SHA-256 of json.dumps([exit code, stdout, stderr]) of the
+# benchmark's solve and solve-cyclic command k at seed 3 run with `--trace`
+# (each already asks for `--json`), so the move log's bytes are pinned.
+BENCHMARK_TRACE_DIGESTS = {
+    "maxorder-cyclic 0": "a6adb565279f43091ce3c58388c42c173da9eb44b5b67c947701b9292d45d230",
+    "maxorder-cyclic 1": "30082745ab3ce8aa28ac56d724d8b753824a93b197ea6bb76acdf79b93722742",
+    "maxorder-cyclic 2": "78ed6c1f43cd75ae9674f986fd6351c020661665905ca9e84755d5b8994ec494",
+    "elementary 0": "08ff462731999c7ef1451d20b56d50ee986143acd0308f0a9d31fea95a43777c",
+    "elementary 1": "73f99c56d91a7b94364a7974cab9d6cd83baffc6a0a2e7f937887d419248cb28",
+    "elementary 2": "034f57f394b65783d4fb3ccc2f36e39f77cdc4f795fb044c36fe5b4753b17d57",
+    "planner-adversarial 0": "b8be43402aef65d04f21884e0e352ce7602f784a25c4eb90e40ec7060dfa2c88",
+    "planner-adversarial 1": "4ae3069318338c0f4c6b945e83224f1756689898315ee4f56f566212118c9781",
+    "planner-adversarial 2": "b171e3328c8a4df4dba4757b00f692038c519a8a274b7c003d70af8643d86d4d",
+    "planner-adversarial 3": "b156012b6a6247bea10cab534ed83629f18f9017a117aa2ad7fdbf9cfc46f7ce",
+    "planner-adversarial 4": "4b4eeeb5c395997e8512b5aa817ad1583225ae73ca5c523ba0ed2fc294d437b4",
+    "planner-adversarial 5": "6103961b8ac44d2eab00e39e45cadf5e777d4fa7ad6beb80c57ccdf5f237f48d",
+    "planner-adversarial 6": "62a47adfd881288d2776014a2f98f38ec28e0dc9b1b8e1ba360af8d61c1575a1",
+    "planner-adversarial 7": "dc6a5369ca53ca2497eb2d9d6f384d3963283b69373a960ec6d02dba991fd935",
+    "planner-adversarial 8": "743ca2fd7471ab8a2dc8c28893bddadbc98b51d7d2ae5596e753235030e06200",
+    "planner-adversarial 9": "b1e0fcc36ba602437f6be3f01f2a4eed94ca1a77650e00ab2d472a2df6ad0c5c",
+    "planner-adversarial 10": "5b5beb7ffbe4e84f9ae33babf2f257b146c8441f9f67e03da7e821a90ac70a21",
+    "planner-adversarial 11": "7c6684c10119a2fcf77aac4d36215f66675c62afd5fb360ba74d82293e3f3e17",
+    "planner-adversarial 12": "fad0e477f0cffed1f4c5f7e9d339f77231af4ea4ca90c19f9ce2395f553f9427",
+    "planner-adversarial 13": "515421b454f9c14f8c264e66fe762819a6d8c7a94a018603045d8c3e49bbe6ab",
+    "planner-adversarial 14": "4f4e6d7f50361b2b9dc24327277d50280ac4e243bb598bd9e2897e583336ed58",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_TRACE_DIGESTS))
+def test_benchmark_solve_traces_are_pinned(capsys, name):
+    solves = {k for k, argv in BENCHMARK_COMMANDS.items() if argv[0] in ("solve", "solve-cyclic")}
+    assert solves == BENCHMARK_TRACE_DIGESTS.keys()
+    argv = BENCHMARK_COMMANDS[name]
+    assert "--json" in argv
+    code = main([*argv, "--trace"])
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == BENCHMARK_TRACE_DIGESTS[name]
