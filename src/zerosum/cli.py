@@ -18,7 +18,7 @@ import sys
 import time
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .engine import (
     extract_certificate,
@@ -69,15 +69,15 @@ class SplitMix64:
     state passed through two xor-shift multiplies:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
-    below(n) is next64() mod n; every draw advances the state exactly once,
-    so stress runs replay identically for a given seed across platforms.
+    below(n) is that output mod n; every draw advances the state exactly
+    once, so stress runs replay identically for a given seed across platforms.
     """
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
     def draw(self, moduli: Sequence[int]) -> list[int]:
-        """next64() mod n for each n in `moduli`, in order, with the step inlined."""
+        """below(n) for each n in `moduli`, in order, with the step inlined."""
         state, out = self.state, []
         for n in moduli:
             state = (state + 0x9E3779B97F4A7C15) & MASK64
@@ -86,9 +86,6 @@ class SplitMix64:
             out.append((z ^ (z >> 31)) % n)
         self.state = state
         return out
-
-    def next64(self) -> int:
-        return self.draw((1 << 64,))[0]
 
     def below(self, n: int) -> int:
         if n < 1:
@@ -107,10 +104,10 @@ class RunReport(NamedTuple):
     moves: list[dict] | None = None
 
 
-def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> list[int]:
-    """The coordinates of every element, laid end to end, from inline text or
-    from the file named by `value` if from_file; flat marks solve-cyclic's
-    integer form (rank 1), whose rank error names the part.
+def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> tuple[list, list | None]:
+    """The coordinates of every element, laid end to end, and texts or None
+    (below), from inline text or from the file named by `value` if from_file;
+    flat marks solve-cyclic's integer form (rank 1), whose rank error names the part.
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
@@ -118,7 +115,8 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
     `rank` integers, one split reads them all, by SMALL_INTS lookup or, at a
     miss, by int() (which strips no padding str.strip keeps); else each part
     is read alone, blanks skipped, the first bad part named, and then the
-    first part without `rank` integers.
+    first part without `rank` integers. Only a split whose every token is a
+    SMALL_INTS key returns texts: its parts, each its element's canonical text.
     """
     if from_file:
         try:
@@ -135,9 +133,9 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
         tokens = parts if rank == 1 else ",".join(parts).split(",")
         try:
             try:
-                return list(map(SMALL_INTS.__getitem__, tokens))
+                return list(map(SMALL_INTS.__getitem__, tokens)), parts
             except KeyError:
-                return list(map(int, tokens))
+                return list(map(int, tokens)), None
         except ValueError:
             pass
     parts = [p for p in map(str.strip, parts) if p]
@@ -153,13 +151,20 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
     if wrong is not None:
         raise InputError(f"cyclic sequence elements are single integers, got {wrong}" if flat
                          else f"element needs {rank} coordinates for this group, got {len(wrong)}")
-    return list(chain.from_iterable(out))
+    return list(chain.from_iterable(out)), None
 
 
-def sequence_argument(args, rank: int, flat: bool = False) -> list:
-    """The raw sequence given by --seq (inline) or --seq-file (a path)."""
+class SequenceEcho(NamedTuple):
+    """A sequence's JSON echo: its rows, written by `render_json` from canonical element texts ("3,0,1"), read once."""
+
+    texts: Iterable[str]
+
+
+def sequence_argument(args, rank: int, flat: bool = False) -> tuple[list[int], SequenceEcho]:
+    """The sequence given by --seq or --seq-file, and its echo: the parser's texts, or the ints' (spelled when read)."""
     from_file = args.seq_file is not None
-    return parse_raw_sequence(args.seq_file if from_file else args.seq, rank, from_file, flat)
+    ints, texts = parse_raw_sequence(args.seq_file if from_file else args.seq, rank, from_file, flat)
+    return ints, SequenceEcho(texts or map(",".join, zip(*[iter(map(str, ints))] * rank)))
 
 
 def parse_indices(value: str) -> list[int]:
@@ -193,7 +198,7 @@ def _solve_sequence(dec: PrimaryDecomposition, cols, lattice=None):
 
 def cmd_solve(args) -> RunReport:
     dec = _solve_group(args.group)
-    ints = sequence_argument(args, rank := dec.spec.rank)
+    ints, echo = sequence_argument(args, rank := dec.spec.rank)
     conf, cert = _solve_sequence(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec))
     results = {
         "group_order": dec.group_order,
@@ -212,7 +217,7 @@ def cmd_solve(args) -> RunReport:
         f"moves applied: {len(conf.move_log)}, fallback fired: {'yes' if conf.fallback_fired else 'no'}",
         "verify: PASS",
     ]
-    return _solve_report({"group": args.group, "sequence": list(zip(*[iter(ints)] * rank))}, results, lines, conf, args)
+    return _solve_report({"group": args.group, "sequence": echo}, results, lines, conf, args)
 
 
 def _solve_report(inputs, results, lines: list[str], conf, args) -> RunReport:
@@ -234,7 +239,7 @@ def cmd_solve_cyclic(args) -> RunReport:
     if args.n < 1:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = _solve_group(str(args.n))
-    integers = sequence_argument(args, 1, flat=True)
+    integers = sequence_argument(args, 1, flat=True)[0]
     conf, cert = _solve_sequence(dec, [residues(integers, args.n)])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:
@@ -262,11 +267,11 @@ def cmd_solve_cyclic(args) -> RunReport:
 
 def cmd_verify(args) -> RunReport:
     dec = primary_decomposition(parse_group_spec(args.group))
-    ints = sequence_argument(args, rank := dec.spec.rank)
+    ints, echo = sequence_argument(args, rank := dec.spec.rank)
     indices = parse_indices(args.indices)
     verdict = verify_certificate(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec), indices)
     return RunReport(
-        inputs={"group": args.group, "sequence": list(zip(*[iter(ints)] * rank)), "indices": indices},
+        inputs={"group": args.group, "sequence": echo, "indices": indices},
         results={"indices": indices, "passed": verdict.passed, "failures": list(verdict.failures)},
         lines=[f"K = {indices}", f"verify: {'PASS' if verdict.passed else 'FAIL'}"]
         + [f"  {f}" for f in verdict.failures],
@@ -277,7 +282,7 @@ def cmd_verify(args) -> RunReport:
 def cmd_oracle(args) -> RunReport:
     dec = primary_decomposition(parse_group_spec(args.group))
     check_dp_work(dec, 1)  # |G| > MAX_DP_WORK puts every input over the bound: refused unread
-    ints = sequence_argument(args, rank := dec.spec.rank)
+    ints, echo = sequence_argument(args, rank := dec.spec.rank)
     check_dp_work(dec, len(ints) // rank)  # and the length, before any encoding
     result = dp_min_cost_zero_sum(dec, encode_sequence([ints[f::rank] for f in range(rank)], dec))
     if result.feasible:
@@ -289,7 +294,7 @@ def cmd_oracle(args) -> RunReport:
     else:
         lines = ["infeasible: no nonempty zero-sum subsequence"]
     return RunReport(
-        inputs={"group": args.group, "sequence": list(zip(*[iter(ints)] * rank))},
+        inputs={"group": args.group, "sequence": echo},
         results={
             "feasible": result.feasible,
             "min_cost": result.min_cost,
@@ -368,7 +373,7 @@ def cmd_stress(args) -> RunReport:
     failures: list[str] = []
     fallback_count = 0
     total_moves = 0
-    oracle_checked = 0
+    oracle_checked = min(args.trials, args.oracle_limit)  # the leading trials
     orders, rank = dec.spec.cyclic_orders, dec.spec.rank
     for trial in range(args.trials):
         draws = rng.draw(orders * dec.group_order)  # row-major: |G| elements of rank coordinates
@@ -376,9 +381,8 @@ def cmd_stress(args) -> RunReport:
         conf, cert = _solve_sequence(dec, cols, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
-        if trial < args.oracle_limit:
+        if trial < oracle_checked:
             oracle = dp_min_cost_zero_sum(dec, cols)
-            oracle_checked += 1
             if not oracle.feasible or not oracle.qualifies:
                 failures.append(f"trial {trial}: oracle found no qualifying subsequence")
             elif cert.ord_cost < oracle.min_cost:
@@ -492,14 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def render_json(value: Any, indent: str = "") -> str:
-    """The text of `json.dumps(value, indent=2)` for a report (str keys only).
+    """The text of `json.dumps(value, indent=2)` for a report (str keys only),
+    a `SequenceEcho` written as its list of rows.
 
-    Dicts, lists and tuples recurse; a list or tuple of plain ints, and each
-    row of a list of nonempty such rows, is one %-format of a "%d" template
-    (one per row length); a plain int is its repr, a key goes through the
-    string encoder `json.dumps` uses, and any other value is left to
-    `json.dumps`, whose indented encoder is pure Python: an input echo can
-    hold 10^5 integers (or 16,384 rows of 14) and a move log 10^5 dicts.
+    Dicts, lists and tuples recurse, each wrapped by one f-string (one copy of
+    a large body per level); a list or tuple of plain ints is one %-format of
+    a "%d" template; a `SequenceEcho` is its texts joined by ';', then two
+    `str.replace` calls make ',' and ';' the item and row separators; a plain
+    int is its repr, a key goes through the string encoder `json.dumps` uses,
+    and any other value is left to `json.dumps`, whose indented encoder is pure
+    Python: an input echo can hold 10^5 integers and a move log 10^5 dicts.
     """
     if type(value) is int:
         return int.__repr__(value)
@@ -510,21 +516,20 @@ def render_json(value: Any, indent: str = "") -> str:
         body = (",\n" + inner).join(
             [encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in value.items()]
         )
-        return "{\n" + inner + body + "\n" + indent + "}"
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = indent + "  "
-        types = set(map(type, value))
-        if types == {int}:
+        if type(value) is SequenceEcho:  # a tuple of one field, never empty
+            item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
+            rows = ";".join(value.texts).replace(",", "," + item).replace(";", between)
+            body = f"[{item}{rows}\n{inner}]"
+        elif set(map(type, value)) == {int}:
             body = (",\n" + inner).join(["%d"] * len(value)) % tuple(value)
-        elif types <= {list, tuple} and all(value) and set(map(type, flat := (*chain.from_iterable(value),))) == {int}:
-            item = ",\n" + inner + "  "
-            fmt = {n: "[" + item[1:] + item.join(["%d"] * n) + "\n" + inner + "]" for n in set(map(len, value))}
-            body = (",\n" + inner).join(map(fmt.__getitem__, map(len, value))) % flat
         else:
             body = (",\n" + inner).join([render_json(x, inner) for x in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(value)
 
 

@@ -124,7 +124,6 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         moduli.append(tuple(p**e for e, _ in row))
         sources.append(tuple(f for _, f in row))
     heights = tuple(row[0] for row in exponents)
-    big_n = math.prod(p**h for p, h in zip(primes, heights))
     order = math.prod(p ** sum(row) for p, row in zip(primes, exponents))
     if order != spec.group_order:
         raise InternalInvariantError("decomposition does not multiply back to the group order")
@@ -142,7 +141,7 @@ def primary_decomposition(spec: GroupSpec) -> PrimaryDecomposition:
         primes=primes,
         exponents=tuple(exponents),
         moduli=tuple(moduli),
-        exponent=big_n,
+        exponent=factors[0],  # n_1, the product of every prime's largest component
         heights=heights,
         group_order=order,
         invariant_factors=tuple(factors),

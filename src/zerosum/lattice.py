@@ -51,9 +51,7 @@ class WeightedLattice(NamedTuple):
     level_moduli: tuple[tuple[tuple[int, ...], ...], ...]
     placement: tuple[PlacementRule, ...]
 
-    @property
-    def root_index(self) -> int:
-        return 0
+    root_index = 0  # u = (0, ..., 0) comes first in `vertices`
 
     def vertex_index(self, u: tuple[int, ...]) -> int:
         return sum(ui * stride for ui, stride in zip(u, self.strides))

@@ -25,9 +25,7 @@ def dual_partition(parts: Sequence[int]) -> tuple[int, ...]:
     partition is its own conjugate.
     """
     parts = _check_partition(parts)
-    if not parts:
-        return ()
-    return tuple(sum(1 for e in parts if e >= k) for k in range(1, parts[0] + 1))
+    return tuple(sum(1 for e in parts if e >= k) for k in range(1, max(parts, default=0) + 1))
 
 
 def residual_exponents(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import operator
 import os
@@ -42,7 +44,7 @@ def run_json(capsys, *args):
 def test_splitmix64_reference_values():
     # First three outputs for seed 1234567; fixed by the documented algorithm.
     rng = SplitMix64(1234567)
-    got = [rng.next64() for _ in range(3)]
+    got = rng.draw((1 << 64,) * 3)
     assert got == [6457827717110365317, 3203168211198807973, 9817491932198370423]
 
 
@@ -66,18 +68,24 @@ def test_splitmix64_draw_matches_below_calls():
 
 
 def test_parse_raw_sequence_rank1_commas():
-    assert parse_raw_sequence("1,1,1,1", rank=1) == [1, 1, 1, 1]
-    assert parse_raw_sequence("0;1;2", rank=1) == [0, 1, 2]
-    assert parse_raw_sequence("-3", rank=1) == [-3]
+    # Every token in the small-int table: the parts come back as the element texts.
+    assert parse_raw_sequence("1,1,1,1", rank=1) == ([1, 1, 1, 1], ["1", "1", "1", "1"])
+    assert parse_raw_sequence("0;1;2", rank=1) == ([0, 1, 2], ["0", "1", "2"])
+    # A token outside it ("-3", "+1", "300") leaves the texts to the echo.
+    assert parse_raw_sequence("-3", rank=1) == ([-3], None)
+    assert parse_raw_sequence("+1,300", rank=1) == ([1, 300], None)
     # A token in the small-int table reads as the very object int() returns.
-    assert all(map(operator.is_, parse_raw_sequence("0,7,256", 1, flat=True), map(int, ["0", "7", "256"])))
+    ints, _ = parse_raw_sequence("0,7,256", 1, flat=True)
+    assert all(map(operator.is_, ints, map(int, ["0", "7", "256"])))
 
 
 def test_parse_raw_sequence_rank2():
     # The coordinates come laid end to end, element after element.
-    assert parse_raw_sequence("1,0;0,1;1,1;1,0", rank=2) == [1, 0, 0, 1, 1, 1, 1, 0]
+    assert parse_raw_sequence("1,0;0,1;1,1;1,0", rank=2) == ([1, 0, 0, 1, 1, 1, 1, 0], ["1,0", "0,1", "1,1", "1,0"])
     # A single inline element for a rank-2 group needs no separator.
-    assert parse_raw_sequence("1,0", rank=2) == [1, 0]
+    assert parse_raw_sequence("1,0", rank=2) == ([1, 0], ["1,0"])
+    # Padding sends the text to the per-part reader, which returns no texts.
+    assert parse_raw_sequence("1, 0;0,1", rank=2) == ([1, 0, 0, 1], None)
 
 
 def test_parse_raw_sequence_from_file(tmp_path):
@@ -85,7 +93,10 @@ def test_parse_raw_sequence_from_file(tmp_path):
 
     path = tmp_path / "seq.txt"
     path.write_text("1,0\n\n0,1\n1,1\n1,0\n")
-    assert parse_raw_sequence(str(path), rank=2, from_file=True) == [1, 0, 0, 1, 1, 1, 1, 0]
+    assert parse_raw_sequence(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], None)
+    path.write_text("1,0\r\n0,1\r\n1,1\r\n1,0\r\n")
+    rows = ["1,0", "0,1", "1,1", "1,0"]
+    assert parse_raw_sequence(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], rows)
     # Inline text is never taken for a path, even when a file of that name exists.
     with pytest.raises(InputError):
         parse_raw_sequence(str(path), rank=2)
@@ -159,6 +170,19 @@ def _per_part_cyclic(args) -> list[int]:
     return [r[0] for r in raw]
 
 
+def _read_ints(value: str, rank: int, from_file: bool = False) -> list[int]:
+    """`parse_raw_sequence`'s coordinates, once its element texts, where it
+    returns them, are checked to be the canonical texts of those coordinates."""
+    ints, texts = parse_raw_sequence(value, rank, from_file)
+    if texts is not None:
+        assert texts == [",".join(map(str, ints[k : k + rank])) for k in range(0, len(ints), rank)]
+    return ints
+
+
+def _cyclic_ints(args) -> list[int]:
+    return cli.sequence_argument(args, 1, True)[0]
+
+
 def _outcome(read, *args):
     """repr of what `read` returns (so lists and tuples differ), or its
     InputError text; every value read must be an exact int, not a subclass."""
@@ -205,23 +229,23 @@ def test_parse_raw_sequence_matches_the_per_part_reader(rank, tmp_path):
     # as a file with one part per line.
     path = tmp_path / "seq.txt"
     for text in PARSE_CORPUS:
-        assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_flat, text, rank), text
+        assert _outcome(_read_ints, text, rank) == _outcome(_per_part_flat, text, rank), text
         path.write_text(text.replace(";", "\n"), encoding="utf-8")
-        assert _outcome(parse_raw_sequence, str(path), rank, True) == _outcome(
+        assert _outcome(_read_ints, str(path), rank, True) == _outcome(
             _per_part_flat, str(path), rank, True
         ), text
         if rank == 1:
             for args in (argparse.Namespace(seq=text, seq_file=None), argparse.Namespace(seq=None, seq_file=str(path))):
-                assert _outcome(cli.sequence_argument, args, 1, True) == _outcome(_per_part_cyclic, args), text
+                assert _outcome(_cyclic_ints, args) == _outcome(_per_part_cyclic, args), text
 
 
 @given(st.text(alphabet="019,; \t\n+-_x\u0661\x1c", max_size=24), st.sampled_from([1, 2, 3]))
 @settings(max_examples=400)
 def test_parse_raw_sequence_matches_the_per_part_reader_on_any_text(text, rank):
-    assert _outcome(parse_raw_sequence, text, rank) == _outcome(_per_part_flat, text, rank)
+    assert _outcome(_read_ints, text, rank) == _outcome(_per_part_flat, text, rank)
     if rank == 1:
         args = argparse.Namespace(seq=text, seq_file=None)
-        assert _outcome(cli.sequence_argument, args, 1, True) == _outcome(_per_part_cyclic, args)
+        assert _outcome(_cyclic_ints, args) == _outcome(_per_part_cyclic, args)
 
 
 def test_solve_json_shape(capsys):
@@ -679,9 +703,8 @@ def test_render_json_edge_shapes():
     # next to them that must not take it: a bool prints `true`, not `1`.
     for value in [[0, -1, -(2**70), 2**70, 10**40, -(10**40)], (0, -7, 10**40), [1, True], [True, 1]]:
         assert render_json(value) == json.dumps(value, indent=2)
-    # Lists of int rows, one %-format per row with the template for its length
-    # (lengths, lists and tuples mixed), and the shapes next to them that must
-    # not take it: an empty row, a bool.
+    # Lists of int rows, which recurse into one flat template per row (lengths,
+    # lists and tuples mixed), and the shapes next to them: an empty row, a bool.
     for value in [
         [[1], []], [[1, 2], (3,)], [[True], [1]], [[1, True], [2, 3]], [[0, 0], [0, 0]], [[2**70]],
         [[1, 2, 3], [4], (5, 6), [7, 8, 9, 10], (11,)], [[0], [-1], (2**70,), [10**40]], {"s": [[-1, 0], (5,)]},
@@ -690,11 +713,91 @@ def test_render_json_edge_shapes():
 
 
 def test_render_json_templates_at_scale():
-    # The echo of a Z_2^14 solve (16,384 rows of 14) and a 30,030-int list.
-    rows = [[(k >> j) & 1 for j in range(14)] for k in range(16384)]
+    # A 30,030-int list, alone and nested.
     flat = [k * 7919 % 30030 - 15015 for k in range(30030)]
-    for value in (rows, {"inputs": {"sequence": rows}}, flat, {"sequence": flat}):
+    for value in (flat, {"sequence": flat}):
         assert render_json(value) == json.dumps(value, indent=2)
+
+
+def _assert_echo_matches_rows(argv):
+    """`main`'s --json output for argv is json.dumps of its envelope with the
+    input echo as the rows of the parsed coordinates, one list per element;
+    input that the parser refuses prints nothing."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--json"])
+    out = out.getvalue()
+    if code == 2:
+        assert out == ""
+        return
+    doc = json.loads(out)
+    args = cli.build_parser().parse_args(argv)
+    rank = zerosum.parse_group_spec(args.group).rank
+    ints = cli.sequence_argument(args, rank)[0]
+    rows = [list(row) for row in zip(*[iter(ints)] * rank)]
+    assert doc["inputs"]["sequence"] == rows
+    expected = json.dumps({**doc, "inputs": {**doc["inputs"], "sequence": rows}}, indent=2) + "\n"
+    if out != expected:  # named by the first difference: pytest's diff of megabyte texts takes minutes
+        at = next(k for k, (a, b) in enumerate(zip(out + "\0", expected + "\1")) if a != b)
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"output differs at char {at}: {out[near]!r} != {expected[near]!r}")
+
+
+# Tokens that int() reads but that are not canonical, or lie outside the small-int table.
+ECHO_TOKENS = ["01", "+1", " 1", "-0", "-3", "257", str(2**70)]
+
+
+def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
+    texts = ["1,0;0,1;1,1;1,0"] + [f"1,0;0,{tok};1,1;{tok},0" for tok in ECHO_TOKENS]
+    for text in texts:
+        _assert_echo_matches_rows(["solve", "--group", "2,2", "--seq", text])
+        _assert_echo_matches_rows(["verify", "--group", "2,2", "--seq", text, "--indices", "1,2,3"])
+        _assert_echo_matches_rows(["oracle", "--group", "4,2", "--seq", text])
+    # Rank 1, split by ',' and by ';', canonical and not.
+    for text in ["1,1,1,1", "1;1;1;1", "1,01,-3,257", f"1;+1;-0;{2**70}"]:
+        _assert_echo_matches_rows(["solve", "--group", "4", "--seq", text])
+        _assert_echo_matches_rows(["oracle", "--group", "6", "--seq", text])
+    # Files: blank lines, CRLF line ends, a trailing newline, padding.
+    path = tmp_path / "seq.txt"
+    for body in ["1,0\n\n0,1\n1,1\n\n1,0\n", "1,0\r\n0,1\r\n1,1\r\n1,0\r\n", "1,0\n0,1\n1,1\n1,0",
+                 " 1,0\n0 ,1\n01,1\n1,+0\n"]:
+        path.write_bytes(body.encode())
+        _assert_echo_matches_rows(["solve", "--group", "2,2", "--seq-file", str(path)])
+        _assert_echo_matches_rows(["verify", "--group", "2,2", "--seq-file", str(path), "--indices", "2"])
+        _assert_echo_matches_rows(["oracle", "--group", "2,2", "--seq-file", str(path)])
+
+
+def test_sequence_echo_at_scale():
+    # The echo of a Z_2^14 verify, 16,384 rows of 14, from the parts and, with
+    # one token off the table, from the ints.
+    text = ";".join(",".join(str((k >> j) & 1) for j in range(14)) for k in range(16384))
+    group = ",".join(["2"] * 14)
+    _assert_echo_matches_rows(["verify", "--group", group, "--seq", text, "--indices", "1"])
+    _assert_echo_matches_rows(["verify", "--group", group, "--seq", "01" + text[1:], "--indices", "1"])
+
+
+_ECHO_GROUPS = {1: "6", 2: "3,2", 3: "2,2,2"}
+
+
+@st.composite
+def _echo_inputs(draw):
+    """(group, text): rows of the group's rank whose tokens are table hits,
+    misses or padded, or now and then any text at all."""
+    rank = draw(st.sampled_from(sorted(_ECHO_GROUPS)))
+    if draw(st.integers(0, 4)) == 0:
+        return _ECHO_GROUPS[rank], draw(st.text(alphabet="0129,; \t\n+-", max_size=30))
+    pad = st.sampled_from(["", "", "", " ", "\t"])
+    core = st.sampled_from(["0", "1", "2", "9", "256"] + ECHO_TOKENS) | st.integers(-300, 300).map(str)
+    token = st.tuples(pad, core, pad)
+    rows = draw(st.lists(st.lists(token.map("".join), min_size=rank, max_size=rank), min_size=1, max_size=6))
+    sep = draw(st.sampled_from([",", ";"])) if rank == 1 else ";"
+    return _ECHO_GROUPS[rank], sep.join(map(",".join, rows))
+
+
+@given(_echo_inputs())
+@settings(max_examples=150, deadline=None)
+def test_sequence_echo_matches_the_rows_on_any_text(case):
+    group, text = case
+    _assert_echo_matches_rows(["oracle", "--group", group, "--seq", text])
 
 
 @pytest.mark.parametrize(
