@@ -23,14 +23,12 @@ class _Blocks(dict):
     def __missing__(self, chunk: tuple[int, ...]) -> slice:
         if 0 in chunk:
             k = chunk.index(0)
-            block = self[chunk] = slice(k, k + 1)
-            return block
+            return self.setdefault(chunk, slice(k, k + 1))
         first_seen, t, p = {0: 0}, 0, len(chunk)  # prefix sum mod p -> where it first occurs
         for k, x in enumerate(chunk, start=1):
             t = (t + x) % p
             if t in first_seen:
-                block = self[chunk] = slice(first_seen[t], k)
-                return block
+                return self.setdefault(chunk, slice(first_seen[t], k))
             first_seen[t] = k
         raise InternalInvariantError("prefix sums of p residues failed to collide")
 

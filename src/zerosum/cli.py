@@ -56,10 +56,10 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: a few seconds at most.
 MAX_STRESS_ELEMENTS = 1_000_000
-# |G| of a solve, which reads |G| elements at about 200 bytes each: about 2 GB at the bound.
+# |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 960 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
-# Each small int's canonical text, mapped to the cached int that int() returns.
-SMALL_INTS = {str(k): k for k in range(257)}
+SMALL_INTS = {str(k): k for k in range(257)}  # each small int's text -> the cached int that int() returns
+DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"
 
 
 class SplitMix64:
@@ -104,31 +104,38 @@ class RunReport(NamedTuple):
     moves: list[dict] | None = None
 
 
-def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> tuple[list, list | None]:
-    """The coordinates of every element, laid end to end, and texts or None
-    (below), from inline text or from the file named by `value` if from_file;
-    flat marks solve-cyclic's integer form (rank 1), whose rank error names the part.
+def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> tuple[bytes | list, list | None]:
+    """The coordinates of every element, laid end to end, and the echo's
+    texts or None, from inline text or from the file named by `value` if
+    from_file; flat marks solve-cyclic's integer form (rank 1), whose rank
+    error names the part.
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
-    also work, since each element is a single integer. If every part holds
-    `rank` integers, one split reads them all, by SMALL_INTS lookup or, at a
-    miss, by int() (which strips no padding str.strip keeps); else each part
-    is read alone, blanks skipped, the first bad part named, and then the
-    first part without `rank` integers. Only a split whose every token is a
-    SMALL_INTS key returns texts: its parts, each its element's canonical text.
+    also work. A text of single ASCII digits with every separator where the
+    rank puts it (one newline may end a file) is read as one bytes, and is
+    its own texts with ';' between elements. Otherwise one split reads every
+    part of `rank` integers, by SMALL_INTS lookup (the parts are the texts)
+    or at a miss by int() (which strips no padding str.strip keeps); else each
+    part is read alone, blanks skipped, the first bad part named, then the
+    first part of another length.
     """
     if from_file:
         try:
             with open(value, encoding="utf-8") as fh:
-                parts = fh.read().splitlines()
+                text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read sequence file {value!r}: {exc}") from None
+        sep, body = "\n", text.removesuffix("\n")
     else:
-        s = value.strip()
-        if not s:
+        text = body = value.strip()
+        if not text:
             raise InputError("empty sequence")
-        parts = s.split(";" if ";" in s or rank > 1 else ",")
+        sep = ";" if ";" in text or rank > 1 else ","
+    k = (len(body) + 1) // (2 * rank)  # elements, if all are single digits: the separators then fix len(body)
+    if k and body.isascii() and body[1::2] == (("," * (rank - 1) + sep) * k)[:-1] and (digits := body[::2]).isdigit():
+        return digits.encode().translate(DIGIT_VALUES), [body if sep == ";" else body.replace(sep, ";")]
+    parts = text.splitlines() if from_file else text.split(sep)
     if parts and (rank == 1 or set(map(str.count, parts, repeat(","))) == {rank - 1}):
         tokens = parts if rank == 1 else ",".join(parts).split(",")
         try:
@@ -160,7 +167,7 @@ class SequenceEcho(NamedTuple):
     texts: Iterable[str]
 
 
-def sequence_argument(args, rank: int, flat: bool = False) -> tuple[list[int], SequenceEcho]:
+def sequence_argument(args, rank: int, flat: bool = False) -> tuple[bytes | list[int], SequenceEcho]:
     """The sequence given by --seq or --seq-file, and its echo: the parser's texts, or the ints' (spelled when read)."""
     from_file = args.seq_file is not None
     ints, texts = parse_raw_sequence(args.seq_file if from_file else args.seq, rank, from_file, flat)
@@ -192,8 +199,7 @@ def _solve_group(text: str) -> PrimaryDecomposition:
 
 def _solve_sequence(dec: PrimaryDecomposition, cols, lattice=None):
     conf = initial_configuration(dec, cols, lattice=lattice)
-    root = solve_to_root(conf)
-    return conf, extract_certificate(root, dec, cols)
+    return conf, extract_certificate(solve_to_root(conf), dec, cols)
 
 
 def cmd_solve(args) -> RunReport:
@@ -497,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def render_json(value: Any, indent: str = "") -> str:
     """The text of `json.dumps(value, indent=2)` for a report (str keys only),
-    a `SequenceEcho` written as its list of rows.
+    a `SequenceEcho` written as its list of rows and a bytes as its ints.
 
     Dicts, lists and tuples recurse, each wrapped by one f-string (one copy of
-    a large body per level); a list or tuple of plain ints is one %-format of
-    a "%d" template; a `SequenceEcho` is its texts joined by ';', then two
-    `str.replace` calls make ',' and ';' the item and row separators; a plain
-    int is its repr, a key goes through the string encoder `json.dumps` uses,
+    a large body per level); a list, tuple or bytes of plain ints is one
+    %-format of a "%d" template; a `SequenceEcho` is its texts joined by ';',
+    then two `str.replace` calls make ',' and ';' the item and row separators;
+    a plain int is its repr, a key goes through `json.dumps`'s string encoder,
     and any other value is left to `json.dumps`, whose indented encoder is pure
     Python: an input echo can hold 10^5 integers and a move log 10^5 dicts.
     """
@@ -517,7 +523,7 @@ def render_json(value: Any, indent: str = "") -> str:
             [encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in value.items()]
         )
         return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, bytes)):
         if not value:
             return "[]"
         inner = indent + "  "

@@ -156,8 +156,7 @@ class Configuration:
         return tuple([col[pid] for col in self.cols])
 
     def _pebble(self, pid: int, vidx: int) -> Pebble:
-        vertex = self.lattice.vertices[vidx]
-        return Pebble(pid, self.value(pid), self.costs[pid], vertex, self)
+        return Pebble(pid, self.value(pid), self.costs[pid], self.lattice.vertices[vidx], self)
 
     def live_pebbles(self) -> list[Pebble]:
         return sorted(self._pebble(pid, vidx) for vidx, pool in enumerate(self.pools) for pid in pool)
@@ -242,12 +241,13 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     The run is worked a column at a time, each read as one slice when its ids
     are consecutive. In dimension 1 one base-case pass gives each move a block
     of consecutive pebbles, whose column sums value the merge; otherwise each
-    move runs the base case on its vectors. A run is whole or nothing: a
-    misplaced pebble, a base-case error or a merge that breaks the child's
-    placement rule raises, with the group and count profile, before anything
-    changes. Otherwise the moves are placed with one `+=` per column and
-    logged as one run record, the column slots of the merged pebbles they
-    consume are freed, and with debug on each new pebble is then rechecked.
+    move runs the base case on its vectors. A run is whole or nothing: its ids
+    leave their pool before the checks, and a misplaced pebble, a base-case
+    error or a merge that breaks the child's placement rule puts them back and
+    raises, with the group and count profile. Otherwise the moves are placed
+    with one `+=` per column and logged as one run record, the column slots of
+    the merged pebbles they consume are freed, and with debug on each new
+    pebble is then rechecked.
     """
     lattice = conf.lattice
     if not 0 <= vidx < lattice.num_vertices:
@@ -260,23 +260,21 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     if count < 1:
         raise InputError(f"move count must be positive, got {count}")
     pool = conf.pools[vidx]
-    dec = conf.dec
-    p = dec.primes[i]
+    p = conf.dec.primes[i]
     dims = lattice.duals[i][u[i] - 1]
     weight = lattice.level_weights[i][u[i] - 1]
     need = count * weight
     if len(pool) < need:
-        raise InputError(
-            f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
-            f"{count} move(s) of weight {weight} need {need}"
-        )
-    costs, factors = conf.costs, dec.invariant_factors
+        raise InputError(f"vertex {vertex.divisor} holds {len(pool)} pebbles, "
+                         f"{count} move(s) of weight {weight} need {need}")
+    costs, factors = conf.costs, conf.dec.invariant_factors
     if pool[need - 1] - pool[0] == need - 1:  # consecutive ids: a range keeps no int per id in the log
         run = range(pool[0], pool[0] + need)
         cols = [col[run.start : run.stop] for col in (*conf.cols, costs)]  # the last: order costs
     else:
         run = tuple(pool[:need])
         cols = [list(map(col.__getitem__, run)) for col in (*conf.cols, costs)]
+    del pool[:need]  # off the pool before the checks: a top-vertex run frees one int per id
 
     try:
         bad = need  # position in the run of the first misplaced pebble
@@ -312,10 +310,12 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
         if misplaced < count:
             child = lattice.vertices[child_idx].divisor
             raise InternalInvariantError(f"merged pebble {new_id + misplaced} is not well placed at vertex {child}")
-    except InternalInvariantError as exc:
+    except BaseException as exc:
+        pool[:0] = run  # back before the count profile is printed
+        if not isinstance(exc, InternalInvariantError):
+            raise
         raise InternalInvariantError(f"{exc}: {conf.context()}") from None
 
-    del pool[:need]
     log = conf.move_log  # a _Run made by tuple.__new__ skips the Python-level __new__ NamedTuple generates
     log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
     log.moves += count
@@ -460,8 +460,7 @@ def _recompute(
 ) -> tuple[tuple[int, ...], int]:
     """Sum and order cost of the members `indices` (1-based) of `cols`, each read as a row: by
     `add_elements` and `element_order`, a path apart from the table's `element_costs`."""
-    total = identity(dec)
-    cost = 0
+    total, cost = identity(dec), 0
     for k in indices:
         g = tuple([col[k - 1] for col in cols])
         total = add_elements(dec, total, g)
@@ -506,7 +505,5 @@ def verify_certificate(
     if total != identity(dec):
         failures.append("selected elements do not sum to the identity")
     if cost > dec.exponent:
-        failures.append(
-            f"order cost {cost} exceeds the bound {dec.exponent} (reciprocal sum above 1)"
-        )
+        failures.append(f"order cost {cost} exceeds the bound {dec.exponent} (reciprocal sum above 1)")
     return Verdict(not failures, tuple(failures))

@@ -171,15 +171,16 @@ def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition)
 
     Columns of another count or of unequal lengths raise InputError, and so
     does the first entry, column by column, that is not an int (subclasses
-    other than bool pass). Each `crt` entry is one pass over its source
-    factor's column (none for c = 1), and each invariant factor one `residues`
-    pass.
+    other than bool pass; a `bytes` column, ints by construction, is not
+    scanned). Each `crt` entry is one pass over its source factor's column
+    (none for c = 1), and each invariant factor one `residues` pass.
     """
     lengths = list(map(len, columns))
     if len(lengths) != dec.spec.rank or len(set(lengths)) > 1:
         raise InputError(f"sequence has columns of lengths {lengths}, not one equal-length column per group factor")
-    if set(map(type, chain.from_iterable(columns))) - {int}:
-        for x in chain.from_iterable(columns):
+    scanned = [col for col in columns if type(col) is not bytes]
+    if set(map(type, chain.from_iterable(scanned))) - {int}:
+        for x in chain.from_iterable(scanned):
             if not isinstance(x, int) or isinstance(x, bool):
                 raise InputError(f"element coordinates must be integers, got {x!r}")
     factors = dec.invariant_factors
@@ -194,11 +195,11 @@ _BYTE_TABLES: dict[int, bytes] = {}  # m -> the residues mod m of 0..255, built 
 
 
 def residues(col: Iterable[int], m: int) -> list[int]:
-    """x % m for every x of `col`, as a new list of exact ints. A list or
-    tuple of ints in 0..255, with m <= 256, is reduced as bytes by one
+    """x % m for every x of `col`, as a new list of exact ints. A bytes, or a
+    list or tuple of ints in 0..255, with m <= 256, is reduced as bytes by one
     `translate`; `bytes()` refuses any other item, and that, or m > 256,
     falls back to one `mod` map."""
-    if 0 < m <= 256 and isinstance(col, (list, tuple)):
+    if 0 < m <= 256 and isinstance(col, (list, tuple, bytes)):
         table = _BYTE_TABLES.get(m) or _BYTE_TABLES.setdefault(m, bytes([x % m for x in range(256)]))
         try:
             return list(bytes(col).translate(table))

@@ -66,9 +66,7 @@ def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
     strides = tuple(math.prod(h + 1 for h in heights[i + 1:]) for i in range(len(heights)))
 
     duals = tuple(dual_partition(row) for row in dec.exponents)
-    level_weights = tuple(
-        tuple(p**d for d in dual) for p, dual in zip(dec.primes, duals)
-    )
+    level_weights = tuple(tuple(p**d for d in dual) for p, dual in zip(dec.primes, duals))
 
     vertices = tuple(
         LatticeVertex(u, math.prod(map(pow, dec.primes, u)))

@@ -67,13 +67,20 @@ def test_splitmix64_draw_matches_below_calls():
     assert a.draw(()) == [] and a.state == b.state
 
 
+def _parsed(*args, **kwargs):
+    """`parse_raw_sequence`'s coordinates as a list, and its texts, if any,
+    as one text per element (the echo joins them with ';')."""
+    ints, texts = parse_raw_sequence(*args, **kwargs)
+    return list(ints), texts and ";".join(texts).split(";")
+
+
 def test_parse_raw_sequence_rank1_commas():
     # Every token in the small-int table: the parts come back as the element texts.
-    assert parse_raw_sequence("1,1,1,1", rank=1) == ([1, 1, 1, 1], ["1", "1", "1", "1"])
-    assert parse_raw_sequence("0;1;2", rank=1) == ([0, 1, 2], ["0", "1", "2"])
+    assert _parsed("1,1,1,1", rank=1) == ([1, 1, 1, 1], ["1", "1", "1", "1"])
+    assert _parsed("0;1;2", rank=1) == ([0, 1, 2], ["0", "1", "2"])
     # A token outside it ("-3", "+1", "300") leaves the texts to the echo.
-    assert parse_raw_sequence("-3", rank=1) == ([-3], None)
-    assert parse_raw_sequence("+1,300", rank=1) == ([1, 300], None)
+    assert _parsed("-3", rank=1) == ([-3], None)
+    assert _parsed("+1,300", rank=1) == ([1, 300], None)
     # A token in the small-int table reads as the very object int() returns.
     ints, _ = parse_raw_sequence("0,7,256", 1, flat=True)
     assert all(map(operator.is_, ints, map(int, ["0", "7", "256"])))
@@ -81,11 +88,11 @@ def test_parse_raw_sequence_rank1_commas():
 
 def test_parse_raw_sequence_rank2():
     # The coordinates come laid end to end, element after element.
-    assert parse_raw_sequence("1,0;0,1;1,1;1,0", rank=2) == ([1, 0, 0, 1, 1, 1, 1, 0], ["1,0", "0,1", "1,1", "1,0"])
+    assert _parsed("1,0;0,1;1,1;1,0", rank=2) == ([1, 0, 0, 1, 1, 1, 1, 0], ["1,0", "0,1", "1,1", "1,0"])
     # A single inline element for a rank-2 group needs no separator.
-    assert parse_raw_sequence("1,0", rank=2) == ([1, 0], ["1,0"])
+    assert _parsed("1,0", rank=2) == ([1, 0], ["1,0"])
     # Padding sends the text to the per-part reader, which returns no texts.
-    assert parse_raw_sequence("1, 0;0,1", rank=2) == ([1, 0, 0, 1], None)
+    assert _parsed("1, 0;0,1", rank=2) == ([1, 0, 0, 1], None)
 
 
 def test_parse_raw_sequence_from_file(tmp_path):
@@ -93,15 +100,72 @@ def test_parse_raw_sequence_from_file(tmp_path):
 
     path = tmp_path / "seq.txt"
     path.write_text("1,0\n\n0,1\n1,1\n1,0\n")
-    assert parse_raw_sequence(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], None)
+    assert _parsed(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], None)
     path.write_text("1,0\r\n0,1\r\n1,1\r\n1,0\r\n")
     rows = ["1,0", "0,1", "1,1", "1,0"]
-    assert parse_raw_sequence(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], rows)
+    assert _parsed(str(path), rank=2, from_file=True) == ([1, 0, 0, 1, 1, 1, 1, 0], rows)
     # Inline text is never taken for a path, even when a file of that name exists.
     with pytest.raises(InputError):
         parse_raw_sequence(str(path), rank=2)
     with pytest.raises(InputError):
         parse_raw_sequence(str(tmp_path / "missing.txt"), rank=1, from_file=True)
+
+
+def test_single_digit_texts_read_as_bytes(tmp_path):
+    # One ASCII digit per coordinate, each separator where the rank puts it:
+    # the coordinates come as one bytes, and the texts as the text itself
+    # with ';' between elements.
+    assert parse_raw_sequence("1,0,9", 1) == (b"\x01\x00\x09", ["1;0;9"])
+    assert parse_raw_sequence("1;0;9", 1, flat=True) == (b"\x01\x00\x09", ["1;0;9"])
+    assert parse_raw_sequence(" 7\t", 1) == (b"\x07", ["7"])  # the whole value is stripped first
+    assert parse_raw_sequence("1,0,2;0,1,2", 3) == (bytes([1, 0, 2, 0, 1, 2]), ["1,0,2;0,1,2"])
+    path = tmp_path / "seq.txt"
+    for body in ("1,0\n0,9\n", "1,0\n0,9"):  # with and without the last newline
+        path.write_text(body)
+        assert parse_raw_sequence(str(path), 2, from_file=True) == (bytes([1, 0, 0, 9]), ["1,0;0,9"])
+        path.write_text(body.replace(",", "\n"))
+        assert parse_raw_sequence(str(path), 1, from_file=True) == (bytes([1, 0, 0, 9]), ["1;0;0;9"])
+    # Text mode reads CRLF line ends as newlines, so a CRLF file is the same text.
+    path.write_bytes(b"1,0\r\n0,9\r\n")
+    assert parse_raw_sequence(str(path), 2, from_file=True) == (bytes([1, 0, 0, 9]), ["1,0;0,9"])
+
+
+@pytest.mark.parametrize(
+    "text, rank, expected",
+    [
+        ("10,1;1,1", 2, ([10, 1, 1, 1], ["10,1", "1,1"])),  # a two-digit token: a small-int table hit
+        ("+1,1;1,1", 2, ([1, 1, 1, 1], None)),
+        ("1, 1;1,1", 2, ([1, 1, 1, 1], None)),  # padding inside the text
+        ("1,\uff13;1,1", 2, ([1, 3, 1, 1], None)),  # a non-ASCII digit
+        ("1,1;;1,1", 2, ([1, 1, 1, 1], None)),  # a blank element
+        ("1;1;", 1, ([1, 1], None)),  # a trailing separator
+        ("1,1;1,0,", 2, "bad element '1,0,' in sequence"),
+        ("1,1;1", 2, "element needs 2 coordinates for this group, got 1"),  # a short element
+        ("1;1,0", 1, "cyclic sequence elements are single integers, got [1, 0]"),
+        ("1\n1", 1, "bad element '1\\n1' in sequence"),
+    ],
+)
+def test_other_texts_read_as_before(text, rank, expected, tmp_path):
+    # Anything else takes the one-split or per-part reader as before: a list of
+    # ints, with the parts as texts only where every token is in the small-int
+    # table, or its error; inline and as a file of lines (where a last ';' or
+    # a newline would be a line end, inline only).
+    group = {1: "4", 2: "4,2"}[rank]
+    path = tmp_path / "seq.txt"
+    path.write_text(text.replace(";", "\n"))
+    inline_only = text.endswith(";") or "\n" in text
+    for args in [(text, rank, False, rank == 1)] + [(str(path), rank, True, rank == 1)] * (not inline_only):
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as exc:
+                parse_raw_sequence(*args)
+            assert str(exc.value) == expected
+        else:
+            ints, texts = parse_raw_sequence(*args)
+            assert (type(ints), ints, texts) == (list, *expected)
+            flag = "--seq-file" if args[2] else "--seq"
+            _assert_echo_matches_rows(["oracle", "--group", group, flag, args[0]])
+    path.write_text("1,0\n\n0,1\n")  # a blank line
+    assert parse_raw_sequence(str(path), 2, from_file=True) == ([1, 0, 0, 1], None)
 
 
 def test_parse_raw_sequence_rejects_junk():
@@ -171,16 +235,17 @@ def _per_part_cyclic(args) -> list[int]:
 
 
 def _read_ints(value: str, rank: int, from_file: bool = False) -> list[int]:
-    """`parse_raw_sequence`'s coordinates, once its element texts, where it
-    returns them, are checked to be the canonical texts of those coordinates."""
-    ints, texts = parse_raw_sequence(value, rank, from_file)
+    """`parse_raw_sequence`'s coordinates as a list, once its element texts,
+    where it returns them, are checked to be the canonical texts of those
+    coordinates."""
+    ints, texts = _parsed(value, rank, from_file)
     if texts is not None:
         assert texts == [",".join(map(str, ints[k : k + rank])) for k in range(0, len(ints), rank)]
     return ints
 
 
 def _cyclic_ints(args) -> list[int]:
-    return cli.sequence_argument(args, 1, True)[0]
+    return list(cli.sequence_argument(args, 1, True)[0])
 
 
 def _outcome(read, *args):
@@ -577,7 +642,7 @@ def test_oracle_refuses_an_over_bound_input_before_reading_or_encoding_it(monkey
     assert calls == []
     assert main(["oracle", "--group", "4", "--seq", "1,3"]) == 0
     capsys.readouterr()
-    assert calls == [([[1, 3]], calls[0][1])]
+    assert len(calls) == 1 and list(map(list, calls[0][0])) == [[1, 3]]
 
 
 def test_solve_refuses_an_oversized_group_before_reading_the_sequence(capsys, tmp_path):
@@ -767,8 +832,8 @@ def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
 
 
 def test_sequence_echo_at_scale():
-    # The echo of a Z_2^14 verify, 16,384 rows of 14, from the parts and, with
-    # one token off the table, from the ints.
+    # The echo of a Z_2^14 verify, 16,384 rows of 14, from the text itself
+    # (read as bytes) and, with one token off the small-int table, from the ints.
     text = ";".join(",".join(str((k >> j) & 1) for j in range(14)) for k in range(16384))
     group = ",".join(["2"] * 14)
     _assert_echo_matches_rows(["verify", "--group", group, "--seq", text, "--indices", "1"])
@@ -780,13 +845,17 @@ _ECHO_GROUPS = {1: "6", 2: "3,2", 3: "2,2,2"}
 
 @st.composite
 def _echo_inputs(draw):
-    """(group, text): rows of the group's rank whose tokens are table hits,
-    misses or padded, or now and then any text at all."""
+    """(group, text): rows of the group's rank, half of them single digits
+    without padding (a text read as bytes), the rest of tokens that are table
+    hits, misses or padded; or now and then any text at all."""
     rank = draw(st.sampled_from(sorted(_ECHO_GROUPS)))
     if draw(st.integers(0, 4)) == 0:
         return _ECHO_GROUPS[rank], draw(st.text(alphabet="0129,; \t\n+-", max_size=30))
-    pad = st.sampled_from(["", "", "", " ", "\t"])
-    core = st.sampled_from(["0", "1", "2", "9", "256"] + ECHO_TOKENS) | st.integers(-300, 300).map(str)
+    if draw(st.booleans()):  # single digits, no padding: the text read as bytes
+        pad, core = st.just(""), st.sampled_from("0123456789")
+    else:
+        pad = st.sampled_from(["", "", "", " ", "\t"])
+        core = st.sampled_from(["0", "1", "2", "9", "256"] + ECHO_TOKENS) | st.integers(-300, 300).map(str)
     token = st.tuples(pad, core, pad)
     rows = draw(st.lists(st.lists(token.map("".join), min_size=rank, max_size=rank), min_size=1, max_size=6))
     sep = draw(st.sampled_from([",", ";"])) if rank == 1 else ";"

@@ -6,6 +6,7 @@ import copy
 import functools
 import math
 import random
+import tracemalloc
 from operator import itemgetter, mod
 
 import pytest
@@ -1132,3 +1133,41 @@ def test_base_case_errors_name_the_group_and_leave_the_run_unmade(monkeypatch):
         merge_step(conf, conf.lattice.vertex_index((1,)), 0)
     assert str(exc.value) == "no line collected p of the p**dim nonzero vectors: group 2,2, count profile 2:4"
     assert _state(conf) == before
+
+
+def test_other_errors_in_a_run_leave_the_run_unmade(monkeypatch):
+    # Any exception, not only a solver bug, puts the run's ids back on their
+    # pool before it propagates unchanged.
+    def interrupted(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(zerosum.engine, "_zero_sum_blocks", interrupted)
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, [4] * 6 + [2] * 2))
+    before = _state(conf)
+    with pytest.raises(KeyboardInterrupt):
+        merge_step(conf, conf.lattice.vertex_index((1,)), 0, 3)
+    assert _state(conf) == before
+
+
+def test_a_top_vertex_run_frees_its_ids_before_the_checks():
+    # Every unit of Z_2310 sits on the top vertex, one int object per id in
+    # its pool. The first run consumes them all; taking them off the pool
+    # before its column copies and base case are made keeps the run's peak
+    # at about 19 bytes per pebble above what it started from, against 55
+    # when the ids stay on the pool until the checks pass.
+    n = 2310
+    dec = _dec(str(n))
+    tracemalloc.start()  # before the pool's ints exist, so freeing them counts
+    try:
+        units = [a for a in range(n) if math.gcd(a, n) == 1]  # 480 of them, each used about five times
+        conf = initial_configuration(dec, _elements(dec, (units * 5)[:n]))
+        vidx, coordinate, count = _greedy_plan(conf.lattice, conf.count_profile())[0]
+        assert vidx == conf.lattice.num_vertices - 1 and count * 2 == n
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        merge_step(conf, vidx, coordinate, count)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * n, peak / n

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum.cli import SplitMix64, main
+from zerosum.cli import SplitMix64, build_parser, main, parse_raw_sequence
 
 
 def _max_order_cyclic(n: int, seed: int) -> str:
@@ -444,3 +444,18 @@ def test_benchmark_solve_traces_are_pinned(capsys, name):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err]).encode()
     assert hashlib.sha256(blob).hexdigest() == BENCHMARK_TRACE_DIGESTS[name]
+
+
+def test_benchmark_sequences_read_as_bytes_only_where_every_coordinate_is_one_digit():
+    # The elementary texts (Z_2^14, Z_3^9) are read as bytes, texts and all;
+    # every other benchmark sequence has a token of more than one digit, and
+    # is read into a list as before.
+    for name, argv in BENCHMARK_COMMANDS.items():
+        if "--seq" in argv:
+            args = build_parser().parse_args(argv)
+            rank = len(args.group.split(",")) if args.cmd != "solve-cyclic" else 1
+            ints, texts = parse_raw_sequence(args.seq, rank)
+            if name.startswith("elementary"):
+                assert type(ints) is bytes and texts == [args.seq], name
+            else:
+                assert type(ints) is list, name

@@ -272,6 +272,14 @@ def test_encode_sequence_reports_the_first_bad_element(raws, message):
         encode_sequence([[1, 0], [0]], dec)
 
 
+def test_encode_sequence_scans_every_column_but_bytes():
+    # A bytes column holds ints by construction; a list beside it is still scanned.
+    dec = _dec("3,9")
+    assert encode_sequence([b"\x05\x01", [2, 10]], dec) == encode_sequence([[5, 1], [2, 10]], dec)
+    with pytest.raises(InputError, match="^element coordinates must be integers, got 1.5$"):
+        encode_sequence([b"\x05\x01", [2, 1.5]], dec)
+
+
 def test_encode_sequence_accepts_int_subclasses():
     class Residue(int):
         pass
@@ -289,6 +297,7 @@ RESIDUE_COLUMNS = [
     [1] * 1000 + [300],  # bytes() refuses only the last item
     (7, 255, 0),
     [True, 5],
+    bytes([0, 255, 7]),
 ]
 
 
@@ -305,7 +314,7 @@ def test_residues_match_the_mod_of_every_item(col, m):
 
 
 @pytest.mark.parametrize("text, cols", [("2,2,2", [[0, 1, 1], [1, 0, 1], [1, 1, 0]]), ("256", [[0, 255, 7]]),
-                                        ("257", [[0, 255, 256]])])
+                                        ("257", [[0, 255, 256]]), ("2,2,2", [b"\0\1\1", [1, 0, 1], b"\1\1\0"])])
 def test_encode_sequence_returns_fresh_lists_of_exact_ints(text, cols):
     # Each invariant factor here is one user factor with c = 1, so its column
     # is the caller's column reduced in one `residues` pass.
