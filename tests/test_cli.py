@@ -153,17 +153,16 @@ def test_other_texts_read_as_before(text, rank, expected, tmp_path):
     group = {1: "4", 2: "4,2"}[rank]
     path = tmp_path / "seq.txt"
     path.write_text(text.replace(";", "\n"))
-    inline_only = text.endswith(";") or "\n" in text
-    for args in [(text, rank, False, rank == 1)] + [(str(path), rank, True, rank == 1)] * (not inline_only):
+    sources = [(text, False)] if text.endswith(";") or "\n" in text else [(text, False), (str(path), True)]
+    for value, from_file in sources:
         if isinstance(expected, str):
             with pytest.raises(InputError) as exc:
-                parse_raw_sequence(*args)
+                parse_raw_sequence(value, rank, from_file, rank == 1)
             assert str(exc.value) == expected
         else:
-            ints, texts = parse_raw_sequence(*args)
+            ints, texts = parse_raw_sequence(value, rank, from_file, rank == 1)
             assert (type(ints), ints, texts) == (list, *expected)
-            flag = "--seq-file" if args[2] else "--seq"
-            _assert_echo_matches_rows(["oracle", "--group", group, flag, args[0]])
+            _assert_echo_matches_rows(["oracle", "--group", group, "--seq-file" if from_file else "--seq", value])
     path.write_text("1,0\n\n0,1\n")  # a blank line
     assert parse_raw_sequence(str(path), 2, from_file=True) == ([1, 0, 0, 1], None)
 
