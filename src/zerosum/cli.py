@@ -16,40 +16,17 @@ import math
 import os
 import sys
 import time
-from itertools import chain, repeat
+from bisect import bisect_left
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .engine import (
-    extract_certificate,
-    initial_configuration,
-    solve_to_root,
-    verify_certificate,
-)
-from .errors import (
-    EXIT_FAIL,
-    EXIT_INPUT_ERROR,
-    EXIT_INTERNAL_ERROR,
-    EXIT_PASS,
-    InputError,
-    InternalInvariantError,
-)
-from .groups import (
-    PrimaryDecomposition,
-    encode_sequence,
-    parse_group_spec,
-    primary_decomposition,
-    residues,
-)
+from .engine import extract_certificate, initial_configuration, solve_to_root, verify_certificate
+from .errors import EXIT_FAIL, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PASS, InputError, InternalInvariantError
+from .groups import PrimaryDecomposition, encode_sequence, parse_group_spec, parse_ints, primary_decomposition, residues
 from .lattice import build_lattice
 from .oracle import (
-    check_dp_work,
-    davenport_constant,
-    dp_min_cost_zero_sum,
-    lattice_graph,
-    path_graph,
-    pebbling_number,
-    solvable,
+    check_dp_work, davenport_constant, dp_min_cost_zero_sum, lattice_graph, path_graph, pebbling_number, solvable,
     weighted_boolean_cube,
 )
 
@@ -59,6 +36,7 @@ MAX_STRESS_ELEMENTS = 1_000_000
 # |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 960 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
 SMALL_INTS = {str(k): k for k in range(257)}  # each small int's text -> the cached int that int() returns
+WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"
 
 
@@ -175,14 +153,7 @@ def sequence_argument(args, rank: int, flat: bool = False) -> tuple[bytes | list
 
 
 def parse_indices(value: str) -> list[int]:
-    toks = [t.strip() for t in value.split(",") if t.strip()]
-    out = []
-    for tok in toks:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise InputError(f"bad index {tok!r}") from None
-    return out
+    return parse_ints([t.strip() for t in value.split(",") if t.strip()], "bad index {!r}")
 
 
 def _group_label(dec: PrimaryDecomposition) -> str:
@@ -317,23 +288,12 @@ def parse_graph_argument(text: str):
     kind, sep, rest = text.partition(":")
     if not sep or not rest.strip():
         raise InputError(f"graph spec {text!r} is not kind:args")
-    if kind == "cube":
-        return weighted_boolean_cube(_parse_weights(rest))
-    if kind == "path":
-        return path_graph(_parse_weights(rest))
     if kind == "lattice":
         return lattice_graph(primary_decomposition(parse_group_spec(rest)))
-    raise InputError(f"unknown graph kind {kind!r}; use cube:, path:, or lattice:")
-
-
-def _parse_weights(text: str) -> list[int]:
-    out = []
-    for tok in text.split(","):
-        try:
-            out.append(int(tok.strip()))
-        except ValueError:
-            raise InputError(f"bad weight {tok!r} in graph spec") from None
-    return out
+    if kind not in ("cube", "path"):
+        raise InputError(f"unknown graph kind {kind!r}; use cube:, path:, or lattice:")
+    weights = parse_ints(rest.split(","), "bad weight {!r} in graph spec")
+    return weighted_boolean_cube(weights) if kind == "cube" else path_graph(weights)
 
 
 def cmd_pebbling_number(args) -> RunReport:
@@ -501,42 +461,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render_json(value: Any, indent: str = "") -> str:
-    """The text of `json.dumps(value, indent=2)` for a report (str keys only),
-    a `SequenceEcho` written as its list of rows and a bytes as its ints.
+def render_json(value: Any) -> str:
+    """The text of `json.dumps(value, indent=2)` for a report: `_render`'s chunks, joined."""
+    _render(value, "", out := [])
+    return "".join(out)
 
-    Dicts, lists and tuples recurse, each wrapped by one f-string (one copy of
-    a large body per level); a list, tuple or bytes of plain ints is one
-    %-format of a "%d" template; a `SequenceEcho` is its texts joined by ';',
-    then two `str.replace` calls make ',' and ';' the item and row separators;
-    a plain int is its repr, a key goes through `json.dumps`'s string encoder,
-    and any other value is left to `json.dumps`, whose indented encoder is pure
-    Python: an input echo can hold 10^5 integers and a move log 10^5 dicts.
-    """
+
+def _render(value: Any, indent: str, out: list[str]) -> None:
+    """Appends the text of `json.dumps(value, indent=2)` at `indent` to `out`, for a
+    report (str keys only), a `SequenceEcho` as its list of rows and a bytes as its
+    ints, in chunks that no wrapper copies. A dict is its keys around its values'
+    chunks, a list or tuple not all ints one `_text` per item, and a `SequenceEcho`
+    its texts joined by ';', cut every `step` characters, each piece made rows by
+    two `str.replace` calls. They act per character, so a cut anywhere gives the
+    same text, and a character grows at most len(between)-fold, so a piece is at
+    most WRITE_BLOCK characters (one character's growth if WRITE_BLOCK is less)."""
+    inner = indent + "  "
+    if type(value) is SequenceEcho:  # a tuple of one field, never empty
+        item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
+        text, step = ";".join(value.texts), max(WRITE_BLOCK // len(between), 1)
+        out.append(f"[\n{inner}[{item}")
+        for pos in range(0, len(text), step):
+            out.append(text[pos : pos + step].replace(",", "," + item).replace(";", between))
+        out.append(f"\n{inner}]\n{indent}]")
+    elif isinstance(value, dict) and value:
+        for n, (k, v) in enumerate(value.items()):
+            out.append(f"{',' if n else '{'}\n{inner}{encode_basestring_ascii(k)}: ")
+            _render(v, inner, out)
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple, bytes)) and value:
+        if set(map(type, value)) == {int}:  # one chunk, as `_text` writes it: the types are scanned once
+            out.append(f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value)))
+            return
+        for n, x in enumerate(value):
+            out.append(f"{',' if n else '['}\n{inner}{_text(x, inner)}")
+        out.append(f"\n{indent}]")
+    else:
+        out.append(_text(value, indent))
+
+
+def _text(value: Any, indent: str) -> str:
+    """`_render`'s text as one str, for an item of a list: a plain int is its repr,
+    a dict recurses with its int values inline, a list, tuple or bytes of plain ints
+    is one %-format of a "%d" template, any other list or tuple (a `SequenceEcho`
+    too) is `_render`'s chunks joined, and any other value is left to `json.dumps`."""
     if type(value) is int:
         return int.__repr__(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in value.items()]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple, bytes)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        if type(value) is SequenceEcho:  # a tuple of one field, never empty
-            item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
-            rows = ";".join(value.texts).replace(",", "," + item).replace(";", between)
-            body = f"[{item}{rows}\n{inner}]"
-        elif set(map(type, value)) == {int}:
-            body = (",\n" + inner).join(["%d"] * len(value)) % tuple(value)
-        else:
-            body = (",\n" + inner).join([render_json(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return f"{{\n{inner}%s\n{indent}}}" % (",\n" + inner).join([
+            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else _text(v, inner))
+            for k, v in value.items()])
+    if not isinstance(value, (list, tuple, bytes)) or not value:
+        return json.dumps([] if type(value) is bytes else value)
+    if set(map(type, value)) == {int}:
+        return f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value))
+    _render(value, indent, out := [])
+    return "".join(out)
+
+
+def write_chunks(chunks: list[str]) -> None:
+    """Writes `chunks` to stdout in pieces: the chunks up to the one that brings a
+    piece to WRITE_BLOCK characters, but a chunk that long alone, uncopied."""
+    ends, start = list(accumulate(map(len, chunks), initial=0)), 0  # ends[k]: characters before chunk k
+    while start < len(chunks):
+        stop = min(bisect_left(ends, ends[start] + WRITE_BLOCK, start + 1), len(chunks))
+        stop -= stop - start > 1 and ends[stop] - ends[stop - 1] >= WRITE_BLOCK
+        sys.stdout.write("".join(chunks[start:stop]))
+        start = stop
 
 
 def main(argv=None) -> int:
@@ -570,11 +562,11 @@ def main(argv=None) -> int:
                 if report.moves is not None:
                     envelope["moves"] = report.moves
                 envelope["exit_code"] = report.exit_code
-                print(render_json(envelope))
+                _render(envelope, "", chunks := [])
+                chunks.append("\n")
             else:
-                for line in report.lines:
-                    print(line)
-                print(f"elapsed {elapsed_ms:.1f} ms")
+                chunks = [line + "\n" for line in report.lines] + [f"elapsed {elapsed_ms:.1f} ms\n"]
+            write_chunks(chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader stopped early (`| head`); drop the rest of the output

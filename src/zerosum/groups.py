@@ -56,13 +56,18 @@ def parse_group_spec(text: str) -> GroupSpec:
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
         raise InputError("empty group spec")
-    orders = []
+    return group_spec(parse_ints(tokens, "bad cyclic order {!r} in group spec"))
+
+
+def parse_ints(tokens: Iterable[str], message: str) -> list[int]:
+    """int() of every token, stripped; the first it refuses raises InputError(message.format(token))."""
+    out = []
     for tok in tokens:
         try:
-            orders.append(int(tok))
+            out.append(int(tok.strip()))
         except ValueError:
-            raise InputError(f"bad cyclic order {tok!r} in group spec") from None
-    return group_spec(orders)
+            raise InputError(message.format(tok)) from None
+    return out
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

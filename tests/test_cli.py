@@ -7,12 +7,14 @@ import contextlib
 import gc
 import io
 import json
+import math
 import operator
 import os
 import shlex
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -704,9 +706,14 @@ def test_subprocess_entry_points():
 def test_closed_pipe_exits_cleanly():
     # The trace runs to over 200 kB, more than a pipe buffer holds after the reader leaves.
     seq = ",".join(["1"] * 2000)
-    for extra in (["--json"], []):
+    # A Z_2^12 solve's JSON echoes 4,096 rows in about 0.6 MB, written a block at
+    # a time, so the pipe closes between two writes of the echo.
+    z2 = ";".join(",".join(str((k >> j) & 1) for j in range(12)) for k in range(4096))
+    for argv in (["solve-cyclic", "--n", "2000", "--seq", seq, "--trace", "--json"],
+                 ["solve-cyclic", "--n", "2000", "--seq", seq, "--trace"],
+                 ["solve", "--group", ",".join(["2"] * 12), "--seq", z2, "--json"]):
         proc = subprocess.Popen(
-            CLI + ["solve-cyclic", "--n", "2000", "--seq", seq, "--trace"] + extra,
+            CLI + argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=CLI_ENV,
@@ -732,9 +739,23 @@ def test_console_script_installed():
 
 # Report-shaped values: str keys; nested dicts, lists and tuples, empty ones
 # at any depth; ints of any sign and size; all-int, all-bool and mixed lists;
-# None; strings with quotes, backslashes, control and non-ASCII characters.
+# None; strings with quotes, backslashes, control and non-ASCII characters;
+# bytes and input echoes at any depth.
 _texts = st.text() | st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600 ab')
 _ints = st.integers() | st.integers(-(10**40), 10**40)
+
+
+@st.composite
+def _sequence_echoes(draw):
+    """A `SequenceEcho` of rows of one rank, its canonical element texts joined
+    by ';' a few rows to a text, as the parser gives them."""
+    rank = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-300, 300), min_size=rank, max_size=rank), min_size=1, max_size=6))
+    texts = [",".join(map(str, row)) for row in rows]
+    cuts = sorted(draw(st.sets(st.integers(1, len(texts) - 1)))) if len(texts) > 1 else []
+    return cli.SequenceEcho([";".join(texts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(texts)])])
+
+
 _leaves = (
     st.none()
     | st.booleans()
@@ -744,6 +765,8 @@ _leaves = (
     | st.lists(st.booleans())
     | st.lists(_ints | st.booleans())
     | st.lists(_ints).map(tuple)
+    | st.binary(max_size=8)
+    | _sequence_echoes()
 )
 _reports = st.recursive(
     _leaves,
@@ -754,10 +777,27 @@ _reports = st.recursive(
 )
 
 
-@given(_reports)
+def _plain(value):
+    """`value` as `json.dumps` takes it: a bytes as its list of ints and a
+    `SequenceEcho` as its list of rows, read from its canonical texts."""
+    if type(value) is cli.SequenceEcho:
+        return [list(map(int, row.split(","))) for row in ";".join(value.texts).split(";")]
+    if isinstance(value, bytes):
+        return list(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
+
+
+@given(_reports, st.sampled_from([1, 2, 3, 17, 100, 1000, cli.WRITE_BLOCK]))
 @settings(max_examples=200)
-def test_render_json_matches_indented_dumps(value):
-    assert render_json(value) == json.dumps(value, indent=2)
+def test_render_json_matches_indented_dumps(value, block):
+    # An echo is cut into pieces of about `block` characters, whatever its depth.
+    expected = json.dumps(_plain(value), indent=2)
+    with mock.patch.object(cli, "WRITE_BLOCK", block):
+        assert render_json(value) == expected
 
 
 def test_render_json_edge_shapes():
@@ -783,16 +823,28 @@ def test_render_json_templates_at_scale():
         assert render_json(value) == json.dumps(value, indent=2)
 
 
-def _assert_echo_matches_rows(argv):
+class _RecordingSink(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def _assert_echo_matches_rows(argv) -> list[int]:
     """`main`'s --json output for argv is json.dumps of its envelope with the
     input echo as the rows of the parsed coordinates, one list per element;
-    input that the parser refuses prints nothing."""
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    input that the parser refuses prints nothing. Returns the write lengths."""
+    with contextlib.redirect_stdout(_RecordingSink()) as sink, contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--json"])
-    out = out.getvalue()
+    out = sink.getvalue()
     if code == 2:
         assert out == ""
-        return
+        return sink.writes
     doc = json.loads(out)
     args = cli.build_parser().parse_args(argv)
     rank = zerosum.parse_group_spec(args.group).rank
@@ -804,30 +856,60 @@ def _assert_echo_matches_rows(argv):
         at = next(k for k, (a, b) in enumerate(zip(out + "\0", expected + "\1")) if a != b)
         near = slice(max(at - 40, 0), at + 40)
         pytest.fail(f"output differs at char {at}: {out[near]!r} != {expected[near]!r}")
+    return sink.writes
 
 
 # Tokens that int() reads but that are not canonical, or lie outside the small-int table.
 ECHO_TOKENS = ["01", "+1", " 1", "-0", "-3", "257", str(2**70)]
 
 
-def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
+def _echo_cases(tmp_path):
+    """Commands whose echo comes from each of the parser's three sources: a
+    text read as bytes, the parts of a text of table hits, and ints spelled
+    when rendered."""
     texts = ["1,0;0,1;1,1;1,0"] + [f"1,0;0,{tok};1,1;{tok},0" for tok in ECHO_TOKENS]
     for text in texts:
-        _assert_echo_matches_rows(["solve", "--group", "2,2", "--seq", text])
-        _assert_echo_matches_rows(["verify", "--group", "2,2", "--seq", text, "--indices", "1,2,3"])
-        _assert_echo_matches_rows(["oracle", "--group", "4,2", "--seq", text])
-    # Rank 1, split by ',' and by ';', canonical and not.
-    for text in ["1,1,1,1", "1;1;1;1", "1,01,-3,257", f"1;+1;-0;{2**70}"]:
-        _assert_echo_matches_rows(["solve", "--group", "4", "--seq", text])
-        _assert_echo_matches_rows(["oracle", "--group", "6", "--seq", text])
+        yield ["solve", "--group", "2,2", "--seq", text]
+        yield ["verify", "--group", "2,2", "--seq", text, "--indices", "1,2,3"]
+        yield ["oracle", "--group", "4,2", "--seq", text]
+    # Rank 1, split by ',' and by ';', canonical and not; table hits of two and three digits.
+    for text in ["1,1,1,1", "1;1;1;1", "1,01,-3,257", f"1;+1;-0;{2**70}", "10,1,200,3", "10;1;200;3"]:
+        yield ["solve", "--group", "4", "--seq", text]
+        yield ["oracle", "--group", "6", "--seq", text]
+    yield ["oracle", "--group", "12,2", "--seq", "10,1;11,0;1,1;0,1;5,0"]
     # Files: blank lines, CRLF line ends, a trailing newline, padding.
     path = tmp_path / "seq.txt"
     for body in ["1,0\n\n0,1\n1,1\n\n1,0\n", "1,0\r\n0,1\r\n1,1\r\n1,0\r\n", "1,0\n0,1\n1,1\n1,0",
                  " 1,0\n0 ,1\n01,1\n1,+0\n"]:
         path.write_bytes(body.encode())
-        _assert_echo_matches_rows(["solve", "--group", "2,2", "--seq-file", str(path)])
-        _assert_echo_matches_rows(["verify", "--group", "2,2", "--seq-file", str(path), "--indices", "2"])
-        _assert_echo_matches_rows(["oracle", "--group", "2,2", "--seq-file", str(path)])
+        yield ["solve", "--group", "2,2", "--seq-file", str(path)]
+        yield ["verify", "--group", "2,2", "--seq-file", str(path), "--indices", "2"]
+        yield ["oracle", "--group", "2,2", "--seq-file", str(path)]
+
+
+def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
+    for argv in _echo_cases(tmp_path):
+        _assert_echo_matches_rows(argv)
+
+
+def _echo_source(argv) -> str:
+    """Which of the parser's three sources an echo comes from."""
+    args = cli.build_parser().parse_args(argv)
+    value = args.seq_file if args.seq_file is not None else args.seq
+    ints, texts = parse_raw_sequence(value, zerosum.parse_group_spec(args.group).rank, args.seq_file is not None)
+    return "bytes" if type(ints) is bytes else "parts" if texts is not None else "ints"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 17, 100, 1000])
+def test_sequence_echo_matches_the_rows_in_pieces_of_any_size(tmp_path, block):
+    # WRITE_BLOCK also sets where an echo is cut: in pieces of one character
+    # (blocks below the row separator's length) or of a few, a cut falls
+    # inside a token, before and after a separator, and every write is small.
+    cases = list(_echo_cases(tmp_path))
+    assert {_echo_source(argv) for argv in cases} == {"bytes", "parts", "ints"}
+    with mock.patch.object(cli, "WRITE_BLOCK", block):
+        for argv in cases:
+            _assert_echo_matches_rows(argv)
 
 
 def test_sequence_echo_at_scale():
@@ -866,6 +948,37 @@ def _echo_inputs(draw):
 def test_sequence_echo_matches_the_rows_on_any_text(case):
     group, text = case
     _assert_echo_matches_rows(["oracle", "--group", group, "--seq", text])
+
+
+@given(_echo_inputs(), st.sampled_from([1, 2, 3, 17, 100, 1000]))
+@settings(max_examples=100, deadline=None)
+def test_sequence_echo_matches_the_rows_on_any_text_in_pieces_of_any_size(case, block):
+    group, text = case
+    with mock.patch.object(cli, "WRITE_BLOCK", block):
+        _assert_echo_matches_rows(["oracle", "--group", group, "--seq", text])
+
+
+def test_main_writes_a_report_in_pieces_of_about_one_block():
+    # A Z_2^14 solve's JSON, 2.8 MB, and a Z_30030 solve-cyclic's text trace,
+    # 21,185 lines: no write is over two blocks, and each write but the last
+    # is a block or more, so there are about as many writes as blocks.
+    block = cli.WRITE_BLOCK
+    z2 = ";".join(",".join(str((k >> j) & 1) for j in range(14)) for k in range(16384))
+    writes = _assert_echo_matches_rows(["solve", "--group", ",".join(["2"] * 14), "--seq", z2])
+    assert sum(writes) > 40 * block
+    assert max(writes) <= 2 * block and len(writes) <= sum(writes) // block + 2
+    units = [k for k in range(1, 30030) if math.gcd(k, 30030) == 1]
+    argv = ["solve-cyclic", "--n", "30030", "--seq", ",".join(str(units[k * 7919 % len(units)]) for k in range(30030)),
+            "--trace"]
+    with contextlib.redirect_stdout(_RecordingSink()) as sink:
+        assert main(argv) == 0
+    *lines, elapsed = sink.getvalue().split("\n")[:-1]
+    args = cli.build_parser().parse_args(argv)
+    assert lines == args.func(args).lines and len(lines) > 20_000
+    assert elapsed.startswith("elapsed ") and elapsed.endswith(" ms")
+    writes = sink.writes
+    assert sum(writes) > 30 * block
+    assert max(writes) <= 2 * block and len(writes) <= sum(writes) // block + 2
 
 
 @pytest.mark.parametrize(

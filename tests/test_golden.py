@@ -15,7 +15,8 @@ the CLI's SplitMix64, so they are the same on every platform. The Z_30030
 solve was recorded before a run's moves were made from one base-case pass and
 prefix sums; its first run makes 15,015 moves, the benchmark's largest.
 Last, every command of the benchmark's four workloads at seed 3, read from
-`perfbench/workloads.py`, is pinned by exit code, stdout and stderr.
+`perfbench/workloads.py`, is pinned by exit code, stdout and stderr, and the
+text traces of its Z_30030 and Z_2^14 solves by their stdout.
 """
 
 from __future__ import annotations
@@ -459,3 +460,22 @@ def test_benchmark_sequences_read_as_bytes_only_where_every_coordinate_is_one_di
                 assert type(ints) is bytes and texts == [args.seq], name
             else:
                 assert type(ints) is list, name
+
+
+# "<workload> <k>": SHA-256 of the text stdout, without its `elapsed` line, of
+# the benchmark's Z_30030 and Z_2^14 solves at seed 3 run with `--trace` and
+# without `--json`, recorded before reports were written in bounded pieces.
+BENCHMARK_TEXT_TRACE_DIGESTS = {
+    "maxorder-cyclic 0": "143069ccd7957f2ec45965cf5d2a77c5a940f25d7e8c228be34bd45f67f9d441",
+    "elementary 0": "ab45ed5367072e70a0a765cdbdbae7a82aef95b337fb91f2662afeffa66ef6ca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_TEXT_TRACE_DIGESTS))
+def test_benchmark_solve_text_traces_are_pinned(capsys, name):
+    argv = [arg for arg in BENCHMARK_COMMANDS[name] if arg != "--json"]
+    assert main([*argv, "--trace"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines(keepends=True)
+    assert ELAPSED_LINE.fullmatch(lines[-1]) and captured.err == ""
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == BENCHMARK_TEXT_TRACE_DIGESTS[name]
