@@ -35,7 +35,6 @@ MASK64 = (1 << 64) - 1
 MAX_STRESS_ELEMENTS = 1_000_000
 # |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 960 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
-SMALL_INTS = {str(k): k for k in range(257)}  # each small int's text -> the cached int that int() returns
 WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"
 
@@ -93,16 +92,16 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
     also work. A text of single ASCII digits with every separator where the
     rank puts it (one newline may end a file) is read as one bytes, and is
     its own texts with ';' between elements. Otherwise one split reads every
-    part of `rank` integers, by SMALL_INTS lookup (the parts are the texts)
-    or at a miss by int() (which strips no padding str.strip keeps); else each
-    part is read alone, blanks skipped, the first bad part named, then the
-    first part of another length.
+    part of `rank` integers by int() (which strips no padding str.strip
+    keeps), and the echo spells the ints; else each part is read alone,
+    blanks skipped, the first bad part named, then the first part of another
+    length. A file that cannot be opened or is not UTF-8 is an InputError.
     """
     if from_file:
         try:
             with open(value, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read sequence file {value!r}: {exc}") from None
         sep, body = "\n", text.removesuffix("\n")
     else:
@@ -117,10 +116,7 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
     if parts and (rank == 1 or set(map(str.count, parts, repeat(","))) == {rank - 1}):
         tokens = parts if rank == 1 else ",".join(parts).split(",")
         try:
-            try:
-                return list(map(SMALL_INTS.__getitem__, tokens)), parts
-            except KeyError:
-                return list(map(int, tokens)), None
+            return list(map(int, tokens)), None
         except ValueError:
             pass
     parts = [p for p in map(str.strip, parts) if p]
@@ -471,11 +467,14 @@ def _render(value: Any, indent: str, out: list[str]) -> None:
     """Appends the text of `json.dumps(value, indent=2)` at `indent` to `out`, for a
     report (str keys only), a `SequenceEcho` as its list of rows and a bytes as its
     ints, in chunks that no wrapper copies. A dict is its keys around its values'
-    chunks, a list or tuple not all ints one `_text` per item, and a `SequenceEcho`
-    its texts joined by ';', cut every `step` characters, each piece made rows by
-    two `str.replace` calls. They act per character, so a cut anywhere gives the
-    same text, and a character grows at most len(between)-fold, so a piece is at
-    most WRITE_BLOCK characters (one character's growth if WRITE_BLOCK is less)."""
+    chunks (a plain int is its repr, in its key's chunk), a non-empty list, tuple or
+    bytes of plain ints one %-format of a "%d" template, any other list or tuple its
+    items' chunks, and any other value (an int item too) goes to `json.dumps`. A
+    `SequenceEcho` is its texts joined by ';', cut every `step` characters, each
+    piece made rows by two `str.replace` calls. They act per character, so a cut
+    anywhere gives the same text, and a character grows at most len(between)-fold,
+    so a piece is at most WRITE_BLOCK characters (one character's growth if
+    WRITE_BLOCK is less)."""
     inner = indent + "  "
     if type(value) is SequenceEcho:  # a tuple of one field, never empty
         item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
@@ -487,37 +486,20 @@ def _render(value: Any, indent: str, out: list[str]) -> None:
     elif isinstance(value, dict) and value:
         for n, (k, v) in enumerate(value.items()):
             out.append(f"{',' if n else '{'}\n{inner}{encode_basestring_ascii(k)}: ")
-            _render(v, inner, out)
+            if type(v) is int:  # in its key's chunk: a move log has four per move
+                out[-1] += int.__repr__(v)
+            else:
+                _render(v, inner, out)
         out.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple, bytes)) and value:
-        if set(map(type, value)) == {int}:  # one chunk, as `_text` writes it: the types are scanned once
-            out.append(f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value)))
-            return
+    elif isinstance(value, (list, tuple, bytes)) and set(map(type, value)) == {int}:  # so not empty; one scan
+        out.append(f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value)))
+    elif isinstance(value, (list, tuple)) and value:
         for n, x in enumerate(value):
-            out.append(f"{',' if n else '['}\n{inner}{_text(x, inner)}")
+            out.append(f"{',' if n else '['}\n{inner}")
+            _render(x, inner, out)
         out.append(f"\n{indent}]")
     else:
-        out.append(_text(value, indent))
-
-
-def _text(value: Any, indent: str) -> str:
-    """`_render`'s text as one str, for an item of a list: a plain int is its repr,
-    a dict recurses with its int values inline, a list, tuple or bytes of plain ints
-    is one %-format of a "%d" template, any other list or tuple (a `SequenceEcho`
-    too) is `_render`'s chunks joined, and any other value is left to `json.dumps`."""
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        return f"{{\n{inner}%s\n{indent}}}" % (",\n" + inner).join([
-            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else _text(v, inner))
-            for k, v in value.items()])
-    if not isinstance(value, (list, tuple, bytes)) or not value:
-        return json.dumps([] if type(value) is bytes else value)
-    if set(map(type, value)) == {int}:
-        return f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value))
-    _render(value, indent, out := [])
-    return "".join(out)
+        out.append(json.dumps([] if type(value) is bytes else value))
 
 
 def write_chunks(chunks: list[str]) -> None:

@@ -10,6 +10,8 @@ import json
 import math
 import operator
 import os
+import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -77,13 +79,13 @@ def _parsed(*args, **kwargs):
 
 
 def test_parse_raw_sequence_rank1_commas():
-    # Every token in the small-int table: the parts come back as the element texts.
+    # Single digits: the text comes back as the element texts.
     assert _parsed("1,1,1,1", rank=1) == ([1, 1, 1, 1], ["1", "1", "1", "1"])
     assert _parsed("0;1;2", rank=1) == ([0, 1, 2], ["0", "1", "2"])
-    # A token outside it ("-3", "+1", "300") leaves the texts to the echo.
+    # Any other token ("-3", "+1", "300") leaves the texts to the echo.
     assert _parsed("-3", rank=1) == ([-3], None)
     assert _parsed("+1,300", rank=1) == ([1, 300], None)
-    # A token in the small-int table reads as the very object int() returns.
+    # A small token reads as the very object int() returns.
     ints, _ = parse_raw_sequence("0,7,256", 1, flat=True)
     assert all(map(operator.is_, ints, map(int, ["0", "7", "256"])))
 
@@ -135,7 +137,7 @@ def test_single_digit_texts_read_as_bytes(tmp_path):
 @pytest.mark.parametrize(
     "text, rank, expected",
     [
-        ("10,1;1,1", 2, ([10, 1, 1, 1], ["10,1", "1,1"])),  # a two-digit token: a small-int table hit
+        ("10,1;1,1", 2, ([10, 1, 1, 1], None)),  # a two-digit token
         ("+1,1;1,1", 2, ([1, 1, 1, 1], None)),
         ("1, 1;1,1", 2, ([1, 1, 1, 1], None)),  # padding inside the text
         ("1,\uff13;1,1", 2, ([1, 3, 1, 1], None)),  # a non-ASCII digit
@@ -149,9 +151,8 @@ def test_single_digit_texts_read_as_bytes(tmp_path):
 )
 def test_other_texts_read_as_before(text, rank, expected, tmp_path):
     # Anything else takes the one-split or per-part reader as before: a list of
-    # ints, with the parts as texts only where every token is in the small-int
-    # table, or its error; inline and as a file of lines (where a last ';' or
-    # a newline would be a line end, inline only).
+    # ints and no texts, or its error; inline and as a file of lines (where a
+    # last ';' or a newline would be a line end, inline only).
     group = {1: "4", 2: "4,2"}[rank]
     path = tmp_path / "seq.txt"
     path.write_text(text.replace(";", "\n"))
@@ -260,7 +261,7 @@ def _outcome(read, *args):
     return repr(got)
 
 
-# Table hits ("0", "256"), a miss just past the table ("257"), and texts int()
+# Canonical tokens of one and three digits ("0", "256", "257"), and texts int()
 # reads that are not canonical ("00", "+1", " 1", "-0", "1_0", Arabic-Indic 3).
 SMALL_INT_TOKENS = ["0", "256", "257", "00", "+1", " 1", "-0", "1_0", "\u0663"]
 
@@ -385,6 +386,18 @@ def test_seq_and_seq_file_are_exclusive(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--group", "4", "--seq-file", str(tmp_path / "missing.txt")]) == 2
     assert "cannot read sequence file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_seq_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, json_flag):
+    # A byte that is not UTF-8 is unreadable input (exit 2), not a traceback (exit 1).
+    path = tmp_path / "seq.txt"
+    path.write_bytes(b"\xff\n1\n1\n1\n")
+    for argv in (["solve", "--group", "4"], ["solve-cyclic", "--n", "4"], ["oracle", "--group", "4"],
+                 ["verify", "--group", "4", "--indices", "1"]):
+        assert main(argv + ["--seq-file", str(path)] + json_flag) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"input error: cannot read sequence file {str(path)!r}: "), argv
 
 
 def test_solve_cyclic_examples(capsys):
@@ -859,20 +872,19 @@ def _assert_echo_matches_rows(argv) -> list[int]:
     return sink.writes
 
 
-# Tokens that int() reads but that are not canonical, or lie outside the small-int table.
+# Tokens that int() reads but that are not single digits: not canonical, negative or large.
 ECHO_TOKENS = ["01", "+1", " 1", "-0", "-3", "257", str(2**70)]
 
 
 def _echo_cases(tmp_path):
-    """Commands whose echo comes from each of the parser's three sources: a
-    text read as bytes, the parts of a text of table hits, and ints spelled
-    when rendered."""
+    """Commands whose echo comes from each of the parser's two sources: a
+    text read as bytes, and ints spelled when rendered."""
     texts = ["1,0;0,1;1,1;1,0"] + [f"1,0;0,{tok};1,1;{tok},0" for tok in ECHO_TOKENS]
     for text in texts:
         yield ["solve", "--group", "2,2", "--seq", text]
         yield ["verify", "--group", "2,2", "--seq", text, "--indices", "1,2,3"]
         yield ["oracle", "--group", "4,2", "--seq", text]
-    # Rank 1, split by ',' and by ';', canonical and not; table hits of two and three digits.
+    # Rank 1, split by ',' and by ';', canonical and not; tokens of two and three digits.
     for text in ["1,1,1,1", "1;1;1;1", "1,01,-3,257", f"1;+1;-0;{2**70}", "10,1,200,3", "10;1;200;3"]:
         yield ["solve", "--group", "4", "--seq", text]
         yield ["oracle", "--group", "6", "--seq", text]
@@ -893,11 +905,12 @@ def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
 
 
 def _echo_source(argv) -> str:
-    """Which of the parser's three sources an echo comes from."""
+    """Which of the parser's two sources an echo comes from."""
     args = cli.build_parser().parse_args(argv)
     value = args.seq_file if args.seq_file is not None else args.seq
     ints, texts = parse_raw_sequence(value, zerosum.parse_group_spec(args.group).rank, args.seq_file is not None)
-    return "bytes" if type(ints) is bytes else "parts" if texts is not None else "ints"
+    assert (type(ints) is bytes) == (texts is not None)
+    return "bytes" if type(ints) is bytes else "ints"
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 17, 100, 1000])
@@ -906,7 +919,7 @@ def test_sequence_echo_matches_the_rows_in_pieces_of_any_size(tmp_path, block):
     # (blocks below the row separator's length) or of a few, a cut falls
     # inside a token, before and after a separator, and every write is small.
     cases = list(_echo_cases(tmp_path))
-    assert {_echo_source(argv) for argv in cases} == {"bytes", "parts", "ints"}
+    assert {_echo_source(argv) for argv in cases} == {"bytes", "ints"}
     with mock.patch.object(cli, "WRITE_BLOCK", block):
         for argv in cases:
             _assert_echo_matches_rows(argv)
@@ -914,7 +927,7 @@ def test_sequence_echo_matches_the_rows_in_pieces_of_any_size(tmp_path, block):
 
 def test_sequence_echo_at_scale():
     # The echo of a Z_2^14 verify, 16,384 rows of 14, from the text itself
-    # (read as bytes) and, with one token off the small-int table, from the ints.
+    # (read as bytes) and, with one token not a single digit, from the ints.
     text = ";".join(",".join(str((k >> j) & 1) for j in range(14)) for k in range(16384))
     group = ",".join(["2"] * 14)
     _assert_echo_matches_rows(["verify", "--group", group, "--seq", text, "--indices", "1"])
@@ -927,8 +940,8 @@ _ECHO_GROUPS = {1: "6", 2: "3,2", 3: "2,2,2"}
 @st.composite
 def _echo_inputs(draw):
     """(group, text): rows of the group's rank, half of them single digits
-    without padding (a text read as bytes), the rest of tokens that are table
-    hits, misses or padded; or now and then any text at all."""
+    without padding (a text read as bytes), the rest of tokens of any length,
+    canonical or not, or padded; or now and then any text at all."""
     rank = draw(st.sampled_from(sorted(_ECHO_GROUPS)))
     if draw(st.integers(0, 4)) == 0:
         return _ECHO_GROUPS[rank], draw(st.text(alphabet="0129,; \t\n+-", max_size=30))
@@ -1180,4 +1193,23 @@ def test_readme_library_block_runs_and_every_exported_name_resolves():
     # a signature the package no longer has.
     exec(compile(_readme_block("Library", "```python"), "README.md", "exec"), {})
     missing = [name for name in zerosum.__all__ if not hasattr(zerosum, name)]
+    assert not missing
+
+
+def _readme_sections(*headings: str) -> str:
+    """The text of the README's `### heading` sections, each up to the next heading."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return "".join(text.split(f"\n### {h}\n", 1)[1].split("\n#", 1)[0] for h in headings)
+
+
+def test_readme_names_only_code_that_exists():
+    # Every backticked Python name (with an underscore or in camel case) in
+    # these sections is defined in the package: a def, a class or a module-level
+    # assignment, so prose cannot outlive the code it describes.
+    text = _readme_sections("Groups and sequences", "The DP oracle", "Exit codes", "Determinism")
+    names = {n for n in re.findall(r"`([A-Za-z_]\w*)`", text) if "_" in n or re.search("[a-z][A-Z]", n)}
+    source = "".join(p.read_text(encoding="utf-8") for p in sorted(pathlib.Path(zerosum.__file__).parent.glob("*.py")))
+    assert len(names) >= 10
+    missing = [n for n in sorted(names) if not re.search(rf"^(\s*(def|class)\s+{n}\b|{n}\s*(:[^=\n]*)?=)", source, re.M)]
     assert not missing
