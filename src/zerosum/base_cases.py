@@ -8,11 +8,13 @@ Both selections are deterministic so certificates are reproducible.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import compress, islice, repeat
 from operator import eq, getitem
 
 from .errors import InternalInvariantError
+from .groups import byte_table, residues
 
 
 class _Blocks(dict):
@@ -43,9 +45,24 @@ def _zero_sum_blocks(p: int, residues: list[int]) -> list[slice]:
     return list(map(_Blocks().__getitem__, zip(*[iter(residues)] * p)))
 
 
-def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
+def _vectors(p: int, cols: list[list[int]]) -> list[bytes] | list[tuple[int, ...]]:
+    """Vector k is (cols[0][k], cols[1][k], ...) mod p: one bytes for p <= 256, cut from one
+    translated buffer of the interleaved columns; else a tuple of ints."""
+    if p > 256:
+        return list(zip(*[residues(col, p) for col in cols]))
+    d = len(cols)
+    buf = bytearray(d * len(cols[0]))
+    for j, col in enumerate(cols):
+        try:
+            buf[j::d] = col
+        except ValueError:  # an item past 255: the column is read again, so it is not an iterator
+            buf[j::d] = residues(col, p)
+    return re.findall(b".{%d}" % d, buf.translate(byte_table(p)), re.S)
+
+
+def _elementary_block(p: int, vecs: list[bytes] | list[tuple[int, ...]]) -> list[int]:
     """Nonempty zero-sum selection of at most p indices from p**dim vectors
-    already reduced mod a prime p.
+    already reduced mod a prime p, all bytes (p <= 256) or all tuples of ints.
 
     A zero vector wins as a singleton. Otherwise some line through the origin
     holds at least p of the vectors; on the most populated line (ties broken by
@@ -55,17 +72,21 @@ def _elementary_block(p: int, vecs: list[tuple[int, ...]]) -> list[int]:
     A nonzero vector's label is the vector scaled so its first nonzero entry
     (its lead) is 1, by one scale table per lead, so two share a label exactly
     when one is a multiple of the other; a lead-1 vector (every one over F_2)
-    is its own label and is not scaled.
+    is its own label and is not scaled. Bytes labels compare as the tuples of
+    their bytes do, so both row types break a tie alike.
     """
-    zero = (0,) * len(vecs[0])
+    zero = type(vecs[0])(bytes(len(vecs[0])))  # the zero vector, of the rows' type
     if zero in vecs:
         return [vecs.index(zero) + 1]
 
     labels = vecs
     if p > 2:
         scale = {lead: tuple(x * pow(lead, -1, p) % p for x in range(p)) for lead in range(2, p)}
-        leads = map(next, map(filter, repeat(None), vecs))
-        labels = [v if a == 1 else tuple(map(getitem, repeat(scale[a]), v)) for v, a in zip(vecs, leads)]
+        if type(zero) is bytes:
+            scale = {lead: bytes(table).ljust(256, b"\0") for lead, table in scale.items()}
+            labels = [v if a == 1 else v.translate(scale[a]) for v in vecs for a in [v.lstrip(b"\0")[0]]]
+        else:
+            labels = [v if a == 1 else tuple(map(getitem, repeat(scale[a]), v)) for v in vecs for a in [next(filter(None, v))]]
     counts = Counter(labels)
     top = max(counts.values())
     if top < p:

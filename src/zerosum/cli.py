@@ -33,7 +33,7 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: a few seconds at most.
 MAX_STRESS_ELEMENTS = 1_000_000
-# |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 960 on Z_2^18.
+# |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 690 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
 WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"

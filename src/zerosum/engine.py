@@ -23,7 +23,7 @@ from .errors import InputError, InternalInvariantError
 from .groups import (PrimaryDecomposition, add_elements, element_columns, element_costs, element_order, identity,
                      residues)
 from .lattice import LatticeVertex, WeightedLattice, build_lattice, placement_rule
-from .base_cases import _elementary_block, _zero_sum_blocks
+from .base_cases import _elementary_block, _vectors, _zero_sum_blocks
 
 
 class MoveRecord(NamedTuple):
@@ -241,13 +241,14 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     The run is worked a column at a time, each read as one slice when its ids
     are consecutive. In dimension 1 one base-case pass gives each move a block
     of consecutive pebbles, whose column sums value the merge; otherwise each
-    move runs the base case on its vectors. A run is whole or nothing: its ids
-    leave their pool before the checks, and a misplaced pebble, a base-case
-    error or a merge that breaks the child's placement rule puts them back and
-    raises, with the group and count profile. Otherwise the moves are placed
-    with one `+=` per column and logged as one run record, the column slots of
-    the merged pebbles they consume are freed, and with debug on each new
-    pebble is then rechecked.
+    move runs the base case on its vectors, one bytes each when p <= 256 (cut
+    from one buffer of the run's columns), else tuples. A run is whole or
+    nothing: its ids leave their pool before the checks, and a misplaced
+    pebble, a base-case error or a merge that breaks the child's placement rule
+    puts them back and raises, with the group and count profile. Otherwise the
+    moves are placed with one `+=` per column and logged as one run record, the
+    column slots of the merged pebbles they consume are freed, and with debug
+    on each new pebble is then rechecked.
     """
     lattice = conf.lattice
     if not 0 <= vidx < lattice.num_vertices:
@@ -278,26 +279,26 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
 
     try:
         bad = need  # position in the run of the first misplaced pebble
-        reduced = []
+        divided = []
         for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
             if m > 1:
                 bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m))), need))
                 col = map(floordiv, col, repeat(m))
-            reduced.append(residues(col, p))
+            divided.append(col if dims == 1 or m == 1 else list(col))  # _vectors may read a column twice
         if bad < need:
             raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}")
         if dims == 1:  # sums: per column, each move's chunk summed over its block
-            blocks = _zero_sum_blocks(p, reduced[0])
+            blocks = _zero_sum_blocks(p, residues(divided[0], p))
             kept, step = run, weight
             sums = [list(map(sum, map(getitem, zip(*[iter(col)] * p), blocks))) for col in cols]
         else:
-            vecs = list(zip(*reduced))
+            vecs = _vectors(p, divided)
             picks = [[s + k - 1 for k in _elementary_block(p, vecs[s : s + weight])] for s in range(0, need, weight)]
             kept, step = tuple(run[k] for q in picks for k in q), 0
             ends = list(itertools.accumulate(map(len, picks)))
             blocks = list(map(slice, [0, *ends], ends))
             sums = [[sum(map(col.__getitem__, q)) for q in picks] for col in cols]
-        del cols, reduced
+        del cols, divided
         new_costs = sums.pop()
         new_cols = list(map(residues, sums, factors))
         del sums

@@ -14,6 +14,7 @@ Everything is exact integer work; there is no float anywhere in the package.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import chain, repeat
 from operator import add, mod, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -196,7 +197,10 @@ def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition)
     return [residues(col, n) if col is not None else [0] * lengths[0] for col, n in zip(acc, factors)]
 
 
-_BYTE_TABLES: dict[int, bytes] = {}  # m -> the residues mod m of 0..255, built on first use
+@cache
+def byte_table(m: int) -> bytes:
+    """The residues mod m (0 < m <= 256) of 0..255, a `translate` table for bytes, built on first use."""
+    return bytes([x % m for x in range(256)])
 
 
 def residues(col: Iterable[int], m: int) -> list[int]:
@@ -205,9 +209,8 @@ def residues(col: Iterable[int], m: int) -> list[int]:
     `translate`; `bytes()` refuses any other item, and that, or m > 256,
     falls back to one `mod` map."""
     if 0 < m <= 256 and isinstance(col, (list, tuple, bytes)):
-        table = _BYTE_TABLES.get(m) or _BYTE_TABLES.setdefault(m, bytes([x % m for x in range(256)]))
         try:
-            return list(bytes(col).translate(table))
+            return list(bytes(col).translate(byte_table(m)))
         except (TypeError, ValueError):
             pass
     return list(map(mod, col, repeat(m)))

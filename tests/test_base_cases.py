@@ -234,6 +234,7 @@ def test_elementary_block_follows_the_line_rule(p, dim):
         reduced = [tuple(x % p for x in v) for v in items]
         picked = _elementary_block(p, reduced)
         assert picked == _line_rule(p, items)
+        assert _elementary_block(p, list(map(bytes, reduced))) == picked  # the rows merge_step makes for p <= 256
         if seed % 3 == 2 and dim >= 2:
             counts = Counter(_line_of(v, p)[0] for v in reduced)
             full = [label for label, n in counts.items() if n == p]
@@ -258,3 +259,4 @@ def test_elementary_selection_is_frozen(key):
     p, dim, seed = key
     items = _seeded_vectors(p, dim, seed)
     assert _elementary_block(p, [tuple(x % p for x in v) for v in items]) == FROZEN_SELECTIONS[key]
+    assert _elementary_block(p, [bytes(x % p for x in v) for v in items]) == FROZEN_SELECTIONS[key]

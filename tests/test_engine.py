@@ -34,7 +34,7 @@ from zerosum import (
 )
 import zerosum.engine
 from zerosum import MoveRecord
-from zerosum.base_cases import _elementary_block
+from zerosum.base_cases import _elementary_block, _vectors
 from zerosum.cli import main
 from zerosum.engine import _Run, _debug_check, _eliminate_plan, _greedy_plan, _leaves
 from zerosum.groups import encode_sequence
@@ -960,15 +960,25 @@ def _plan_steps(text, seed):
     assert conf.root_pebble() is not None
 
 
-EQUIVALENCE_GROUPS = ["8", "60", "2310", "2187", "4,2,2", "9,3", "2,2,2,2,2"]
+# "514,2" makes d = 2 moves on a column with items up to 513, and "257,257"
+# on p > 256: the per-column `residues` and the tuple sources of `_vectors`.
+EQUIVALENCE_GROUPS = ["8", "60", "2310", "2187", "4,2,2", "9,3", "2,2,2,2,2", "514,2", "257,257"]
 
 
 @pytest.mark.parametrize(
-    "text", [pytest.param(t, marks=pytest.mark.slow) if t == "2310" else t for t in EQUIVALENCE_GROUPS]
+    "text", [pytest.param(t, marks=pytest.mark.slow) if t in ("2310", "257,257") else t for t in EQUIVALENCE_GROUPS]
 )
-def test_whole_run_merges_match_the_per_move_loop(text):
+def test_whole_run_merges_match_the_per_move_loop(text, monkeypatch):
     # At every planned run, every occupied vertex and down edge, for counts up
     # to the pool's maximum.
+    sources = set()  # (row type, whether some column held an item past 255) of each _vectors call
+
+    def spy(p, cols):
+        vecs = _vectors(p, cols)
+        sources.add((type(vecs[0]), max(map(max, cols)) > 255))
+        return vecs
+
+    monkeypatch.setattr(zerosum.engine, "_vectors", spy)
     longest = 0
     for seed in (0, 1, 2):
         for conf, _, _, _ in _plan_steps(text, seed):
@@ -980,8 +990,12 @@ def test_whole_run_merges_match_the_per_move_loop(text):
                         for count in _counts(len(pool) // weight):
                             assert _run_both(conf, vidx, ci, count) is None
                             longest = max(longest, count)
-    # Z_2^5's only edge out of the top vertex takes all 32 pebbles.
-    assert longest >= (1 if text == "2,2,2,2,2" else 4)
+    # Z_2^5's only edge out of the top vertex takes all 32 pebbles, Z_257^2's all 66,049.
+    assert longest >= (1 if text in ("2,2,2,2,2", "257,257") else 4)
+    # One bytes per vector for p <= 256, a tuple of ints for p > 256; a cyclic group makes no d > 1 move.
+    types = {row for row, _ in sources}
+    assert types == ({tuple} if text == "257,257" else {bytes} if "," in text else set())
+    assert ((bytes, True) in sources) == (text == "514,2")
 
 
 def _tampers(conf, vidx, ci, count):
@@ -1171,3 +1185,21 @@ def test_a_top_vertex_run_frees_its_ids_before_the_checks():
     finally:
         tracemalloc.stop()
     assert peak < 36 * n, peak / n
+
+
+def test_an_elementary_solve_keeps_one_bytes_per_vector():
+    # The one base case of Z_2^14 reads 16,384 vectors. Its solve's tracemalloc
+    # peak above the start is about 3.4 MB with one bytes per vector, 6.7 MB
+    # with one tuple of ints each.
+    dec, els = _seeded_nonzero(",".join(["2"] * 14), 1)
+    conf = initial_configuration(dec, els)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_to_root(conf)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(conf.move_log) == 1
+    assert peak < 5_000_000, peak
