@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 from itertools import repeat
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from operator import attrgetter, floordiv, getitem, lt, mod
 from typing import NamedTuple
@@ -130,8 +130,8 @@ class Configuration:
     Pebble k is slot k of every column: `cols[j][k]` is its coordinate in
     invariant factor j (for an input pebble 1..|G|, entry k - 1 of column j
     of `sequence`, the caller's columns, itself) and `costs[k]` its order
-    cost; slot 0 is unused, and so are the `cols` slots of a merged pebble
-    once a move consumes it. `value(k)` reads pebble k's value as a tuple.
+    cost; slot 0 is unused. A slot keeps the value it was written with: a
+    move consumes pebbles off their pool. `value(k)` reads it as a tuple.
     `pools[vidx]` lists the ids on vertex index vidx, ascending. The move log is
     the merge tree: pebble |G| + 1 + k is made by move k, and its parts are
     that move's selected ids (see `Pebble.members`). Mutated only through
@@ -246,9 +246,9 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     nothing: its ids leave their pool before the checks, and a misplaced
     pebble, a base-case error or a merge that breaks the child's placement rule
     puts them back and raises, with the group and count profile. Otherwise the
-    moves are placed with one `+=` per column and logged as one run record, the
-    column slots of the merged pebbles they consume are freed, and with debug
-    on each new pebble is then rechecked.
+    moves are placed with one `+=` per column (consumed pebbles keep their
+    slots) and logged as one run record, and with debug on each new pebble is
+    then rechecked.
     """
     lattice = conf.lattice
     if not 0 <= vidx < lattice.num_vertices:
@@ -317,20 +317,13 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
             raise
         raise InternalInvariantError(f"{exc}: {conf.context()}") from None
 
-    log = conf.move_log  # a _Run made by tuple.__new__ skips the Python-level __new__ NamedTuple generates
-    log.runs.append(tuple.__new__(_Run, (vertex.divisor, p, weight, run, new_id, kept, step, blocks)))
+    log = conf.move_log
+    log.runs.append(_Run(vertex.divisor, p, weight, run, new_id, kept, step, blocks))
     log.moves += count
     for col, new in zip(conf.cols, new_cols):
         col += new
     costs += new_costs
     conf.pools[child_idx] += range(new_id, new_id + count)
-    gone = run[bisect_left(run, log.base) :]  # consumed merged pebbles: never read again
-    for col in conf.cols:
-        if type(gone) is range:
-            col[gone.start : gone.stop] = [None] * len(gone)
-        else:
-            for q in gone:
-                col[q] = None
     if conf.debug:
         _debug_check(conf, range(new_id, new_id + count))
     return conf

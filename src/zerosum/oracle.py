@@ -307,14 +307,13 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
         if g != table_of:
             table_of, table = g, _shift_table(dec, g)
             gi = table[0]
-            sources, before = reached, best[:]
+            sources, before = reached[:], best[:]
         else:
             sources, before = changed, {s: best[s] for s in changed}
-        fresh = []
         changed = []
         if c < best[gi]:
             if best[gi] == unreached:
-                fresh.append(gi)
+                reached.append(gi)
             best[gi] = c
             parent[(gi, c)] = (None, k)
             changed.append(gi)
@@ -323,11 +322,10 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
             cost = before[s] + c
             if cost < best[t]:
                 if best[t] == unreached:
-                    fresh.append(t)
+                    reached.append(t)
                 best[t] = cost
                 parent[(t, cost)] = (s, k)
                 changed.append(t)
-        reached += fresh
         if best[0] <= floor:
             break
     if best[0] == unreached:

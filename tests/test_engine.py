@@ -36,7 +36,7 @@ import zerosum.engine
 from zerosum import MoveRecord
 from zerosum.base_cases import _elementary_block, _vectors
 from zerosum.cli import main
-from zerosum.engine import _Run, _debug_check, _eliminate_plan, _greedy_plan, _leaves
+from zerosum.engine import _Run, _debug_check, _eliminate_plan, _greedy_plan, _leaves, _recompute
 from zerosum.groups import encode_sequence
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
@@ -182,9 +182,9 @@ def test_z4_all_ones_full_trace():
         (4, 2, (3, 4), (3, 4), 6),
         (2, 2, (5, 6), (5, 6), 7),
     ]
-    # Merged pebbles 5 and 6 are consumed, so their slots are freed; the input
-    # slots stay, since they are the elements' coordinates.
-    assert conf.cols == [[None, *els[0], None, None, 0]]
+    # Merged pebbles 5 and 6 are consumed but keep their slots, as the inputs
+    # do: the table is written once.
+    assert conf.cols == [[None, *els[0], 2, 2, 0]]
     assert conf.value(7) == (0,)
 
 
@@ -729,19 +729,20 @@ def test_tuple_and_range_runs_give_the_same_table():
     dense = _z8_two_runs([1, 1, 1, 1, 1, 1, 2, 2])
     assert [r.run for r in gaps.move_log.runs] == [(1, 2, 4, 5, 7, 8), (3, 6, 9, 10)]
     assert [r.run for r in dense.move_log.runs] == [range(1, 7), range(7, 11)]
-    # Inputs stay in their own slots; the merged slots, freed or live, match.
+    # Inputs stay in their own slots; the merged slots, consumed or live, match.
     assert gaps.cols[0][:9] == [None, 1, 1, 2, 1, 1, 2, 1, 1]
     assert dense.cols[0][:9] == [None, 1, 1, 1, 1, 1, 1, 2, 2]
-    assert gaps.cols[0][9:] == dense.cols[0][9:] == [None, None, 2, 4, 4]
+    assert gaps.cols[0][9:] == dense.cols[0][9:] == [2, 2, 2, 4, 4]
     assert gaps.costs[9:] == dense.costs[9:] == [2, 2, 2, 4, 4]
     assert gaps.pools == dense.pools
     assert [m.selected for m in gaps.move_log][3:] == [(3, 6), (9, 10)]
     assert [m.selected for m in dense.move_log][3:] == [(7, 8), (9, 10)]
 
 
-def test_every_column_frees_consumed_merged_pebbles_and_keeps_inputs():
+def test_every_slot_keeps_its_written_value():
     # Seed 0 over Z_4 + Z_2 + Z_2 consumes four merged pebbles, the last run
-    # in dimension 3.
+    # in dimension 3. Each merged pebble, consumed or live, still holds the
+    # sum of its members.
     dec, els = _seeded_nonzero("4,2,2", 0)
     conf = initial_configuration(dec, els)
     root = solve_to_root(conf)
@@ -752,7 +753,9 @@ def test_every_column_frees_consumed_merged_pebbles_and_keeps_inputs():
     for j, col in enumerate(conf.cols):
         assert len(col) == len(conf.costs) == log.base + len(log)
         assert col[1 : log.base] == els[j]
-        assert all((col[q] is None) == (q in consumed) for q in merged)
+    for q in merged:
+        val, cost = _recompute(dec, els, sorted(_leaves(conf, q)))
+        assert conf.value(q) == val and conf.costs[q] == cost
     assert conf.value(root.pid) == root.val == identity(dec)
 
 
@@ -773,13 +776,13 @@ def test_merge_step_count_checks_the_pool_once():
 # `_zero_sum_block` and `_merge_step_per_move` are verbatim copies of the base
 # case and of `merge_step` from before a run's moves were made from one
 # base-case pass and prefix sums (only the function name differs), except
-# that the per-move loop logs each move as a run of one, frees the slots of the
-# merged pebbles it consumes, reads and writes pebble values through the
-# column table (`conf.value`, one append per column), adds the group and
-# count profile to its errors, and takes the vertex by its index and reads its
-# residual moduli from the lattice's per-level table, as `merge_step` now does. Every comparison
-# runs both on copies of one configuration and asserts the same move log,
-# columns, costs, pools and exception message.
+# that the per-move loop logs each move as a run of one, reads and writes
+# pebble values through the column table (`conf.value`, one append per
+# column), adds the group and count profile to its errors, and takes the
+# vertex by its index and reads its residual moduli from the lattice's
+# per-level table, as `merge_step` now does. Every comparison runs both on
+# copies of one configuration and asserts the same move log, columns, costs,
+# pools and exception message.
 
 
 def _zero_sum_block(p: int, items: list[int]) -> list[int]:
@@ -868,10 +871,6 @@ def _merge_step_per_move(conf, vidx, coordinate, count=1):
         # The move as a run of one: it consumed its chunk and kept all of `selected`.
         log.runs.append(_Run(divisor, p, weight, consumed, new_id, selected, 0, [slice(0, len(selected))]))
         log.moves += 1
-        for q in consumed:
-            if q >= log.base:
-                for col in conf.cols:
-                    col[q] = None
         if conf.debug:
             _debug_check(conf, [new_id])
         new_id += 1
@@ -1203,3 +1202,27 @@ def test_an_elementary_solve_keeps_one_bytes_per_vector():
         tracemalloc.stop()
     assert len(conf.move_log) == 1
     assert peak < 5_000_000, peak
+
+
+def test_a_max_order_cyclic_solve_stays_under_its_memory_bound():
+    # |G| seeded units of Z_30030 all start on the top vertex, whose first run
+    # consumes them all. The solve's tracemalloc peak above the start is about
+    # 2.2 MB with the run's ids off their pool before its checks, and about
+    # 2.5 MB with the ids kept on the pool until the checks pass.
+    n = 30030
+    dec, rng, units = _dec(str(n)), random.Random(7), []
+    while len(units) < n:
+        a = rng.randrange(1, n)
+        if math.gcd(a, n) == 1:
+            units.append(a)
+    conf = initial_configuration(dec, _elements(dec, units))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_to_root(conf)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(conf.move_log) == 21178
+    assert peak < 2_400_000, peak
