@@ -21,7 +21,7 @@ from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .engine import extract_certificate, initial_configuration, solve_to_root, verify_certificate
+from .engine import MoveLog, extract_certificate, initial_configuration, solve_to_root, verify_certificate
 from .errors import EXIT_FAIL, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PASS, InputError, InternalInvariantError
 from .groups import PrimaryDecomposition, encode_sequence, parse_group_spec, parse_ints, primary_decomposition, residues
 from .lattice import build_lattice
@@ -31,11 +31,11 @@ from .oracle import (
 )
 
 MASK64 = (1 << 64) - 1
-# Elements one stress run draws and solves, trials x |G|: a few seconds at most.
+# Elements one stress run draws and solves, trials x |G|: 3 trials of Z_2^18 took 8.8-10.6 s (2-core x86_64 VM).
 MAX_STRESS_ELEMENTS = 1_000_000
 # |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 690 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
-WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo
+WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo or int list
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"
 
 
@@ -46,15 +46,15 @@ class SplitMix64:
     state passed through two xor-shift multiplies:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
-    below(n) is that output mod n; every draw advances the state exactly
-    once, so stress runs replay identically for a given seed across platforms.
+    A draw below n is that output mod n and advances the state exactly once,
+    so stress runs replay identically for a given seed across platforms.
     """
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
     def draw(self, moduli: Sequence[int]) -> list[int]:
-        """below(n) for each n in `moduli`, in order, with the step inlined."""
+        """A draw below n for each n in `moduli`, in order, with the step inlined."""
         state, out = self.state, []
         for n in moduli:
             state = (state + 0x9E3779B97F4A7C15) & MASK64
@@ -63,11 +63,6 @@ class SplitMix64:
             out.append((z ^ (z >> 31)) % n)
         self.state = state
         return out
-
-    def below(self, n: int) -> int:
-        if n < 1:
-            raise InputError(f"cannot draw below {n}")
-        return self.draw((n,))[0]
 
 
 class RunReport(NamedTuple):
@@ -78,7 +73,7 @@ class RunReport(NamedTuple):
     results: dict[str, Any]
     lines: list[str]
     exit_code: int = EXIT_PASS
-    moves: list[dict] | None = None
+    moves: MoveLog | None = None
 
 
 def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: bool = False) -> tuple[bytes | list, list | None]:
@@ -197,15 +192,10 @@ def _solve_report(inputs, results, lines: list[str], conf, args) -> RunReport:
     """A verified solve's report: the move counters end its results, and
     --trace adds the move log to the JSON, or under text output to the text."""
     results.update(moves_applied=len(conf.move_log), fallback_fired=conf.fallback_fired, verified=True)
-    moves = [m._asdict() for m in conf.move_log] if args.trace and args.json else None
     if args.trace and not args.json:
-        lines += ["trace:"] + [
-            f"  at divisor {m.vertex_divisor}: consume {len(m.consumed)} pebbles "
-            f"{list(m.consumed)} (weight {m.weight}, prime {m.prime}), "
-            f"keep {list(m.selected)} -> pebble {m.new_id}"
-            for m in conf.move_log
-        ]
-    return RunReport(inputs, results, lines, moves=moves)
+        lines += ["trace:"] + [f"  at divisor {d}: consume {len(c)} pebbles {list(c)} (weight {w}, prime {p}), "
+                               f"keep {list(s)} -> pebble {q}" for d, p, w, c, s, q in conf.move_log]
+    return RunReport(inputs, results, lines, moves=conf.move_log if args.trace and args.json else None)
 
 
 def cmd_solve_cyclic(args) -> RunReport:
@@ -465,16 +455,16 @@ def render_json(value: Any) -> str:
 
 def _render(value: Any, indent: str, out: list[str]) -> None:
     """Appends the text of `json.dumps(value, indent=2)` at `indent` to `out`, for a
-    report (str keys only), a `SequenceEcho` as its list of rows and a bytes as its
-    ints, in chunks that no wrapper copies. A dict is its keys around its values'
-    chunks (a plain int is its repr, in its key's chunk), a non-empty list, tuple or
-    bytes of plain ints one %-format of a "%d" template, any other list or tuple its
-    items' chunks, and any other value (an int item too) goes to `json.dumps`. A
-    `SequenceEcho` is its texts joined by ';', cut every `step` characters, each
-    piece made rows by two `str.replace` calls. They act per character, so a cut
-    anywhere gives the same text, and a character grows at most len(between)-fold,
-    so a piece is at most WRITE_BLOCK characters (one character's growth if
-    WRITE_BLOCK is less)."""
+    report (str keys only), a `SequenceEcho` as its list of rows, a `MoveLog` as its
+    `MoveRecord`s' dicts and a bytes as its ints, in chunks that no wrapper copies. A
+    dict is its keys around its values' chunks, a non-empty list, tuple or bytes of
+    plain ints one %-format of a "%d" template per `step` ints, a `MoveLog` one per
+    move (consumed and selected ids are never empty), any other list or tuple its
+    items' chunks, and any other value goes to `json.dumps`. A `SequenceEcho` is its
+    texts joined by ';', cut every `step` characters, each piece made rows by two
+    `str.replace` calls. They act per character, so a cut anywhere gives the same
+    text, and a character grows at most len(between)-fold, so a piece is at most
+    WRITE_BLOCK characters (one character's growth if WRITE_BLOCK is less)."""
     inner = indent + "  "
     if type(value) is SequenceEcho:  # a tuple of one field, never empty
         item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
@@ -483,16 +473,26 @@ def _render(value: Any, indent: str, out: list[str]) -> None:
         for pos in range(0, len(text), step):
             out.append(text[pos : pos + step].replace(",", "," + item).replace(";", between))
         out.append(f"\n{inner}]\n{indent}]")
+    elif type(value) is MoveLog:  # a move's template is made once per count of consumed and selected ids
+        key, ids, forms = f"\n{inner}  ", f",\n{inner}    ".join, {}
+        for n, (d, p, w, c, s, q) in enumerate(value):
+            if (counts := (len(c), len(s))) not in forms:
+                forms[counts] = (f'%s\n{inner}{{{key}"vertex_divisor": %d,{key}"prime": %d,{key}"weight": %d,'
+                                 f'{key}"consumed": [\n{inner}    {ids(["%d"] * len(c))}{key}],{key}"selected": [\n'
+                                 f'{inner}    {ids(["%d"] * len(s))}{key}],{key}"new_id": %d\n{inner}}}')
+            out.append(forms[counts] % ("," if n else "[", d, p, w, *c, *s, q))
+        out.append(f"\n{indent}]" if value else "[]")
     elif isinstance(value, dict) and value:
         for n, (k, v) in enumerate(value.items()):
             out.append(f"{',' if n else '{'}\n{inner}{encode_basestring_ascii(k)}: ")
-            if type(v) is int:  # in its key's chunk: a move log has four per move
-                out[-1] += int.__repr__(v)
-            else:
-                _render(v, inner, out)
+            _render(v, inner, out)
         out.append(f"\n{indent}}}")
     elif isinstance(value, (list, tuple, bytes)) and set(map(type, value)) == {int}:  # so not empty; one scan
-        out.append(f"[\n{inner}%s\n{indent}]" % ((",\n" + inner).join(["%d"] * len(value)) % tuple(value)))
+        sep, step = ",\n" + inner, max(WRITE_BLOCK // (len(inner) + 10), 1)  # ints of 8 digits fill a block
+        for k in range(0, len(value), step):
+            part = tuple(value[k : k + step])
+            out.append(("," if k else "[") + f"\n{inner}" + sep.join(["%d"] * len(part)) % part)
+        out.append(f"\n{indent}]")
     elif isinstance(value, (list, tuple)) and value:
         for n, x in enumerate(value):
             out.append(f"{',' if n else '['}\n{inner}")

@@ -105,7 +105,7 @@ def _engine_trials(group_text, kind, seed):
         pool = [g for g in pool if element_order(dec, g) == dec.exponent]
     rng = SplitMix64(seed)
     for _ in range(ENGINE_TRIALS):
-        els = list(zip(*[pool[rng.below(len(pool))] for _ in range(dec.group_order)]))  # as columns
+        els = list(zip(*[pool[k] for k in rng.draw([len(pool)] * dec.group_order)]))  # as columns
         conf = initial_configuration(dec, els, lattice=lattice)
         cert = extract_certificate(solve_to_root(conf), dec, els)
         assert verify_certificate(dec, els, cert.indices).passed
@@ -177,7 +177,7 @@ def test_criterion_04_cyclic_gcd_form(capsys):
         rng = SplitMix64(41)
         for n in range(2, 13):
             for _ in range(200):
-                values = [rng.below(6 * n) - 2 * n for _ in range(n)]
+                values = [v - 2 * n for v in rng.draw([6 * n] * n)]
                 report = run_command(
                     "solve-cyclic", "--n", str(n), "--seq=" + ",".join(map(str, values))
                 )
@@ -259,7 +259,7 @@ def test_criterion_09_structural_properties(capsys):
         # Dual involution and total preservation on random partitions.
         for _ in range(300):
             parts = tuple(
-                sorted((1 + rng.below(8) for _ in range(1 + rng.below(6))), reverse=True)
+                sorted((1 + rng.draw((8,))[0] for _ in range(1 + rng.draw((6,))[0])), reverse=True)
             )
             dual = dual_partition(parts)
             assert dual_partition(dual) == parts
@@ -268,21 +268,21 @@ def test_criterion_09_structural_properties(capsys):
         # Residual recursion agrees with the closed form under any descent order.
         for _ in range(300):
             rows = tuple(
-                tuple(sorted((1 + rng.below(4) for _ in range(1 + rng.below(4))), reverse=True))
-                for _ in range(1 + rng.below(3))
+                tuple(sorted((1 + rng.draw((4,))[0] for _ in range(1 + rng.draw((4,))[0])), reverse=True))
+                for _ in range(1 + rng.draw((3,))[0])
             )
-            u = tuple(rng.below(row[0] + 1) for row in rows)
+            u = tuple(rng.draw([row[0] + 1 for row in rows]))
             descent = [i for i, ui in enumerate(u) for _ in range(ui)]
             for _ in range(3):
                 for j in range(len(descent) - 1, 0, -1):
-                    k = rng.below(j + 1)
+                    k = rng.draw((j + 1,))[0]
                     descent[j], descent[k] = descent[k], descent[j]
                 got = residual_exponents_by_recursion(rows, u, descent=tuple(descent))
                 assert got == residual_exponents(rows, u)
 
         # Level weights multiply out to the group order.
         for _ in range(200):
-            orders = [1 + rng.below(12) for _ in range(1 + rng.below(3))]
+            orders = [1 + rng.draw((12,))[0] for _ in range(1 + rng.draw((3,))[0])]
             dec = primary_decomposition(group_spec(orders))
             lattice = build_lattice(dec)
             prod = 1
@@ -308,8 +308,8 @@ def test_criterion_09_structural_properties(capsys):
             lattice = build_lattice(dec)
             trial_rng = SplitMix64(7)
             for _ in range(25):
-                rows = [[trial_rng.below(nf) for nf in spec.cyclic_orders] for _ in range(dec.group_order)]
-                els = encode_sequence(list(zip(*rows)), dec)
+                draws = trial_rng.draw(spec.cyclic_orders * dec.group_order)  # row-major, as stress draws
+                els = encode_sequence([draws[f :: spec.rank] for f in range(spec.rank)], dec)
                 conf = initial_configuration(dec, els, lattice=lattice)
                 conf.debug = True
                 root = solve_to_root(conf)

@@ -52,21 +52,19 @@ def test_splitmix64_reference_values():
     assert got == [6457827717110365317, 3203168211198807973, 9817491932198370423]
 
 
-def test_splitmix64_below_advances_state():
+def test_splitmix64_draws_replay_for_a_seed():
     a = SplitMix64(42)
     b = SplitMix64(42)
-    seq_a = [a.below(10) for _ in range(8)]
-    seq_b = [b.below(10) for _ in range(8)]
-    assert seq_a == seq_b
-    assert a.below(1) == 0
+    assert [a.draw((10,))[0] for _ in range(8)] == [b.draw((10,))[0] for _ in range(8)]
+    assert a.draw((1,)) == [0]
 
 
-def test_splitmix64_draw_matches_below_calls():
+def test_splitmix64_one_draw_matches_a_draw_per_modulus():
     # stress draws a trial's |G| x rank coordinates in one call; the values
-    # and the state after them are those of one below() call per coordinate.
+    # and the state after them are those of one draw per coordinate.
     moduli = (9, 3) * 27 + (1, 2**64, 2310)
     a, b = SplitMix64(2024), SplitMix64(2024)
-    assert a.draw(moduli) == [b.below(n) for n in moduli]
+    assert a.draw(moduli) == [b.draw((n,))[0] for n in moduli]
     assert a.state == b.state
     assert a.draw(()) == [] and a.state == b.state
 
@@ -677,8 +675,8 @@ def test_solve_refuses_an_oversized_group_before_reading_the_sequence(capsys, tm
 
 @pytest.mark.parametrize("cmd", [["solve", "--group", "4,2"], ["solve-cyclic", "--n", "8"]])
 def test_trace_builds_only_the_form_main_prints(cmd):
-    # --json prints the move dicts and text output the trace lines; the
-    # report holds only the one that is printed.
+    # --json prints the move log and text output the trace lines; the report
+    # holds only the one that is printed.
     seq = ";".join(["1,1"] * 8) if cmd[0] == "solve" else ",".join(["1"] * 8)
     for extra in ([], ["--json"]):
         args = cli.build_parser().parse_args(cmd + ["--seq", seq, "--trace"] + extra)
@@ -688,6 +686,15 @@ def test_trace_builds_only_the_form_main_prints(cmd):
             assert "trace:" not in report.lines and len(report.moves) == report.results["moves_applied"]
         else:
             assert report.moves is None and "trace:" in report.lines
+
+
+def test_a_traced_solve_without_moves_prints_an_empty_move_log(capsys):
+    # The sequence holds the identity, so the solve makes no move.
+    assert main(["solve", "--group", "2,2", "--seq", "1,0;0,1;1,1;0,0", "--trace", "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["moves"] == [] and doc["results"]["moves_applied"] == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_argparse_failures_map_to_input_error(capsys):
@@ -864,12 +871,15 @@ def _assert_echo_matches_rows(argv) -> list[int]:
     ints = cli.sequence_argument(args, rank)[0]
     rows = [list(row) for row in zip(*[iter(ints)] * rank)]
     assert doc["inputs"]["sequence"] == rows
-    expected = json.dumps({**doc, "inputs": {**doc["inputs"], "sequence": rows}}, indent=2) + "\n"
+    _assert_same_text(out, json.dumps({**doc, "inputs": {**doc["inputs"], "sequence": rows}}, indent=2) + "\n")
+    return sink.writes
+
+
+def _assert_same_text(out: str, expected: str) -> None:
     if out != expected:  # named by the first difference: pytest's diff of megabyte texts takes minutes
         at = next(k for k, (a, b) in enumerate(zip(out + "\0", expected + "\1")) if a != b)
         near = slice(max(at - 40, 0), at + 40)
         pytest.fail(f"output differs at char {at}: {out[near]!r} != {expected[near]!r}")
-    return sink.writes
 
 
 # Tokens that int() reads but that are not single digits: not canonical, negative or large.
@@ -972,9 +982,10 @@ def test_sequence_echo_matches_the_rows_on_any_text_in_pieces_of_any_size(case, 
 
 
 def test_main_writes_a_report_in_pieces_of_about_one_block():
-    # A Z_2^14 solve's JSON, 2.8 MB, and a Z_30030 solve-cyclic's text trace,
-    # 21,185 lines: no write is over two blocks, and each write but the last
-    # is a block or more, so there are about as many writes as blocks.
+    # A Z_2^14 solve's JSON, 2.8 MB, and a Z_30030 solve-cyclic's trace, as
+    # 21,185 lines of text and in its 5.1 MB JSON: no write is over two
+    # blocks, and each write but the last is a block or more, so there are
+    # about as many writes as blocks.
     block = cli.WRITE_BLOCK
     z2 = ";".join(",".join(str((k >> j) & 1) for j in range(14)) for k in range(16384))
     writes = _assert_echo_matches_rows(["solve", "--group", ",".join(["2"] * 14), "--seq", z2])
@@ -992,6 +1003,12 @@ def test_main_writes_a_report_in_pieces_of_about_one_block():
     writes = sink.writes
     assert sum(writes) > 30 * block
     assert max(writes) <= 2 * block and len(writes) <= sum(writes) // block + 2
+    with contextlib.redirect_stdout(_RecordingSink()) as sink:
+        assert main(argv + ["--json"]) == 0
+    writes = sink.writes
+    assert sum(writes) > 70 * block
+    assert max(writes) <= 2 * block and len(writes) <= sum(writes) // block + 2
+    _assert_same_text(out := sink.getvalue(), json.dumps(json.loads(out), indent=2) + "\n")
 
 
 @pytest.mark.parametrize(

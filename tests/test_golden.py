@@ -39,7 +39,7 @@ def _max_order_cyclic(n: int, seed: int) -> str:
     rng = SplitMix64(seed)
     seq: list[int] = []
     while len(seq) < n:
-        a = rng.below(n)
+        a = rng.draw((n,))[0]
         if math.gcd(a, n) == 1:
             seq.append(a)
     return ",".join(map(str, seq))
@@ -48,7 +48,7 @@ def _max_order_cyclic(n: int, seed: int) -> str:
 def _zero_free_z2(dim: int, seed: int) -> str:
     """2**dim nonzero vectors of Z_2^dim: no pebble starts at the root."""
     rng = SplitMix64(seed)
-    codes = [1 + rng.below(2**dim - 1) for _ in range(2**dim)]
+    codes = [1 + c for c in rng.draw([2**dim - 1] * 2**dim)]
     return ";".join(",".join(str((c >> b) & 1) for b in range(dim)) for c in codes)
 
 
@@ -57,7 +57,7 @@ def _zero_free_z3(dim: int, seed: int) -> str:
     rng = SplitMix64(seed)
     vecs = []
     for _ in range(3**dim):
-        c = 1 + rng.below(3**dim - 1)
+        c = 1 + rng.draw((3**dim - 1,))[0]
         vecs.append([c // 3**b % 3 for b in range(dim)])
     assert {next(x for x in v if x) for v in vecs} == {1, 2}
     return ";".join(",".join(map(str, v)) for v in vecs)
@@ -66,14 +66,14 @@ def _zero_free_z3(dim: int, seed: int) -> str:
 def _uniform(orders: tuple[int, ...], length: int, seed: int) -> str:
     """length elements drawn uniformly from the group with these factor orders."""
     rng = SplitMix64(seed)
-    return ";".join(",".join(str(rng.below(n)) for n in orders) for _ in range(length))
+    return ";".join(",".join(str(rng.draw((n,))[0]) for n in orders) for _ in range(length))
 
 
 def _max_order_4_2_2(seed: int) -> str:
     """16 elements of order 4 in Z_4 + Z_2 + Z_2; the last move merges 8 pebbles in dimension 3."""
     rng = SplitMix64(seed)
     return ";".join(
-        f"{2 * rng.below(2) + 1},{rng.below(2)},{rng.below(2)}" for _ in range(16)
+        f"{2 * rng.draw((2,))[0] + 1},{rng.draw((2,))[0]},{rng.draw((2,))[0]}" for _ in range(16)
     )
 
 

@@ -125,11 +125,8 @@ def test_dp_matches_naive_enumeration_battery():
     for text in ("2", "3", "4", "2,2", "6", "8", "9", "3,3", "12", "4,2", "2,2,2", "16", "4,4"):
         dec = _dec(text)
         for _ in range(6):
-            length = 1 + rng.below(12)
-            els = [
-                element_from_index(dec, rng.below(dec.group_order))
-                for _ in range(length)
-            ]
+            length = 1 + rng.draw((12,))[0]
+            els = [element_from_index(dec, i) for i in rng.draw([dec.group_order] * length)]
             got = dp_min_cost_zero_sum(dec, _columns(dec, els))
             want = _naive_min_cost(dec, els)
             if want is None:
@@ -222,14 +219,14 @@ def _frozen_battery():
         dec = _dec(text)
         n = dec.group_order
         for family in FROZEN_FAMILIES:
-            for length in (1 + rng.below(n + 2), 1 + rng.below(n + 2), n, n + 2):
+            for length in (1 + rng.draw((n + 2,))[0], 1 + rng.draw((n + 2,))[0], n, n + 2):
                 if family == "uniform":
-                    idx = [rng.below(n) for _ in range(length)]
+                    idx = rng.draw([n] * length)
                 elif family == "zero-free":
-                    idx = [1 + rng.below(n - 1) for _ in range(length)]
+                    idx = [1 + i for i in rng.draw([n - 1] * length)]
                 else:
-                    pool = [rng.below(n) for _ in range(3)]
-                    idx = [pool[rng.below(3)] for _ in range(length)]
+                    pool = rng.draw([n] * 3)
+                    idx = [pool[k] for k in rng.draw([3] * length)]
                 yield dec, [element_from_index(dec, i) for i in idx]
 
 
@@ -371,14 +368,14 @@ def _run_battery():
     for text in RUN_GROUPS:
         dec = _dec(text)
         n = dec.group_order
-        pool = [0] + [rng.below(n) for _ in range(3)]
+        pool = [0] + rng.draw([n] * 3)
         yield dec, []
         for _ in range(60):
-            length = 1 + rng.below(min(n + 10, 80))
+            length = 1 + rng.draw((min(n + 10, 80),))[0]
             idx: list[int] = []
             while len(idx) < length:
-                gi = pool[rng.below(len(pool))] if rng.below(2) else rng.below(n)
-                idx += [gi] * (1 + rng.below(10))
+                gi = pool[rng.draw((len(pool),))[0]] if rng.draw((2,))[0] else rng.draw((n,))[0]
+                idx += [gi] * (1 + rng.draw((10,))[0])
             yield dec, [element_from_index(dec, i) for i in idx]
 
 
@@ -408,13 +405,13 @@ def _stop_battery():
         for _ in range(8):
             for family in ("uniform", "zero-free", "runs"):
                 if family == "uniform":
-                    length = n + rng.below(3)
+                    length = n + rng.draw((3,))[0]
                 else:
-                    length = 1 + rng.below(min(n + 2, 80) if family == "runs" else n + 2)
+                    length = 1 + rng.draw((min(n + 2, 80) if family == "runs" else n + 2,))[0]
                 idx: list[int] = []
                 while len(idx) < length:
-                    gi = rng.below(n) if family != "zero-free" or n == 1 else 1 + rng.below(n - 1)
-                    idx += [gi] * (1 + rng.below(10) if family == "runs" else 1)
+                    gi = rng.draw((n,))[0] if family != "zero-free" or n == 1 else 1 + rng.draw((n - 1,))[0]
+                    idx += [gi] * (1 + rng.draw((10,))[0] if family == "runs" else 1)
                 yield family, dec, [element_from_index(dec, i) for i in idx]
 
 
@@ -473,10 +470,7 @@ def test_theorem_guarantee_on_full_length_sequences():
     for text in ("4", "2,2", "6", "8", "9", "12"):
         dec = _dec(text)
         for _ in range(10):
-            els = [
-                element_from_index(dec, rng.below(dec.group_order))
-                for _ in range(dec.group_order)
-            ]
+            els = [element_from_index(dec, i) for i in rng.draw([dec.group_order] * dec.group_order)]
             result = dp_min_cost_zero_sum(dec, _columns(dec, els))
             assert result.feasible and result.qualifies
 
