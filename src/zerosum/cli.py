@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from bisect import bisect_left
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: 3 trials of Z_2^18 took 8.8-10.6 s (2-core x86_64 VM).
 MAX_STRESS_ELEMENTS = 1_000_000
-# |G| of a solve: peaks take about 207 bytes per element at rank 1 (2 GB at the bound), 690 on Z_2^18.
+# |G| of a solve: peaks take about 197 bytes per element at rank 1 (2 GB at the bound), 690 on Z_2^18.
 MAX_SOLVE_ELEMENTS = 10_000_000
 WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo or int list
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"
@@ -84,37 +84,41 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
 
     Files hold one comma-separated tuple per line (blank lines skipped).
     Inline text separates elements with ';'; for rank-1 groups plain commas
-    also work. A text of single ASCII digits with every separator where the
-    rank puts it (one newline may end a file) is read as one bytes, and is
-    its own texts with ';' between elements. Otherwise one split reads every
-    part of `rank` integers by int() (which strips no padding str.strip
-    keeps), and the echo spells the ints; else each part is read alone,
-    blanks skipped, the first bad part named, then the first part of another
-    length. A file that cannot be opened or is not UTF-8 is an InputError.
+    also work. Single ASCII digits, each separator where the rank puts it
+    (one newline may end a file), are read as one bytes; else a text whose
+    separators alone make rows is read by one json.loads, if it holds `rank`
+    ints a row. Either way a text without JSON whitespace or "-0" is its own
+    texts (';' between elements); else the echo spells the ints. Otherwise
+    each part is read alone, blanks skipped, the first bad part named, then
+    the first part of another length. A file that cannot be opened or is not
+    UTF-8 is an InputError.
     """
     if from_file:
         try:
             with open(value, encoding="utf-8") as fh:
-                text = fh.read()
+                body = fh.read().removesuffix("\n")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read sequence file {value!r}: {exc}") from None
-        sep, body = "\n", text.removesuffix("\n")
+        sep = "\n"
     else:
-        text = body = value.strip()
-        if not text:
+        body = value.strip()
+        if not body:
             raise InputError("empty sequence")
-        sep = ";" if ";" in text or rank > 1 else ","
+        sep = ";" if ";" in body or rank > 1 else ","
+    texts = [body if sep == ";" else body.replace(sep, ";")]  # if canonical: its elements' texts
     k = (len(body) + 1) // (2 * rank)  # elements, if all are single digits: the separators then fix len(body)
     if k and body.isascii() and body[1::2] == (("," * (rank - 1) + sep) * k)[:-1] and (digits := body[::2]).isdigit():
-        return digits.encode().translate(DIGIT_VALUES), [body if sep == ";" else body.replace(sep, ";")]
-    parts = text.splitlines() if from_file else text.split(sep)
-    if parts and (rank == 1 or set(map(str.count, parts, repeat(","))) == {rank - 1}):
-        tokens = parts if rank == 1 else ",".join(parts).split(",")
+        return digits.encode().translate(DIGIT_VALUES), texts
+    if "[" not in body and (rank > 1 or sep == "," or "," not in body):  # so only separators make rows
+        src = f"[{body.replace(sep, ',')}]" if rank == 1 else f"[[{body.replace(sep, '],[')}]]"
         try:
-            return list(map(int, tokens)), None
-        except ValueError:
-            pass
-    parts = [p for p in map(str.strip, parts) if p]
+            rows = json.loads(src)
+        except ValueError:  # without '[' nothing nests, so nothing recurses
+            rows = []
+        ints = rows if rank == 1 else list(chain.from_iterable(rows))
+        if set(map(type, ints)) == {int} and (rank == 1 or set(map(len, rows)) == {rank}):
+            return ints, None if "-0" in src or any(map(src.__contains__, " \t\n\r")) else texts
+    parts = [p for p in map(str.strip, body.splitlines() if from_file else body.split(sep)) if p]
     if not parts:
         raise InputError("sequence has no elements")
     out = []
@@ -131,16 +135,17 @@ def parse_raw_sequence(value: str, rank: int, from_file: bool = False, flat: boo
 
 
 class SequenceEcho(NamedTuple):
-    """A sequence's JSON echo: its rows, written by `render_json` from canonical element texts ("3,0,1"), read once."""
+    """A sequence's JSON echo from canonical element texts ("3,0,1"), read once: its rows, or its ints if flat."""
 
     texts: Iterable[str]
+    flat: bool = False
 
 
-def sequence_argument(args, rank: int, flat: bool = False) -> tuple[bytes | list[int], SequenceEcho]:
-    """The sequence given by --seq or --seq-file, and its echo: the parser's texts, or the ints' (spelled when read)."""
+def sequence_argument(args, rank: int, flat: bool = False) -> tuple[bytes | list[int], SequenceEcho | None]:
+    """The sequence of --seq or --seq-file, and under --json its echo (else None): the parser's texts, or the ints'."""
     from_file = args.seq_file is not None
     ints, texts = parse_raw_sequence(args.seq_file if from_file else args.seq, rank, from_file, flat)
-    return ints, SequenceEcho(texts or map(",".join, zip(*[iter(map(str, ints))] * rank)))
+    return ints, SequenceEcho(texts or map(",".join, zip(*[iter(map(str, ints))] * rank)), flat) if args.json else None
 
 
 def parse_indices(value: str) -> list[int]:
@@ -202,7 +207,7 @@ def cmd_solve_cyclic(args) -> RunReport:
     if args.n < 1:
         raise InputError(f"modulus must be positive, got {args.n}")
     dec = _solve_group(str(args.n))
-    integers = sequence_argument(args, 1, flat=True)[0]
+    integers, echo = sequence_argument(args, 1, flat=True)
     conf, cert = _solve_sequence(dec, [residues(integers, args.n)])
     gcd_terms = [math.gcd(integers[k - 1], args.n) for k in cert.indices]
     if sum(gcd_terms) != cert.ord_cost:
@@ -225,7 +230,7 @@ def cmd_solve_cyclic(args) -> RunReport:
         f"gcd terms: {gcd_terms}, sum {sum(gcd_terms)} <= {args.n}",
         "verify: PASS",
     ]
-    return _solve_report({"n": args.n, "sequence": integers}, results, lines, conf, args)
+    return _solve_report({"n": args.n, "sequence": echo}, results, lines, conf, args)
 
 
 def cmd_verify(args) -> RunReport:
@@ -447,32 +452,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render_json(value: Any) -> str:
-    """The text of `json.dumps(value, indent=2)` for a report: `_render`'s chunks, joined."""
-    _render(value, "", out := [])
-    return "".join(out)
-
-
 def _render(value: Any, indent: str, out: list[str]) -> None:
     """Appends the text of `json.dumps(value, indent=2)` at `indent` to `out`, for a
-    report (str keys only), a `SequenceEcho` as its list of rows, a `MoveLog` as its
-    `MoveRecord`s' dicts and a bytes as its ints, in chunks that no wrapper copies. A
-    dict is its keys around its values' chunks, a non-empty list, tuple or bytes of
-    plain ints one %-format of a "%d" template per `step` ints, a `MoveLog` one per
-    move (consumed and selected ids are never empty), any other list or tuple its
-    items' chunks, and any other value goes to `json.dumps`. A `SequenceEcho` is its
-    texts joined by ';', cut every `step` characters, each piece made rows by two
-    `str.replace` calls. They act per character, so a cut anywhere gives the same
-    text, and a character grows at most len(between)-fold, so a piece is at most
-    WRITE_BLOCK characters (one character's growth if WRITE_BLOCK is less)."""
+    report (str keys only), a `SequenceEcho` as its list of rows (of ints, if flat) and
+    a `MoveLog` as its `MoveRecord`s' dicts, in chunks that no wrapper copies. A dict
+    is its keys around its values' chunks, a non-empty list or tuple of plain ints a
+    flat `SequenceEcho` of their texts, a `MoveLog` one %-format per move (consumed
+    and selected ids are never empty), any other list or tuple its items' chunks, and
+    any other value goes to `json.dumps`. A `SequenceEcho` is its texts joined by ';',
+    cut every `step` characters, each piece made rows by two `str.replace` calls. They
+    act per character, so a cut anywhere gives the same text, and a character grows at
+    most len(between)-fold, so a piece is at most WRITE_BLOCK characters (one
+    character's growth if WRITE_BLOCK is less)."""
     inner = indent + "  "
-    if type(value) is SequenceEcho:  # a tuple of one field, never empty
-        item, between = f"\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "  # before a coordinate, a row
-        text, step = ";".join(value.texts), max(WRITE_BLOCK // len(between), 1)
-        out.append(f"[\n{inner}[{item}")
-        for pos in range(0, len(text), step):
-            out.append(text[pos : pos + step].replace(",", "," + item).replace(";", between))
-        out.append(f"\n{inner}]\n{indent}]")
+    if isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:  # so not empty; one scan
+        value = SequenceEcho(map(str, value), flat=True)
+    if type(value) is SequenceEcho:  # never empty; a flat one is one row at `indent`, and its texts hold no ','
+        start, end = (f"\n{inner}", "") if value.flat else (f"\n{inner}[\n{inner}  ", f"\n{inner}]")  # a row's
+        text, between = ";".join(value.texts), f"{end},{start}"
+        out.append(f"[{start}")
+        for pos in range(0, len(text), step := max(WRITE_BLOCK // len(between), 1)):
+            out.append(text[pos : pos + step].replace(",", f",\n{inner}  ").replace(";", between))
+        out.append(f"{end}\n{indent}]")
     elif type(value) is MoveLog:  # a move's template is made once per count of consumed and selected ids
         key, ids, forms = f"\n{inner}  ", f",\n{inner}    ".join, {}
         for n, (d, p, w, c, s, q) in enumerate(value):
@@ -487,19 +488,13 @@ def _render(value: Any, indent: str, out: list[str]) -> None:
             out.append(f"{',' if n else '{'}\n{inner}{encode_basestring_ascii(k)}: ")
             _render(v, inner, out)
         out.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple, bytes)) and set(map(type, value)) == {int}:  # so not empty; one scan
-        sep, step = ",\n" + inner, max(WRITE_BLOCK // (len(inner) + 10), 1)  # ints of 8 digits fill a block
-        for k in range(0, len(value), step):
-            part = tuple(value[k : k + step])
-            out.append(("," if k else "[") + f"\n{inner}" + sep.join(["%d"] * len(part)) % part)
-        out.append(f"\n{indent}]")
     elif isinstance(value, (list, tuple)) and value:
         for n, x in enumerate(value):
             out.append(f"{',' if n else '['}\n{inner}")
             _render(x, inner, out)
         out.append(f"\n{indent}]")
     else:
-        out.append(json.dumps([] if type(value) is bytes else value))
+        out.append(json.dumps(value))
 
 
 def write_chunks(chunks: list[str]) -> None:

@@ -205,8 +205,9 @@ def initial_configuration(
     as one gcd over them (`element_costs`). The ids are
     sorted by cost and placed a vertex at a time, the vertex of cost c being
     the one of divisor N // c, and every pebble's placement is checked
-    against its vertex's rule: the first misplaced id is the least over one
-    `compress` per rule.
+    against its vertex's rule: one cost comparison per pool and one reduction
+    per congruence, and the least misplaced id is searched for only in a rule
+    that fails.
     """
     if len(element_columns(dec, cols)[0]) != dec.group_order:
         raise InputError(f"need exactly {dec.group_order} elements for this group, got {len(cols[0])}")
@@ -222,9 +223,10 @@ def initial_configuration(
                                          f"{lattice.dec.exponent} of the lattice: {conf.context()}")
         pool = conf.pools[index_of[cost]] = list(ids)  # the sort is stable: ids stay ascending
         budget, congruences = lattice.placement[index_of[cost]]
-        rules = [map(mod, map(cols[j].__getitem__, pool), repeat(m)) for j, m in congruences]
-        rules.append(map(lt, repeat(budget), map(costs.__getitem__, pool)))
-        misplaced = min(misplaced, *[next(itertools.compress(pool, rule), misplaced) for rule in rules])
+        misplaced = min(misplaced, pool[0]) if cost > budget else misplaced  # one cost for the whole pool
+        for col, m in ((list(map(cols[j].__getitem__, pool)), m) for j, m in congruences):
+            if any(map(mod, col, repeat(m))):
+                misplaced = min(misplaced, next(itertools.compress(pool, map(mod, col, repeat(m)))))
     if misplaced < len(costs):
         raise InternalInvariantError(f"initial pebble {misplaced} is not well placed: {conf.context()}")
     return conf
@@ -243,9 +245,11 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
     of consecutive pebbles, whose column sums value the merge; otherwise each
     move runs the base case on its vectors, one bytes each when p <= 256 (cut
     from one buffer of the run's columns), else tuples. A run is whole or
-    nothing: its ids leave their pool before the checks, and a misplaced
-    pebble, a base-case error or a merge that breaks the child's placement rule
-    puts them back and raises, with the group and count profile. Otherwise the
+    nothing: its ids leave their pool before the checks (one reduction per
+    rule, `any` of the residues or `max` of the costs, and a search for the
+    first misplaced pebble only when one fails), and a misplaced pebble, a
+    base-case error or a merge that breaks the child's placement rule puts
+    them back and raises, with the group and count profile. Otherwise the
     moves are placed with one `+=` per column (consumed pebbles keep their
     slots) and logged as one run record, and with debug on each new pebble is
     then rechecked.
@@ -282,7 +286,8 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
         divided = []
         for col, m in zip(cols, lattice.level_moduli[u[i]][i][:dims]):
             if m > 1:
-                bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m))), need))
+                if any(map(mod, col, repeat(m))):
+                    bad = min(bad, next(itertools.compress(itertools.count(), map(mod, col, repeat(m)))))
                 col = map(floordiv, col, repeat(m))
             divided.append(col if dims == 1 or m == 1 else list(col))  # _vectors may read a column twice
         if bad < need:
@@ -305,10 +310,10 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
 
         child_idx = vidx - lattice.strides[i]
         budget, congruences = lattice.placement[child_idx]
-        rules = [map(lt, repeat(budget), new_costs), *[map(mod, new_cols[j], repeat(m)) for j, m in congruences]]
-        misplaced = min(next(itertools.compress(itertools.count(), rule), count) for rule in rules)
         new_id = len(costs)
-        if misplaced < count:
+        if max(new_costs) > budget or any(any(map(mod, new_cols[j], repeat(m))) for j, m in congruences):
+            rules = [map(lt, repeat(budget), new_costs), *[map(mod, new_cols[j], repeat(m)) for j, m in congruences]]
+            misplaced = min(next(itertools.compress(itertools.count(), rule), count) for rule in rules)
             child = lattice.vertices[child_idx].divisor
             raise InternalInvariantError(f"merged pebble {new_id + misplaced} is not well placed at vertex {child}")
     except BaseException as exc:

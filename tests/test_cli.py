@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import zerosum
 from zerosum import InputError, InternalInvariantError, cli, engine
-from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence, render_json
+from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
 # Child interpreters import the same package as the tests, installed or not.
@@ -80,8 +80,10 @@ def test_parse_raw_sequence_rank1_commas():
     # Single digits: the text comes back as the element texts.
     assert _parsed("1,1,1,1", rank=1) == ([1, 1, 1, 1], ["1", "1", "1", "1"])
     assert _parsed("0;1;2", rank=1) == ([0, 1, 2], ["0", "1", "2"])
-    # Any other token ("-3", "+1", "300") leaves the texts to the echo.
-    assert _parsed("-3", rank=1) == ([-3], None)
+    # So does a canonical text of any digit count ("-3", "300"); a token that
+    # is not canonical ("+1") leaves the texts to the echo.
+    assert _parsed("-3", rank=1) == ([-3], ["-3"])
+    assert _parsed("-3,300", rank=1) == ([-3, 300], ["-3", "300"])
     assert _parsed("+1,300", rank=1) == ([1, 300], None)
     # A small token reads as the very object int() returns.
     ints, _ = parse_raw_sequence("0,7,256", 1, flat=True)
@@ -135,7 +137,7 @@ def test_single_digit_texts_read_as_bytes(tmp_path):
 @pytest.mark.parametrize(
     "text, rank, expected",
     [
-        ("10,1;1,1", 2, ([10, 1, 1, 1], None)),  # a two-digit token
+        ("10,1;1,1", 2, ([10, 1, 1, 1], ["10,1;1,1"])),  # a two-digit token: canonical, its own texts
         ("+1,1;1,1", 2, ([1, 1, 1, 1], None)),
         ("1, 1;1,1", 2, ([1, 1, 1, 1], None)),  # padding inside the text
         ("1,\uff13;1,1", 2, ([1, 3, 1, 1], None)),  # a non-ASCII digit
@@ -245,7 +247,7 @@ def _read_ints(value: str, rank: int, from_file: bool = False) -> list[int]:
 
 
 def _cyclic_ints(args) -> list[int]:
-    return list(cli.sequence_argument(args, 1, True)[0])
+    return list(cli.sequence_argument(argparse.Namespace(json=False, **vars(args)), 1, True)[0])
 
 
 def _outcome(read, *args):
@@ -311,6 +313,52 @@ def test_parse_raw_sequence_matches_the_per_part_reader_on_any_text(text, rank):
     if rank == 1:
         args = argparse.Namespace(seq=text, seq_file=None)
         assert _outcome(_cyclic_ints, args) == _outcome(_per_part_cyclic, args)
+
+
+# Texts beside the JSON reader's edges: tokens json.loads refuses or reads as
+# no int, padding and line ends inside, a 4,300-digit int (the most int() and
+# json.loads read) and one of 4,301 digits, and rows cut or joined wrongly.
+AWKWARD_TOKENS = ["+1", "01", " 1", "1 ", "1\t", "-0", "-3", "1_0", "\uff13", "1.0", "1e3", "true", "null", '"1"',
+                  "[1]", "1],[2", "9" * 4300, "9" * 4301]
+AWKWARD_TEXTS = ["1 ,2", "1,\t2", "1\t,2", "1,\r2", "1\r,2", "1,\n2", "1\n,2", "1\n2", "1;\n;2", "1,;2", "1;;2", "1,2;",
+                 "1;2;", ";1", "1,2;3", "1,2;3,4,5", "1,2,3;4,5", "1,,2;3,4", "-0,0;0,-0", "10,-3;257,0", "1],[2;3,4",
+                 "[1,2];[3,4]", "1,2],[3,4"]
+
+
+def _assert_reads_as_per_part(text, rank, path, crlf=False):
+    """`text` inline and as a file (';' as line ends, CRLF if `crlf`) reads
+    as the per-part reader reads it, ints or error text, and for rank 1 so
+    does solve-cyclic's reader."""
+    assert _outcome(_read_ints, text, rank) == _outcome(_per_part_flat, text, rank), (text, rank)
+    path.write_bytes(text.replace(";", "\r\n" if crlf else "\n").encode())
+    assert _outcome(_read_ints, str(path), rank, True) == _outcome(_per_part_flat, str(path), rank, True), (text, rank)
+    if rank == 1:
+        for args in (argparse.Namespace(seq=text, seq_file=None), argparse.Namespace(seq=None, seq_file=str(path))):
+            assert _outcome(_cyclic_ints, args) == _outcome(_per_part_cyclic, args), (text, args)
+
+
+@pytest.mark.parametrize("block", [1, 17, cli.WRITE_BLOCK])
+def test_json_reader_matches_the_per_part_reader_on_awkward_texts(block, tmp_path):
+    # The same ints or the same error text as reading each part alone, for
+    # inline text, LF and CRLF files; and an echo, rows or solve-cyclic's flat
+    # list, byte-equal to json.dumps of what was read, cut at any block size.
+    path = tmp_path / "seq.txt"
+    texts = [(t, r) for tok in AWKWARD_TOKENS for t in _token_texts(tok) for r in (1, 2, 3)]
+    texts += [(t, r) for t in AWKWARD_TEXTS for r in (1, 2, 3)]
+    echoed = 0
+    with mock.patch.object(cli, "WRITE_BLOCK", block):
+        for text, rank in texts:
+            if block == cli.WRITE_BLOCK:
+                _assert_reads_as_per_part(text, rank, path, crlf=len(text) % 2 == 0)
+            group = {1: "6", 2: "6,2", 3: "2,2,2"}[rank]
+            echoed += bool(_assert_echo_matches_rows(["oracle", "--group", group, "--seq", text]))
+            if rank == 1:  # solve-cyclic over Z_n, n the count of what was read
+                try:
+                    n = str(len(_per_part_cyclic(argparse.Namespace(seq=text, seq_file=None))))
+                except InputError:
+                    n = "1"
+                echoed += bool(_assert_echo_matches_rows(["solve-cyclic", "--n", n, "--seq", text]))
+    assert echoed > 100  # most texts fit one rank only
 
 
 def test_solve_json_shape(capsys):
@@ -760,20 +808,22 @@ def test_console_script_installed():
 # Report-shaped values: str keys; nested dicts, lists and tuples, empty ones
 # at any depth; ints of any sign and size; all-int, all-bool and mixed lists;
 # None; strings with quotes, backslashes, control and non-ASCII characters;
-# bytes and input echoes at any depth.
+# input echoes, as rows or flat, at any depth.
 _texts = st.text() | st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600 ab')
 _ints = st.integers() | st.integers(-(10**40), 10**40)
 
 
 @st.composite
 def _sequence_echoes(draw):
-    """A `SequenceEcho` of rows of one rank, its canonical element texts joined
-    by ';' a few rows to a text, as the parser gives them."""
+    """A `SequenceEcho` of rows of one rank, or a flat one (rank 1), its
+    canonical element texts joined by ';' a few rows to a text, as the parser
+    gives them."""
     rank = draw(st.integers(1, 3))
+    flat = rank == 1 and draw(st.booleans())
     rows = draw(st.lists(st.lists(st.integers(-300, 300), min_size=rank, max_size=rank), min_size=1, max_size=6))
     texts = [",".join(map(str, row)) for row in rows]
     cuts = sorted(draw(st.sets(st.integers(1, len(texts) - 1)))) if len(texts) > 1 else []
-    return cli.SequenceEcho([";".join(texts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(texts)])])
+    return cli.SequenceEcho([";".join(texts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(texts)])], flat)
 
 
 _leaves = (
@@ -785,7 +835,6 @@ _leaves = (
     | st.lists(st.booleans())
     | st.lists(_ints | st.booleans())
     | st.lists(_ints).map(tuple)
-    | st.binary(max_size=8)
     | _sequence_echoes()
 )
 _reports = st.recursive(
@@ -798,17 +847,22 @@ _reports = st.recursive(
 
 
 def _plain(value):
-    """`value` as `json.dumps` takes it: a bytes as its list of ints and a
-    `SequenceEcho` as its list of rows, read from its canonical texts."""
+    """`value` as `json.dumps` takes it: a `SequenceEcho` as its list of rows,
+    or of ints if flat, read from its canonical texts."""
     if type(value) is cli.SequenceEcho:
-        return [list(map(int, row.split(","))) for row in ";".join(value.texts).split(";")]
-    if isinstance(value, bytes):
-        return list(value)
+        rows = [list(map(int, row.split(","))) for row in ";".join(value.texts).split(";")]
+        return [x for (x,) in rows] if value.flat else rows
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return type(value)(map(_plain, value))
     return value
+
+
+def render_json(value) -> str:
+    """`_render`'s chunks for `value` at the top level, joined."""
+    cli._render(value, "", out := [])
+    return "".join(out)
 
 
 @given(_reports, st.sampled_from([1, 2, 3, 17, 100, 1000, cli.WRITE_BLOCK]))
@@ -823,11 +877,11 @@ def test_render_json_matches_indented_dumps(value, block):
 def test_render_json_edge_shapes():
     for value in [[], {}, (), [[]], {"a": {}}, [[], {}, ()], {"": [True, 1]}, [0, -1, 2**70], "é\"\\"]:
         assert render_json(value) == json.dumps(value, indent=2)
-    # Flat int lists, one %-format of a "%d" template each, and the shapes
-    # next to them that must not take it: a bool prints `true`, not `1`.
+    # Flat int lists, each written as a flat echo of its ints' texts, and the
+    # shapes next to them that must not take it: a bool prints `true`, not `1`.
     for value in [[0, -1, -(2**70), 2**70, 10**40, -(10**40)], (0, -7, 10**40), [1, True], [True, 1]]:
         assert render_json(value) == json.dumps(value, indent=2)
-    # Lists of int rows, which recurse into one flat template per row (lengths,
+    # Lists of int rows, which recurse into one flat echo per row (lengths,
     # lists and tuples mixed), and the shapes next to them: an empty row, a bool.
     for value in [
         [[1], []], [[1, 2], (3,)], [[True], [1]], [[1, True], [2, 3]], [[0, 0], [0, 0]], [[2**70]],
@@ -857,8 +911,9 @@ class _RecordingSink(io.StringIO):
 
 def _assert_echo_matches_rows(argv) -> list[int]:
     """`main`'s --json output for argv is json.dumps of its envelope with the
-    input echo as the rows of the parsed coordinates, one list per element;
-    input that the parser refuses prints nothing. Returns the write lengths."""
+    input echo as the rows of the parsed coordinates, one list per element
+    (for solve-cyclic the ints as one list); input that the parser refuses
+    prints nothing. Returns the write lengths."""
     with contextlib.redirect_stdout(_RecordingSink()) as sink, contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--json"])
     out = sink.getvalue()
@@ -867,9 +922,12 @@ def _assert_echo_matches_rows(argv) -> list[int]:
         return sink.writes
     doc = json.loads(out)
     args = cli.build_parser().parse_args(argv)
-    rank = zerosum.parse_group_spec(args.group).rank
-    ints = cli.sequence_argument(args, rank)[0]
-    rows = [list(row) for row in zip(*[iter(ints)] * rank)]
+    if args.cmd == "solve-cyclic":  # a flat list
+        rows = list(cli.sequence_argument(args, 1, True)[0])
+    else:
+        rank = zerosum.parse_group_spec(args.group).rank
+        ints = cli.sequence_argument(args, rank)[0]
+        rows = [list(row) for row in zip(*[iter(ints)] * rank)]
     assert doc["inputs"]["sequence"] == rows
     _assert_same_text(out, json.dumps({**doc, "inputs": {**doc["inputs"], "sequence": rows}}, indent=2) + "\n")
     return sink.writes
@@ -887,8 +945,9 @@ ECHO_TOKENS = ["01", "+1", " 1", "-0", "-3", "257", str(2**70)]
 
 
 def _echo_cases(tmp_path):
-    """Commands whose echo comes from each of the parser's two sources: a
-    text read as bytes, and ints spelled when rendered."""
+    """Commands whose echo comes from each of the parser's three sources: a
+    text read as bytes, a canonical text read as JSON, and ints spelled when
+    rendered."""
     texts = ["1,0;0,1;1,1;1,0"] + [f"1,0;0,{tok};1,1;{tok},0" for tok in ECHO_TOKENS]
     for text in texts:
         yield ["solve", "--group", "2,2", "--seq", text]
@@ -915,12 +974,12 @@ def test_sequence_echo_matches_the_rows_of_the_parsed_ints(tmp_path):
 
 
 def _echo_source(argv) -> str:
-    """Which of the parser's two sources an echo comes from."""
+    """Which of the parser's three sources an echo comes from: a text read as
+    bytes, a canonical text read as JSON, or ints spelled when rendered."""
     args = cli.build_parser().parse_args(argv)
     value = args.seq_file if args.seq_file is not None else args.seq
     ints, texts = parse_raw_sequence(value, zerosum.parse_group_spec(args.group).rank, args.seq_file is not None)
-    assert (type(ints) is bytes) == (texts is not None)
-    return "bytes" if type(ints) is bytes else "ints"
+    return "bytes" if type(ints) is bytes else "ints" if texts is None else "text"
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 17, 100, 1000])
@@ -929,7 +988,7 @@ def test_sequence_echo_matches_the_rows_in_pieces_of_any_size(tmp_path, block):
     # (blocks below the row separator's length) or of a few, a cut falls
     # inside a token, before and after a separator, and every write is small.
     cases = list(_echo_cases(tmp_path))
-    assert {_echo_source(argv) for argv in cases} == {"bytes", "ints"}
+    assert {_echo_source(argv) for argv in cases} == {"bytes", "text", "ints"}
     with mock.patch.object(cli, "WRITE_BLOCK", block):
         for argv in cases:
             _assert_echo_matches_rows(argv)
@@ -1220,13 +1279,23 @@ def _readme_sections(*headings: str) -> str:
     return "".join(text.split(f"\n### {h}\n", 1)[1].split("\n#", 1)[0] for h in headings)
 
 
+def _code_names(text: str) -> set[str]:
+    """The parts with an underscore or in camel case of every backticked Python
+    name in `text`: bare (`MoveLog`), called (`draw(moduli)`) or dotted
+    (`conf.move_log`, `MoveLog.__iter__`)."""
+    spans = re.findall(r"`([A-Za-z_][\w.]*\w)(?:\([^`]*\))?`", text)
+    return {n for span in spans for n in span.split(".") if "_" in n or re.search("[a-z][A-Z]", n)}
+
+
 def test_readme_names_only_code_that_exists():
-    # Every backticked Python name (with an underscore or in camel case) in
-    # these sections is defined in the package: a def, a class or a module-level
+    # Every such name in these sections is defined in the package: a def, a
+    # class, a NamedTuple field, a module-level assignment or a `self.`
     # assignment, so prose cannot outlive the code it describes.
-    text = _readme_sections("Groups and sequences", "The DP oracle", "Exit codes", "Determinism")
-    names = {n for n in re.findall(r"`([A-Za-z_]\w*)`", text) if "_" in n or re.search("[a-z][A-Z]", n)}
+    assert _code_names("`below(n)`, `conf.move_log`, `MoveLog.__iter__`, `best[s]`, `a=b`") == {
+        "move_log", "MoveLog", "__iter__"}
+    names = _code_names(_readme_sections("Groups and sequences", "The DP oracle", "Exit codes", "Determinism"))
     source = "".join(p.read_text(encoding="utf-8") for p in sorted(pathlib.Path(zerosum.__file__).parent.glob("*.py")))
     assert len(names) >= 10
-    missing = [n for n in sorted(names) if not re.search(rf"^(\s*(def|class)\s+{n}\b|{n}\s*(:[^=\n]*)?=)", source, re.M)]
+    forms = [r"^\s*(def|class)\s+{}\b", r"^{}\s*(:[^=\n]*)?=", r"^    {}: [^,\n]*$", r"\bself\.{}\b[\w., ]*=(?!=)"]
+    missing = [n for n in sorted(names) if not any(re.search(f.format(re.escape(n)), source, re.M) for f in forms)]
     assert not missing

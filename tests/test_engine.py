@@ -145,6 +145,12 @@ def test_initial_configuration_checks_every_pebble_against_its_vertex_rule():
         message = f"initial pebble {first} is not well placed: group 4, count profile 2:2 4:2$"
         with pytest.raises(InternalInvariantError, match=message):
             initial_configuration(dec, els, lattice=lattice)
+    # The only misplaced pebble is not its pool's first: pebbles 1 and 3 take
+    # values 3 and 1 on divisor 4, and only 1 breaks a rule of 0 mod 3. (A
+    # pool has one cost, so a budget it breaks is broken by its first id.)
+    message = "initial pebble 3 is not well placed: group 4, count profile 2:2 4:2$"
+    with pytest.raises(InternalInvariantError, match=message):
+        initial_configuration(dec, _elements(dec, [3, 2, 1, 2]), lattice=tightened(top=(1, ((0, 3),))))
     assert initial_configuration(dec, els, lattice=lat).count_profile() == (0, 2, 2)
 
 
@@ -678,6 +684,10 @@ def test_batched_run_refuses_misplaced_pebble_at_its_move():
         merge_step(conf, vidx, 0, 4)
     # The second move consumes pebble 3, so the run makes none of its moves.
     assert _state(conf) == before and list(conf.move_log) == []
+    # With pebble 6 misplaced too, the error still names the first, pebble 3.
+    conf.cols[0][6] = 6
+    with pytest.raises(InternalInvariantError, match="pebble 3 is not well placed at vertex 2"):
+        merge_step(conf, vidx, 0, 4)
 
 
 def test_batched_run_stops_at_the_first_misplaced_pebble_in_any_coordinate():
@@ -1117,6 +1127,27 @@ def test_misplaced_merge_error_names_the_group_and_count_profile():
     conf, message = _z8_stopped_run(lambda conf: conf.costs.__setitem__(3, 12))
     assert message == "merged pebble 10 is not well placed at vertex 1: group 8, count profile 2:6 4:2"
     assert list(conf.move_log) == []
+
+
+def test_misplaced_merge_error_at_one_over_the_budget():
+    # Pebble 3 at cost 5 makes pebble 10 cost 9, one over the root's budget of 8.
+    conf, message = _z8_stopped_run(lambda conf: conf.costs.__setitem__(3, 5))
+    assert message == "merged pebble 10 is not well placed at vertex 1: group 8, count profile 2:6 4:2"
+
+
+def test_misplaced_merge_error_names_the_first_merge_that_breaks_a_congruence():
+    # Pebbles 1-4 (values 2, 6, 2, 2) sit on divisor 4; a run of two weight-2
+    # moves there makes pebbles 9 (value 0) and 10 (value 4) on divisor 2,
+    # whose rule is tightened to 0 mod 8: only the second merge breaks it.
+    dec = _dec("8")
+    conf = initial_configuration(dec, _elements(dec, [2, 6, 2, 2, 4, 4, 4, 4]))
+    lat, child = conf.lattice, conf.lattice.vertex_index((1,))
+    conf.lattice = lat._replace(placement=tuple((4, ((0, 8),)) if v == child else r for v, r in enumerate(lat.placement)))
+    before = _state(conf)
+    with pytest.raises(InternalInvariantError) as exc:
+        merge_step(conf, lat.vertex_index((2,)), 0, 2)
+    assert str(exc.value) == "merged pebble 10 is not well placed at vertex 2: group 8, count profile 2:4 4:4"
+    assert _state(conf) == before
 
 
 def test_leaves_past_a_stopped_run_names_the_group_and_count_profile():

@@ -1,4 +1,4 @@
-"""Every identity-free sequence of every group of order at most 8, solved.
+"""Every identity-free sequence of every group of order at most 10, solved.
 
 Each multiset of |G| nonzero elements is taken once, in ascending element
 index, and goes through placement, planning, merges, base cases and
@@ -40,6 +40,9 @@ CENSUS = {
     "8": (3003, 0, 209, {0: 673, 2: 611, 4: 916, 6: 803}),
     "4,2": (3003, 0, 1365, {0: 1582, 2: 1421}),
     "2,2,2": (3003, 0, 3003, {0: 3003}),
+    "9": (11440, 0, 88, {0: 1812, 1: 1150, 2: 592, 3: 2090, 4: 2629, 5: 338, 6: 1129, 7: 1700}),
+    "3,3": (11440, 0, 1992, {0: 6224, 1: 5216}),
+    "10": (43758, 220, 397, {0: 11014, 2: 13700, 4: 10269, 6: 5515, 8: 3260}),
 }
 
 
