@@ -339,14 +339,12 @@ def cmd_stress(args) -> RunReport:
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
         if trial < oracle_checked:
-            oracle = dp_min_cost_zero_sum(dec, cols)
+            oracle = dp_min_cost_zero_sum(dec, cols, stop=cert.ord_cost)  # exact unless it matches the certificate
             if not oracle.feasible or not oracle.qualifies:
                 failures.append(f"trial {trial}: oracle found no qualifying subsequence")
             elif cert.ord_cost < oracle.min_cost:
-                failures.append(
-                    f"trial {trial}: certificate cost {cert.ord_cost} "
-                    f"below the oracle minimum {oracle.min_cost}"
-                )
+                failures.append(f"trial {trial}: certificate cost {cert.ord_cost} "
+                                f"below the oracle minimum {oracle.min_cost}")
     passed = args.trials - len(failures)
     return RunReport(
         inputs={

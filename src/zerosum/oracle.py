@@ -9,9 +9,9 @@ The DP keeps one best cost per group element, numbered row-major over the
 invariant factors, so n items cost at most O(n * |G|) work. A copy of the item
 before it relaxes only from the sums that copy improved: from any other sum,
 the copy before relaxed the same value. The DP stops once the zero sum reaches
-min(2, N), the least cost any nonempty zero-sum subsequence can have. The
-worst case n * |G| is checked against MAX_DP_WORK before the DP starts and
-refused with InputError (exit 2). Its witness is the chain of first items at
+min(2, N), below which no nonempty zero-sum subsequence costs, or a caller's
+higher stop. The worst case n * |G| is refused with InputError (exit 2) above
+MAX_DP_WORK before the DP starts. Its witness is the chain of first items at
 which each cost on the chain became optimal; see dp_min_cost_zero_sum.
 """
 
@@ -265,7 +265,7 @@ def _shift_table(dec: PrimaryDecomposition, g: tuple[int, ...]) -> list[int]:
     return table
 
 
-def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
+def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols, stop: int = 0) -> OracleResult:
     """Exact minimum of the order cost over nonempty zero-sum subsequences of
     the sequence `cols`, one column per invariant factor (`element_columns`).
 
@@ -289,15 +289,17 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
     strictly decreasing item indices, so each item is used at most once.
 
     The DP stops after the first item that brings best[0] down to
-    min(2, N). No zero-sum subsequence costs less: it is the identity alone,
-    which costs N, or two or more terms of cost at least 1 each. Since a
-    parent is written only when best[t] strictly drops, and best[t] never
-    rises, no link on the final chain changes after the stop either.
+    max(min(2, N), min(stop, N)). No zero-sum subsequence costs less than
+    min(2, N), the default: the identity alone costs N, and two or more terms
+    cost at least 1 each. best[t] drops only strictly and never rises, so no
+    parent on the final chain changes after the stop. So min_cost is the least
+    cost when that exceeds the stop, otherwise some cost at most the stop, with
+    a witness of that cost; feasible and qualifies stay exact.
     """
     check_dp_work(dec, len(element_columns(dec, cols)[0]))
     costs = element_costs(dec, cols)
-    floor = min(2, dec.exponent)
-    unreached = sum(costs) + 1
+    stop = max(min(2, dec.exponent), min(stop, dec.exponent))
+    unreached = max(sum(costs), stop) + 1  # above every cost, so best[0] <= stop means reached
     best = [unreached] * dec.group_order
     reached: list[int] = []
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
@@ -326,7 +328,7 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols) -> OracleResult:
                 best[t] = cost
                 parent[(t, cost)] = (s, k)
                 changed.append(t)
-        if best[0] <= floor:
+        if best[0] <= stop:
             break
     if best[0] == unreached:
         return OracleResult(False, None, (), False)

@@ -593,6 +593,24 @@ def test_stress_small_battery(capsys):
     assert doc["results"]["oracle_checked"] == 40
 
 
+def test_stress_catches_a_certificate_below_the_oracle_minimum(monkeypatch, capsys):
+    # Each trial's certificate claims one below the exact minimum. The DP stops
+    # at the claimed cost only when it reaches it, so here it runs exact; on
+    # Z_8 at seed 2 three claims (3, 3 and 5) lie above the floor of 2.
+    minima = []
+
+    def too_cheap(root, dec, cols):
+        minima.append(zerosum.dp_min_cost_zero_sum(dec, cols).min_cost)
+        return engine.extract_certificate(root, dec, cols)._replace(ord_cost=minima[-1] - 1)
+
+    monkeypatch.setattr(cli, "extract_certificate", too_cheap)
+    code, doc = run_json(capsys, "stress", "--group", "8", "--trials", "8", "--seed", "2")
+    assert code == 1 and doc["results"]["failed"] == 8 and minima == [2, 2, 4, 4, 2, 2, 2, 6]
+    assert doc["results"]["failures"] == [
+        f"trial {t}: certificate cost {m - 1} below the oracle minimum {m}" for t, m in enumerate(minima)
+    ]
+
+
 def test_stress_json_is_byte_identical(capsys):
     args = ["stress", "--group", "2,2,2", "--trials", "25", "--seed", "11", "--json"]
     assert main(args) == 0

@@ -7,6 +7,7 @@ import functools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from operator import itemgetter, mod
 
 import pytest
@@ -353,21 +354,55 @@ EXHAUSTIVE_GROUPS = [str(n) for n in range(6, 36) if n not in (24, 30, 32)] + [
 ]
 
 
+def _elimination_ratios(lat, profile):
+    """`_eliminate_plan` copied step for step, with each step's best kept * v
+    over T, the pebbling number of the step's box: the product of its edge
+    weights, |G| for the whole lattice."""
+    root, vertices, weights = lat.root_index, lat.vertices, lat.level_weights
+    prof, tops, need = list(profile), list(lat.dec.heights), lat.dec.group_order
+    plan, ratios = [], []
+    while not prof[root]:
+        box = [x for x in lat.scan_order if prof[x] and all(map(int.__le__, vertices[x].u, tops))]
+        scores = {i: weights[i][h - 1] * sum(prof[x] if vertices[x].u[i] < h else prof[x] // weights[i][h - 1]
+                                             for x in box) for i, h in enumerate(tops) if h}
+        i = max(scores, key=scores.get)
+        ratios.append(Fraction(scores[i], need))
+        h, v, stride = tops[i], weights[i][tops[i] - 1], lat.strides[i]
+        for x in box:
+            if vertices[x].u[i] == h and prof[x] >= v:
+                if x - stride == root:
+                    return plan + [(x, i, 1)], ratios
+                k = prof[x] // v
+                prof[x] -= k * v
+                prof[x - stride] += k
+                plan.append((x, i, k))
+        tops[i] -= 1
+        need //= v
+    return plan, ratios
+
+
 @pytest.mark.slow
 def test_every_count_profile_of_small_lattices_plans():
-    stalls = {}
+    stalls, least = {}, math.inf
     for text in EXHAUSTIVE_GROUPS:
         lat = build_lattice(_dec(text))
+        assert math.prod(map(math.prod, lat.level_weights)) == lat.dec.group_order
         stalls[text] = 0
         for profile in _profiles(lat.dec.group_order, lat.num_vertices):
-            _assert_plans(lat, profile, _eliminate_plan(lat, profile))
+            eliminated = _eliminate_plan(lat, profile)
+            _assert_plans(lat, profile, eliminated)
             greedy = _greedy_plan(lat, profile)  # solve_to_root's order: greedy, then elimination
             if greedy is None:
                 stalls[text] += 1
+                # ROADMAP item 3, Route C: where greedy stalls, every elimination step qualifies.
+                plan, ratios = _elimination_ratios(lat, profile)
+                assert plan == eliminated and min(ratios) >= 1, (text, profile, ratios)
+                least = min(least, *ratios)
             else:
                 _assert_plans(lat, profile, greedy)
     # The greedy pass is unchanged: its stalls on the cyclic groups measured before.
     assert [stalls[t] for t in ("6", "12", "18", "20")] == [1, 9, 4, 9]
+    assert (sum(stalls.values()), least) == (74, 1)
 
 
 @pytest.mark.parametrize("text, bound, count", [("30", 6, 1716), ("60", 10, 352716)])

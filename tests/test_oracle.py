@@ -25,6 +25,7 @@ from zerosum import (
     primary_decomposition,
     solvable,
     to_primary_coordinates,
+    verify_certificate,
     weighted_boolean_cube,
 )
 from zerosum.cli import SplitMix64
@@ -426,6 +427,46 @@ def test_stopping_dp_matches_full_run_dp():
             uniform += 1
             stopped += got.feasible and got.min_cost <= min(2, dec.exponent) and got.indices[-1] < len(els)
     assert stopped >= 0.7 * uniform, (stopped, uniform)
+
+
+def _zero_sum_free(dec):
+    """n_j - 1 copies of the j-th basis element for each invariant factor n_j:
+    no nonempty subsequence sums to zero."""
+    r = len(dec.invariant_factors)
+    return [tuple(int(i == j) for i in range(r)) for j, n in enumerate(dec.invariant_factors) for _ in range(n - 1)]
+
+
+def test_dp_stop_is_exact_above_the_minimum_and_feasible_at_or_below_it():
+    # dp_min_cost_zero_sum(dec, cols, stop) against the exact DP (the default
+    # stop) on the stop battery (uniform, identity-free and runs of copies)
+    # and a zero-sum-free sequence per group, at stops around the minimum.
+    rng = SplitMix64(3141)
+    seen = {"exact": 0, "stopped": 0, "stopped above the minimum": 0, "infeasible": 0}
+    sequences = [(dec, els) for _, dec, els in _stop_battery()]
+    sequences += [(_dec(text), _zero_sum_free(_dec(text))) for text in STOP_GROUPS]
+    for dec, els in sequences:
+        cols, n = _columns(dec, els), dec.exponent
+        exact = dp_min_cost_zero_sum(dec, cols)
+        least = exact.min_cost if exact.feasible else math.inf
+        near = (least - 1, least, least + 1) if exact.feasible else ()
+        for stop in {0, min(2, n), n, n + 5, rng.draw((n + 3,))[0], *near}:
+            got = dp_min_cost_zero_sum(dec, cols, stop=stop)
+            if least > stop:
+                assert got == exact, (dec.spec, els, stop)
+                seen["exact" if exact.feasible else "infeasible"] += 1
+                continue
+            assert got.feasible and got.min_cost <= stop and got.qualifies == (got.min_cost <= n), (els, stop)
+            assert verify_certificate(dec, cols, got.indices).passed, (els, stop)
+            assert sum(_cost(dec, els[k - 1]) for k in got.indices) == got.min_cost, (els, stop)
+            seen["stopped"] += 1
+            seen["stopped above the minimum"] += got.min_cost > least
+    assert min(seen.values()) >= 20, seen
+    # The identity comes first, so a stop at N ends the DP at item 1.
+    dec = _dec("60")
+    assert dp_min_cost_zero_sum(dec, [[0, 1, 59]], stop=60) == OracleResult(True, 60, (1,), True)
+    assert dp_min_cost_zero_sum(dec, [[0, 1, 59]]) == OracleResult(True, 2, (2, 3), True)
+    # A stop above the total cost of the items: the unreached marker lies above the stop too.
+    assert dp_min_cost_zero_sum(_dec("3"), [[1, 2]], stop=3) == OracleResult(True, 2, (1, 2), True)
 
 
 def _row_major_index(dec, g):

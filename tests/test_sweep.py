@@ -17,7 +17,9 @@ from collections import Counter
 
 import pytest
 
+import zerosum.engine
 from zerosum import (
+    InternalInvariantError,
     dp_min_cost_zero_sum,
     element_from_index,
     extract_certificate,
@@ -46,8 +48,7 @@ CENSUS = {
 }
 
 
-@pytest.mark.parametrize("text", list(CENSUS))
-def test_every_identity_free_multiset_solves_within_the_bound(text):
+def _census(text):
     dec = primary_decomposition(parse_group_spec(text))
     nonzero = [element_from_index(dec, k) for k in range(1, dec.group_order)]
     multisets = eliminated = attained = 0
@@ -63,4 +64,22 @@ def test_every_identity_free_multiset_solves_within_the_bound(text):
         eliminated += conf.fallback_fired
         attained += best.min_cost == dec.exponent
         gaps[cert.ord_cost - best.min_cost] += 1
-    assert (multisets, eliminated, attained, dict(gaps)) == CENSUS[text]
+    return multisets, eliminated, attained, dict(gaps)
+
+
+@pytest.mark.parametrize("text", list(CENSUS))
+def test_every_identity_free_multiset_solves_within_the_bound(text):
+    assert _census(text) == CENSUS[text]
+
+
+def test_a_greedy_plan_one_move_short_fails_the_sweep(monkeypatch):
+    # ROADMAP item 9's planner mutation: the sweep must notice a plan that stops early.
+    greedy = zerosum.engine._greedy_plan
+
+    def one_move_short(lattice, start):
+        plan = greedy(lattice, start)
+        return plan if plan is None else plan[:-1]
+
+    monkeypatch.setattr(zerosum.engine, "_greedy_plan", one_move_short)
+    with pytest.raises(InternalInvariantError, match="planned moves did not produce a root pebble"):
+        _census("6")
