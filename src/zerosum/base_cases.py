@@ -14,7 +14,7 @@ from itertools import compress, islice, repeat
 from operator import eq, getitem
 
 from .errors import InternalInvariantError
-from .groups import byte_table, residues
+from .groups import residues
 
 
 class _Blocks(dict):
@@ -45,19 +45,16 @@ def _zero_sum_blocks(p: int, residues: list[int]) -> list[slice]:
     return list(map(_Blocks().__getitem__, zip(*[iter(residues)] * p)))
 
 
-def _vectors(p: int, cols: list[list[int]]) -> list[bytes] | list[tuple[int, ...]]:
+def _vectors(p: int, cols: list[bytearray | list[int]]) -> list[bytes] | list[tuple[int, ...]]:
     """Vector k is (cols[0][k], cols[1][k], ...) mod p: one bytes for p <= 256, cut from one
-    translated buffer of the interleaved columns; else a tuple of ints."""
+    buffer that each column's `residues` fills by a strided byte copy; else a tuple of ints."""
     if p > 256:
         return list(zip(*[residues(col, p) for col in cols]))
     d = len(cols)
     buf = bytearray(d * len(cols[0]))
     for j, col in enumerate(cols):
-        try:
-            buf[j::d] = col
-        except ValueError:  # an item past 255: the column is read again, so it is not an iterator
-            buf[j::d] = residues(col, p)
-    return re.findall(b".{%d}" % d, buf.translate(byte_table(p)), re.S)
+        buf[j::d] = residues(col, p)
+    return re.findall(b".{%d}" % d, buf, re.S)
 
 
 def _elementary_block(p: int, vecs: list[bytes] | list[tuple[int, ...]]) -> list[int]:

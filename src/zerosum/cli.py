@@ -33,7 +33,7 @@ from .oracle import (
 MASK64 = (1 << 64) - 1
 # Elements one stress run draws and solves, trials x |G|: 3 trials of Z_2^18 took 8.8-10.6 s (2-core x86_64 VM).
 MAX_STRESS_ELEMENTS = 1_000_000
-# |G| of a solve: peaks take about 197 bytes per element at rank 1 (2 GB at the bound), 690 on Z_2^18.
+# |G| of a solve: peaks take about 194 bytes per element at rank 1 (2 GB at the bound), 320 on Z_2^18 (18 a coordinate).
 MAX_SOLVE_ELEMENTS = 10_000_000
 WRITE_BLOCK = 1 << 16  # characters per write of a report to stdout, and the most in one rendered piece of an echo or int list
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7".translate(DIGIT_VALUES) == b"\x07"

@@ -128,10 +128,11 @@ class Configuration:
     """The pebbles and the move log of one solving session, as a column table.
 
     Pebble k is slot k of every column: `cols[j][k]` is its coordinate in
-    invariant factor j (for an input pebble 1..|G|, entry k - 1 of column j
-    of `sequence`, the caller's columns, itself) and `costs[k]` its order
-    cost; slot 0 is unused. A slot keeps the value it was written with: a
-    move consumes pebbles off their pool. `value(k)` reads it as a tuple.
+    invariant factor j and `costs[k]` its order cost. Column j is a bytearray
+    if n_j <= 256 (unused slot 0 holds 0, input slot k entry k - 1 of column j
+    of `sequence`, the caller's columns, mod n_j), else a list (slot 0 None,
+    input slot k that entry itself). A slot keeps the value it was written
+    with: a move consumes pebbles off their pool. `value(k)` reads it as a tuple.
     `pools[vidx]` lists the ids on vertex index vidx, ascending. The move log is
     the merge tree: pebble |G| + 1 + k is made by move k, and its parts are
     that move's selected ids (see `Pebble.members`). Mutated only through
@@ -146,7 +147,8 @@ class Configuration:
         self.lattice = lattice
         self.sequence = cols
         self.debug = os.environ.get("ZEROSUM_DEBUG") == "1"
-        self.cols: list[list[int | None]] = [[None, *col] for col in cols]
+        self.cols = [bytearray(1) + residues(col, n) if n <= 256 else [None, *col]
+                     for col, n in zip(cols, dec.invariant_factors)]
         self.costs: list[int] = [0, *element_costs(dec, cols)]
         self.pools: list[list[int]] = [[] for _ in lattice.vertices]
         self.move_log = MoveLog(len(self.costs))
@@ -293,7 +295,7 @@ def merge_step(conf: Configuration, vidx: int, coordinate: int, count: int = 1) 
         if bad < need:
             raise InternalInvariantError(f"pebble {run[bad]} is not well placed at vertex {vertex.divisor}")
         if dims == 1:  # sums: per column, each move's chunk summed over its block
-            blocks = _zero_sum_blocks(p, residues(divided[0], p))
+            blocks = _zero_sum_blocks(p, residues(divided[0], p, list))
             kept, step = run, weight
             sums = [list(map(sum, map(getitem, zip(*[iter(col)] * p), blocks))) for col in cols]
         else:

@@ -5,8 +5,8 @@ order. Each factor is split into cyclic components of prime-power order, and
 the components are regrouped into invariant factors n_1, ..., n_r (n_j the
 product of every prime's j-th largest component, so n_1 is the exponent). An
 element is a plain tuple of one integer per invariant factor, and a sequence
-one list per invariant factor, converted from the user's coordinates once, at
-parse time; addition is componentwise mod n_j.
+one column per invariant factor (bytes if n_j <= 256, else a list of ints),
+converted once, at parse time; addition is componentwise mod n_j.
 The group travels beside its elements: every function on them takes `dec`.
 Everything is exact integer work; there is no float anywhere in the package.
 """
@@ -170,10 +170,10 @@ def to_primary_coordinates(raw: Sequence[int], dec: PrimaryDecomposition) -> tup
     return tuple([col[0] for col in encode_sequence([[x] for x in raw], dec)])
 
 
-def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition) -> list[list[int]]:
-    """A sequence given by one column per user factor, as one list per
-    invariant factor: entry k of the result's columns is the
-    `to_primary_coordinates` of entry k of `columns`.
+def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition) -> list[bytes | list[int]]:
+    """A sequence given by one column per user factor, as one column per
+    invariant factor (`residues`: bytes if n <= 256): entry k of the result's
+    columns is the `to_primary_coordinates` of entry k of `columns`.
 
     Columns of another count or of unequal lengths raise InputError, and so
     does the first entry, column by column, that is not an int (subclasses
@@ -194,7 +194,7 @@ def encode_sequence(columns: Sequence[Sequence[int]], dec: PrimaryDecomposition)
     for j, f, _, c in dec.crt:
         term = columns[f] if c == 1 else map(mul, columns[f], repeat(c))
         acc[j] = term if acc[j] is None else map(add, acc[j], term)
-    return [residues(col, n) if col is not None else [0] * lengths[0] for col, n in zip(acc, factors)]
+    return [residues(col, n) if col is not None else bytes(lengths[0]) for col, n in zip(acc, factors)]
 
 
 @cache
@@ -203,17 +203,18 @@ def byte_table(m: int) -> bytes:
     return bytes([x % m for x in range(256)])
 
 
-def residues(col: Iterable[int], m: int) -> list[int]:
-    """x % m for every x of `col`, as a new list of exact ints. A bytes, or a
-    list or tuple of ints in 0..255, with m <= 256, is reduced as bytes by one
-    `translate`; `bytes()` refuses any other item, and that, or m > 256,
-    falls back to one `mod` map."""
-    if 0 < m <= 256 and isinstance(col, (list, tuple, bytes)):
+def residues(col: Iterable[int], m: int, kind: type = bytes) -> bytes | list[int]:
+    """x % m for every x of `col`: one bytes if m <= 256 (new, unless a bytes
+    `col` is unchanged; a new list of its items if `kind` is list), else a new
+    list of exact ints. With m <= 256 a bytes, bytearray, or list or tuple of
+    ints in 0..255 is reduced by one `translate`; `bytes()` refuses any other
+    item, and that, like any other iterable or m > 256, is one `mod` map."""
+    if 0 < m <= 256 and isinstance(col, (list, tuple, bytes, bytearray)):
         try:
-            return list(bytes(col).translate(byte_table(m)))
+            return kind(bytes(col).translate(byte_table(m)))
         except (TypeError, ValueError):
             pass
-    return list(map(mod, col, repeat(m)))
+    return kind(map(mod, col, repeat(m))) if 0 < m <= 256 else list(map(mod, col, repeat(m)))
 
 
 def add_elements(

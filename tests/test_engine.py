@@ -38,7 +38,7 @@ from zerosum import MoveRecord
 from zerosum.base_cases import _elementary_block, _vectors
 from zerosum.cli import main
 from zerosum.engine import _Run, _debug_check, _eliminate_plan, _greedy_plan, _leaves, _recompute
-from zerosum.groups import encode_sequence
+from zerosum.groups import encode_sequence, residues
 
 small_group_texts = st.sampled_from(["2", "3", "4", "2,2", "5", "6", "8", "9", "3,3", "12", "4,2", "2,2,2"])
 
@@ -166,15 +166,19 @@ def test_initial_pebbles_sit_on_order_vertices():
 
 
 def test_input_rows_are_the_elements_themselves():
-    # A sequence is one list per invariant factor, and input pebble k's slot
-    # in column j is entry k - 1 of column j itself, not a copy: the table
-    # holds no second object per input coordinate (values above 256, which
-    # CPython does not cache, so `is` tells a copy apart).
+    # A sequence is one column per invariant factor. Where n > 256 it is a
+    # list, and input pebble k's slot is entry k - 1 of the column itself,
+    # not a copy: the table holds no second object per input coordinate
+    # (values above 256, which CPython does not cache, so `is` tells a copy
+    # apart). Where n <= 256 it is a bytes, which the table copies into a
+    # bytearray, slot k holding entry k - 1 and slot 0 holding 0.
     dec = _dec("600,2")
     cols = encode_sequence([list(range(1200)), [a % 5 for a in range(1200)]], dec)
-    assert {type(col) for col in cols} == {list}
+    assert [type(col) for col in cols] == [list, bytes]
     conf = initial_configuration(dec, cols)
-    assert all(conf.cols[j][k] is cols[j][k - 1] for k in range(1, 1201) for j in range(2))
+    assert [type(col) for col in conf.cols] == [list, bytearray]
+    assert all(conf.cols[0][k] is cols[0][k - 1] for k in range(1, 1201))
+    assert conf.cols[1] == b"\0" + cols[1]
     assert all(conf.value(k) == to_primary_coordinates((k - 1, (k - 1) % 5), dec) for k in range(1, 1201))
 
 
@@ -191,7 +195,7 @@ def test_z4_all_ones_full_trace():
     ]
     # Merged pebbles 5 and 6 are consumed but keep their slots, as the inputs
     # do: the table is written once.
-    assert conf.cols == [[None, *els[0], 2, 2, 0]]
+    assert conf.cols == [bytearray([0, *els[0], 2, 2, 0])] and type(conf.cols[0]) is bytearray
     assert conf.value(7) == (0,)
 
 
@@ -775,9 +779,11 @@ def test_tuple_and_range_runs_give_the_same_table():
     assert [r.run for r in gaps.move_log.runs] == [(1, 2, 4, 5, 7, 8), (3, 6, 9, 10)]
     assert [r.run for r in dense.move_log.runs] == [range(1, 7), range(7, 11)]
     # Inputs stay in their own slots; the merged slots, consumed or live, match.
-    assert gaps.cols[0][:9] == [None, 1, 1, 2, 1, 1, 2, 1, 1]
-    assert dense.cols[0][:9] == [None, 1, 1, 1, 1, 1, 1, 2, 2]
-    assert gaps.cols[0][9:] == dense.cols[0][9:] == [2, 2, 2, 4, 4]
+    # Z_8's column is a bytearray, whose unused slot 0 holds 0.
+    assert type(gaps.cols[0]) is type(dense.cols[0]) is bytearray
+    assert list(gaps.cols[0][:9]) == [0, 1, 1, 2, 1, 1, 2, 1, 1]
+    assert list(dense.cols[0][:9]) == [0, 1, 1, 1, 1, 1, 1, 2, 2]
+    assert list(gaps.cols[0][9:]) == list(dense.cols[0][9:]) == [2, 2, 2, 4, 4]
     assert gaps.costs[9:] == dense.costs[9:] == [2, 2, 2, 4, 4]
     assert gaps.pools == dense.pools
     assert [m.selected for m in gaps.move_log][3:] == [(3, 6), (9, 10)]
@@ -797,7 +803,7 @@ def test_every_slot_keeps_its_written_value():
     assert len(conf.cols) == 3 and consumed & set(merged)
     for j, col in enumerate(conf.cols):
         assert len(col) == len(conf.costs) == log.base + len(log)
-        assert col[1 : log.base] == els[j]
+        assert list(col[1 : log.base]) == els[j]
     for q in merged:
         val, cost = _recompute(dec, els, sorted(_leaves(conf, q)))
         assert conf.value(q) == val and conf.costs[q] == cost
@@ -1254,8 +1260,8 @@ def test_a_top_vertex_run_frees_its_ids_before_the_checks():
 
 def test_an_elementary_solve_keeps_one_bytes_per_vector():
     # The one base case of Z_2^14 reads 16,384 vectors. Its solve's tracemalloc
-    # peak above the start is about 3.4 MB with one bytes per vector, 6.7 MB
-    # with one tuple of ints each.
+    # peak above the start is about 1.8 MB with byte columns and one bytes per
+    # vector, 3.4 MB with list columns, 6.7 MB with one tuple of ints each too.
     dec, els = _seeded_nonzero(",".join(["2"] * 14), 1)
     conf = initial_configuration(dec, els)
     tracemalloc.start()
@@ -1268,6 +1274,52 @@ def test_an_elementary_solve_keeps_one_bytes_per_vector():
         tracemalloc.stop()
     assert len(conf.move_log) == 1
     assert peak < 5_000_000, peak
+
+
+def test_an_elementary_encoding_and_solve_keep_one_byte_per_coordinate():
+    # Encoding the |G| seeded nonzero elements of Z_2^14, placing them and
+    # solving peaks about 2.4 MB above the start with one bytes column per
+    # invariant factor (and a bytearray in the table), 7.3 MB with lists.
+    dec, els = _seeded_nonzero(",".join(["2"] * 14), 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        conf = initial_configuration(dec, encode_sequence(els, dec))
+        solve_to_root(conf)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(conf.move_log) == 1
+    assert peak < 3_000_000, peak
+
+
+@pytest.mark.parametrize("text", ["2,2,2", "9,3", "256", "257,257", "514,2", "30030"])
+def test_a_column_is_bytes_exactly_where_its_invariant_factor_is_at_most_256(text):
+    # Here every invariant factor is its own user factor, so each column is
+    # that factor's user coordinates mod n, item for item: a bytes from
+    # `residues` and `encode_sequence` and a bytearray in the table, merged
+    # slots included, where n <= 256, and a list elsewhere. The user's
+    # coordinates are shifted out of range both ways.
+    dec, els = _seeded_nonzero(text, 2)
+    assert dec.invariant_factors == dec.spec.cyclic_orders
+    rng = random.Random(2)
+    raws = [[x + n * rng.randrange(-2, 3) for x in col] for col, n in zip(els, dec.invariant_factors)]
+    encoded = encode_sequence(raws, dec)
+    conf = initial_configuration(dec, encoded)
+    solve_to_root(conf)
+    log = conf.move_log
+    assert len(log) >= 1
+    merged = [_recompute(dec, els, sorted(_leaves(conf, q)))[0] for q in range(log.base, log.base + len(log))]
+    for j, (raw, n) in enumerate(zip(raws, dec.invariant_factors)):
+        small = n <= 256
+        want = [x % n for x in raw]
+        for col, kind in ((residues(raw, n), bytes), (encoded[j], bytes), (conf.cols[j], bytearray)):
+            assert type(col) is (kind if small else list)
+        assert list(residues(raw, n)) == list(encoded[j]) == want
+        assert conf.cols[j][0] == (0 if small else None)
+        assert list(conf.cols[j][1 : log.base]) == want
+        assert list(conf.cols[j][log.base :]) == [val[j] for val in merged]
 
 
 def test_a_max_order_cyclic_solve_stays_under_its_memory_bound():

@@ -238,7 +238,8 @@ def test_parse_time_conversion_keeps_primary_residues(text):
         assert all(0 <= x < n for x, n in zip(g, dec.invariant_factors))
         for j, src, q, _ in dec.crt:
             assert g[j] % q == raw[src] % q
-    assert encode_sequence([[]] * spec.rank, dec) == [[]] * len(dec.invariant_factors)
+    empty = encode_sequence([[]] * spec.rank, dec)  # a column per invariant factor, of its type
+    assert empty == [b"" if n <= 256 else [] for n in dec.invariant_factors]
     assert element_from_index(dec, 0) == identity(dec)
     for i in range(dec.group_order):
         assert element_index(dec, element_from_index(dec, i)) == i
@@ -298,6 +299,7 @@ RESIDUE_COLUMNS = [
     (7, 255, 0),
     [True, 5],
     bytes([0, 255, 7]),
+    bytearray([0, 255, 7]),
 ]
 
 
@@ -305,24 +307,33 @@ RESIDUE_COLUMNS = [
 @pytest.mark.parametrize("col", RESIDUE_COLUMNS)
 def test_residues_match_the_mod_of_every_item(col, m):
     # The byte path (items in 0..255, m <= 256) and the mod fallback give
-    # the same new list of exact ints.
+    # the same residues: one bytes for m <= 256 (the caller's own bytes when
+    # no item changes, as bytes are immutable), else a new list of exact
+    # ints, and with `kind` list a new list of exact ints for every m.
     got = residues(col, m)
-    assert got == [x % m for x in col]
-    assert type(got) is list and got is not col
+    assert list(got) == [x % m for x in col]
+    assert type(got) is (bytes if m <= 256 else list)
+    assert got is not col or type(col) is bytes
     assert all(type(x) is int for x in got)
     assert residues(iter(col), m) == got
+    for listed in (residues(col, m, list), residues(iter(col), m, list)):
+        assert listed == list(got) and type(listed) is list and listed is not col
+        assert all(type(x) is int for x in listed)
 
 
 @pytest.mark.parametrize("text, cols", [("2,2,2", [[0, 1, 1], [1, 0, 1], [1, 1, 0]]), ("256", [[0, 255, 7]]),
                                         ("257", [[0, 255, 256]]), ("2,2,2", [b"\0\1\1", [1, 0, 1], b"\1\1\0"])])
 def test_encode_sequence_returns_fresh_lists_of_exact_ints(text, cols):
     # Each invariant factor here is one user factor with c = 1, so its column
-    # is the caller's column reduced in one `residues` pass.
+    # is the caller's column reduced in one `residues` pass: a bytes for
+    # n <= 256, which no caller can change, else a fresh list of exact ints.
     dec = _dec(text)
     out = encode_sequence(cols, dec)
-    assert out == [[x % n for x in col] for col, n in zip(cols, dec.invariant_factors)]
-    for got, col in zip(out, cols):
-        assert type(got) is list and got is not col
+    assert list(map(list, out)) == [[x % n for x in col] for col, n in zip(cols, dec.invariant_factors)]
+    for got, col, n in zip(out, cols, dec.invariant_factors):
+        assert type(got) is (bytes if n <= 256 else list)
+        assert got is not col or type(col) is bytes
         assert all(type(x) is int for x in got)
-    out[0][0] += 1
-    assert cols[0][0] == 0
+    if type(out[0]) is list:
+        out[0][0] += 1
+        assert cols[0][0] == 0
