@@ -142,7 +142,7 @@ def _solvable_search(
         return memo[state]
     budget[0] -= 1
     if budget[0] < 0:
-        raise InternalInvariantError("solvability search exceeded its state budget")
+        raise InputError(f"solvability search reached its bound of {MAX_SOLVABLE_STATES} states (MAX_SOLVABLE_STATES)")
     for v in range(len(state)):
         if state[v] == 0:
             continue

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import gc
+import importlib
 import io
 import json
 import math
@@ -1290,11 +1292,12 @@ def test_readme_library_block_runs_and_every_exported_name_resolves():
     assert not missing
 
 
-def _readme_sections(*headings: str) -> str:
-    """The text of the README's `### heading` sections, each up to the next heading."""
+def _readme() -> str:
     with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    return "".join(text.split(f"\n### {h}\n", 1)[1].split("\n#", 1)[0] for h in headings)
+        return fh.read()
+
+
+PACKAGE = pathlib.Path(zerosum.__file__).parent
 
 
 def _code_names(text: str) -> set[str]:
@@ -1305,15 +1308,83 @@ def _code_names(text: str) -> set[str]:
     return {n for span in spans for n in span.split(".") if "_" in n or re.search("[a-z][A-Z]", n)}
 
 
+def _imported_modules() -> list:
+    """Every module that a file of src/zerosum/ imports, other than the package's own."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    return [importlib.import_module(name) for name in sorted(names)]
+
+
 def test_readme_names_only_code_that_exists():
-    # Every such name in these sections is defined in the package: a def, a
+    # Every such name in the README is defined in the package (a def, a
     # class, a NamedTuple field, a module-level assignment or a `self.`
-    # assignment, so prose cannot outlive the code it describes.
+    # assignment) or is an attribute of a module the package imports, so
+    # prose cannot outlive the code it describes.
     assert _code_names("`below(n)`, `conf.move_log`, `MoveLog.__iter__`, `best[s]`, `a=b`") == {
         "move_log", "MoveLog", "__iter__"}
-    names = _code_names(_readme_sections("Groups and sequences", "The DP oracle", "Exit codes", "Determinism"))
-    source = "".join(p.read_text(encoding="utf-8") for p in sorted(pathlib.Path(zerosum.__file__).parent.glob("*.py")))
-    assert len(names) >= 10
-    forms = [r"^\s*(def|class)\s+{}\b", r"^{}\s*(:[^=\n]*)?=", r"^    {}: [^,\n]*$", r"\bself\.{}\b[\w., ]*=(?!=)"]
-    missing = [n for n in sorted(names) if not any(re.search(f.format(re.escape(n)), source, re.M) for f in forms)]
+    names = _code_names(_readme())
+    source = "".join(p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")))
+    assert {"invariant_factors", "level_moduli", "MAX_DP_WORK"} <= names and len(names) >= 30
+    # A NamedTuple field is an indented annotation that does not end in a
+    # comma, as a parameter of a wrapped signature does.
+    forms = [r"^\s*(def|class)\s+{}\b", r"^{}\s*(:[^=\n]*)?=", r"^    {}: .*[^,\n]$", r"\bself\.{}\b[\w., ]*=(?!=)"]
+    modules = _imported_modules()
+    assert any(hasattr(m, "encode_basestring_ascii") for m in modules)  # json.encoder, a submodule
+    missing = [n for n in sorted(names) if not any(re.search(f.format(re.escape(n)), source, re.M) for f in forms)
+               and not any(hasattr(m, n) for m in modules)]
+    assert not missing
+
+
+def test_readme_describes_every_option_and_every_work_bound():
+    text = _readme()
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for parser in sub.choices.values() for action in parser._actions for o in action.option_strings}
+    assert {"-h", "--help", "--json", "--seq-file", "--oracle-limit"} <= options
+    missing = [o for o in sorted(options) if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text)]
+    assert not missing
+    # Each module-level MAX_* constant, by name and value on one line.
+    bounds = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("zerosum" if path.stem == "__init__" else f"zerosum.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                bounds.update((t.id, getattr(module, t.id)) for t in node.targets
+                              if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    assert len(bounds) >= 9
+    lines = text.splitlines()
+    missing = [n for n, v in sorted(bounds.items()) if not any(f"`{n}`" in line and f"{v:,}" in line for line in lines)]
+    assert not missing
+
+
+def test_readme_names_only_files_that_exist():
+    # Files and tests named as the source of a figure or a contract.
+    root = pathlib.Path(README).parent
+    refs = set(re.findall(r"BENCH_\d+\.json|CHANGES\.md|ROADMAP\.md|(?:tests|src/zerosum|perfbench)/[\w./]*\w(?:::\w+)?",
+                          _readme()))
+    assert len(refs) >= 10
+    missing = []
+    for ref in sorted(refs):
+        path, _, test = ref.partition("::")
+        if not (root / path).is_file() or test and not re.search(rf"^def {test}\(", (root / path).read_text("utf-8"), re.M):
+            missing.append(ref)
+    assert not missing
+
+
+def test_readme_names_every_slow_test():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "slow", "-p", "no:cacheprovider",
+                           tests_dir], capture_output=True, text=True, env=CLI_ENV, cwd=os.path.dirname(tests_dir))
+    ids = [line for line in done.stdout.splitlines() if "::" in line]
+    assert len(ids) >= 3, done.stdout
+    text = _readme()
+    missing = []
+    for node_id in ids:  # a parametrized case is named by its test and by its backticked parameter
+        test, _, param = node_id.partition("[")
+        if test not in text or param and f"`{param[:-1]}`" not in text:
+            missing.append(node_id)
     assert not missing

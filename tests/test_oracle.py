@@ -576,6 +576,16 @@ def test_solvable_crosses_edges_both_ways():
     assert solvable(g, (6, 0, 0), 2)
 
 
+def test_solvable_past_its_state_bound_is_input_error(monkeypatch):
+    # A valid input that needs more search than the bound allows is refused
+    # like every other oversized input (exit 2), never reported as a bug.
+    q4, dist = weighted_boolean_cube((2,) * 4), (0,) * 15 + (15,)
+    assert not solvable(q4, dist, 0)
+    monkeypatch.setattr(oracle, "MAX_SOLVABLE_STATES", 100)
+    with pytest.raises(InputError, match="bound of 100 states"):
+        solvable(q4, dist, 0)
+
+
 def test_pebbling_single_vertex():
     g = WeightedGraph(1, ())
     result = pebbling_number(g)
