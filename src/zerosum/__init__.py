@@ -16,7 +16,7 @@ from .groups import (
     GroupSpec, PrimaryDecomposition, add_elements, element_from_index, element_index, element_order,
     encode_sequence, group_spec, identity, parse_group_spec, primary_decomposition, to_primary_coordinates,
 )
-from .partitions import dual_partition, residual_exponents, residual_exponents_by_recursion
+from .partitions import dual_partition, residual_exponents
 from .lattice import LatticeVertex, WeightedLattice, build_lattice
 from .engine import (
     Certificate, Configuration, MoveRecord, Pebble, Verdict, extract_certificate, initial_configuration,

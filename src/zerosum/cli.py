@@ -14,11 +14,13 @@ import gc
 import json
 import math
 import os
+import struct
 import sys
 import time
 from bisect import bisect_left
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from operator import mod
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .engine import MoveLog, extract_certificate, initial_configuration, solve_to_root, verify_certificate
@@ -31,6 +33,7 @@ from .oracle import (
 )
 
 MASK64 = (1 << 64) - 1
+LANES = 256  # draws one SplitMix64.draw block computes together, in 4 KiB ints
 # Elements one stress run draws and solves, trials x |G|: 3 trials of Z_2^18 took 8.8-10.6 s (2-core x86_64 VM).
 MAX_STRESS_ELEMENTS = 1_000_000
 # |G| of a solve: peaks take about 194 bytes per element at rank 1 (2 GB at the bound), 320 on Z_2^18 (18 a coordinate).
@@ -48,21 +51,35 @@ class SplitMix64:
     z *= 0x94D049BB133111EB; z ^= z >> 31.
     A draw below n is that output mod n and advances the state exactly once,
     so stress runs replay identically for a given seed across platforms.
+    `draw` steps up to LANES states at once as the 128-bit lanes of one int:
+    each shift is masked to the lanes' low 64 bits, and a product of two
+    64-bit values fits its lane.
     """
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
     def draw(self, moduli: Sequence[int]) -> list[int]:
-        """A draw below n for each n in `moduli`, in order, with the step inlined."""
+        """A draw below n for each n in `moduli`, in order: the values and state of one step per draw."""
         state, out = self.state, []
-        for n in moduli:
-            state = (state + 0x9E3779B97F4A7C15) & MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            out.append((z ^ (z >> 31)) % n)
+        for lo in range(0, len(moduli), LANES):
+            ones, steps, mask = _lanes(n := min(LANES, len(moduli) - lo))
+            z = (state * ones + steps) & mask
+            z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+            z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+            lows = struct.unpack(f"<{2 * n}Q", ((z ^ z >> 31) & mask).to_bytes(16 * n, "little"))[::2]
+            out += map(mod, lows, moduli[lo:lo + n])
+            state = (state + 0x9E3779B97F4A7C15 * n) & MASK64
         self.state = state
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """`SplitMix64.draw`'s constants for n lanes: lane i holds 1, (i + 1) * 0x9E3779B97F4A7C15 and 2^64 - 1."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    steps = b"".join([(i * 0x9E3779B97F4A7C15).to_bytes(16, "little") for i in range(1, n + 1)])
+    return ones, int.from_bytes(steps, "little"), ones * MASK64
 
 
 class RunReport(NamedTuple):
@@ -325,7 +342,7 @@ def cmd_stress(args) -> RunReport:
         )
     if args.trials > 0 and args.oracle_limit > 0:
         check_dp_work(dec, dec.group_order)
-    lattice = build_lattice(dec)
+    lattice, tables = build_lattice(dec), {}  # one lattice, and the DP's shift tables, for every trial
     rng = SplitMix64(args.seed)
     failures: list[str] = []
     fallback_count = 0
@@ -339,7 +356,7 @@ def cmd_stress(args) -> RunReport:
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)
         if trial < oracle_checked:
-            oracle = dp_min_cost_zero_sum(dec, cols, stop=cert.ord_cost)  # exact unless it matches the certificate
+            oracle = dp_min_cost_zero_sum(dec, cols, cert.ord_cost, tables)  # exact unless it matches the certificate
             if not oracle.feasible or not oracle.qualifies:
                 failures.append(f"trial {trial}: oracle found no qualifying subsequence")
             elif cert.ord_cost < oracle.min_cost:

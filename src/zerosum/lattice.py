@@ -12,11 +12,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError
 from .groups import PrimaryDecomposition
 from .partitions import dual_partition, residual_exponents
-
-MAX_LATTICE_VERTICES = 1_000_000
 
 # (order-cost budget, ((invariant factor, modulus), ...)): see placement_rule.
 PlacementRule = tuple[int, tuple[tuple[int, int], ...]]
@@ -60,9 +57,6 @@ class WeightedLattice(NamedTuple):
 def build_lattice(dec: PrimaryDecomposition) -> WeightedLattice:
     heights = dec.heights
     count = math.prod(h + 1 for h in heights)
-    if count > MAX_LATTICE_VERTICES:
-        raise InputError(f"lattice would have {count} vertices, above the bound {MAX_LATTICE_VERTICES}")
-
     strides = tuple(math.prod(h + 1 for h in heights[i + 1:]) for i in range(len(heights)))
 
     duals = tuple(dual_partition(row) for row in dec.exponents)

@@ -265,7 +265,7 @@ def _shift_table(dec: PrimaryDecomposition, g: tuple[int, ...]) -> list[int]:
     return table
 
 
-def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols, stop: int = 0) -> OracleResult:
+def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols, stop: int = 0, tables: dict | None = None) -> OracleResult:
     """Exact minimum of the order cost over nonempty zero-sum subsequences of
     the sequence `cols`, one column per invariant factor (`element_columns`).
 
@@ -295,6 +295,9 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols, stop: int = 0) -> Orac
     parent on the final chain changes after the stop. So min_cost is the least
     cost when that exceeds the stop, otherwise some cost at most the stop, with
     a witness of that cost; feasible and qualifies stay exact.
+
+    `tables`, if given, keeps each element's shift table for later calls on
+    `dec`, as bytes if |G| <= 256 (one byte a sum, as columns); else unused.
     """
     check_dp_work(dec, len(element_columns(dec, cols)[0]))
     costs = element_costs(dec, cols)
@@ -305,9 +308,12 @@ def dp_min_cost_zero_sum(dec: PrimaryDecomposition, cols, stop: int = 0) -> Orac
     parent: dict[tuple[int, int], tuple[int | None, int]] = {}
     table_of = table = None
     changed: list[int] = []
+    keep = tables is not None and dec.group_order <= 256
     for k, (g, c) in enumerate(zip(zip(*cols), costs), start=1):
         if g != table_of:
-            table_of, table = g, _shift_table(dec, g)
+            table_of, table = g, tables.get(g) if keep else _shift_table(dec, g)
+            if table is None:
+                table = tables[g] = bytes(_shift_table(dec, g))
             gi = table[0]
             sources, before = reached[:], best[:]
         else:

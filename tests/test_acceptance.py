@@ -24,7 +24,6 @@ from zerosum import (
     pebbling_number,
     primary_decomposition,
     residual_exponents,
-    residual_exponents_by_recursion,
     solvable,
     solve_to_root,
     verify_certificate,
@@ -57,6 +56,30 @@ def criterion(capsys, num, label):
 
 def _dec(text):
     return primary_decomposition(parse_group_spec(text))
+
+
+def residual_exponents_by_recursion(exponents, u, descent=None):
+    """Criterion 9's independent reference for `residual_exponents`: the same
+    matrix built one unit descent at a time.
+
+    A step that raises coordinate i from v-1 to v subtracts 1 from the first
+    d_i[v] entries of row i, where d_i is the conjugate of the original row i.
+    `descent` lists the coordinate taken at each step (coordinate i must appear
+    exactly u[i] times); any order yields the same matrix.
+    """
+    rows = [tuple(r) for r in exponents]
+    if descent is None:
+        descent = [i for i, ui in enumerate(u) for _ in range(ui)]
+    assert [list(descent).count(i) for i in range(len(rows))] == list(u), (descent, u)
+    duals = [dual_partition(r) for r in rows]
+    work = [list(r) for r in rows]
+    level = [0] * len(rows)
+    for i in descent:
+        level[i] += 1
+        for j in range(duals[i][level[i] - 1]):
+            work[i][j] -= 1
+            assert work[i][j] >= 0, "descent mask drove an exponent negative"
+    return tuple(tuple(row) for row in work)
 
 
 def _all_length4_sequences(factor_sizes):

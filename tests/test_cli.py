@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import zerosum
 from zerosum import InputError, InternalInvariantError, cli, engine
 from zerosum.cli import SplitMix64, main, parse_indices, parse_raw_sequence
+from zerosum.oracle import OracleResult
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
 # Child interpreters import the same package as the tests, installed or not.
@@ -69,6 +70,43 @@ def test_splitmix64_one_draw_matches_a_draw_per_modulus():
     assert a.draw(moduli) == [b.draw((n,))[0] for n in moduli]
     assert a.state == b.state
     assert a.draw(()) == [] and a.state == b.state
+
+
+def _splitmix64_steps(state, moduli):
+    """The documented SplitMix64 step, one draw at a time: `draw`'s reference."""
+    out = []
+    for n in moduli:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        out.append((z ^ z >> 31) % n)
+    return out, state
+
+
+# At, before and across the 2^64 wrap: the first step, the 100th and the
+# (LANES + 7)th (in a second block) wrap the state to 0.
+WRAP_SEEDS = [0, 1, 2**64 - 1, 2**64, -1, 2**64 - 0x9E3779B97F4A7C15, -100 * 0x9E3779B97F4A7C15 % 2**64,
+              -(cli.LANES + 7) * 0x9E3779B97F4A7C15 % 2**64]
+
+
+@pytest.mark.parametrize("seed", WRAP_SEEDS)
+def test_packed_draw_matches_one_step_per_draw(seed):
+    lanes = cli.LANES
+    mixed = (1, 2, 3, 7, 60, 256, 257, 2310, 2**32 + 15, 2**63 + 1, 2**64)
+    for length in (0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 5):
+        for moduli in ((1,) * length, (2**64,) * length, (mixed * (length // len(mixed) + 1))[:length]):
+            rng = SplitMix64(seed)
+            assert rng.draw(moduli) == _splitmix64_steps(seed % 2**64, moduli)[0]
+            assert rng.state == (seed + length * 0x9E3779B97F4A7C15) % 2**64
+
+
+def test_packed_draw_state_after_each_call():
+    # Calls of every block shape in a row: each starts where the last left off.
+    rng, state = SplitMix64(2**64 - 5 * 0x9E3779B97F4A7C15), 2**64 - 5 * 0x9E3779B97F4A7C15
+    for length in (3, 0, cli.LANES + 1, 1, cli.LANES - 1, 2 * cli.LANES, 54):
+        moduli = [2**64 - k for k in range(length)]
+        want, state = _splitmix64_steps(state, moduli)
+        assert rng.draw(moduli) == want and rng.state == state
 
 
 def _parsed(*args, **kwargs):
@@ -611,6 +649,20 @@ def test_stress_catches_a_certificate_below_the_oracle_minimum(monkeypatch, caps
     assert doc["results"]["failures"] == [
         f"trial {t}: certificate cost {m - 1} below the oracle minimum {m}" for t, m in enumerate(minima)
     ]
+
+
+def test_stress_reports_an_oracle_without_a_qualifying_subsequence(monkeypatch, capsys):
+    # The theorem makes both verdicts unreachable; a stand-in DP reaches
+    # them: infeasible on trial 0, and a minimum above N (not qualifying) on
+    # trial 2, so only the oracle-checked trials among the first three fail.
+    verdicts = iter([OracleResult(False, None, (), False), OracleResult(True, 2, (1, 2), True),
+                     OracleResult(True, 13, (1,), False)])
+    seen = []
+    monkeypatch.setattr(cli, "dp_min_cost_zero_sum", lambda dec, cols, stop, tables: seen.append(stop) or next(verdicts))
+    code, doc = run_json(capsys, "stress", "--group", "12", "--trials", "4", "--seed", "5", "--oracle-limit", "3")
+    assert code == 1 and len(seen) == 3
+    assert doc["results"]["failures"] == [f"trial {t}: oracle found no qualifying subsequence" for t in (0, 2)]
+    assert doc["results"]["passed"] == 2 and doc["results"]["failed"] == 2
 
 
 def test_stress_json_is_byte_identical(capsys):
@@ -1251,15 +1303,18 @@ def test_one_parser_serves_every_call(capsys):
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
     # Both cost about 9 ms at every launch; the records are NamedTuples
-    # instead.
-    code = (
-        "import sys, zerosum.cli\n"
-        "zerosum.cli.build_parser()\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    # instead. Only what zerosum imports counts: the modules a bare
+    # interpreter holds under the same environment (a site .pth file may
+    # import some) are taken away.
+    probe = "import sys\n{}print(sorted(sys.modules))\n"
+    modules = []
+    for code in (probe.format(""), probe.format("import zerosum.cli\nzerosum.cli.build_parser()\n")):
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+        assert done.returncode == 0, done.stderr
+        modules.append(set(ast.literal_eval(done.stdout)))
+    added = modules[1] - modules[0]
+    assert "zerosum.cli" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -1355,7 +1410,7 @@ def test_readme_describes_every_option_and_every_work_bound():
             if isinstance(node, ast.Assign):
                 bounds.update((t.id, getattr(module, t.id)) for t in node.targets
                               if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
-    assert len(bounds) >= 9
+    assert len(bounds) >= 8
     lines = text.splitlines()
     missing = [n for n, v in sorted(bounds.items()) if not any(f"`{n}`" in line and f"{v:,}" in line for line in lines)]
     assert not missing

@@ -15,6 +15,7 @@ from zerosum import (
     parse_group_spec,
     primary_decomposition,
 )
+from zerosum.groups import MAX_GROUP_ORDER
 from zerosum.partitions import residual_exponents
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
@@ -152,8 +153,23 @@ def test_vertex_index_maps_divisors():
     assert lat.vertices[lat.vertex_index((2, 1))].divisor == 12
 
 
-def test_vertex_cap_guard(monkeypatch):
-    dec = primary_decomposition(parse_group_spec("6"))
-    monkeypatch.setattr("zerosum.lattice.MAX_LATTICE_VERTICES", 3)
-    with pytest.raises(InputError):
-        build_lattice(dec)
+def test_no_group_within_the_order_bound_has_more_than_1600_lattice_vertices():
+    # The lattice's vertices are the divisors of the exponent N <= |G| <=
+    # MAX_GROUP_ORDER, which group_spec enforces, so no vertex bound is
+    # needed. Swapping exponents to put the larger one on the smaller prime
+    # keeps the divisor count and does not raise n, so the most divisors of
+    # any n <= the bound are attained with exponents non-increasing over
+    # 2, 3, 5, 7, ...; the walk below tries every such n.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)  # their product is above the bound
+
+    def most_divisors(n, i, cap):
+        """The most divisors of n * m, n * m <= bound, m made of primes[i:] with exponents <= cap."""
+        best, e = 1, 0
+        while e < cap and n * primes[i] <= MAX_GROUP_ORDER:
+            n, e = n * primes[i], e + 1
+            best = max(best, (e + 1) * most_divisors(n, i + 1, e))
+        return best
+
+    assert most_divisors(1, 0, 64) == 1600
+    dec, lat = _lat("2095133040")  # 2^4 * 3^4 * 5 * 7 * 11 * 13 * 17 * 19
+    assert lat.num_vertices == 1600 and dec.group_order <= MAX_GROUP_ORDER

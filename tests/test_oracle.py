@@ -13,10 +13,13 @@ from zerosum import (
     InternalInvariantError,
     WeightedGraph,
     add_elements,
+    build_lattice,
     davenport_constant,
     dp_min_cost_zero_sum,
     element_from_index,
+    extract_certificate,
     identity,
+    initial_configuration,
     element_order,
     lattice_graph,
     parse_group_spec,
@@ -24,6 +27,7 @@ from zerosum import (
     pebbling_number,
     primary_decomposition,
     solvable,
+    solve_to_root,
     to_primary_coordinates,
     verify_certificate,
     weighted_boolean_cube,
@@ -429,6 +433,33 @@ def test_stopping_dp_matches_full_run_dp():
     assert stopped >= 0.7 * uniform, (stopped, uniform)
 
 
+def test_kept_shift_tables_change_no_result():
+    # stress shares one `tables` dict over a run's trials. With it the DP
+    # returns what it returns without it, at stop 0 and at the stop stress
+    # passes, the certificate's cost, on uniform and run-of-copies sequences;
+    # it keeps a bytes table per element when |G| <= 256, and nothing above.
+    rng = SplitMix64(3636)
+    for text in ("60", "6,6", "2,2,2,2,2", "9,3", "2310"):
+        dec, tables = _dec(text), {}
+        n = dec.group_order
+        lattice = build_lattice(dec)
+        for trial in range(8 if n <= 256 else 2):
+            idx: list[int] = []
+            while len(idx) < n:
+                idx += [rng.draw((n,))[0]] * (1 + rng.draw((4,))[0] if trial % 2 else 1)
+            cols = _columns(dec, [element_from_index(dec, i) for i in idx[:n]])
+            cert = extract_certificate(solve_to_root(initial_configuration(dec, cols, lattice=lattice)), dec, cols)
+            for stop in (0, cert.ord_cost):
+                assert dp_min_cost_zero_sum(dec, cols, stop, tables) == dp_min_cost_zero_sum(dec, cols, stop)
+        zero_free = _columns(dec, _zero_sum_free(dec))
+        assert dp_min_cost_zero_sum(dec, zero_free, 0, tables) == dp_min_cost_zero_sum(dec, zero_free)
+        if n > 256:
+            assert tables == {}
+        else:
+            assert 1 < len(tables) <= n
+            assert all(table == bytes(_shift_table(dec, g)) for g, table in tables.items())
+
+
 def _zero_sum_free(dec):
     """n_j - 1 copies of the j-th basis element for each invariant factor n_j:
     no nonempty subsequence sums to zero."""
@@ -496,6 +527,15 @@ def test_dp_work_bound():
     # A full-length stress trial over Z_2310 stays within the bound.
     dec = _dec("2310")
     assert dp_min_cost_zero_sum(dec, [[1] * 2310]).feasible
+
+
+def test_dp_work_bound_admits_exactly_max_dp_work():
+    # items x |G| equal to MAX_DP_WORK is admitted; one item more is refused.
+    dec = _dec("1000")
+    check_dp_work(dec, MAX_DP_WORK // 1000)
+    with pytest.raises(InputError) as refused:
+        check_dp_work(dec, MAX_DP_WORK // 1000 + 1)
+    assert str(refused.value).endswith(f"8001 items x |G| = 1000 is 8001000, above the bound {MAX_DP_WORK}")
 
 
 def test_tightness_for_cyclic_groups():

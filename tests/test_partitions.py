@@ -13,8 +13,8 @@ from zerosum import (
     parse_group_spec,
     primary_decomposition,
     residual_exponents,
-    residual_exponents_by_recursion,
 )
+from test_acceptance import residual_exponents_by_recursion
 
 partitions = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
