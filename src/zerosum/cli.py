@@ -34,6 +34,7 @@ from .oracle import (
 
 MASK64 = (1 << 64) - 1
 LANES = 256  # draws one SplitMix64.draw block computes together, in 4 KiB ints
+STRESS_BLOCK = 1 << 12  # coordinates (trials x |G| x rank) `stress` draws and encodes together, at least one trial
 # Elements one stress run draws and solves, trials x |G|: 3 trials of Z_2^18 took 8.8-10.6 s (2-core x86_64 VM).
 MAX_STRESS_ELEMENTS = 1_000_000
 # |G| of a solve: peaks take about 194 bytes per element at rank 1 (2 GB at the bound), 320 on Z_2^18 (18 a coordinate).
@@ -348,10 +349,13 @@ def cmd_stress(args) -> RunReport:
     fallback_count = 0
     total_moves = 0
     oracle_checked = min(args.trials, args.oracle_limit)  # the leading trials
-    orders, rank = dec.spec.cyclic_orders, dec.spec.rank
+    orders, rank, size = dec.spec.cyclic_orders, dec.spec.rank, dec.group_order
+    per = max(1, STRESS_BLOCK // (size * rank))  # trials a block holds
     for trial in range(args.trials):
-        draws = rng.draw(orders * dec.group_order)  # row-major: |G| elements of rank coordinates
-        cols = encode_sequence([draws[f::rank] for f in range(rank)], dec)
+        if trial % per == 0:  # row-major: |G| elements of rank coordinates a trial, trials end to end
+            draws = rng.draw(orders * (size * min(per, args.trials - trial)))
+            block = encode_sequence([draws[f::rank] for f in range(rank)], dec)
+        cols = [col[(at := trial % per * size):at + size] for col in block]
         conf, cert = _solve_sequence(dec, cols, lattice=lattice)
         fallback_count += 1 if conf.fallback_fired else 0
         total_moves += len(conf.move_log)

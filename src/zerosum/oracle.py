@@ -28,7 +28,7 @@ from .lattice import build_lattice
 
 # Items x group order; admits |G| items over groups of order up to 2828.
 MAX_DP_WORK = 8_000_000
-MAX_SOLVABLE_STATES = 2_000_000
+MAX_SOLVABLE_STATES = 100_000  # about a second: 100,000 states a second, about 0.35 KB each (Q5, 2-core x86_64 VM)
 MAX_PEBBLING_TOTAL = 64
 # Distributions in the pebbling scan's final round, which also bounds its memo.
 MAX_PEBBLING_DISTRIBUTIONS = 100_000

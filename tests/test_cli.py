@@ -63,7 +63,7 @@ def test_splitmix64_draws_replay_for_a_seed():
 
 
 def test_splitmix64_one_draw_matches_a_draw_per_modulus():
-    # stress draws a trial's |G| x rank coordinates in one call; the values
+    # stress draws a block of trials' coordinates in one call; the values
     # and the state after them are those of one draw per coordinate.
     moduli = (9, 3) * 27 + (1, 2**64, 2310)
     a, b = SplitMix64(2024), SplitMix64(2024)
@@ -674,6 +674,33 @@ def test_stress_json_is_byte_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("group, trials, oracle_limit", [("6,6", 130, 70), ("300", 31, 4), ("1", 7, 7)])
+def test_stress_trials_are_the_same_for_any_block_size(monkeypatch, capsys, group, trials, oracle_limit):
+    # stress draws and encodes STRESS_BLOCK coordinates at a time; one trial
+    # a block, three (a remainder over `trials`) and the default give the
+    # same JSON. Z_6+Z_6 spans several default blocks, Z_300 has list
+    # columns, and Z_1 no invariant factor.
+    dec = zerosum.primary_decomposition(zerosum.parse_group_spec(group))
+    rank, coords = dec.spec.rank, dec.group_order * dec.spec.rank
+    argv = ["stress", "--group", group, "--trials", str(trials), "--seed", str(2**64 - 1),
+            "--oracle-limit", str(oracle_limit), "--json"]
+    solve, seen = cli._solve_sequence, []
+    monkeypatch.setattr(cli, "_solve_sequence", lambda dec, cols, **kw: seen.append(cols) or solve(dec, cols, **kw))
+    outs = []
+    for block in (1, 3 * coords, cli.STRESS_BLOCK):
+        monkeypatch.setattr(cli, "STRESS_BLOCK", block)
+        seen.clear()
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    # The default run's trials hold the one-step reference draws, |G| x rank a trial in turn.
+    draws, _ = _splitmix64_steps(2**64 - 1, dec.spec.cyclic_orders * (dec.group_order * trials))
+    assert [list(map(list, cols)) for cols in seen] == [
+        list(map(list, zerosum.encode_sequence([draws[lo + f:lo + coords:rank] for f in range(rank)], dec)))
+        for lo in range(0, len(draws), coords)
+    ]
+
+
 def test_solve_json_is_byte_identical(capsys):
     seq = ";".join(f"{i % 9},{(i * 5) % 3}" for i in range(27))
     args = ["solve", "--group", "9,3", "--seq", seq, "--json"]
@@ -789,8 +816,25 @@ def test_solve_refuses_an_oversized_group_before_reading_the_sequence(capsys, tm
         err = capsys.readouterr().err
         assert err == f"input error: a solve reads |G| = {order} elements, above the bound 10000000\n"
     # At or below the bound the sequence is read as before.
-    assert main(["solve-cyclic", "--n", "12", "--seq-file", missing]) == 2
-    assert "cannot read sequence file" in capsys.readouterr().err
+    for n in ("12", "10000000"):
+        assert main(["solve-cyclic", "--n", n, "--seq-file", missing]) == 2
+        assert "cannot read sequence file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: main(["solve-cyclic", "--n", "0", "--seq", "1"]), "modulus must be positive, got 0"),
+    (lambda: zerosum.group_spec(()), "group spec needs at least one cyclic factor"),
+    (lambda: zerosum.weighted_boolean_cube(()), "cube needs at least one weight"),
+    (lambda: zerosum.path_graph(()), "path needs at least one weight"),
+], ids=["solve-cyclic-n-0", "group_spec", "weighted_boolean_cube", "path_graph"])
+def test_empty_or_zero_inputs_are_refused_as_input_errors(capsys, refused, message):
+    # A command exits 2 with the message on stderr; a library call raises it.
+    try:
+        assert refused() == 2
+    except InputError as exc:
+        assert str(exc) == message
+    else:
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("cmd", [["solve", "--group", "4,2"], ["solve-cyclic", "--n", "8"]])

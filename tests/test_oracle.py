@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 
 import pytest
 
@@ -624,6 +625,15 @@ def test_solvable_past_its_state_bound_is_input_error(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SOLVABLE_STATES", 100)
     with pytest.raises(InputError, match="bound of 100 states"):
         solvable(q4, dist, 0)
+
+
+def test_solvable_refuses_an_unsolvable_q5_search_within_seconds():
+    # 31 pebbles on the far vertex of Q5 (pebbling number 32): the search
+    # would visit far more states than MAX_SOLVABLE_STATES, about a second's worth.
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=f"bound of {oracle.MAX_SOLVABLE_STATES} states"):
+        solvable(weighted_boolean_cube((2,) * 5), (0,) * 31 + (31,), 0)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_pebbling_single_vertex():
